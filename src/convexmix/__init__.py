@@ -56,9 +56,11 @@ from .oracle import (
     OracleStats,
     accumulate,
     best_beta,
+    best_betas,
     grid_best_beta,
     loss_at_beta,
     merge,
+    prefix_stats,
     stats_from,
     subtract,
 )

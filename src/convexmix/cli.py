@@ -110,35 +110,21 @@ def summarize(
     Windowed figures restart the comparison at the window's opening weight.
     """
     n = len(traj)
-    lambda_init = traj.records[0].lambda_before
+    lambda_init = float(traj.lambdas[0])
     factor = bounds.loss_factor(constants)
     rb = bounds.regret_and_bound(0.0, 0.0, constants, n, lambda_init=lambda_init)
     bound_total = rb.bound_total
 
-    want = set()
-    if window is not None:
-        lo, hi = window
-        want = {lo - 1, hi}
-    stats = oracle.OracleStats()
-    stats_at = {0: stats}
-    best_b = np.empty(n)
-    best_l = np.empty(n)
-    for i, s in enumerate(traj.samples):
-        stats = oracle.accumulate(stats, s)
-        if (i + 1) in want:
-            stats_at[i + 1] = stats
-        bb = oracle.best_beta(stats)
-        best_b[i] = bb.beta
-        best_l[i] = bb.loss
-
+    s_dd, s_rd, s_rr = oracle.prefix_stats(traj.y, traj.yhat1, traj.yhat2)
+    best_b, best_l = oracle.best_betas(s_dd[1:], s_rd[1:], s_rr[1:])
     cum = traj.cum_loss
     t = np.arange(1, n + 1)
     regret = cum - factor * best_l
     frame = TrajectoryFrame(
         t=t,
-        y=np.array([s.y for s in traj.samples]),
-        yhat1=np.array([s.yhat1 for s in traj.samples]),
-        yhat2=np.array([s.yhat2 for s in traj.samples]),
+        y=traj.y,
+        yhat1=traj.yhat1,
+        yhat2=traj.yhat2,
         lam=traj.lambdas,
         rho=traj.rho,
         yhat=traj.predictions,
@@ -170,10 +156,11 @@ def summarize(
     )
     if window is not None:
         lo, hi = window
-        wstats = oracle.subtract(stats_at[hi], stats_at[lo - 1])
-        wbest = oracle.best_beta(wstats)
+        prefix = [oracle.OracleStats(k, float(s_dd[k]), float(s_rd[k]), float(s_rr[k]))
+                  for k in (lo - 1, hi)]
+        wbest = oracle.best_beta(oracle.subtract(prefix[1], prefix[0]))
         w_l_alg = max(float(cum[hi - 1] - (cum[lo - 2] if lo > 1 else 0.0)), 0.0)
-        w_init = traj.records[lo - 1].lambda_before
+        w_init = float(traj.lambdas[lo - 1])
         wrb = bounds.regret_and_bound(
             w_l_alg, wbest.loss, constants, hi - lo + 1, lambda_init=w_init
         )
@@ -401,19 +388,19 @@ def render_regret_svg(
     pad = 0.05 * (yhi - ylo)
     ylo, yhi = ylo - pad, yhi + pad
 
-    def sx(v: float) -> float:
+    def sx(v):
         return left + (v - xlo) / (xhi - xlo) * (right - left)
 
-    def sy(v: float) -> float:
+    def sy(v):
         return bottom - (v - ylo) / (yhi - ylo) * (bottom - top)
 
+    x_px = sx(x).tolist()
+
     def poly(series: np.ndarray, color: str) -> str:
+        y_px = sy(series).tolist()
         if len(t) == 1:
-            return (
-                f'<circle cx="{sx(x[0]):.2f}" cy="{sy(series[0]):.2f}" r="4" '
-                f'fill="{color}"/>'
-            )
-        pts = " ".join(f"{sx(xi):.2f},{sy(vi):.2f}" for xi, vi in zip(x, series))
+            return f'<circle cx="{x_px[0]:.2f}" cy="{y_px[0]:.2f}" r="4" fill="{color}"/>'
+        pts = " ".join(map("%.2f,%.2f".__mod__, zip(x_px, y_px)))
         return f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
 
     parts = [
@@ -761,10 +748,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out = merged.get("out") or "sweep.csv"
     stem, _ = os.path.splitext(out)
 
+    # every rate is validated before anything runs or is written
+    configs = [
+        (mu, bounds.constants_from_mu(mu, y_bound, lambda_plus),
+         MixtureParams(mu=mu, lambda_plus=lambda_plus, y_bound=y_bound, mode=mode))
+        for mu in mus
+    ]
     rows = []
-    for mu in mus:
-        constants = bounds.constants_from_mu(mu, y_bound, lambda_plus)
-        params = MixtureParams(mu=mu, lambda_plus=lambda_plus, y_bound=y_bound, mode=mode)
+    for mu, constants, params in configs:
         _, summary = run_experiment(
             samples, params, constants, lambda_init=lambda_init, clip_count=clipped
         )

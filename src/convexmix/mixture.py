@@ -136,7 +136,8 @@ def step(params: MixtureParams, state: MixtureState, sample: SignalSample) -> tu
 
     Returns the next state together with a record of the step.  The range
     flag refers to the weight that produced the prediction, i.e. the weight
-    before the update.
+    before the update.  This is the readable reference that the loop in
+    :func:`run` reproduces bit for bit.
     """
     lam = state.lam
     yhat = predict(lam, sample)
@@ -153,6 +154,8 @@ def step(params: MixtureParams, state: MixtureState, sample: SignalSample) -> tu
             lam_new, rho_new, projected = lo, logit(lo), True
         elif lam_new > hi:
             lam_new, rho_new, projected = hi, logit(hi), True
+    if not 0.0 < lam_new < 1.0:
+        raise NumericError(f"weight saturated at {lam_new}", step=state.t)
     in_range = params.lambda_plus <= lam <= 1.0 - params.lambda_plus
     record = StepRecord(
         t=state.t,
@@ -203,61 +206,66 @@ def state_from_lambda(lam: float, t: int = 1) -> MixtureState:
 
 @dataclass
 class Trajectory:
-    """Full record of a run: inputs, per-step records, running loss.
+    """Full record of a run, one array per column.
 
-    ``rho`` holds the auxiliary variable at the start of each step and
-    ``final_state`` the state after the last update, so the weight path
-    lambda_1, ..., lambda_{n+1} is available in full.
+    Step ``i`` (0-based) saw inputs ``y[i]``, ``yhat1[i]``, ``yhat2[i]``,
+    predicted with weight ``lambdas[i]`` (auxiliary variable ``rho[i]``) and
+    moved to ``lambdas_after[i]``.  ``final_state`` is the state after the
+    last update, so the weight path lambda_1, ..., lambda_{n+1} is available
+    in full.  ``samples`` and ``records`` rebuild the per-step objects on
+    access.
     """
 
-    samples: list[SignalSample]
-    records: list[StepRecord]
-    cum_loss: np.ndarray
+    y: np.ndarray
+    yhat1: np.ndarray
+    yhat2: np.ndarray
+    lambdas: np.ndarray
+    lambdas_after: np.ndarray
     rho: np.ndarray
+    predictions: np.ndarray
+    errors: np.ndarray
+    cum_loss: np.ndarray
+    in_range: np.ndarray
+    projected: np.ndarray
     final_state: MixtureState
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.errors)
 
     @property
     def total_loss(self) -> float:
         return float(self.cum_loss[-1])
 
     @property
-    def lambdas(self) -> np.ndarray:
-        return np.array([r.lambda_before for r in self.records])
+    def samples(self) -> list[SignalSample]:
+        return [
+            SignalSample(*row)
+            for row in zip(self.y.tolist(), self.yhat1.tolist(), self.yhat2.tolist())
+        ]
 
     @property
-    def lambdas_after(self) -> np.ndarray:
-        return np.array([r.lambda_after for r in self.records])
-
-    @property
-    def predictions(self) -> np.ndarray:
-        return np.array([r.yhat for r in self.records])
-
-    @property
-    def errors(self) -> np.ndarray:
-        return np.array([r.e for r in self.records])
-
-    @property
-    def in_range(self) -> np.ndarray:
-        return np.array([r.in_range for r in self.records], dtype=bool)
-
-    @property
-    def projected(self) -> np.ndarray:
-        return np.array([r.projected for r in self.records], dtype=bool)
+    def records(self) -> list[StepRecord]:
+        t0 = self.final_state.t - len(self)
+        columns = (self.lambdas, self.lambdas_after, self.predictions, self.errors,
+                   self.in_range, self.projected)
+        return [
+            StepRecord(t0 + i, *row)
+            for i, row in enumerate(zip(*(c.tolist() for c in columns)))
+        ]
 
 
-def _check_samples(samples, y_bound: float):
-    for i, s in enumerate(samples):
-        for name in ("y", "yhat1", "yhat2"):
-            v = getattr(s, name)
-            if not math.isfinite(v):
-                raise ValueError(f"sample {i + 1}: field {name} is not finite ({v})")
-            if abs(v) > y_bound:
-                raise ValueError(
-                    f"sample {i + 1}: field {name} = {v} exceeds the magnitude cap {y_bound}"
-                )
+def _check_samples(samples, columns: np.ndarray, y_bound: float):
+    # columns is (n, 3) in field order; report the first offending field
+    # in sample-major order, quoting its value as given
+    bad = ~np.isfinite(columns) | (np.abs(columns) > y_bound)
+    if not bad.any():
+        return
+    i, j = divmod(int(np.argmax(bad)), 3)
+    name = ("y", "yhat1", "yhat2")[j]
+    v = getattr(samples[i], name)
+    if not math.isfinite(v):
+        raise ValueError(f"sample {i + 1}: field {name} is not finite ({v})")
+    raise ValueError(f"sample {i + 1}: field {name} = {v} exceeds the magnitude cap {y_bound}")
 
 
 def run(params: MixtureParams, samples, initial_state: MixtureState | None = None) -> Trajectory:
@@ -265,24 +273,74 @@ def run(params: MixtureParams, samples, initial_state: MixtureState | None = Non
 
     All sample fields must already lie within ``params.y_bound`` in absolute
     value; out-of-cap inputs are rejected rather than silently clipped.
+
+    The recurrence runs as a loop over plain floats that repeats the
+    arithmetic of :func:`step` operation for operation, so every column is
+    bit-identical to a loop of :func:`step`; predictions, errors, running
+    loss and range flags are then computed over whole columns.
     """
     samples = list(samples)
     if not samples:
         raise ValueError("sequence must be non-empty")
-    _check_samples(samples, params.y_bound)
+    y = np.array([s.y for s in samples], dtype=float)
+    y1 = np.array([s.yhat1 for s in samples], dtype=float)
+    y2 = np.array([s.yhat2 for s in samples], dtype=float)
+    _check_samples(samples, np.stack((y, y1, y2), axis=1), params.y_bound)
     state = initial_state if initial_state is not None else MixtureState()
     if abs(state.lam - logistic(state.rho)) > 1e-12:
         raise ValueError("initial state is inconsistent: lam must equal logistic(rho)")
+    rho, lam, t = state.rho, state.lam, state.t
+    if not 0.0 < lam < 1.0:
+        raise ValueError(f"weight must lie strictly inside (0, 1), got {lam}")
+
+    mu = params.mu
+    lo = params.lambda_plus
+    hi = 1.0 - params.lambda_plus
+    project = params.mode == "project"
+    rho_lo, rho_hi = logit(lo), logit(hi)
+    exp, inf = math.exp, math.inf
+    lam_path = [lam]
+    rho_path = [rho]
+    projected_at = []
+    for i, (a, b, c) in enumerate(zip(y.tolist(), y1.tolist(), y2.tolist())):
+        rho = rho + mu * (a - (lam * b + (1.0 - lam) * c)) * lam * (1.0 - lam) * (b - c)
+        if not -inf < rho < inf:
+            raise NumericError("auxiliary variable became non-finite", step=t + i)
+        if rho >= 0.0:
+            lam = 1.0 / (1.0 + exp(-rho))
+        else:
+            ex = exp(rho)
+            lam = ex / (1.0 + ex)
+        if project:
+            if lam < lo:
+                lam, rho = lo, rho_lo
+                projected_at.append(i)
+            elif lam > hi:
+                lam, rho = hi, rho_hi
+                projected_at.append(i)
+        elif not 0.0 < lam < 1.0:
+            raise NumericError(f"weight saturated at {lam}", step=t + i)
+        lam_path.append(lam)
+        rho_path.append(rho)
 
     n = len(samples)
-    records = []
-    cum = np.empty(n)
-    rho = np.empty(n)
-    total = 0.0
-    for i, sample in enumerate(samples):
-        rho[i] = state.rho
-        state, rec = step(params, state, sample)
-        records.append(rec)
-        total += rec.e * rec.e
-        cum[i] = total
-    return Trajectory(samples=samples, records=records, cum_loss=cum, rho=rho, final_state=state)
+    lams = np.array(lam_path)
+    before = lams[:-1]
+    predictions = before * y1 + (1.0 - before) * y2
+    errors = y - predictions
+    projected = np.zeros(n, dtype=bool)
+    projected[projected_at] = True
+    return Trajectory(
+        y=y,
+        yhat1=y1,
+        yhat2=y2,
+        lambdas=before,
+        lambdas_after=lams[1:].copy(),  # no overlap with ``lambdas``
+        rho=np.array(rho_path[:-1]),
+        predictions=predictions,
+        errors=errors,
+        cum_loss=np.cumsum(errors * errors),
+        in_range=(lo <= before) & (before <= hi),
+        projected=projected,
+        final_state=MixtureState(rho=rho, lam=lam, t=t + n),
+    )

@@ -7,9 +7,10 @@ r = y - yhat2,
     loss(beta) = sum(r^2) - 2*beta*sum(r*d) + beta^2*sum(d^2)
 
 so the stats are additive under concatenation and the minimizer over [0, 1]
-is the clamped ratio sum(r*d) / sum(d^2).  A brute-force grid search over
-beta is kept as an independent check; it evaluates residuals directly and
-never touches the closed form.
+is the clamped ratio sum(r*d) / sum(d^2).  The statistics and the minimizer
+of every prefix are also available as whole columns.  A brute-force grid
+search over beta is kept as an independent check; it evaluates residuals
+directly and never touches the closed form.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ __all__ = [
     "merge",
     "subtract",
     "stats_from",
+    "prefix_stats",
+    "best_betas",
     "loss_at_beta",
     "best_beta",
     "grid_best_beta",
@@ -75,11 +78,24 @@ def subtract(total: OracleStats, prefix: OracleStats) -> OracleStats:
     )
 
 
+def prefix_stats(y: np.ndarray, yhat1: np.ndarray, yhat2: np.ndarray):
+    """Statistics of every prefix: arrays ``(s_dd, s_rd, s_rr)`` of length n+1.
+
+    Entry k sums the first k samples in stream order starting from 0.0, as
+    folding :func:`accumulate` does; ``np.cumsum`` adds strictly left to
+    right, so every entry is bit-identical to the fold.
+    """
+    d = yhat1 - yhat2
+    r = y - yhat2
+    return tuple(np.cumsum(np.concatenate(([0.0], v))) for v in (d * d, r * d, r * r))
+
+
 def stats_from(samples: Iterable[SignalSample]) -> OracleStats:
-    stats = OracleStats()
-    for sample in samples:
-        stats = accumulate(stats, sample)
-    return stats
+    samples = list(samples)
+    columns = (np.array([s.y for s in samples], dtype=float),
+               np.array([s.yhat1 for s in samples], dtype=float),
+               np.array([s.yhat2 for s in samples], dtype=float))
+    return OracleStats(len(samples), *(float(p[-1]) for p in prefix_stats(*columns)))
 
 
 def loss_at_beta(stats: OracleStats, beta: float) -> float:
@@ -109,6 +125,21 @@ def best_beta(stats: OracleStats) -> BestBeta:
         return BestBeta(0.5, loss_at_beta(stats, 0.5), True)
     beta = min(max(stats.s_rd / stats.s_dd, 0.0), 1.0)
     return BestBeta(beta, loss_at_beta(stats, beta), False)
+
+
+def best_betas(s_dd: np.ndarray, s_rd: np.ndarray, s_rr: np.ndarray):
+    """:func:`best_beta` over arrays of statistics: ``(beta, loss)`` arrays.
+
+    The same arithmetic as the scalar form; Python's ``max(v, 0.0)`` and
+    ``min(v, 1.0)`` are spelled out so signed zeros and NaN come out alike.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = s_rd / s_dd
+    clamped = np.where(0.0 > ratio, 0.0, ratio)
+    clamped = np.where(1.0 < clamped, 1.0, clamped)
+    beta = np.where(s_dd <= 0.0, 0.5, clamped)
+    loss = s_rr - 2.0 * beta * s_rd + beta * beta * s_dd
+    return beta, np.where(0.0 > loss, 0.0, loss)
 
 
 class GridBest(NamedTuple):

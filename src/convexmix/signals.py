@@ -222,7 +222,6 @@ def load_csv(path: str, y_bound: float) -> tuple[list[SignalSample], int]:
             )
         width = len(header)
         samples: list[SignalSample] = []
-        clipped = 0
         for i, row in enumerate(reader, start=2):
             if len(row) != width:
                 raise ParseError(f"{path}: row {i}: expected {width} columns, found {len(row)}")
@@ -235,14 +234,11 @@ def load_csv(path: str, y_bound: float) -> tuple[list[SignalSample], int]:
                     raise ParseError(f"{path}: row {i}: non-numeric value {cell!r}") from None
                 if not math.isfinite(v):
                     raise ParseError(f"{path}: row {i}: non-finite value {cell!r}")
-                c = _clip(v, y_bound)
-                if c != v:
-                    clipped += 1
-                values.append(c)
+                values.append(v)
             samples.append(SignalSample(*values))
         if not samples:
             raise ParseError(f"{path}: row 2: no data rows after the header")
-    return samples, clipped
+    return clip_samples(samples, y_bound)
 
 
 @dataclass
@@ -278,24 +274,56 @@ class TrajectoryFrame:
         return getattr(self, self._FIELD_OF[name])
 
 
+# One data row exactly as csv.writer wrote it: no formatted number needs
+# quoting, and rows end in CRLF.
+_ROW_FORMAT = "%d," + "%.17g," * 13 + "%d,%d\r\n"
+_INT_COLUMNS = ("t", "in_range", "projected")
+_WRITE_BLOCK = 8192
+
+
 def write_trajectory(frame: TrajectoryFrame, path: str) -> None:
     """Write the frame as CSV with full float precision (17 significant digits)."""
     if len(frame) == 0:
         raise ValueError("refusing to write an empty trajectory")
-    cols = [frame.column(name) for name in TRAJECTORY_COLUMNS]
+    cols = [np.asarray(frame.column(name)) for name in TRAJECTORY_COLUMNS]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRAJECTORY_COLUMNS)
-        for i in range(len(frame)):
-            row = [f"{int(cols[0][i])}"]
-            row.extend(f"{float(c[i]):.17g}" for c in cols[1:14])
-            row.append(f"{int(cols[14][i])}")
-            row.append(f"{int(cols[15][i])}")
-            writer.writerow(row)
+        fh.write(",".join(TRAJECTORY_COLUMNS) + "\r\n")
+        # blocks of rows keep the Python objects of only one block alive
+        for start in range(0, len(frame), _WRITE_BLOCK):
+            block = [c[start : start + _WRITE_BLOCK].tolist() for c in cols]
+            fh.writelines(map(_ROW_FORMAT.__mod__, zip(*block)))
+
+
+_TRAJECTORY_DTYPE = np.dtype(
+    [(name, np.int64 if name in _INT_COLUMNS else np.float64) for name in TRAJECTORY_COLUMNS]
+)
+
+
+def _convert_cells(path: str) -> dict:
+    """Convert every cell with int()/float(), naming the first bad column."""
+    with open(path, newline="") as fh:
+        raw = list(csv.reader(fh))[1:]
+    data = {}
+    for j, name in enumerate(TRAJECTORY_COLUMNS):
+        convert = int if name in _INT_COLUMNS else float
+        try:
+            data[name] = np.array([convert(r[j]) for r in raw])
+        except ValueError as exc:
+            raise ParseError(f"{path}: column {name}: {exc}") from None
+    return data
 
 
 def read_trajectory(path: str) -> TrajectoryFrame:
-    """Read back a trajectory CSV written by :func:`write_trajectory`."""
+    """Read back a trajectory CSV written by :func:`write_trajectory`.
+
+    Rows are checked for their column count as the csv module splits them,
+    then parsed in one pass by numpy, whose number parsing gives the same
+    doubles as float().  Should numpy reject a cell, every cell goes through
+    int()/float() instead, which names the offending column or accepts what
+    Python accepts (such as digit-group underscores).
+    """
+    width = len(TRAJECTORY_COLUMNS)
+    rows = 0
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -307,28 +335,23 @@ def read_trajectory(path: str) -> TrajectoryFrame:
                 f"{path}: row 1: expected the trajectory columns "
                 f"{','.join(TRAJECTORY_COLUMNS)}, got {','.join(header)}"
             )
-        raw: list[list[str]] = []
-        for i, row in enumerate(reader, start=2):
-            if len(row) != len(TRAJECTORY_COLUMNS):
+        for rows, row in enumerate(reader, start=1):
+            if len(row) != width:
                 raise ParseError(
-                    f"{path}: row {i}: expected {len(TRAJECTORY_COLUMNS)} columns, found {len(row)}"
+                    f"{path}: row {rows + 1}: expected {width} columns, found {len(row)}"
                 )
-            raw.append(row)
-        if not raw:
-            raise ParseError(f"{path}: row 2: no data rows after the header")
-    data = {}
-    for j, name in enumerate(TRAJECTORY_COLUMNS):
-        cells = [r[j] for r in raw]
-        try:
-            if name == "t":
-                data["t"] = np.array([int(c) for c in cells])
-            elif name in ("in_range", "projected"):
-                data[name] = np.array([int(c) for c in cells])
-            else:
-                key = "lam" if name == "lambda" else name
-                data[key] = np.array([float(c) for c in cells])
-        except ValueError as exc:
-            raise ParseError(f"{path}: column {name}: {exc}") from None
+    if not rows:
+        raise ParseError(f"{path}: row 2: no data rows after the header")
+    try:
+        table = np.loadtxt(path, dtype=_TRAJECTORY_DTYPE, delimiter=",", skiprows=1,
+                           comments=None, quotechar='"', ndmin=1)
+    except (ValueError, OverflowError):
+        table = None
+    if table is not None and len(table) == rows:
+        data = {name: np.ascontiguousarray(table[name]) for name in TRAJECTORY_COLUMNS}
+    else:
+        data = _convert_cells(path)
+    data["lam"] = data.pop("lambda")
     return TrajectoryFrame(**data)
 
 

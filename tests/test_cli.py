@@ -384,6 +384,12 @@ class TestSweepCommand:
         assert run_cli("sweep", "--case", "1", "--n", "10",
                        "--mu-list", "0.1,zap") == 2
 
+    def test_bad_rate_leaves_no_partial_output(self, workdir):
+        """A rate outside the admissible range fails before anything is written."""
+        assert run_cli("sweep", "--case", "1", "--n", "100",
+                       "--mu-list", "0.08,30") == 2
+        assert sorted(p.name for p in workdir.iterdir()) == []
+
 
 class TestModuleEntryPoint:
     def test_python_dash_m(self, workdir):

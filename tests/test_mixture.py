@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from convexmix.mixture import (
     MixtureParams,
@@ -292,3 +294,121 @@ class TestParamsValidation:
     def test_rejects_bad_mode(self):
         with pytest.raises(ValueError):
             MixtureParams(mu=0.1, lambda_plus=0.08, y_bound=1.0, mode="clamp")
+
+
+class TestSaturation:
+    """A post-update weight of exactly 0 or 1 is a numeric failure of that step."""
+
+    def test_run_reports_step_index(self):
+        params = MixtureParams(mu=1e4, lambda_plus=0.08, y_bound=1.0, mode="monitor")
+        with pytest.raises(NumericError, match="step 1: weight saturated") as info:
+            run(params, _case1(50))
+        assert info.value.step == 1
+
+    def test_step_reports_step_index(self):
+        params = MixtureParams(mu=1e4, lambda_plus=0.08, y_bound=1.0, mode="monitor")
+        with pytest.raises(NumericError) as info:
+            step(params, MixtureState(t=7), SignalSample(0.5, 0.5, -0.5))
+        assert info.value.step == 7
+
+    def test_saturation_toward_zero(self):
+        params = MixtureParams(mu=1e4, lambda_plus=0.08, y_bound=1.0, mode="monitor")
+        samples = [SignalSample(0.5, 0.5, 0.5), SignalSample(-0.5, 0.5, -0.5)]
+        with pytest.raises(NumericError, match="step 2: weight saturated at 0.0"):
+            run(params, samples)
+
+    def test_projection_prevents_saturation(self):
+        params = MixtureParams(mu=1e4, lambda_plus=0.08, y_bound=1.0, mode="project")
+        traj = run(params, _case1(50))
+        assert traj.final_state.lam == 0.92
+
+
+def _reference_columns(params, samples, state):
+    """Every column of a run, from a plain loop of the scalar reference ``step``."""
+    cols = {name: [] for name in ("lambdas", "lambdas_after", "rho", "predictions",
+                                  "errors", "cum_loss", "in_range", "projected")}
+    total = 0.0
+    for sample in samples:
+        cols["rho"].append(state.rho)
+        state, rec = step(params, state, sample)
+        total += rec.e * rec.e
+        cols["lambdas"].append(rec.lambda_before)
+        cols["lambdas_after"].append(rec.lambda_after)
+        cols["predictions"].append(rec.yhat)
+        cols["errors"].append(rec.e)
+        cols["cum_loss"].append(total)
+        cols["in_range"].append(rec.in_range)
+        cols["projected"].append(rec.projected)
+    return cols, state
+
+
+@st.composite
+def _runs(draw):
+    y_bound = draw(st.sampled_from([0.5, 1.0, 3.0]))
+    value = st.floats(-y_bound, y_bound, allow_nan=False, allow_subnormal=False)
+    n = draw(st.integers(1, 40))
+    samples = [SignalSample(draw(value), draw(value), draw(value)) for _ in range(n)]
+    # rates up to 1e3 push the weight out of range, so project mode clamps
+    # and monitor mode may saturate
+    mu = draw(st.floats(1e-3, 1e3))
+    lambda_plus = draw(st.floats(0.01, 0.45))
+    mode = draw(st.sampled_from(["monitor", "project"]))
+    lam = draw(st.floats(0.02, 0.98))
+    return MixtureParams(mu=mu, lambda_plus=lambda_plus, y_bound=y_bound, mode=mode), \
+        samples, state_from_lambda(lam, t=draw(st.integers(1, 5)))
+
+
+def _bits(values, dtype=float):
+    return np.asarray(values, dtype=dtype).tobytes()
+
+
+class TestRunMatchesStep:
+    """The float loop inside ``run`` reproduces a loop of ``step`` bit for bit."""
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_runs())
+    def test_every_column_bit_identical(self, case):
+        params, samples, state = case
+        try:
+            want, want_final = _reference_columns(params, samples, state)
+        except NumericError as exc:
+            with pytest.raises(NumericError) as info:
+                run(params, samples, initial_state=state)
+            assert info.value.step == exc.step
+            assert str(info.value) == str(exc)
+            return
+        traj = run(params, samples, initial_state=state)
+        assert len(traj) == len(samples)
+        for name, values in want.items():
+            dtype = bool if name in ("in_range", "projected") else float
+            assert getattr(traj, name).dtype == dtype, name
+            assert getattr(traj, name).tobytes() == _bits(values, dtype), name
+        assert traj.final_state == want_final
+        assert _bits([traj.final_state.rho, traj.final_state.lam]) == _bits(
+            [want_final.rho, want_final.lam])
+        assert traj.samples == [SignalSample(*map(float, (s.y, s.yhat1, s.yhat2)))
+                                for s in samples]
+
+    def test_projected_steps_are_exercised(self):
+        params = _params(mu=50.0, y_bound=1.0, mode="project")
+        rng = np.random.default_rng(5)
+        samples = [SignalSample(*rng.uniform(-1, 1, 3)) for _ in range(300)]
+        want, want_final = _reference_columns(params, samples, MixtureState())
+        traj = run(params, samples)
+        assert 0 < traj.projected.sum() < len(traj)
+        for name, values in want.items():
+            dtype = bool if name in ("in_range", "projected") else float
+            assert getattr(traj, name).tobytes() == _bits(values, dtype), name
+        assert traj.final_state == want_final
+
+    @pytest.mark.parametrize("mode", ["monitor", "project"])
+    def test_non_finite_rho_step_index(self, mode):
+        params = _params(mu=1e308, y_bound=10.0, mode=mode)
+        samples = [SignalSample(0.0, 1.0, 1.0)] * 3 + [SignalSample(10.0, 10.0, -10.0)]
+        state = state_from_lambda(0.5, t=4)
+        with pytest.raises(NumericError) as ref:
+            _reference_columns(params, samples, state)
+        with pytest.raises(NumericError) as got:
+            run(params, samples, initial_state=state)
+        assert got.value.step == ref.value.step == 7
+        assert str(got.value) == str(ref.value)

@@ -2,15 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convexmix.mixture import SignalSample
 from convexmix.oracle import (
     OracleStats,
     accumulate,
     best_beta,
+    best_betas,
     grid_best_beta,
     loss_at_beta,
     merge,
+    prefix_stats,
     stats_from,
     subtract,
 )
@@ -215,3 +219,33 @@ class TestGridBestBeta:
         for bad in (0.0, 0.2, -0.1):
             with pytest.raises(ValueError):
                 grid_best_beta(sample, bad)
+
+
+_value = st.floats(-2.0, 2.0, allow_nan=False)
+
+
+class TestPrefixColumns:
+    """Column forms of the oracle equal the scalar fold and closed form bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(_value, _value, _value).map(lambda v: SignalSample(*v)),
+                    min_size=1, max_size=30)
+           | st.lists(st.sampled_from([SignalSample(0.0, 0.5, 0.5), SignalSample(-0.0, 0.5, 0.0),
+                                       SignalSample(0.5, -0.5, 0.5), SignalSample(0.25, 0.25, 0.25)]),
+                      min_size=1, max_size=12))
+    def test_matches_fold(self, samples):
+        cols = [np.array([getattr(s, f) for s in samples]) for f in ("y", "yhat1", "yhat2")]
+        s_dd, s_rd, s_rr = prefix_stats(*cols)
+        beta, loss = best_betas(s_dd[1:], s_rd[1:], s_rr[1:])
+        stats = OracleStats()
+        for k, sample in enumerate(samples, start=1):
+            stats = accumulate(stats, sample)
+            got = (s_dd[k], s_rd[k], s_rr[k], beta[k - 1], loss[k - 1])
+            want = (stats.s_dd, stats.s_rd, stats.s_rr, *best_beta(stats)[:2])
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert stats_from(samples) == stats
+
+    def test_empty_prefix_is_zero(self):
+        s_dd, s_rd, s_rr = prefix_stats(*(np.array([0.5]),) * 3)
+        assert (s_dd[0], s_rd[0], s_rr[0]) == (0.0, 0.0, 0.0)
+        assert stats_from([]) == OracleStats()

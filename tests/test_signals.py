@@ -264,6 +264,74 @@ class TestTrajectoryRoundTrip:
         with pytest.raises(ParseError, match="row 2: expected 16 columns, found 3"):
             read_trajectory(str(p))
 
+    def _written(self, tmp_path):
+        p = tmp_path / "traj.csv"
+        write_trajectory(_tiny_frame(), str(p))
+        return p, p.read_text().splitlines()
+
+    def test_read_rejects_blank_row(self, tmp_path):
+        p, lines = self._written(tmp_path)
+        p.write_text("\n".join(lines[:2] + [""] + lines[2:]) + "\n")
+        with pytest.raises(ParseError, match="row 3: expected 16 columns, found 0"):
+            read_trajectory(str(p))
+
+    def test_read_rejects_comment_like_row(self, tmp_path):
+        p, lines = self._written(tmp_path)
+        p.write_text("\n".join(lines[:1] + ["#x"] + lines[1:]) + "\n")
+        with pytest.raises(ParseError, match="row 2: expected 16 columns, found 1"):
+            read_trajectory(str(p))
+
+    def test_read_rejects_fractional_step(self, tmp_path):
+        p, lines = self._written(tmp_path)
+        cells = lines[2].split(",")
+        cells[0] = "1.5"
+        p.write_text("\n".join(lines[:2] + [",".join(cells)] + lines[3:]) + "\n")
+        with pytest.raises(ParseError, match="column t:"):
+            read_trajectory(str(p))
+
+    def test_read_accepts_quoted_numeric_cell(self, tmp_path):
+        p, lines = self._written(tmp_path)
+        cells = lines[1].split(",")
+        cells[4] = '"0.5"'
+        p.write_text("\n".join(lines[:1] + [",".join(cells)] + lines[2:]) + "\n")
+        back = read_trajectory(str(p))
+        np.testing.assert_array_equal(back.lam, _tiny_frame().lam)
+
+    def test_read_accepts_what_float_accepts(self, tmp_path):
+        """Whitespace, signs and digit-group underscores parse as int()/float() do."""
+        p, lines = self._written(tmp_path)
+        cells = lines[1].split(",")
+        cells[0], cells[1], cells[8] = " +1 ", "7_5e-2", " 0.25\t"
+        p.write_text("\n".join(lines[:1] + [",".join(cells)] + lines[2:]) + "\n")
+        back = read_trajectory(str(p))
+        assert back.t.tolist() == [1, 2, 3]
+        assert back.y[0] == 0.75 and back.cum_loss[0] == 0.25
+
+    def test_read_names_first_bad_column(self, tmp_path):
+        p, lines = self._written(tmp_path)
+        cells = lines[3].split(",")
+        cells[5], cells[14] = "x", "1.0"
+        p.write_text("\n".join(lines[:3] + [",".join(cells)]) + "\n")
+        with pytest.raises(ParseError, match="column rho: could not convert string to float: 'x'"):
+            read_trajectory(str(p))
+
+    def test_written_bytes_match_csv_writer(self, tmp_path):
+        """The same bytes as csv.writer over f-string cells, CRLF line ends included."""
+        frame = _tiny_frame()
+        want = tmp_path / "want.csv"
+        with open(want, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(TRAJECTORY_COLUMNS)
+            for i in range(len(frame)):
+                cells = [frame.column(name)[i] for name in TRAJECTORY_COLUMNS]
+                writer.writerow([f"{int(cells[0])}"]
+                                + [f"{float(c):.17g}" for c in cells[1:14]]
+                                + [f"{int(c)}" for c in cells[14:]])
+        got = tmp_path / "got.csv"
+        write_trajectory(frame, str(got))
+        assert got.read_bytes() == want.read_bytes()
+        assert got.read_bytes().count(b"\r\n") == 4
+
     def test_column_accessor(self):
         frame = _tiny_frame()
         assert frame.column("lambda") is frame.lam
