@@ -44,11 +44,12 @@ from .mixture import (
     logistic,
     logit,
     multiplicative_lambda,
+    multiplicative_lambdas,
     predict,
     run,
+    sample_columns,
     state_from_lambda,
     step,
-    step_multiplicative,
 )
 from .oracle import (
     BestBeta,

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .mixture import SignalSample, multiplicative_lambda
+from .mixture import SignalSample, multiplicative_lambda, multiplicative_lambdas
 
 __all__ = [
     "AuditInstance",
@@ -35,6 +35,8 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9
+# rows of instance space evaluated at once by the search
+BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -126,12 +128,12 @@ def evaluate_instance(
     return AuditReport(lhs=lhs, progress=progress, margin=margin, violated=margin < -tol)
 
 
-def _grid_instances(y_bound: float, lambda_plus: float):
+def _grid(y_bound: float, lambda_plus: float) -> np.ndarray:
+    # (1875, 5) rows of (y, yhat1, yhat2, lambda_t, beta)
     levels = (-y_bound, -y_bound / 2.0, 0.0, y_bound / 2.0, y_bound)
     lams = (lambda_plus, 0.25, 0.5, 0.75, 1.0 - lambda_plus)
     betas = (0.0, 0.5, 1.0)
-    for y, y1, y2, lam, beta in itertools.product(levels, levels, levels, lams, betas):
-        yield AuditInstance(y=y, yhat1=y1, yhat2=y2, lambda_t=lam, beta=beta)
+    return np.array(list(itertools.product(levels, levels, levels, lams, betas)), dtype=float)
 
 
 def search_violations(
@@ -150,6 +152,11 @@ def search_violations(
     and midpoint weights, endpoint and midpoint comparators), then fills the
     remaining budget with seeded uniform draws.  Fully deterministic for a
     fixed seed.  Returns violating instances sorted worst first.
+
+    The instances are held as five float64 columns (40 bytes each) and
+    evaluated :data:`BLOCK` at a time through
+    :func:`~convexmix.mixture.multiplicative_lambdas`, so the temporaries
+    stay one block in size whatever the budget.
     """
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
@@ -160,54 +167,34 @@ def search_violations(
     if not (math.isfinite(y_bound) and y_bound > 0.0):
         raise ValueError(f"magnitude cap must be finite and positive, got {y_bound}")
 
-    grid = list(itertools.islice(_grid_instances(y_bound, lambda_plus), budget))
-    ys = [g.y for g in grid]
-    y1s = [g.yhat1 for g in grid]
-    y2s = [g.yhat2 for g in grid]
-    lams = [g.lambda_t for g in grid]
-    betas = [g.beta for g in grid]
-
-    fill = budget - len(grid)
-    if fill > 0:
+    # one row per field, one column per instance: the grid, then the draws
+    cols = np.empty((5, budget))
+    grid = _grid(y_bound, lambda_plus)[:budget]
+    cols[:, : len(grid)] = grid.T
+    if budget > len(grid):
         rng = np.random.default_rng(seed)
-        ys.extend(rng.uniform(-y_bound, y_bound, fill))
-        y1s.extend(rng.uniform(-y_bound, y_bound, fill))
-        y2s.extend(rng.uniform(-y_bound, y_bound, fill))
-        lams.extend(rng.uniform(lambda_plus, 1.0 - lambda_plus, fill))
-        betas.extend(rng.uniform(0.0, 1.0, fill))
+        ranges = [(-y_bound, y_bound)] * 3 + [(lambda_plus, 1.0 - lambda_plus), (0.0, 1.0)]
+        for row, (lo, hi) in zip(cols, ranges):
+            row[len(grid):] = rng.uniform(lo, hi, budget - len(grid))
 
-    y = np.array(ys)
-    y1 = np.array(y1s)
-    y2 = np.array(y2s)
-    lam = np.array(lams)
-    beta = np.array(betas)
+    hits = []
+    for start in range(0, budget, BLOCK):
+        y, y1, y2, lam, beta = block = cols[:, start : start + BLOCK]
+        lam1 = multiplicative_lambdas(mu, lam, y, y1, y2)
+        e = y - (lam * y1 + (1.0 - lam) * y2)
+        progress = beta * np.log(lam1 / lam) + (1.0 - beta) * np.log((1.0 - lam1) / (1.0 - lam))
+        e_beta = y - (beta * y1 + (1.0 - beta) * y2)
+        lhs = a * e * e - b * e_beta * e_beta
+        margin = progress - lhs
+        at = np.flatnonzero(margin < -tol)
+        hits.append(np.vstack((block[:, at], lhs[at], progress[at], margin[at])))
 
-    e = y - (lam * y1 + (1.0 - lam) * y2)
-    m = mu * e * lam * (1.0 - lam)
-    g1 = m * y1
-    g2 = m * y2
-    top = np.maximum(g1, g2)
-    num = lam * np.exp(g1 - top)
-    lam1 = num / (num + (1.0 - lam) * np.exp(g2 - top))
-    if np.any(~np.isfinite(lam1)) or np.any(lam1 <= 0.0) or np.any(lam1 >= 1.0):
-        raise ArithmeticError("an updated weight saturated during the search; mu too extreme")
-    progress = beta * np.log(lam1 / lam) + (1.0 - beta) * np.log((1.0 - lam1) / (1.0 - lam))
-    e_beta = y - (beta * y1 + (1.0 - beta) * y2)
-    lhs = a * e * e - b * e_beta * e_beta
-    margin = progress - lhs
-
-    hits = np.flatnonzero(margin < -tol)
-    found = []
-    for i in hits:
-        inst = AuditInstance(
-            y=float(y[i]), yhat1=float(y1[i]), yhat2=float(y2[i]),
-            lambda_t=float(lam[i]), beta=float(beta[i]),
-        )
-        rep = AuditReport(
-            lhs=float(lhs[i]), progress=float(progress[i]),
-            margin=float(margin[i]), violated=True,
-        )
-        found.append((inst, rep))
-    found.sort(key=lambda pair: (pair[1].margin, pair[0].y, pair[0].yhat1, pair[0].yhat2,
-                                 pair[0].lambda_t, pair[0].beta))
-    return found
+    # rows: y, yhat1, yhat2, lambda_t, beta, lhs, progress, margin; worst
+    # first, ties broken by the instance fields in order (a stable sort)
+    found = np.concatenate(hits, axis=1)
+    found = found[:, np.lexsort(found[[4, 3, 2, 1, 0, 7]])]
+    return [
+        (AuditInstance(y=r[0], yhat1=r[1], yhat2=r[2], lambda_t=r[3], beta=r[4]),
+         AuditReport(lhs=r[5], progress=r[6], margin=r[7], violated=True))
+        for r in found.T.tolist()
+    ]

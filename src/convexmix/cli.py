@@ -206,10 +206,9 @@ def _margin_and_telescope_suites(constants, trials, n, seed, tol):
     for i in range(trials):
         trial_seed = seed + i
         rng = np.random.default_rng(trial_seed)
-        y, y1, y2 = rng.uniform(-constants.y_bound, constants.y_bound, (3, n))
+        y, y1, y2 = columns = rng.uniform(-constants.y_bound, constants.y_bound, (3, n))
         rand_betas = rng.uniform(0.0, 1.0, (20, n))
-        samples = [SignalSample(*row) for row in zip(y, y1, y2)]
-        traj = mixture.run(params, samples)
+        traj = mixture.run(params, columns.T)
         l0 = traj.lambdas
         l1 = traj.lambdas_after
         mask = traj.in_range
@@ -277,8 +276,7 @@ def _oracle_suite(constants, trials, n, seed, resolution):
     for i in range(trials):
         trial_seed = seed + 100_000 + i
         rng = np.random.default_rng(trial_seed)
-        y, y1, y2 = rng.uniform(-constants.y_bound, constants.y_bound, (3, n))
-        samples = [SignalSample(*row) for row in zip(y, y1, y2)]
+        samples = rng.uniform(-constants.y_bound, constants.y_bound, (3, n)).T
         stats = oracle.stats_from(samples)
         closed = oracle.best_beta(stats)
         grid = oracle.grid_best_beta(samples, resolution)
@@ -632,11 +630,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
     if merged.get("override_a") is not None:
         constants = dataclasses.replace(constants, a=float(merged["override_a"]))
-    trials = int(merged.get("trials") or 100)
-    n = int(merged.get("n") or 500)
+    trials = merged.get("trials")
+    trials = 100 if trials is None else int(trials)
+    n = merged.get("n")
+    n = 500 if n is None else int(n)
     seed = merged.get("seed")
     seed = 7 if seed is None else int(seed)
-    resolution = float(merged.get("resolution") or 0.01)
+    resolution = merged.get("resolution")
+    resolution = 0.01 if resolution is None else float(resolution)
     tol = inequality_tolerance()
     report = run_verification(
         constants, trials=trials, n=n, seed=seed, resolution=resolution, tol=tol
@@ -683,7 +684,7 @@ def cmd_lemma_audit(args: argparse.Namespace) -> int:
         flag = "VIOLATED" if rep.violated else "ok"
         print(f"construction {label}: lhs={rep.lhs:.12g} progress={rep.progress:.12g} "
               f"margin={rep.margin:.12g} [{flag}]")
-    budget = int(args.budget or 20_000)
+    budget = 20_000 if args.budget is None else int(args.budget)
     seed = 0 if args.seed is None else int(args.seed)
     witnesses = audit.search_violations(a, b, mu, lambda_plus, y_bound, budget, seed, tol=tol)
     print(f"searched {budget} instances: {len(witnesses)} violations")

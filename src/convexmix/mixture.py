@@ -9,7 +9,8 @@ prediction error:
     rho' = rho + mu * e * lam * (1-lam) * (yhat1 - yhat2)
 
 An algebraically equivalent multiplicative update on ``lam`` itself is
-provided for cross-checking; the two forms agree to floating-point noise.
+provided for cross-checking, as a scalar reference and as an array kernel;
+the forms agree to floating-point noise.
 """
 
 from __future__ import annotations
@@ -31,8 +32,9 @@ __all__ = [
     "predict",
     "step",
     "multiplicative_lambda",
-    "step_multiplicative",
+    "multiplicative_lambdas",
     "state_from_lambda",
+    "sample_columns",
     "run",
 ]
 
@@ -194,9 +196,26 @@ def multiplicative_lambda(mu: float, lam: float, sample: SignalSample) -> float:
     return out
 
 
-def step_multiplicative(params: MixtureParams, lam: float, sample: SignalSample) -> float:
-    """Convenience wrapper over :func:`multiplicative_lambda`."""
-    return multiplicative_lambda(params.mu, lam, sample)
+def multiplicative_lambdas(mu: float, lam, y, yhat1, yhat2) -> np.ndarray:
+    """:func:`multiplicative_lambda` over arrays: the next weight of every row.
+
+    ``lam`` must lie in (0, 1); the arguments broadcast together.  The
+    operations are those of the scalar reference, in the same order, with
+    the largest exponent subtracted for stability.  ``np.exp`` may differ
+    from ``math.exp`` in the last ulp, so the two agree to rounding, not
+    bit for bit.  Raises :class:`NumericError` if any weight leaves (0, 1).
+    """
+    e = y - (lam * yhat1 + (1.0 - lam) * yhat2)
+    m = mu * e * lam * (1.0 - lam)
+    g1 = m * yhat1
+    g2 = m * yhat2
+    top = np.maximum(g1, g2)
+    num = lam * np.exp(g1 - top)
+    out = num / (num + (1.0 - lam) * np.exp(g2 - top))
+    # NaN fails both comparisons, so it is caught as well
+    if not ((0.0 < out) & (out < 1.0)).all():
+        raise NumericError("an updated weight saturated; mu too extreme")
+    return out
 
 
 def state_from_lambda(lam: float, t: int = 1) -> MixtureState:
@@ -254,15 +273,35 @@ class Trajectory:
         ]
 
 
-def _check_samples(samples, columns: np.ndarray, y_bound: float):
-    # columns is (n, 3) in field order; report the first offending field
-    # in sample-major order, quoting its value as given
+def sample_columns(samples) -> np.ndarray:
+    """The ``(3, n)`` float64 array of rows ``y``, ``yhat1``, ``yhat2``.
+
+    ``samples`` is either an ``(n, 3)`` array, one row per step in field
+    order, or an iterable of :class:`SignalSample`.  The result is a fresh
+    array, never a view of the caller's data.
+    """
+    if isinstance(samples, np.ndarray):
+        if samples.ndim != 2 or samples.shape[1] != 3:
+            raise ValueError(f"sample array must have shape (n, 3), got {samples.shape}")
+        return np.array(samples.T, dtype=float, order="C")
+    samples = list(samples)
+    columns = np.empty((3, len(samples)))
+    columns[0] = [s.y for s in samples]
+    columns[1] = [s.yhat1 for s in samples]
+    columns[2] = [s.yhat2 for s in samples]
+    return columns
+
+
+def _check_samples(columns: np.ndarray, y_bound: float):
+    # columns is (3, n) in field order; report the first offending field
+    # in sample-major order
     bad = ~np.isfinite(columns) | (np.abs(columns) > y_bound)
     if not bad.any():
         return
-    i, j = divmod(int(np.argmax(bad)), 3)
+    i = int(np.argmax(bad.any(axis=0)))
+    j = int(np.argmax(bad[:, i]))
     name = ("y", "yhat1", "yhat2")[j]
-    v = getattr(samples[i], name)
+    v = float(columns[j, i])
     if not math.isfinite(v):
         raise ValueError(f"sample {i + 1}: field {name} is not finite ({v})")
     raise ValueError(f"sample {i + 1}: field {name} = {v} exceeds the magnitude cap {y_bound}")
@@ -271,21 +310,21 @@ def _check_samples(samples, columns: np.ndarray, y_bound: float):
 def run(params: MixtureParams, samples, initial_state: MixtureState | None = None) -> Trajectory:
     """Run the combiner over a whole sequence.
 
-    All sample fields must already lie within ``params.y_bound`` in absolute
-    value; out-of-cap inputs are rejected rather than silently clipped.
+    ``samples`` is an ``(n, 3)`` array or a sequence of
+    :class:`SignalSample` (see :func:`sample_columns`).  All sample fields
+    must already lie within ``params.y_bound`` in absolute value; out-of-cap
+    inputs are rejected rather than silently clipped.
 
     The recurrence runs as a loop over plain floats that repeats the
     arithmetic of :func:`step` operation for operation, so every column is
     bit-identical to a loop of :func:`step`; predictions, errors, running
     loss and range flags are then computed over whole columns.
     """
-    samples = list(samples)
-    if not samples:
+    columns = sample_columns(samples)
+    if not columns.size:
         raise ValueError("sequence must be non-empty")
-    y = np.array([s.y for s in samples], dtype=float)
-    y1 = np.array([s.yhat1 for s in samples], dtype=float)
-    y2 = np.array([s.yhat2 for s in samples], dtype=float)
-    _check_samples(samples, np.stack((y, y1, y2), axis=1), params.y_bound)
+    _check_samples(columns, params.y_bound)
+    y, y1, y2 = columns
     state = initial_state if initial_state is not None else MixtureState()
     if abs(state.lam - logistic(state.rho)) > 1e-12:
         raise ValueError("initial state is inconsistent: lam must equal logistic(rho)")
@@ -323,7 +362,7 @@ def run(params: MixtureParams, samples, initial_state: MixtureState | None = Non
         lam_path.append(lam)
         rho_path.append(rho)
 
-    n = len(samples)
+    n = len(y)
     lams = np.array(lam_path)
     before = lams[:-1]
     predictions = before * y1 + (1.0 - before) * y2

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .mixture import SignalSample
+from .mixture import SignalSample, sample_columns
 
 __all__ = [
     "OracleStats",
@@ -90,12 +90,10 @@ def prefix_stats(y: np.ndarray, yhat1: np.ndarray, yhat2: np.ndarray):
     return tuple(np.cumsum(np.concatenate(([0.0], v))) for v in (d * d, r * d, r * r))
 
 
-def stats_from(samples: Iterable[SignalSample]) -> OracleStats:
-    samples = list(samples)
-    columns = (np.array([s.y for s in samples], dtype=float),
-               np.array([s.yhat1 for s in samples], dtype=float),
-               np.array([s.yhat2 for s in samples], dtype=float))
-    return OracleStats(len(samples), *(float(p[-1]) for p in prefix_stats(*columns)))
+def stats_from(samples) -> OracleStats:
+    """Statistics of a whole sequence: an ``(n, 3)`` array or ``SignalSample``s."""
+    columns = sample_columns(samples)
+    return OracleStats(columns.shape[1], *(float(p[-1]) for p in prefix_stats(*columns)))
 
 
 def loss_at_beta(stats: OracleStats, beta: float) -> float:
@@ -142,6 +140,10 @@ def best_betas(s_dd: np.ndarray, s_rd: np.ndarray, s_rr: np.ndarray):
     return beta, np.where(0.0 > loss, 0.0, loss)
 
 
+# grid points times samples evaluated at once by :func:`grid_best_beta`
+GRID_CHUNK = 1 << 18
+
+
 class GridBest(NamedTuple):
     beta: float
     loss: float
@@ -158,23 +160,29 @@ def _beta_grid(resolution: float) -> np.ndarray:
 def grid_best_beta(samples, resolution: float) -> GridBest:
     """Brute-force search over the weight grid {0, resolution, ..., 1}.
 
+    ``samples`` is an ``(n, 3)`` array or a sequence of ``SignalSample``.
     Evaluates the residual sum directly for every grid point; ties go to
     the smallest weight.  Independent of :func:`best_beta` by construction.
     """
-    samples = list(samples)
-    if not samples:
+    y, y1, y2 = sample_columns(samples)
+    if not len(y):
         raise ValueError("sequence must be non-empty")
     if not 0.0 < resolution <= 0.1:
         raise ValueError(f"resolution must lie in (0, 0.1], got {resolution}")
     grid = _beta_grid(resolution)
-    y = np.array([s.y for s in samples])
-    y1 = np.array([s.yhat1 for s in samples])
-    y2 = np.array([s.yhat2 for s in samples])
     losses = np.empty(len(grid))
-    chunk = max(1, int(2_000_000 // max(len(samples), 1)))
+    # residual = y - (beta*y1 + (1-beta)*y2), evaluated in place in two
+    # reused buffers small enough to stay in cache
+    chunk = max(1, GRID_CHUNK // len(y))
+    residual = np.empty((min(chunk, len(grid)), len(y)))
+    other = np.empty_like(residual)
     for start in range(0, len(grid), chunk):
         betas = grid[start : start + chunk, None]
-        residual = y[None, :] - (betas * y1[None, :] + (1.0 - betas) * y2[None, :])
-        losses[start : start + chunk] = np.einsum("ij,ij->i", residual, residual)
+        r, o = residual[: len(betas)], other[: len(betas)]
+        np.multiply(betas, y1, out=r)
+        np.multiply(1.0 - betas, y2, out=o)
+        r += o
+        np.subtract(y, r, out=r)
+        losses[start : start + len(betas)] = np.einsum("ij,ij->i", r, r)
     i = int(np.argmin(losses))
     return GridBest(float(grid[i]), float(losses[i]))

@@ -1,10 +1,12 @@
 """Tests for the worst-case constructions and the counterexample search."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from convexmix import audit
 from convexmix.audit import (
     AuditInstance,
     construction_instances,
@@ -171,6 +173,30 @@ class TestSearchViolations:
             search_violations(REF.a, REF.b, REF.mu, 0.55, 1.0, budget=10, seed=0)
         with pytest.raises(ValueError):
             search_violations(REF.a, REF.b, REF.mu, 0.08, math.inf, budget=10, seed=0)
+
+
+def _bits(found):
+    rows = [dataclasses.astuple(inst) + dataclasses.astuple(rep)[:3] for inst, rep in found]
+    return np.array(rows, dtype=float).tobytes()
+
+
+class TestBlockedSearch:
+    """Evaluating block by block gives the result of one evaluation of the
+    whole budget, bit for bit, including across block boundaries."""
+
+    @pytest.mark.parametrize("budget", [1, 1875, 2**16 - 1, 2**16, 2**16 + 1, 2**16 + 1875])
+    @pytest.mark.parametrize("triple", [(REF.a, REF.b, REF.mu), (0.0586, 0.005, 1.03)])
+    def test_matches_one_shot(self, budget, triple, monkeypatch):
+        blocked = search_violations(*triple, 0.08, 1.0, budget=budget, seed=5)
+        monkeypatch.setattr(audit, "BLOCK", budget)
+        one_shot = search_violations(*triple, 0.08, 1.0, budget=budget, seed=5)
+        assert blocked == one_shot
+        assert _bits(blocked) == _bits(one_shot)
+
+    def test_small_blocks(self, monkeypatch):
+        whole = search_violations(0.0586, 0.005, 1.03, 0.08, 1.0, budget=5000, seed=2)
+        monkeypatch.setattr(audit, "BLOCK", 7)
+        assert search_violations(0.0586, 0.005, 1.03, 0.08, 1.0, budget=5000, seed=2) == whole
 
 
 class TestLogMixLowerBound:

@@ -264,6 +264,15 @@ class TestVerifyCommand:
     def test_mu_and_eps_conflict(self, workdir):
         assert run_cli("verify", "--mu", "0.5", "--eps", "0.1") == 2
 
+    @pytest.mark.parametrize("flags", [
+        ("--trials", "0", "--n", "5"),
+        ("--trials", "1", "--n", "0"),
+        ("--trials", "1", "--n", "5", "--resolution", "0"),
+    ])
+    def test_zero_is_not_the_default(self, workdir, flags):
+        assert run_cli("verify", *flags, "--out", "r.json") == 2
+        assert not (workdir / "r.json").exists()
+
 
 class TestLemmaAuditCommand:
     def test_derived_constants_pass(self, workdir, capsys):
@@ -303,6 +312,11 @@ class TestLemmaAuditCommand:
 
     def test_no_parameters_rejected(self, workdir):
         assert run_cli("lemma-audit") == 2
+
+    def test_zero_budget_rejected(self, workdir, capsys):
+        assert run_cli("lemma-audit", "--eps", "0.1", "--budget", "0", "--out", "w.json") == 2
+        assert not (workdir / "w.json").exists()
+        assert "budget must be at least 1" in capsys.readouterr().err
 
     def test_unit_budget(self, workdir):
         assert run_cli("lemma-audit", "--eps", "0.1", "--budget", "1",

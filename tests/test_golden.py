@@ -3,7 +3,9 @@
 The hashes were taken from the outputs of the scalar implementation (one
 ``StepRecord`` per step, a per-sample oracle fold, ``csv.writer`` rows).
 Any change to a trajectory cell, a summary field, an SVG coordinate, a
-sweep table entry or the verify report shows up here.
+sweep table entry, the verify report or a lemma-audit witness file shows
+up here.  The lemma-audit hashes were taken from the one-shot search
+(every instance held in Python lists) before it became a blocked search.
 """
 
 import hashlib
@@ -44,6 +46,19 @@ GOLDEN = {
             "sweep_mu0.08.json": "2de276c19eaed3f3f7d1d4f505c80aae5f58b9f3a0c0c549a7200c6691db25f4",
         },
     ),
+    "lemma-audit clean": (
+        [["lemma-audit", "--eps", "0.1", "--budget", "200000", "--seed", "3", "--out", "w.json"]],
+        {
+            "w.json": "34b370943c6076ae7fc0a02e7211ab43776c9f75a540dd0e15aea48c620b7567",
+        },
+    ),
+    "lemma-audit witnesses": (
+        [["lemma-audit", "--a", "0.0586", "--b", "0.005", "--mu", "1.03", "--budget", "70001",
+          "--seed", "0", "--out", "w.json"]],
+        {
+            "w.json": "44bbe2cc032bf1e9543f1244f2fa642aebf07fafc74903774a42cbfcd3d00721",
+        },
+    ),
     "verify": (
         [["verify", "--trials", "5", "--n", "200", "--seed", "3", "--out", "verify_report.json"]],
         {
@@ -52,6 +67,9 @@ GOLDEN = {
     ),
 }
 
+# commands that succeed with a non-zero exit code (witnesses found)
+EXIT_CODES = {"lemma-audit witnesses": 1}
+
 
 @pytest.mark.parametrize("label", sorted(GOLDEN))
 def test_outputs_byte_identical(label, tmp_path, monkeypatch):
@@ -59,6 +77,6 @@ def test_outputs_byte_identical(label, tmp_path, monkeypatch):
     monkeypatch.delenv("CONVEXMIX_TOL", raising=False)
     commands, hashes = GOLDEN[label]
     for argv in commands:
-        assert cli.main(argv) == 0, argv
+        assert cli.main(argv) == EXIT_CODES.get(label, 0), argv
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in hashes}
     assert got == hashes

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from convexmix.cli import EQUIVALENCE_TOL
 from convexmix.mixture import (
     MixtureParams,
     MixtureState,
@@ -15,11 +16,12 @@ from convexmix.mixture import (
     logistic,
     logit,
     multiplicative_lambda,
+    multiplicative_lambdas,
     predict,
     run,
+    sample_columns,
     state_from_lambda,
     step,
-    step_multiplicative,
 )
 
 
@@ -151,7 +153,7 @@ class TestMultiplicativeForm:
     def test_matches_additive_on_hand_example(self):
         params = _params()
         state, _ = step(params, MixtureState(), SignalSample(0.5, 0.5, -0.5))
-        other = step_multiplicative(params, 0.5, SignalSample(0.5, 0.5, -0.5))
+        other = multiplicative_lambda(params.mu, 0.5, SignalSample(0.5, 0.5, -0.5))
         assert abs(state.lam - other) <= 1e-12
         assert other == pytest.approx(0.50250, abs=5e-6)
 
@@ -182,6 +184,51 @@ class TestMultiplicativeForm:
     def test_domain(self):
         with pytest.raises(ValueError):
             multiplicative_lambda(0.1, 0.0, SignalSample(0.0, 0.0, 0.0))
+
+
+_unit = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)
+
+
+class TestMultiplicativeKernel:
+    """The array kernel against the scalar reference and the additive ``step``.
+
+    ``np.exp`` and ``math.exp`` may differ in the last ulp, so agreement is
+    checked within the verify report's tolerance, not bit for bit.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.floats(0.01, 0.99), st.floats(0.01, 2.0), _unit, _unit, _unit),
+                    min_size=1, max_size=50))
+    def test_agrees_with_scalar_and_step(self, rows):
+        lam, mu, y, y1, y2 = (np.array(c) for c in zip(*rows))
+        for k, m in enumerate(mu.tolist()):
+            # one rate per call, as the audit uses it
+            got = multiplicative_lambdas(m, lam[k:k + 1], y[k:k + 1], y1[k:k + 1], y2[k:k + 1])
+            sample = SignalSample(y[k], y1[k], y2[k])
+            ref = multiplicative_lambda(m, lam[k], sample)
+            state, _ = step(_params(mu=m, y_bound=1.0), state_from_lambda(lam[k]), sample)
+            assert abs(got[0] - ref) <= EQUIVALENCE_TOL
+            assert abs(got[0] - state.lam) <= EQUIVALENCE_TOL
+
+    def test_whole_array_matches_rowwise(self):
+        rng = np.random.default_rng(8)
+        lam = rng.uniform(0.08, 0.92, 5000)
+        y, y1, y2 = rng.uniform(-1, 1, (3, 5000))
+        whole = multiplicative_lambdas(1.03, lam, y, y1, y2)
+        ref = np.array([multiplicative_lambda(1.03, *v) for v in zip(
+            lam.tolist(), map(SignalSample, y.tolist(), y1.tolist(), y2.tolist()))])
+        assert np.max(np.abs(whole - ref)) <= EQUIVALENCE_TOL
+
+    def test_identical_experts_exact_fixpoint(self):
+        got = multiplicative_lambdas(0.7, np.array([0.31, 0.5]), np.array([0.9, -1.0]),
+                                     np.array([0.4, 0.2]), np.array([0.4, 0.2]))
+        assert got.tolist() == [0.31, 0.5]
+
+    def test_saturation_is_a_numeric_error(self):
+        lam = np.array([0.5, 0.5])
+        with pytest.raises(NumericError, match="saturated"):
+            multiplicative_lambdas(1e6, lam, np.array([0.0, -1.0]), np.array([0.0, 0.0]),
+                                   np.array([0.0, 1.0]))
 
 
 def _case1(n):
@@ -412,3 +459,59 @@ class TestRunMatchesStep:
             run(params, samples, initial_state=state)
         assert got.value.step == ref.value.step == 7
         assert str(got.value) == str(ref.value)
+
+
+def _as_array(samples):
+    return np.array([(s.y, s.yhat1, s.yhat2) for s in samples])
+
+
+class TestArrayInput:
+    """An ``(n, 3)`` array and the equal ``SignalSample`` list run alike."""
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_runs())
+    def test_every_column_bit_identical(self, case):
+        params, samples, state = case
+        try:
+            want = run(params, samples, initial_state=state)
+        except NumericError as exc:
+            with pytest.raises(NumericError) as info:
+                run(params, _as_array(samples), initial_state=state)
+            assert str(info.value) == str(exc)
+            return
+        got = run(params, _as_array(samples), initial_state=state)
+        for name in ("y", "yhat1", "yhat2", "lambdas", "lambdas_after", "rho", "predictions",
+                     "errors", "cum_loss", "in_range", "projected"):
+            assert getattr(got, name).dtype == getattr(want, name).dtype, name
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert got.final_state == want.final_state
+
+    def test_columns_are_copies(self):
+        rows = np.array([[0.5, 0.5, -0.5], [-0.5, -0.5, 0.5]])
+        traj = run(_params(), rows)
+        rows[:] = 0.0
+        assert traj.y.tolist() == [0.5, -0.5]
+        for column in sample_columns(rows):
+            assert column.flags.c_contiguous and not np.shares_memory(column, rows)
+
+    @pytest.mark.parametrize("bad, message", [
+        (SignalSample(0.1, math.nan, 0.1), "sample 2: field yhat1 is not finite (nan)"),
+        (SignalSample(0.1, 0.1, -math.inf), "sample 2: field yhat2 is not finite (-inf)"),
+        (SignalSample(0.7, 0.1, 0.9), "sample 2: field y = 0.7 exceeds the magnitude cap 0.5"),
+    ])
+    def test_same_rejection_messages(self, bad, message):
+        samples = [SignalSample(0.1, 0.2, 0.3), bad, SignalSample(math.nan, 0.0, 0.0)]
+        for given_as in (samples, _as_array(samples)):
+            with pytest.raises(ValueError) as info:
+                run(_params(), given_as)
+            assert str(info.value) == message
+
+    def test_empty_input(self):
+        for given_as in ([], np.empty((0, 3))):
+            with pytest.raises(ValueError, match="^sequence must be non-empty$"):
+                run(_params(), given_as)
+
+    @pytest.mark.parametrize("shape", [(4,), (4, 2), (2, 3, 1)])
+    def test_rejects_other_shapes(self, shape):
+        with pytest.raises(ValueError, match="shape"):
+            run(_params(), np.zeros(shape))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from convexmix import oracle
 from convexmix.mixture import SignalSample
 from convexmix.oracle import (
     OracleStats,
@@ -249,3 +250,45 @@ class TestPrefixColumns:
         s_dd, s_rd, s_rr = prefix_stats(*(np.array([0.5]),) * 3)
         assert (s_dd[0], s_rd[0], s_rr[0]) == (0.0, 0.0, 0.0)
         assert stats_from([]) == OracleStats()
+
+
+class TestArrayInput:
+    """An ``(n, 3)`` array and the equal ``SignalSample`` list give equal results."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(_value, _value, _value), min_size=1, max_size=30))
+    def test_stats_and_grid_agree(self, rows):
+        samples = [SignalSample(*row) for row in rows]
+        array = np.array(rows, dtype=float)
+        assert stats_from(array) == stats_from(samples)
+        assert grid_best_beta(array, 0.01) == grid_best_beta(samples, 0.01)
+
+    def test_transposed_view(self):
+        rng = np.random.default_rng(4)
+        columns = rng.uniform(-1, 1, (3, 500))
+        samples = [SignalSample(*row) for row in zip(*columns.tolist())]
+        assert stats_from(columns.T) == stats_from(samples)
+        assert grid_best_beta(columns.T, 0.05) == grid_best_beta(samples, 0.05)
+
+    def test_empty_input(self):
+        assert stats_from(np.empty((0, 3))) == stats_from([]) == OracleStats()
+        for given_as in ([], np.empty((0, 3))):
+            with pytest.raises(ValueError, match="^sequence must be non-empty$"):
+                grid_best_beta(given_as, 0.01)
+
+
+class TestGridChunks:
+    """The chunked in-place grid search picks what one broadcast evaluation picks."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1 << 18])
+    @pytest.mark.parametrize("n, resolution", [(1, 0.1), (37, 0.03), (500, 1e-3)])
+    def test_matches_one_shot(self, chunk, n, resolution, monkeypatch):
+        rng = np.random.default_rng(n)
+        y, y1, y2 = rng.uniform(-1, 1, (3, n))
+        grid = oracle._beta_grid(resolution)[:, None]
+        residual = y - (grid * y1 + (1.0 - grid) * y2)
+        losses = np.einsum("ij,ij->i", residual, residual)
+        i = int(np.argmin(losses))
+        monkeypatch.setattr(oracle, "GRID_CHUNK", chunk)
+        got = grid_best_beta(np.stack((y, y1, y2), axis=1), resolution)
+        assert got == (float(grid[i, 0]), float(losses[i]))
