@@ -8,13 +8,14 @@ suffers zero loss.  In the second the "clean" expert carries a small
 systematic offset, which moves the hindsight optimum strictly inside (0, 1).
 """
 
-import numpy as np
-
 from convexmix import (
     MixtureParams,
     best_beta,
+    best_betas,
     constants_from_mu,
     generate,
+    loss_factor,
+    prefix_stats,
     regret_and_bound,
     run,
     stats_from,
@@ -59,15 +60,9 @@ print(f"  regret {rb2.regret:.4f} <= bound {rb2.bound_total:.4f}")
 # The guarantee holds along the whole trajectory, not only at the end: the
 # running regret stays below the (constant) total bound at every prefix.
 
-cum = traj2.cum_loss
-prefix_regret = np.empty(len(samples2))
-from convexmix import OracleStats, accumulate, loss_factor  # noqa: E402
-
-stats = OracleStats()
-factor = loss_factor(constants2)
-for i, s in enumerate(samples2):
-    stats = accumulate(stats, s)
-    prefix_regret[i] = cum[i] - factor * best_beta(stats).loss
+s_dd, s_rd, s_rr = prefix_stats(*samples2.T)
+_, prefix_best_loss = best_betas(s_dd[1:], s_rd[1:], s_rr[1:])
+prefix_regret = traj2.cum_loss - loss_factor(constants2) * prefix_best_loss
 
 print(f"  max prefix regret {prefix_regret.max():.4f} "
       f"(bound {rb2.bound_total:.4f}) at t = {prefix_regret.argmax() + 1}")

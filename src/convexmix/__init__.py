@@ -74,6 +74,7 @@ from .signals import (
     clip_samples,
     generate,
     load_csv,
+    load_sequence,
     read_trajectory,
     resolve,
     samples_from_frame,

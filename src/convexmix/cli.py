@@ -509,47 +509,39 @@ def _sequence_from_args(merged: dict):
         if n < 1:
             raise UsageError(f"n must be at least 1, got {n}")
 
+    y_bound = merged.get("ybound")
+    y_bound = None if y_bound is None else float(y_bound)
+    default_mu = None
     if sources[0] == "case":
         case = int(merged["case"])
         if case not in (1, 2):
             raise UsageError(f"case must be 1 or 2, got {case}")
-        spec = SequenceSpec(kind=f"case{case}", n=n if n is not None else 10_000,
-                            y_bound=merged.get("ybound"))
-        resolved = signals.resolve(spec)
-        return signals.generate(resolved), resolved.y_bound, 0, (0.08 if case == 1 else 0.04)
-
-    if sources[0] == "input":
-        y_bound = merged.get("ybound")
-        y_bound = 1.0 if y_bound is None else float(y_bound)
-        samples, clipped = signals.load_csv(merged["input"], y_bound)
+        spec = SequenceSpec(kind=f"case{case}", n=n if n is not None else 10_000, y_bound=y_bound)
+        default_mu = 0.08 if case == 1 else 0.04
+    elif sources[0] == "input":
+        spec = SequenceSpec("custom_file", n=n or 0, y_bound=y_bound, path=merged["input"])
+    else:
+        with open(merged["spec"]) as fh:
+            try:
+                data = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise UsageError(f"sequence spec {merged['spec']}: invalid JSON ({exc})") from None
+        if not isinstance(data, dict) or "kind" not in data:
+            raise UsageError(f"sequence spec {merged['spec']}: expected an object with a 'kind'")
+        unknown = set(data) - set(SPEC_KEYS)
+        if unknown:
+            raise UsageError(f"sequence spec has unknown keys: {sorted(unknown)}")
+        spec = SequenceSpec(**data)
+        if y_bound is not None:
+            spec = dataclasses.replace(spec, y_bound=y_bound)
         if n is not None:
-            samples = samples[:n]
-        return samples, y_bound, clipped, None
-
-    with open(merged["spec"]) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"sequence spec {merged['spec']}: invalid JSON ({exc})") from None
-    if not isinstance(data, dict) or "kind" not in data:
-        raise UsageError(f"sequence spec {merged['spec']}: expected an object with a 'kind'")
-    unknown = set(data) - set(SPEC_KEYS)
-    if unknown:
-        raise UsageError(f"sequence spec has unknown keys: {sorted(unknown)}")
-    spec = SequenceSpec(**data)
-    if merged.get("ybound") is not None:
-        spec = dataclasses.replace(spec, y_bound=float(merged["ybound"]))
-    if n is not None:
-        spec = dataclasses.replace(spec, n=n)
+            spec = dataclasses.replace(spec, n=n)
     resolved = signals.resolve(spec)
     if resolved.kind == "custom_file":
-        samples, clipped = signals.load_csv(resolved.path, resolved.y_bound)
-        if resolved.n >= 1:
-            samples = samples[: resolved.n]
-        if not samples:
-            raise UsageError(f"no samples left after truncation to n={resolved.n}")
-        return samples, resolved.y_bound, clipped, None
-    return signals.generate(resolved), resolved.y_bound, 0, None
+        samples, clipped = signals.load_sequence(resolved)
+    else:
+        samples, clipped = signals.generate(resolved), 0
+    return samples, resolved.y_bound, clipped, default_mu
 
 
 def _constants_from_args(merged: dict, y_bound: float, default_mu: float | None):
@@ -887,7 +879,7 @@ def main(argv=None) -> int:
         # covers NumericError from the combiner and saturation in the audit
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

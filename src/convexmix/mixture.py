@@ -231,8 +231,7 @@ class Trajectory:
     predicted with weight ``lambdas[i]`` (auxiliary variable ``rho[i]``) and
     moved to ``lambdas_after[i]``.  ``final_state`` is the state after the
     last update, so the weight path lambda_1, ..., lambda_{n+1} is available
-    in full.  ``samples`` and ``records`` rebuild the per-step objects on
-    access.
+    in full.
     """
 
     y: np.ndarray
@@ -254,23 +253,6 @@ class Trajectory:
     @property
     def total_loss(self) -> float:
         return float(self.cum_loss[-1])
-
-    @property
-    def samples(self) -> list[SignalSample]:
-        return [
-            SignalSample(*row)
-            for row in zip(self.y.tolist(), self.yhat1.tolist(), self.yhat2.tolist())
-        ]
-
-    @property
-    def records(self) -> list[StepRecord]:
-        t0 = self.final_state.t - len(self)
-        columns = (self.lambdas, self.lambdas_after, self.predictions, self.errors,
-                   self.in_range, self.projected)
-        return [
-            StepRecord(t0 + i, *row)
-            for i, row in enumerate(zip(*(c.tolist() for c in columns)))
-        ]
 
 
 def sample_columns(samples) -> np.ndarray:

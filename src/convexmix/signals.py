@@ -14,11 +14,8 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Iterable
 
 import numpy as np
-
-from .mixture import SignalSample
 
 __all__ = [
     "KINDS",
@@ -28,6 +25,7 @@ __all__ = [
     "ParseError",
     "resolve",
     "generate",
+    "load_sequence",
     "load_csv",
     "write_trajectory",
     "read_trajectory",
@@ -135,73 +133,65 @@ def resolve(spec: SequenceSpec) -> SequenceSpec:
     return replace(spec, y_bound=y_bound, amplitude=amplitude, period=period, switch_at=switch_at)
 
 
-def _sign(t: int) -> float:
-    # alternation starts negative: -1 at t = 1, +1 at t = 2, ...
-    return -1.0 if t % 2 == 1 else 1.0
+def generate(spec: SequenceSpec) -> np.ndarray:
+    """Materialize the sequence described by ``spec``.
 
-
-def generate(spec: SequenceSpec) -> list[SignalSample]:
-    """Materialize the sequence described by ``spec``."""
+    Returns an ``(n, 3)`` float64 array whose row ``t - 1`` holds step t's
+    ``y``, ``yhat1``, ``yhat2``.
+    """
     spec = resolve(spec)
-    y_bound = spec.y_bound
+    if spec.kind == "custom_file":
+        samples, clipped = load_sequence(spec)
+        # clipping must never be silent
+        if clipped:
+            warnings.warn(f"clipped {clipped} out-of-cap fields while loading {spec.path}")
+        return samples
+    n, a = spec.n, spec.amplitude
+    t = np.arange(1, n + 1)
+    # alternation starts negative: -1 at t = 1, +1 at t = 2, ...
+    sign = np.where(t % 2 == 1, -1.0, 1.0)
     if spec.kind == "case1":
-        return [
-            SignalSample(y=y_bound, yhat1=y_bound, yhat2=_sign(t) * y_bound)
-            for t in range(1, spec.n + 1)
-        ]
-    if spec.kind == "case2":
+        cols = (np.full(n, spec.y_bound), np.full(n, spec.y_bound), sign * spec.y_bound)
+    elif spec.kind == "case2":
         level = 0.5
-        if y_bound < level:
-            raise ValueError(f"magnitude cap {y_bound} is below the fixed target level {level}")
-        return [
-            SignalSample(y=level, yhat1=y_bound, yhat2=_sign(t) * level)
-            for t in range(1, spec.n + 1)
-        ]
-    if spec.kind == "constant":
-        a = spec.amplitude
-        return [SignalSample(y=a, yhat1=a, yhat2=a) for _ in range(spec.n)]
-    if spec.kind == "alternating":
-        a = spec.amplitude
-        return [SignalSample(y=a, yhat1=a, yhat2=_sign(t) * a) for t in range(1, spec.n + 1)]
-    if spec.kind == "square_wave":
-        a = spec.amplitude
-        half = spec.period // 2
-        out = []
-        for t in range(1, spec.n + 1):
-            sign = 1.0 if ((t - 1) // half) % 2 == 0 else -1.0
-            out.append(SignalSample(y=sign * a, yhat1=a, yhat2=-a))
-        return out
-    if spec.kind == "piecewise_switch":
-        a = spec.amplitude
-        out = []
-        for t in range(1, spec.n + 1):
-            clean, noisy = a, _sign(t) * a
-            if t <= spec.switch_at:
-                out.append(SignalSample(y=a, yhat1=clean, yhat2=noisy))
-            else:
-                out.append(SignalSample(y=a, yhat1=noisy, yhat2=clean))
-        return out
-    # custom_file: delegate to the loader; clipping must never be silent
+        if spec.y_bound < level:
+            raise ValueError(f"magnitude cap {spec.y_bound} is below the fixed target level {level}")
+        cols = (np.full(n, level), np.full(n, spec.y_bound), sign * level)
+    elif spec.kind == "constant":
+        cols = (np.full(n, a),) * 3
+    elif spec.kind == "alternating":
+        cols = (np.full(n, a), np.full(n, a), sign * a)
+    elif spec.kind == "square_wave":
+        blocks = np.where((t - 1) // (spec.period // 2) % 2 == 0, 1.0, -1.0)
+        cols = (blocks * a, np.full(n, a), np.full(n, -a))
+    else:  # piecewise_switch: the experts swap roles after switch_at
+        clean, noisy = np.full(n, a), sign * a
+        before = t <= spec.switch_at
+        cols = (clean, np.where(before, clean, noisy), np.where(before, noisy, clean))
+    return np.stack(cols, axis=1, dtype=float)
+
+
+def load_sequence(spec: SequenceSpec) -> tuple[np.ndarray, int]:
+    """Load a ``custom_file`` sequence, truncated to its first ``n`` rows if n >= 1.
+
+    Returns the ``(n, 3)`` array and the number of fields clipped in the
+    whole file.
+    """
+    spec = resolve(spec)
+    if spec.kind != "custom_file":
+        raise ValueError(f"only custom_file sequences are loaded, got {spec.kind!r}")
     samples, clipped = load_csv(spec.path, spec.y_bound)
-    if clipped:
-        warnings.warn(f"clipped {clipped} out-of-cap fields while loading {spec.path}")
     if spec.n >= 1:
         samples = samples[: spec.n]
-    if not samples:
-        raise ValueError(f"no samples left after truncation to n={spec.n}")
-    return samples
+    return samples, clipped
 
 
-def _clip(value: float, cap: float) -> float:
-    return min(max(value, -cap), cap)
-
-
-def load_csv(path: str, y_bound: float) -> tuple[list[SignalSample], int]:
+def load_csv(path: str, y_bound: float) -> tuple[np.ndarray, int]:
     """Load a sequence from CSV, clipping fields into [-y_bound, y_bound].
 
     Accepts either the 3-column input schema (y, yhat1, yhat2) or a full
     trajectory file, whose input-echo columns are extracted.  Returns the
-    samples and the number of clipped fields.
+    ``(n, 3)`` array and the number of clipped fields.
     """
     if not (math.isfinite(y_bound) and y_bound > 0.0):
         raise ValueError(f"magnitude cap must be finite and positive, got {y_bound}")
@@ -221,7 +211,7 @@ def load_csv(path: str, y_bound: float) -> tuple[list[SignalSample], int]:
                 f"(or a full trajectory header), got {','.join(header)}"
             )
         width = len(header)
-        samples: list[SignalSample] = []
+        rows = []
         for i, row in enumerate(reader, start=2):
             if len(row) != width:
                 raise ParseError(f"{path}: row {i}: expected {width} columns, found {len(row)}")
@@ -235,10 +225,10 @@ def load_csv(path: str, y_bound: float) -> tuple[list[SignalSample], int]:
                 if not math.isfinite(v):
                     raise ParseError(f"{path}: row {i}: non-finite value {cell!r}")
                 values.append(v)
-            samples.append(SignalSample(*values))
-        if not samples:
+            rows.append(values)
+        if not rows:
             raise ParseError(f"{path}: row 2: no data rows after the header")
-    return clip_samples(samples, y_bound)
+    return clip_samples(np.array(rows), y_bound)
 
 
 @dataclass
@@ -355,24 +345,12 @@ def read_trajectory(path: str) -> TrajectoryFrame:
     return TrajectoryFrame(**data)
 
 
-def samples_from_frame(frame: TrajectoryFrame) -> list[SignalSample]:
-    """Recover the input sequence echoed in a trajectory frame."""
-    return [
-        SignalSample(float(frame.y[i]), float(frame.yhat1[i]), float(frame.yhat2[i]))
-        for i in range(len(frame))
-    ]
+def samples_from_frame(frame: TrajectoryFrame) -> np.ndarray:
+    """Recover the ``(n, 3)`` input sequence echoed in a trajectory frame."""
+    return np.stack((frame.y, frame.yhat1, frame.yhat2), axis=1)
 
 
-def clip_samples(samples: Iterable[SignalSample], y_bound: float) -> tuple[list[SignalSample], int]:
-    """Clip every field into [-y_bound, y_bound]; returns the clip count."""
-    out: list[SignalSample] = []
-    clipped = 0
-    for s in samples:
-        vals = []
-        for v in (s.y, s.yhat1, s.yhat2):
-            c = _clip(v, y_bound)
-            if c != v:
-                clipped += 1
-            vals.append(c)
-        out.append(SignalSample(*vals))
-    return out, clipped
+def clip_samples(samples: np.ndarray, y_bound: float) -> tuple[np.ndarray, int]:
+    """Clip every field of an ``(n, 3)`` array into [-y_bound, y_bound]; returns the clip count."""
+    clipped = np.clip(samples, -y_bound, y_bound)
+    return clipped, int((clipped != samples).sum())

@@ -191,6 +191,23 @@ class TestUsageErrors:
         code = run_cli("run", "--case", "1", "--n", "10")
         assert code == 3
 
+    @pytest.mark.parametrize("target, argv", [
+        ((cli.audit, "search_violations"),
+         ("lemma-audit", "--eps", "0.1", "--budget", "10000000000000", "--out", "w.json")),
+        ((cli, "run_verification"),
+         ("verify", "--trials", "1", "--n", "100000000000", "--out", "v.json")),
+        ((cli.mixture, "run"), ("run", "--case", "1", "--n", "10")),
+    ], ids=["lemma-audit", "verify", "run"])
+    def test_out_of_memory_is_an_input_error(self, workdir, monkeypatch, capsys, target, argv):
+        """An allocation too large for the machine exits 2, not 1 ("witnesses found")."""
+        def boom(*args, **kwargs):
+            raise MemoryError("Unable to allocate 373. TiB for an array")
+
+        monkeypatch.setattr(*target, boom)
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err == "error: Unable to allocate 373. TiB for an array\n"
+        assert not any(workdir.iterdir())
+
 
 class TestConfigFile:
     def test_flags_override_config(self, workdir):

@@ -6,13 +6,44 @@ Any change to a trajectory cell, a summary field, an SVG coordinate, a
 sweep table entry, the verify report or a lemma-audit witness file shows
 up here.  The lemma-audit hashes were taken from the one-shot search
 (every instance held in Python lists) before it became a blocked search.
+The sequence-source hashes (``--input``, ``--spec`` and ``generate``) were
+taken while every sequence was still built as a list of ``SignalSample``.
 """
 
 import hashlib
+import json
 
 import pytest
 
 from convexmix import cli
+from convexmix.mixture import sample_columns
+from convexmix.signals import SequenceSpec, generate
+
+# 60 rows whose fields reach +-1.25, so the default cap of 1.0 clips 37 of
+# them, in both signs; 23 of the clipped fields lie in rows 46-60
+SEQ_CSV = "y,yhat1,yhat2\n" + "".join(
+    f"{((k * 37) % 41 - 20) / 16:.6g},{((k * 23) % 29 - 14) / 11:.6g},"
+    f"{((k * 13) % 31 - 15) / 12.5:.6g}\n"
+    for k in range(60)
+)
+
+# files written into the working directory before the commands run
+FILES = {
+    "run --input clipped": {"seq.csv": SEQ_CSV},
+    "run --spec custom_file truncated": {
+        "seq.csv": SEQ_CSV,
+        "file.json": json.dumps({"kind": "custom_file", "path": "seq.csv", "n": 45,
+                                 "y_bound": 0.9}),
+    },
+    "run --spec square_wave": {
+        "sq.json": json.dumps({"kind": "square_wave", "n": 500, "period": 7,
+                               "amplitude": 0.7}),
+    },
+    "run --spec piecewise_switch": {
+        "sw.json": json.dumps({"kind": "piecewise_switch", "n": 500, "switch_at": 173,
+                               "amplitude": -0.6}),
+    },
+}
 
 GOLDEN = {
     "run --case 1": (
@@ -59,6 +90,37 @@ GOLDEN = {
             "w.json": "44bbe2cc032bf1e9543f1244f2fa642aebf07fafc74903774a42cbfcd3d00721",
         },
     ),
+    "run --input clipped": (
+        [["run", "--input", "seq.csv", "--mu", "0.1", "--out", "in.csv", "--summary", "in.json"]],
+        {
+            "in.csv": "3d3b0dfa74f2b5f89b8a537fe98393da6d016a2b0039d23a783ee1fd649bcb4d",
+            "in.json": "3b3d6ebb958b11b437090153fa75701430db6551f51c9d388ccb1a01d5e9b612",
+        },
+    ),
+    "run --spec custom_file truncated": (
+        [["run", "--spec", "file.json", "--mu", "0.1", "--out", "file.csv",
+          "--summary", "file.summary.json"]],
+        {
+            "file.csv": "b16ecbf3a84fddd6d4228efbda4e95d7e6ac9cb002b5d28ee806e778146e346c",
+            "file.summary.json": "42aa3e1fbec6ead2612add1bf65f2218a33e294a79c4b130faf379b3019205ce",
+        },
+    ),
+    "run --spec square_wave": (
+        [["run", "--spec", "sq.json", "--mu", "0.3", "--out", "sq.csv",
+          "--summary", "sq.summary.json"]],
+        {
+            "sq.csv": "f972dcc622e91b50c5eb55e6ca4edb3763d8b4ca9c84100f08b873fefecfaa48",
+            "sq.summary.json": "217385ea38daa8360e1d56f619ef83339830263176412f3097176c93e7004363",
+        },
+    ),
+    "run --spec piecewise_switch": (
+        [["run", "--spec", "sw.json", "--mu", "0.2", "--mode", "monitor", "--out", "sw.csv",
+          "--summary", "sw.summary.json"]],
+        {
+            "sw.csv": "e2e82671f458a5fd3c1912dde924980a540bfcc8fdb409e4e5cd07ef0fbaebd3",
+            "sw.summary.json": "3ab59cb2b01ecc34c3539bc6973730ac20b6ff37c59aa7e7612177ee6a85b680",
+        },
+    ),
     "verify": (
         [["verify", "--trials", "5", "--n", "200", "--seed", "3", "--out", "verify_report.json"]],
         {
@@ -75,8 +137,57 @@ EXIT_CODES = {"lemma-audit witnesses": 1}
 def test_outputs_byte_identical(label, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("CONVEXMIX_TOL", raising=False)
+    for name, text in FILES.get(label, {}).items():
+        (tmp_path / name).write_text(text)
     commands, hashes = GOLDEN[label]
     for argv in commands:
         assert cli.main(argv) == EXIT_CODES.get(label, 0), argv
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in hashes}
     assert got == hashes
+
+
+# the (3, n) column bytes of each synthetic kind, signs of zero included
+GENERATED = {
+    "case1": (
+        SequenceSpec("case1", n=1001),
+        "7292ecd9c81f76eec75f78fc79ca0190af6830d0375bd8b74df2ca7f13dc7a1f",
+    ),
+    "case2": (
+        SequenceSpec("case2", n=1000, y_bound=0.6),
+        "3914577c6aec50e897375b00a90dfe94923e2356768eba624243914bcf021624",
+    ),
+    "constant -0.0": (
+        SequenceSpec("constant", n=10, amplitude=-0.0),
+        "6af8f4c52c92c544b3e322b37f98e9a343f67878b083d893375ed4f0586e6f4a",
+    ),
+    "alternating": (
+        SequenceSpec("alternating", n=101, amplitude=-0.3),
+        "4d1f3e652011827f1c16ededc9e8530a173e9abbd4bd03722c0526dd4f5dbc29",
+    ),
+    "alternating -0.0": (
+        SequenceSpec("alternating", n=11, amplitude=-0.0),
+        "acb94aea350ade1cd747caa0986e3ad6bedc890e31b7ba41c2fe4b29bd3aa9c4",
+    ),
+    "square_wave odd period": (
+        SequenceSpec("square_wave", n=100, period=7, amplitude=0.3),
+        "c21ffa0c5ee847141daca498dfda5515b1401405f90540e416905dff4db463aa",
+    ),
+    "square_wave -0.0": (
+        SequenceSpec("square_wave", n=9, period=2, amplitude=-0.0),
+        "37030a0f00a93ffe0cd317cbccbec63fae6e89d8e40292a7f5790a9eb57a5d97",
+    ),
+    "piecewise_switch": (
+        SequenceSpec("piecewise_switch", n=100, switch_at=37, amplitude=-0.4),
+        "3e17d238db937eb07342cc7a66b6c845332bf0af4354774d6f7411e793596e96",
+    ),
+    "piecewise_switch at n": (
+        SequenceSpec("piecewise_switch", n=51, switch_at=51),
+        "f830d2f0a07263ad5dc5f08da15bd1676b0eff3cb17d73e3a466fe3a28a93f5a",
+    ),
+}
+
+
+@pytest.mark.parametrize("label", sorted(GENERATED))
+def test_generated_columns_byte_identical(label):
+    spec, digest = GENERATED[label]
+    assert hashlib.sha256(sample_columns(generate(spec)).tobytes()).hexdigest() == digest

@@ -245,13 +245,13 @@ class TestRun:
         traj = run(_params(), _case1(2))
         assert traj.cum_loss[0] == 0.25
         assert traj.cum_loss[1] == 0.25
-        assert traj.records[1].e == 0.0
+        assert traj.errors[1] == 0.0
 
     def test_perfect_experts_zero_loss(self):
         samples = [SignalSample(0.3, 0.3, 0.3)] * 50
         traj = run(_params(y_bound=1.0), samples)
         assert traj.total_loss == 0.0
-        assert all(r.lambda_after == 0.5 for r in traj.records)
+        assert traj.lambdas_after.tolist() == [0.5] * 50
 
     def test_benchmark_weight_pins_at_ceiling(self):
         """Update sign is nonnegative every step, so the weight climbs and,
@@ -260,7 +260,7 @@ class TestRun:
         lams = traj.lambdas
         assert np.all(np.diff(lams) >= 0.0)
         assert traj.final_state.lam == 0.92
-        assert traj.records[-1].lambda_after == 0.92
+        assert traj.lambdas_after[-1] == 0.92
         assert traj.projected.sum() > 0
 
     def test_monitor_mode_exceeds_ceiling(self):
@@ -272,7 +272,9 @@ class TestRun:
     def test_determinism(self):
         a = run(_params(mode="project"), _case1(300))
         b = run(_params(mode="project"), _case1(300))
-        assert a.records == b.records
+        for name in ("lambdas", "lambdas_after", "predictions", "errors", "in_range", "projected"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name), strict=True)
+        assert a.final_state == b.final_state
         assert np.array_equal(a.cum_loss, b.cum_loss)
         assert np.array_equal(a.rho, b.rho)
 
@@ -280,22 +282,23 @@ class TestRun:
         rng = np.random.default_rng(7)
         samples = [SignalSample(*rng.uniform(-1, 1, 3)) for _ in range(400)]
         traj = run(_params(mu=1.0, y_bound=1.0), samples)
-        for rec, rho_next in zip(traj.records, list(traj.rho[1:]) + [traj.final_state.rho]):
-            assert abs(rec.lambda_after - logistic(rho_next)) <= 1e-15
+        for lam_after, rho_next in zip(traj.lambdas_after, list(traj.rho[1:]) + [traj.final_state.rho]):
+            assert abs(lam_after - logistic(rho_next)) <= 1e-15
 
     def test_monotone_response(self):
         """In monitor mode the weight moves up exactly when e*(yhat1-yhat2) > 0."""
         rng = np.random.default_rng(19)
         samples = [SignalSample(*rng.uniform(-1, 1, 3)) for _ in range(500)]
         traj = run(_params(mu=0.8, y_bound=1.0), samples)
-        for rec, sample in zip(traj.records, samples):
-            drive = rec.e * (sample.yhat1 - sample.yhat2)
+        rows = zip(traj.errors.tolist(), traj.lambdas.tolist(), traj.lambdas_after.tolist(), samples)
+        for e, before, after, sample in rows:
+            drive = e * (sample.yhat1 - sample.yhat2)
             if drive > 0:
-                assert rec.lambda_after > rec.lambda_before
+                assert after > before
             elif drive < 0:
-                assert rec.lambda_after < rec.lambda_before
+                assert after < before
             else:
-                assert rec.lambda_after == rec.lambda_before
+                assert after == before
 
     def test_boundedness(self):
         rng = np.random.default_rng(23)
@@ -433,8 +436,8 @@ class TestRunMatchesStep:
         assert traj.final_state == want_final
         assert _bits([traj.final_state.rho, traj.final_state.lam]) == _bits(
             [want_final.rho, want_final.lam])
-        assert traj.samples == [SignalSample(*map(float, (s.y, s.yhat1, s.yhat2)))
-                                for s in samples]
+        for name in ("y", "yhat1", "yhat2"):
+            assert getattr(traj, name).tobytes() == _bits([getattr(s, name) for s in samples]), name
 
     def test_projected_steps_are_exercised(self):
         params = _params(mu=50.0, y_bound=1.0, mode="project")

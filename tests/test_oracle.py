@@ -252,6 +252,49 @@ class TestPrefixColumns:
         assert stats_from([]) == OracleStats()
 
 
+# multiples of 1/8 in [-2, 2]: every product is a multiple of 1/64 below 16
+# in magnitude, so sums of a few hundred of them are exact in binary64
+_dyadic = st.integers(-16, 16).map(lambda k: k / 8)
+_dyadic_rows = st.lists(st.tuples(_dyadic, _dyadic, _dyadic), max_size=40)
+_rows = st.lists(st.tuples(_value, _value, _value), max_size=40)
+
+
+def _stats(rows):
+    return stats_from(np.array(rows, dtype=float).reshape(-1, 3))
+
+
+class TestStatsAlgebra:
+    """``merge`` and ``subtract`` against ``stats_from`` of the concatenation and the suffix."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_dyadic_rows, _dyadic_rows)
+    def test_exact_when_sums_are_exact(self, head, tail):
+        whole = _stats(head + tail)
+        assert merge(_stats(head), _stats(tail)) == whole
+        assert subtract(whole, _stats(head)) == _stats(tail)
+        assert merge(whole, OracleStats()) == whole == subtract(whole, OracleStats())
+
+    @settings(max_examples=200, deadline=None)
+    @given(_rows, _rows)
+    def test_within_the_summation_error_bound(self, head, tail):
+        """Splitting only reorders the additions of identical terms.
+
+        Recursive summation of k terms errs by at most (k-1)*u*sum|x_i|
+        with u = 2**-53; both sides are such sums plus one rounded add, so
+        they differ by less than 4*(n+1)*u*sum|x_i| over all n terms.
+        """
+        whole, first, last = _stats(head + tail), _stats(head), _stats(tail)
+        cols = np.array(head + tail, dtype=float).reshape(-1, 3).T
+        d, r = cols[1] - cols[2], cols[0] - cols[2]
+        n = whole.n
+        merged, suffix = merge(first, last), subtract(whole, first)
+        assert merged.n == n and suffix.n == last.n
+        for name, terms in (("s_dd", d * d), ("s_rd", r * d), ("s_rr", r * r)):
+            tol = 4 * (n + 1) * 2.0**-53 * float(np.abs(terms).sum())
+            assert abs(getattr(merged, name) - getattr(whole, name)) <= tol, name
+            assert abs(getattr(suffix, name) - getattr(last, name)) <= tol, name
+
+
 class TestArrayInput:
     """An ``(n, 3)`` array and the equal ``SignalSample`` list give equal results."""
 

@@ -5,8 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from convexmix.mixture import SignalSample
 from convexmix.signals import (
     TRAJECTORY_COLUMNS,
     ParseError,
@@ -63,21 +64,18 @@ class TestGenerate:
     def test_first_benchmark_pattern(self):
         """Clean expert at the cap, second expert alternating, negative first."""
         got = generate(SequenceSpec("case1", n=4))
-        assert got == [
-            SignalSample(0.5, 0.5, -0.5),
-            SignalSample(0.5, 0.5, 0.5),
-            SignalSample(0.5, 0.5, -0.5),
-            SignalSample(0.5, 0.5, 0.5),
-        ]
+        want = [[0.5, 0.5, -0.5], [0.5, 0.5, 0.5], [0.5, 0.5, -0.5], [0.5, 0.5, 0.5]]
+        np.testing.assert_array_equal(got, np.array(want), strict=True)
 
     def test_second_benchmark_pattern(self):
         """Target pinned at 0.5 while expert 1 carries the 0.54 offset."""
         got = generate(SequenceSpec("case2", n=2))
-        assert got == [SignalSample(0.5, 0.54, -0.5), SignalSample(0.5, 0.54, 0.5)]
+        np.testing.assert_array_equal(got, np.array([[0.5, 0.54, -0.5], [0.5, 0.54, 0.5]]),
+                                      strict=True)
 
     def test_second_benchmark_target_not_scaled(self):
         got = generate(SequenceSpec("case2", n=2, y_bound=0.6))
-        assert got[0] == SignalSample(0.5, 0.6, -0.5)
+        np.testing.assert_array_equal(got[0], np.array([0.5, 0.6, -0.5]), strict=True)
 
     def test_second_benchmark_needs_room_for_target(self):
         with pytest.raises(ValueError, match="below the fixed target level"):
@@ -85,24 +83,73 @@ class TestGenerate:
 
     def test_constant_zero(self):
         got = generate(SequenceSpec("constant", n=3, amplitude=0.0))
-        assert got == [SignalSample(0.0, 0.0, 0.0)] * 3
+        np.testing.assert_array_equal(got, np.zeros((3, 3)), strict=True)
 
     def test_alternating_parity(self):
         got = generate(SequenceSpec("alternating", n=5, amplitude=0.2))
-        signs = [s.yhat2 / 0.2 for s in got]
+        signs = (got[:, 2] / 0.2).tolist()
         assert signs == [-1.0, 1.0, -1.0, 1.0, -1.0]
-        assert all(s.y == 0.2 and s.yhat1 == 0.2 for s in got)
+        assert got.shape == (5, 3) and (got[:, :2] == 0.2).all()
 
     def test_square_wave_blocks(self):
         got = generate(SequenceSpec("square_wave", n=6, period=4, amplitude=1.0))
-        assert [s.y for s in got] == [1.0, 1.0, -1.0, -1.0, 1.0, 1.0]
-        assert all((s.yhat1, s.yhat2) == (1.0, -1.0) for s in got)
+        assert got[:, 0].tolist() == [1.0, 1.0, -1.0, -1.0, 1.0, 1.0]
+        assert got.shape == (6, 3) and got[:, 1:].tolist() == [[1.0, -1.0]] * 6
 
     def test_switch_swaps_expert_roles(self):
         got = generate(SequenceSpec("piecewise_switch", n=4, switch_at=2, amplitude=1.0))
-        assert [(s.yhat1, s.yhat2) for s in got[:2]] == [(1.0, -1.0), (1.0, 1.0)]
-        assert [(s.yhat1, s.yhat2) for s in got[2:]] == [(-1.0, 1.0), (1.0, 1.0)]
-        assert all(s.y == 1.0 for s in got)
+        assert got[:2, 1:].tolist() == [[1.0, -1.0], [1.0, 1.0]]
+        assert got[2:, 1:].tolist() == [[-1.0, 1.0], [1.0, 1.0]]
+        assert got.shape == (4, 3) and (got[:, 0] == 1.0).all()
+
+
+def _reference_rows(spec):
+    """The sequence one step at a time, as plain floats: the reference for ``generate``."""
+    spec = resolve(spec)
+    a, rows = spec.amplitude, []
+    for t in range(1, spec.n + 1):
+        sign = -1.0 if t % 2 == 1 else 1.0
+        if spec.kind == "case1":
+            rows.append((spec.y_bound, spec.y_bound, sign * spec.y_bound))
+        elif spec.kind == "case2":
+            rows.append((0.5, spec.y_bound, sign * 0.5))
+        elif spec.kind == "constant":
+            rows.append((a, a, a))
+        elif spec.kind == "alternating":
+            rows.append((a, a, sign * a))
+        elif spec.kind == "square_wave":
+            block = 1.0 if ((t - 1) // (spec.period // 2)) % 2 == 0 else -1.0
+            rows.append((block * a, a, -a))
+        elif t <= spec.switch_at:
+            rows.append((a, a, sign * a))
+        else:
+            rows.append((a, sign * a, a))
+    return rows
+
+
+@st.composite
+def _specs(draw):
+    kind = draw(st.sampled_from(["case1", "case2", "constant", "alternating", "square_wave",
+                                 "piecewise_switch"]))
+    n = draw(st.integers(1, 60))
+    y_bound = draw(st.sampled_from([None, 0.5, 0.75, 1, 2.0]))
+    cap = resolve(SequenceSpec("constant", n=n, y_bound=y_bound)).y_bound
+    amplitude = draw(st.none() | st.sampled_from([0.0, -0.0, cap, -cap])
+                     | st.floats(-cap, cap, allow_nan=False))
+    period = draw(st.none() | st.integers(2, 2 * n + 3))
+    # the default switch step n // 2 is valid only from n = 2 on
+    switch_at = draw((st.none() if n > 1 else st.nothing()) | st.integers(1, n))
+    return SequenceSpec(kind, n=n, y_bound=y_bound, amplitude=amplitude, period=period,
+                        switch_at=switch_at)
+
+
+class TestGenerateMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(_specs())
+    def test_bit_identical_to_step_loop(self, spec):
+        got = generate(spec)
+        assert got.dtype == np.float64 and got.shape == (spec.n, 3)
+        assert got.tobytes() == np.array(_reference_rows(spec), dtype=float).tobytes()
 
 
 def _write_input_csv(path, rows, header=("y", "yhat1", "yhat2")):
@@ -117,19 +164,20 @@ class TestLoadCsv:
         p = tmp_path / "seq.csv"
         _write_input_csv(p, [(0.1, 0.2, -0.3), (0.0, -1.0, 1.0)])
         samples, clipped = load_csv(str(p), 1.0)
-        assert samples == [SignalSample(0.1, 0.2, -0.3), SignalSample(0.0, -1.0, 1.0)]
+        np.testing.assert_array_equal(samples, np.array([[0.1, 0.2, -0.3], [0.0, -1.0, 1.0]]),
+                                      strict=True)
         assert clipped == 0
 
     def test_clipping_counts_fields(self):
-        samples, clipped = clip_samples([SignalSample(0.7, 0.2, -0.1)], 0.5)
-        assert samples == [SignalSample(0.5, 0.2, -0.1)]
+        samples, clipped = clip_samples(np.array([[0.7, 0.2, -0.1]]), 0.5)
+        np.testing.assert_array_equal(samples, np.array([[0.5, 0.2, -0.1]]), strict=True)
         assert clipped == 1
 
     def test_clipping_from_file_both_signs(self, tmp_path):
         p = tmp_path / "seq.csv"
         _write_input_csv(p, [(0.7, -0.9, 0.1)])
         samples, clipped = load_csv(str(p), 0.5)
-        assert samples == [SignalSample(0.5, -0.5, 0.1)]
+        np.testing.assert_array_equal(samples, np.array([[0.5, -0.5, 0.1]]), strict=True)
         assert clipped == 2
 
     def test_accepts_trajectory_header(self, tmp_path):
@@ -138,7 +186,8 @@ class TestLoadCsv:
         frame = _tiny_frame()
         write_trajectory(frame, str(p))
         samples, clipped = load_csv(str(p), 1.0)
-        assert samples == samples_from_frame(frame)
+        assert samples.tobytes() == samples_from_frame(frame).tobytes()
+        assert samples.shape == (len(frame), 3)
         assert clipped == 0
 
     def test_row_numbered_errors(self, tmp_path):
@@ -185,7 +234,8 @@ class TestCustomFileSequences:
         _write_input_csv(p, [(0.1, 0.2, 0.3), (2.0, 0.0, 0.0), (0.4, 0.4, 0.4)])
         with pytest.warns(UserWarning, match="clipped 1"):
             got = generate(SequenceSpec("custom_file", n=2, path=str(p)))
-        assert got == [SignalSample(0.1, 0.2, 0.3), SignalSample(1.0, 0.0, 0.0)]
+        np.testing.assert_array_equal(got, np.array([[0.1, 0.2, 0.3], [1.0, 0.0, 0.0]]),
+                                      strict=True)
 
     def test_zero_horizon_takes_all_rows(self, tmp_path):
         p = tmp_path / "seq.csv"
@@ -224,6 +274,34 @@ class TestTrajectoryRoundTrip:
         back = read_trajectory(str(p))
         for name in TRAJECTORY_COLUMNS:
             np.testing.assert_array_equal(back.column(name), frame.column(name), err_msg=name)
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_drawn_doubles_roundtrip_bit_for_bit(self, tmp_path, data):
+        """Any finite double survives write then read, -0.0, subnormals and +-1e308 included."""
+        n = data.draw(st.integers(1, 8))
+        edges = st.sampled_from([-0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                 -2.225073858507201e-308, 1e308, -1e308,
+                                 1.7976931348623157e308, 1 / 3])
+        floats = iter(data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False) | edges,
+                                         min_size=13 * n, max_size=13 * n)))
+        flags = iter(data.draw(st.lists(st.integers(0, 1), min_size=2 * n, max_size=2 * n)))
+        columns = {}
+        for name in TRAJECTORY_COLUMNS:
+            if name == "t":
+                values = range(1, n + 1)
+            else:
+                source = flags if name in ("in_range", "projected") else floats
+                values = [next(source) for _ in range(n)]
+            columns["lam" if name == "lambda" else name] = np.array(values)
+        frame = TrajectoryFrame(**columns)
+        p = tmp_path / "drawn.csv"
+        write_trajectory(frame, str(p))
+        back = read_trajectory(str(p))
+        for name in TRAJECTORY_COLUMNS:
+            assert back.column(name).dtype == frame.column(name).dtype, name
+            assert back.column(name).tobytes() == frame.column(name).tobytes(), name
 
     def test_header_row_order(self, tmp_path):
         p = tmp_path / "traj.csv"
