@@ -30,11 +30,12 @@ constants = constants_from_mu(0.08, 0.5, 0.08)
 params = MixtureParams(mu=0.08, lambda_plus=0.08, y_bound=0.5, mode="project")
 
 traj = run(params, samples)
+loss = float(traj.cum_loss[-1])
 hindsight = best_beta(stats_from(samples))
-rb = regret_and_bound(traj.total_loss, hindsight.loss, constants, len(samples))
+rb = regret_and_bound(loss, hindsight.loss, constants, len(samples))
 
 print("setup 1 (clean expert exact)")
-print(f"  algorithm loss   {traj.total_loss:.4f}")
+print(f"  algorithm loss   {loss:.4f}")
 print(f"  best fixed beta  {hindsight.beta:g} with loss {hindsight.loss:g}")
 print(f"  final weight     {traj.final_state.lam:.4f} (drawn toward expert 1)")
 print(f"  regret {rb.regret:.4f} <= bound {rb.bound_total:.4f}")
@@ -48,11 +49,12 @@ constants2 = constants_from_mu(0.04, 0.54, 0.08)
 params2 = MixtureParams(mu=0.04, lambda_plus=0.08, y_bound=0.54, mode="project")
 
 traj2 = run(params2, samples2)
+loss2 = float(traj2.cum_loss[-1])
 hindsight2 = best_beta(stats_from(samples2))
-rb2 = regret_and_bound(traj2.total_loss, hindsight2.loss, constants2, len(samples2))
+rb2 = regret_and_bound(loss2, hindsight2.loss, constants2, len(samples2))
 
 print("setup 2 (clean expert offset by 0.04)")
-print(f"  algorithm loss   {traj2.total_loss:.4f}")
+print(f"  algorithm loss   {loss2:.4f}")
 print(f"  best fixed beta  {hindsight2.beta:.6f} with loss {hindsight2.loss:.4f}")
 print(f"  regret {rb2.regret:.4f} <= bound {rb2.bound_total:.4f}")
 

@@ -41,7 +41,7 @@ print(f"{int(in_range.sum())} of {n} steps stayed inside the floor band")
 betas = np.linspace(0.0, 1.0, 21)
 margins = per_step_margins(
     constants, betas,
-    traj.lambdas[in_range], traj.lambdas_after[in_range],
+    traj.lam[in_range], traj.lam_after[in_range],
     y[in_range], y1[in_range], y2[in_range],
 )
 print(f"evaluated {margins.size} (beta, step) pairs")
@@ -53,7 +53,7 @@ print(f"tightest comparator: beta = {worst_beta:.2f}")
 # The progress side telescopes: summed over all steps it equals the drop in
 # divergence between the start and the final weight, for any fixed beta.
 
-l0, l1 = traj.lambdas, traj.lambdas_after
+l0, l1 = traj.lam, traj.lam_after
 for beta in (0.0, 0.5, 1.0):
     total = float(
         beta * np.log(l1 / l0).sum() + (1 - beta) * np.log((1 - l1) / (1 - l0)).sum()

@@ -9,6 +9,7 @@ directions.
 """
 
 from convexmix import (
+    WITNESS_COLUMNS,
     constants_from_eps,
     construction_instances,
     evaluate_instance,
@@ -52,9 +53,10 @@ print(f"derived triple: {len(ok)} violations in 50000 instances")
 
 bad = search_violations(c.a, c.b / 20.0, c.mu, 0.08, 1.0, budget=50_000, seed=0)
 print(f"b/20 triple:    {len(bad)} violations in 50000 instances")
-inst, rep = bad[0]
-print(f"  worst: margin={rep.margin:.6f} at y={inst.y:+.3f} "
-      f"yhat1={inst.yhat1:+.3f} yhat2={inst.yhat2:+.3f} "
-      f"lam={inst.lambda_t:.3f} beta={inst.beta:.3f}")
+# one row per witness, in the columns of WITNESS_COLUMNS
+worst = dict(zip(WITNESS_COLUMNS, bad[0].tolist()))
+print(f"  worst: margin={worst['margin']:.6f} at y={worst['y']:+.3f} "
+      f"yhat1={worst['yhat1']:+.3f} yhat2={worst['yhat2']:+.3f} "
+      f"lam={worst['lambda_t']:.3f} beta={worst['beta']:.3f}")
 # The worst witnesses put the comparator fully on one expert with the weight
 # far from it -- exactly where a too-small b underpays the comparator's loss.

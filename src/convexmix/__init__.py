@@ -8,6 +8,7 @@ stress tests, benchmark sequences, and CSV/SVG tooling.
 """
 
 from .audit import (
+    WITNESS_COLUMNS,
     AuditInstance,
     AuditReport,
     LemmaBounds,
@@ -70,14 +71,12 @@ from .signals import (
     TRAJECTORY_COLUMNS,
     ParseError,
     SequenceSpec,
-    TrajectoryFrame,
     clip_samples,
     generate,
     load_csv,
     load_sequence,
     read_trajectory,
     resolve,
-    samples_from_frame,
     write_trajectory,
 )
 

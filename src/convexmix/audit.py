@@ -32,9 +32,12 @@ __all__ = [
     "construction_instances",
     "evaluate_instance",
     "search_violations",
+    "WITNESS_COLUMNS",
 ]
 
 DEFAULT_TOL = 1e-9
+# the columns of a witness row returned by search_violations
+WITNESS_COLUMNS = ("y", "yhat1", "yhat2", "lambda_t", "beta", "lhs", "progress", "margin")
 # rows of instance space evaluated at once by the search
 BLOCK = 1 << 16
 
@@ -145,13 +148,14 @@ def search_violations(
     budget: int,
     seed: int,
     tol: float = DEFAULT_TOL,
-) -> list[tuple[AuditInstance, AuditReport]]:
+) -> np.ndarray:
     """Look for counterexamples to the requirement under (a, b, mu).
 
     Evaluates a structured grid first (level sets of the signals, the floor
     and midpoint weights, endpoint and midpoint comparators), then fills the
     remaining budget with seeded uniform draws.  Fully deterministic for a
-    fixed seed.  Returns violating instances sorted worst first.
+    fixed seed.  Returns the violating instances, worst first, as a
+    ``(k, 8)`` float64 array with the columns of :data:`WITNESS_COLUMNS`.
 
     The instances are held as five float64 columns (40 bytes each) and
     evaluated :data:`BLOCK` at a time through
@@ -189,12 +193,6 @@ def search_violations(
         at = np.flatnonzero(margin < -tol)
         hits.append(np.vstack((block[:, at], lhs[at], progress[at], margin[at])))
 
-    # rows: y, yhat1, yhat2, lambda_t, beta, lhs, progress, margin; worst
-    # first, ties broken by the instance fields in order (a stable sort)
+    # worst first, ties broken by the instance fields in order (a stable sort)
     found = np.concatenate(hits, axis=1)
-    found = found[:, np.lexsort(found[[4, 3, 2, 1, 0, 7]])]
-    return [
-        (AuditInstance(y=r[0], yhat1=r[1], yhat2=r[2], lambda_t=r[3], beta=r[4]),
-         AuditReport(lhs=r[5], progress=r[6], margin=r[7], violated=True))
-        for r in found.T.tolist()
-    ]
+    return found.T[np.lexsort(found[[4, 3, 2, 1, 0, 7]])]

@@ -29,8 +29,8 @@ import numpy as np
 from . import audit, bounds, oracle, signals
 from . import mixture
 from .bounds import TheoremConstants
-from .mixture import MixtureParams, SignalSample
-from .signals import SequenceSpec, TrajectoryFrame
+from .mixture import MixtureParams, SignalSample, Trajectory
+from .signals import SequenceSpec
 
 __all__ = [
     "RunSummary",
@@ -97,20 +97,20 @@ class RunSummary:
 
 
 def summarize(
-    traj: mixture.Trajectory,
+    traj: Trajectory,
     constants: TheoremConstants,
     *,
     clip_count: int = 0,
     window: tuple[int, int] | None = None,
-) -> tuple[TrajectoryFrame, RunSummary]:
-    """Turn a finished trajectory into the trajectory frame and summary.
+) -> tuple[Trajectory, RunSummary]:
+    """Return a copy of ``traj`` with its comparator columns filled in, and the summary.
 
     The guarantee column uses the worst case over comparator weights from
     the actual initial weight, which is ln(2)/a when the run starts at 1/2.
     Windowed figures restart the comparison at the window's opening weight.
     """
     n = len(traj)
-    lambda_init = float(traj.lambdas[0])
+    lambda_init = float(traj.lam[0])
     factor = bounds.loss_factor(constants)
     rb = bounds.regret_and_bound(0.0, 0.0, constants, n, lambda_init=lambda_init)
     bound_total = rb.bound_total
@@ -118,25 +118,15 @@ def summarize(
     s_dd, s_rd, s_rr = oracle.prefix_stats(traj.y, traj.yhat1, traj.yhat2)
     best_b, best_l = oracle.best_betas(s_dd[1:], s_rd[1:], s_rr[1:])
     cum = traj.cum_loss
-    t = np.arange(1, n + 1)
+    steps = np.arange(1, n + 1)
     regret = cum - factor * best_l
-    frame = TrajectoryFrame(
-        t=t,
-        y=traj.y,
-        yhat1=traj.yhat1,
-        yhat2=traj.yhat2,
-        lam=traj.lambdas,
-        rho=traj.rho,
-        yhat=traj.predictions,
-        e=traj.errors,
-        cum_loss=cum,
+    frame = dataclasses.replace(
+        traj,
         best_beta_prefix=best_b,
         best_loss_prefix=best_l,
         regret=regret,
-        norm_regret=regret / t,
-        bound_norm=bound_total / t,
-        in_range=traj.in_range.astype(int),
-        projected=traj.projected.astype(int),
+        norm_regret=regret / steps,
+        bound_norm=bound_total / steps,
     )
     out_of_range = int(n - traj.in_range.sum())
     summary = RunSummary(
@@ -160,7 +150,7 @@ def summarize(
                   for k in (lo - 1, hi)]
         wbest = oracle.best_beta(oracle.subtract(prefix[1], prefix[0]))
         w_l_alg = max(float(cum[hi - 1] - (cum[lo - 2] if lo > 1 else 0.0)), 0.0)
-        w_init = float(traj.lambdas[lo - 1])
+        w_init = float(traj.lam[lo - 1])
         wrb = bounds.regret_and_bound(
             w_l_alg, wbest.loss, constants, hi - lo + 1, lambda_init=w_init
         )
@@ -180,7 +170,7 @@ def run_experiment(
     lambda_init: float = 0.5,
     clip_count: int = 0,
     window: tuple[int, int] | None = None,
-) -> tuple[TrajectoryFrame, RunSummary]:
+) -> tuple[Trajectory, RunSummary]:
     """Run the combiner over ``samples`` and summarize the outcome."""
     initial = mixture.state_from_lambda(lambda_init)
     traj = mixture.run(params, samples, initial_state=initial)
@@ -209,8 +199,8 @@ def _margin_and_telescope_suites(constants, trials, n, seed, tol):
         y, y1, y2 = columns = rng.uniform(-constants.y_bound, constants.y_bound, (3, n))
         rand_betas = rng.uniform(0.0, 1.0, (20, n))
         traj = mixture.run(params, columns.T)
-        l0 = traj.lambdas
-        l1 = traj.lambdas_after
+        l0 = traj.lam
+        l1 = traj.lam_after
         mask = traj.in_range
         skipped += int(n - mask.sum())
         if mask.any():
@@ -472,16 +462,22 @@ def _load_config(path: str) -> dict:
     return data
 
 
-def _merged(args: argparse.Namespace, keys: tuple[str, ...]) -> dict:
-    config = _load_config(args.config) if getattr(args, "config", None) else {}
-    unknown = set(config) - set(keys)
+def _merged(args: argparse.Namespace, defaults: dict) -> dict:
+    """Each key of ``defaults`` from its flag, else the config file, else the default."""
+    config = _load_config(args.config) if args.config else {}
+    unknown = set(config) - set(defaults)
     if unknown:
         raise UsageError(f"config has unknown keys: {sorted(unknown)}")
-    merged = {}
-    for key in keys:
-        value = getattr(args, key, None)
-        merged[key] = config.get(key) if value is None else value
+    merged = dict(defaults)
+    for layer in (config, {key: getattr(args, key) for key in defaults}):
+        merged.update((key, value) for key, value in layer.items() if value is not None)
     return merged
+
+
+def _write_json(path: str, data: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=2)
+        fh.write("\n")
 
 
 def _parse_window(text: str, n: int) -> tuple[int, int]:
@@ -495,29 +491,27 @@ def _parse_window(text: str, n: int) -> tuple[int, int]:
     return lo, hi
 
 
-SPEC_KEYS = ("kind", "n", "y_bound", "amplitude", "period", "switch_at", "path")
-
-
 def _sequence_from_args(merged: dict):
-    """Resolve the sequence source; returns (samples, y_bound, clip_count, default_mu)."""
-    sources = [k for k in ("case", "input", "spec") if merged.get(k) is not None]
+    """Resolve the sequence source; returns (samples, y_bound, clip_count, default_rate)."""
+    sources = [k for k in ("case", "input", "spec") if merged[k] is not None]
     if len(sources) != 1:
         raise UsageError("choose exactly one of --case, --input, --spec")
-    n = merged.get("n")
+    n = merged["n"]
     if n is not None:
         n = int(n)
         if n < 1:
             raise UsageError(f"n must be at least 1, got {n}")
 
-    y_bound = merged.get("ybound")
-    y_bound = None if y_bound is None else float(y_bound)
-    default_mu = None
+    y_bound = merged["ybound"]
+    if y_bound is not None:
+        y_bound = float(y_bound)
+    default_rate = {}
     if sources[0] == "case":
         case = int(merged["case"])
         if case not in (1, 2):
             raise UsageError(f"case must be 1 or 2, got {case}")
-        spec = SequenceSpec(kind=f"case{case}", n=n if n is not None else 10_000, y_bound=y_bound)
-        default_mu = 0.08 if case == 1 else 0.04
+        spec = SequenceSpec(kind=f"case{case}", n=n or 10_000, y_bound=y_bound)
+        default_rate = {"mu": 0.08 if case == 1 else 0.04}
     elif sources[0] == "input":
         spec = SequenceSpec("custom_file", n=n or 0, y_bound=y_bound, path=merged["input"])
     else:
@@ -528,7 +522,7 @@ def _sequence_from_args(merged: dict):
                 raise UsageError(f"sequence spec {merged['spec']}: invalid JSON ({exc})") from None
         if not isinstance(data, dict) or "kind" not in data:
             raise UsageError(f"sequence spec {merged['spec']}: expected an object with a 'kind'")
-        unknown = set(data) - set(SPEC_KEYS)
+        unknown = set(data) - {field.name for field in dataclasses.fields(SequenceSpec)}
         if unknown:
             raise UsageError(f"sequence spec has unknown keys: {sorted(unknown)}")
         spec = SequenceSpec(**data)
@@ -541,57 +535,53 @@ def _sequence_from_args(merged: dict):
         samples, clipped = signals.load_sequence(resolved)
     else:
         samples, clipped = signals.generate(resolved), 0
-    return samples, resolved.y_bound, clipped, default_mu
+    return samples, resolved.y_bound, clipped, default_rate
 
 
-def _constants_from_args(merged: dict, y_bound: float, default_mu: float | None):
-    lambda_plus = merged.get("lambda_plus")
-    lambda_plus = 0.08 if lambda_plus is None else float(lambda_plus)
-    mu = merged.get("mu")
-    eps = merged.get("eps")
-    if mu is not None and eps is not None:
+def _constants_from_args(merged: dict, y_bound: float, default_rate: dict):
+    """Constants from --mu or --eps, else from ``default_rate`` ({"mu": x}, {"eps": x} or {})."""
+    lambda_plus = float(merged["lambda_plus"])
+    rate = {key: merged[key] for key in ("mu", "eps") if merged[key] is not None}
+    if len(rate) == 2:
         raise UsageError("choose --mu or --eps, not both")
-    if mu is None and eps is None:
-        if default_mu is None:
+    if not rate:
+        if not default_rate:
             raise UsageError("provide --mu or --eps for this sequence source")
-        mu = default_mu
-    if eps is not None:
-        constants = bounds.constants_from_eps(float(eps), y_bound, lambda_plus)
+        rate = default_rate
+    if "eps" in rate:
+        constants = bounds.constants_from_eps(float(rate["eps"]), y_bound, lambda_plus)
         return constants, constants.mu
-    constants = bounds.constants_from_mu(float(mu), y_bound, lambda_plus)
-    return constants, float(mu)
+    mu = float(rate["mu"])
+    return bounds.constants_from_mu(mu, y_bound, lambda_plus), mu
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
-RUN_KEYS = ("case", "input", "spec", "n", "mu", "eps", "lambda_plus", "ybound",
-            "mode", "window", "out", "summary", "lambda_init")
+RUN_DEFAULTS = {
+    "case": None, "input": None, "spec": None, "n": None, "mu": None, "eps": None,
+    "lambda_plus": 0.08, "ybound": None, "mode": "project", "window": None,
+    "out": "trajectory.csv", "summary": "summary.json", "lambda_init": 0.5,
+}
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    merged = _merged(args, RUN_KEYS)
-    samples, y_bound, clipped, default_mu = _sequence_from_args(merged)
-    constants, mu = _constants_from_args(merged, y_bound, default_mu)
-    mode = merged.get("mode") or "project"
-    if mode not in mixture.MODES:
-        raise UsageError(f"mode must be one of {mixture.MODES}, got {mode!r}")
-    lambda_init = merged.get("lambda_init")
-    lambda_init = 0.5 if lambda_init is None else float(lambda_init)
-    params = MixtureParams(mu=mu, lambda_plus=constants.lambda_plus, y_bound=y_bound, mode=mode)
+    merged = _merged(args, RUN_DEFAULTS)
+    samples, y_bound, clipped, default_rate = _sequence_from_args(merged)
+    constants, mu = _constants_from_args(merged, y_bound, default_rate)
+    params = MixtureParams(mu=mu, lambda_plus=constants.lambda_plus, y_bound=y_bound,
+                           mode=merged["mode"])
+    lambda_init = float(merged["lambda_init"])
     window = None
-    if merged.get("window") is not None:
+    if merged["window"] is not None:
         window = _parse_window(str(merged["window"]), len(samples))
     frame, summary = run_experiment(
         samples, params, constants,
         lambda_init=lambda_init, clip_count=clipped, window=window,
     )
-    out = merged.get("out") or "trajectory.csv"
-    summary_path = merged.get("summary") or "summary.json"
+    out, summary_path = merged["out"], merged["summary"]
     signals.write_trajectory(frame, out)
-    with open(summary_path, "w") as fh:
-        json.dump(summary.to_dict(), fh, indent=2)
-        fh.write("\n")
+    _write_json(summary_path, summary.to_dict())
     print(
         f"n={summary.n} loss={summary.l_alg:.6g} best_beta={summary.beta_o:.6g} "
         f"regret={summary.regret:.6g} bound={summary.bound_total:.6g} "
@@ -600,58 +590,32 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-VERIFY_KEYS = ("eps", "mu", "lambda_plus", "ybound", "trials", "n", "seed",
-               "resolution", "override_a", "out")
+VERIFY_DEFAULTS = {
+    "eps": None, "mu": None, "lambda_plus": 0.08, "ybound": 1.0, "trials": 100, "n": 500,
+    "seed": 7, "resolution": 0.01, "override_a": None, "out": "verify_report.json",
+}
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    merged = _merged(args, VERIFY_KEYS)
-    y_bound = merged.get("ybound")
-    y_bound = 1.0 if y_bound is None else float(y_bound)
-    lambda_plus = merged.get("lambda_plus")
-    lambda_plus = 0.08 if lambda_plus is None else float(lambda_plus)
-    mu = merged.get("mu")
-    eps = merged.get("eps")
-    if mu is not None and eps is not None:
-        raise UsageError("choose --mu or --eps, not both")
-    if mu is not None:
-        constants = bounds.constants_from_mu(float(mu), y_bound, lambda_plus)
-    else:
-        constants = bounds.constants_from_eps(
-            0.1 if eps is None else float(eps), y_bound, lambda_plus
-        )
-    if merged.get("override_a") is not None:
+    merged = _merged(args, VERIFY_DEFAULTS)
+    # without --mu or --eps, verify uses eps = 0.1
+    constants, _ = _constants_from_args(merged, float(merged["ybound"]), {"eps": 0.1})
+    if merged["override_a"] is not None:
         constants = dataclasses.replace(constants, a=float(merged["override_a"]))
-    trials = merged.get("trials")
-    trials = 100 if trials is None else int(trials)
-    n = merged.get("n")
-    n = 500 if n is None else int(n)
-    seed = merged.get("seed")
-    seed = 7 if seed is None else int(seed)
-    resolution = merged.get("resolution")
-    resolution = 0.01 if resolution is None else float(resolution)
-    tol = inequality_tolerance()
     report = run_verification(
-        constants, trials=trials, n=n, seed=seed, resolution=resolution, tol=tol
+        constants, trials=int(merged["trials"]), n=int(merged["n"]), seed=int(merged["seed"]),
+        resolution=float(merged["resolution"]), tol=inequality_tolerance(),
     )
     for name, suite in report["suites"].items():
         status = "ok" if not suite["failures"] else f"{len(suite['failures'])} FAILURES"
         print(f"suite {name}: {suite['checked']} checks, {status}")
-    out = merged.get("out") or "verify_report.json"
-    with open(out, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
-    print(f"report -> {out}")
+    _write_json(merged["out"], report)
+    print(f"report -> {merged['out']}")
     return 0 if report["all_pass"] else 1
 
 
-def _instance_dict(inst: audit.AuditInstance, rep: audit.AuditReport) -> dict:
-    return {**dataclasses.asdict(inst), **dataclasses.asdict(rep)}
-
-
 def cmd_lemma_audit(args: argparse.Namespace) -> int:
-    y_bound = 1.0 if args.ybound is None else float(args.ybound)
-    lambda_plus = 0.08 if args.lambda_plus is None else float(args.lambda_plus)
+    y_bound, lambda_plus = args.ybound, args.lambda_plus
     triple = (args.a, args.b, args.mu)
     have_triple = all(v is not None for v in triple)
     if args.eps is not None and any(v is not None for v in triple):
@@ -659,10 +623,10 @@ def cmd_lemma_audit(args: argparse.Namespace) -> int:
     if args.eps is None and not have_triple:
         raise UsageError("provide --eps or the full --a/--b/--mu triple")
     if args.eps is not None:
-        constants = bounds.constants_from_eps(float(args.eps), y_bound, lambda_plus)
+        constants = bounds.constants_from_eps(args.eps, y_bound, lambda_plus)
         a, b, mu = constants.a, constants.b, constants.mu
     else:
-        a, b, mu = float(args.a), float(args.b), float(args.mu)
+        a, b, mu = triple
     tol = inequality_tolerance()
 
     lb = audit.lemma_bounds(a, mu, lambda_plus)
@@ -676,33 +640,32 @@ def cmd_lemma_audit(args: argparse.Namespace) -> int:
         flag = "VIOLATED" if rep.violated else "ok"
         print(f"construction {label}: lhs={rep.lhs:.12g} progress={rep.progress:.12g} "
               f"margin={rep.margin:.12g} [{flag}]")
-    budget = 20_000 if args.budget is None else int(args.budget)
-    seed = 0 if args.seed is None else int(args.seed)
+    budget, seed = args.budget, args.seed
     witnesses = audit.search_violations(a, b, mu, lambda_plus, y_bound, budget, seed, tol=tol)
     print(f"searched {budget} instances: {len(witnesses)} violations")
-    if witnesses:
-        inst, rep = witnesses[0]
-        print(f"worst: margin={rep.margin:.12g} at y={inst.y:.6g} yhat1={inst.yhat1:.6g} "
-              f"yhat2={inst.yhat2:.6g} lambda={inst.lambda_t:.6g} beta={inst.beta:.6g}")
+    if len(witnesses):
+        y, y1, y2, lam, beta, _, _, margin = witnesses[0].tolist()
+        print(f"worst: margin={margin:.12g} at y={y:.6g} yhat1={y1:.6g} "
+              f"yhat2={y2:.6g} lambda={lam:.6g} beta={beta:.6g}")
 
-    out = args.out or "lemma_witnesses.json"
     cap = 1000
     payload = {
         "a": a, "b": b, "mu": mu,
         "lambda_plus": lambda_plus, "y_bound": y_bound,
         "tolerance": tol, "budget": budget, "seed": seed,
         "lemma_bounds": lb._asdict(),
-        "constructions": {label: _instance_dict(i, r) for label, i, r in constructions},
+        "constructions": {label: {**dataclasses.asdict(i), **dataclasses.asdict(r)}
+                          for label, i, r in constructions},
         "violation_count": len(witnesses),
-        "violations": [_instance_dict(i, r) for i, r in witnesses[:cap]],
+        # dicts only for the rows written
+        "violations": [dict(zip(audit.WITNESS_COLUMNS, row), violated=True)
+                       for row in witnesses[:cap].tolist()],
         "violations_truncated": len(witnesses) > cap,
     }
-    with open(out, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-    print(f"witness file -> {out}")
+    _write_json(args.out, payload)
+    print(f"witness file -> {args.out}")
     construction_hit = any(r.violated for _, _, r in constructions)
-    return 1 if (witnesses or construction_hit) else 0
+    return 1 if (len(witnesses) or construction_hit) else 0
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
@@ -718,13 +681,16 @@ def cmd_plot(args: argparse.Namespace) -> int:
     return 0
 
 
-SWEEP_KEYS = ("case", "input", "spec", "n", "mu_list", "lambda_plus", "ybound",
-              "mode", "out", "lambda_init")
+SWEEP_DEFAULTS = {
+    "case": None, "input": None, "spec": None, "n": None, "mu_list": None,
+    "lambda_plus": 0.08, "ybound": None, "mode": "project", "out": "sweep.csv",
+    "lambda_init": 0.5,
+}
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    merged = _merged(args, SWEEP_KEYS)
-    if not merged.get("mu_list"):
+    merged = _merged(args, SWEEP_DEFAULTS)
+    if not merged["mu_list"]:
         raise UsageError("provide --mu-list with comma-separated learning rates")
     try:
         mus = sorted(float(tok) for tok in str(merged["mu_list"]).split(",") if tok.strip())
@@ -733,12 +699,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not mus:
         raise UsageError("--mu-list is empty")
     samples, y_bound, clipped, _ = _sequence_from_args(merged)
-    mode = merged.get("mode") or "project"
-    lambda_plus = merged.get("lambda_plus")
-    lambda_plus = 0.08 if lambda_plus is None else float(lambda_plus)
-    lambda_init = merged.get("lambda_init")
-    lambda_init = 0.5 if lambda_init is None else float(lambda_init)
-    out = merged.get("out") or "sweep.csv"
+    mode = merged["mode"]
+    lambda_plus = float(merged["lambda_plus"])
+    lambda_init = float(merged["lambda_init"])
+    out = merged["out"]
     stem, _ = os.path.splitext(out)
 
     # every rate is validated before anything runs or is written
@@ -753,9 +717,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             samples, params, constants, lambda_init=lambda_init, clip_count=clipped
         )
         path = f"{stem}_mu{mu:g}.json"
-        with open(path, "w") as fh:
-            json.dump(summary.to_dict(), fh, indent=2)
-            fh.write("\n")
+        _write_json(path, summary.to_dict())
         rows.append((mu, constants.eps, summary))
         print(f"mu={mu:g}: loss={summary.l_alg:.6g} regret={summary.regret:.6g} "
               f"bound={summary.bound_total:.6g} -> {path}")
@@ -835,12 +797,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_lem.add_argument("--a", type=float, help="progress coefficient")
     p_lem.add_argument("--b", type=float, help="comparator coefficient")
     p_lem.add_argument("--mu", type=float, help="learning rate")
-    p_lem.add_argument("--lambda-plus", dest="lambda_plus", type=float,
+    p_lem.add_argument("--lambda-plus", dest="lambda_plus", type=float, default=0.08,
                        help="weight floor (default 0.08)")
-    p_lem.add_argument("--ybound", type=float, help="magnitude cap (default 1.0)")
-    p_lem.add_argument("--budget", type=int, help="instances to evaluate (default 20000)")
-    p_lem.add_argument("--seed", type=int, help="seed for the random fill (default 0)")
-    p_lem.add_argument("--out", help="witness JSON path (default lemma_witnesses.json)")
+    p_lem.add_argument("--ybound", type=float, default=1.0, help="magnitude cap (default 1.0)")
+    p_lem.add_argument("--budget", type=int, default=20_000,
+                       help="instances to evaluate (default 20000)")
+    p_lem.add_argument("--seed", type=int, default=0, help="seed for the random fill (default 0)")
+    p_lem.add_argument("--out", default="lemma_witnesses.json",
+                       help="witness JSON path (default lemma_witnesses.json)")
     p_lem.set_defaults(func=cmd_lemma_audit)
 
     p_plot = sub.add_parser("plot", help="SVG of normalized regret vs its guarantee")

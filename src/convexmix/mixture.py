@@ -223,36 +223,42 @@ def state_from_lambda(lam: float, t: int = 1) -> MixtureState:
     return MixtureState(rho=logit(lam), lam=lam, t=t)
 
 
-@dataclass
+@dataclass(kw_only=True)
 class Trajectory:
-    """Full record of a run, one array per column.
+    """One run, one array per column of :data:`convexmix.signals.TRAJECTORY_COLUMNS`.
 
-    Step ``i`` (0-based) saw inputs ``y[i]``, ``yhat1[i]``, ``yhat2[i]``,
-    predicted with weight ``lambdas[i]`` (auxiliary variable ``rho[i]``) and
-    moved to ``lambdas_after[i]``.  ``final_state`` is the state after the
-    last update, so the weight path lambda_1, ..., lambda_{n+1} is available
-    in full.
+    ``lam`` stands for ``lambda``.  :func:`run` fills the combiner columns;
+    :func:`convexmix.cli.summarize` fills in the five comparator columns.
+    ``final_state`` is the state after the last update, so the weight path
+    lambda_1, ..., lambda_{n+1} is available in full; a trajectory read back
+    from CSV has none.
     """
 
+    t: np.ndarray
     y: np.ndarray
     yhat1: np.ndarray
     yhat2: np.ndarray
-    lambdas: np.ndarray
-    lambdas_after: np.ndarray
+    lam: np.ndarray
     rho: np.ndarray
-    predictions: np.ndarray
-    errors: np.ndarray
+    yhat: np.ndarray
+    e: np.ndarray
     cum_loss: np.ndarray
+    best_beta_prefix: np.ndarray | None = None
+    best_loss_prefix: np.ndarray | None = None
+    regret: np.ndarray | None = None
+    norm_regret: np.ndarray | None = None
+    bound_norm: np.ndarray | None = None
     in_range: np.ndarray
     projected: np.ndarray
-    final_state: MixtureState
+    final_state: MixtureState | None = None
 
     def __len__(self) -> int:
-        return len(self.errors)
+        return len(self.t)
 
     @property
-    def total_loss(self) -> float:
-        return float(self.cum_loss[-1])
+    def lam_after(self) -> np.ndarray:
+        """The weight after each step, lambda_2, ..., lambda_{n+1}."""
+        return np.append(self.lam[1:], self.final_state.lam)
 
 
 def sample_columns(samples) -> np.ndarray:
@@ -345,22 +351,21 @@ def run(params: MixtureParams, samples, initial_state: MixtureState | None = Non
         rho_path.append(rho)
 
     n = len(y)
-    lams = np.array(lam_path)
-    before = lams[:-1]
-    predictions = before * y1 + (1.0 - before) * y2
-    errors = y - predictions
+    before = np.array(lam_path)[:-1]
+    yhat = before * y1 + (1.0 - before) * y2
+    e = y - yhat
     projected = np.zeros(n, dtype=bool)
     projected[projected_at] = True
     return Trajectory(
+        t=np.arange(t, t + n),
         y=y,
         yhat1=y1,
         yhat2=y2,
-        lambdas=before,
-        lambdas_after=lams[1:].copy(),  # no overlap with ``lambdas``
+        lam=before,
         rho=np.array(rho_path[:-1]),
-        predictions=predictions,
-        errors=errors,
-        cum_loss=np.cumsum(errors * errors),
+        yhat=yhat,
+        e=e,
+        cum_loss=np.cumsum(e * e),
         in_range=(lo <= before) & (before <= hi),
         projected=projected,
         final_state=MixtureState(rho=rho, lam=lam, t=t + n),

@@ -12,16 +12,18 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .mixture import Trajectory
+
 __all__ = [
     "KINDS",
     "TRAJECTORY_COLUMNS",
     "SequenceSpec",
-    "TrajectoryFrame",
     "ParseError",
     "resolve",
     "generate",
@@ -29,7 +31,6 @@ __all__ = [
     "load_csv",
     "write_trajectory",
     "read_trajectory",
-    "samples_from_frame",
     "clip_samples",
 ]
 
@@ -63,6 +64,8 @@ TRAJECTORY_COLUMNS = (
     "in_range",
     "projected",
 )
+# the Trajectory field of each column
+_FIELDS = tuple("lam" if name == "lambda" else name for name in TRAJECTORY_COLUMNS)
 
 
 class ParseError(ValueError):
@@ -87,8 +90,20 @@ class SequenceSpec:
     path: str | None = None
 
 
+# the type of each spec field that has one; bools are refused although
+# Python counts them as integers
+_FIELD_TYPES = {"n": numbers.Integral, "period": numbers.Integral, "switch_at": numbers.Integral,
+                "y_bound": numbers.Real, "amplitude": numbers.Real, "path": str}
+_TYPE_NAMES = {numbers.Integral: "an integer", numbers.Real: "a real number", str: "a string"}
+
+
 def resolve(spec: SequenceSpec) -> SequenceSpec:
     """Fill kind-specific defaults and validate the spec."""
+    for name, kind in _FIELD_TYPES.items():
+        value = getattr(spec, name)
+        optional = value is None and name != "n"
+        if not optional and (isinstance(value, bool) or not isinstance(value, kind)):
+            raise ValueError(f"sequence field {name} must be {_TYPE_NAMES[kind]}, got {value!r}")
     if spec.kind not in KINDS:
         raise ValueError(f"unknown sequence kind {spec.kind!r}; expected one of {KINDS}")
     if spec.kind == "custom_file":
@@ -231,39 +246,6 @@ def load_csv(path: str, y_bound: float) -> tuple[np.ndarray, int]:
     return clip_samples(np.array(rows), y_bound)
 
 
-@dataclass
-class TrajectoryFrame:
-    """Column store of one run, matching TRAJECTORY_COLUMNS."""
-
-    t: np.ndarray
-    y: np.ndarray
-    yhat1: np.ndarray
-    yhat2: np.ndarray
-    lam: np.ndarray
-    rho: np.ndarray
-    yhat: np.ndarray
-    e: np.ndarray
-    cum_loss: np.ndarray
-    best_beta_prefix: np.ndarray
-    best_loss_prefix: np.ndarray
-    regret: np.ndarray
-    norm_regret: np.ndarray
-    bound_norm: np.ndarray
-    in_range: np.ndarray
-    projected: np.ndarray
-
-    _FIELD_OF = {name: name for name in TRAJECTORY_COLUMNS}
-    _FIELD_OF["lambda"] = "lam"
-
-    def __len__(self) -> int:
-        return len(self.t)
-
-    def column(self, name: str) -> np.ndarray:
-        if name not in self._FIELD_OF:
-            raise KeyError(f"unknown trajectory column {name!r}")
-        return getattr(self, self._FIELD_OF[name])
-
-
 # One data row exactly as csv.writer wrote it: no formatted number needs
 # quoting, and rows end in CRLF.
 _ROW_FORMAT = "%d," + "%.17g," * 13 + "%d,%d\r\n"
@@ -271,11 +253,11 @@ _INT_COLUMNS = ("t", "in_range", "projected")
 _WRITE_BLOCK = 8192
 
 
-def write_trajectory(frame: TrajectoryFrame, path: str) -> None:
-    """Write the frame as CSV with full float precision (17 significant digits)."""
+def write_trajectory(frame: Trajectory, path: str) -> None:
+    """Write every column as CSV, floats with 17 significant digits and flags as 0/1."""
     if len(frame) == 0:
         raise ValueError("refusing to write an empty trajectory")
-    cols = [np.asarray(frame.column(name)) for name in TRAJECTORY_COLUMNS]
+    cols = [np.asarray(getattr(frame, name)) for name in _FIELDS]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(TRAJECTORY_COLUMNS) + "\r\n")
         # blocks of rows keep the Python objects of only one block alive
@@ -303,8 +285,10 @@ def _convert_cells(path: str) -> dict:
     return data
 
 
-def read_trajectory(path: str) -> TrajectoryFrame:
+def read_trajectory(path: str) -> Trajectory:
     """Read back a trajectory CSV written by :func:`write_trajectory`.
+
+    Flags come back as int64 and ``final_state`` as ``None``.
 
     Rows are checked for their column count as the csv module splits them,
     then parsed in one pass by numpy, whose number parsing gives the same
@@ -341,13 +325,7 @@ def read_trajectory(path: str) -> TrajectoryFrame:
         data = {name: np.ascontiguousarray(table[name]) for name in TRAJECTORY_COLUMNS}
     else:
         data = _convert_cells(path)
-    data["lam"] = data.pop("lambda")
-    return TrajectoryFrame(**data)
-
-
-def samples_from_frame(frame: TrajectoryFrame) -> np.ndarray:
-    """Recover the ``(n, 3)`` input sequence echoed in a trajectory frame."""
-    return np.stack((frame.y, frame.yhat1, frame.yhat2), axis=1)
+    return Trajectory(**{field: data[name] for field, name in zip(_FIELDS, TRAJECTORY_COLUMNS)})
 
 
 def clip_samples(samples: np.ndarray, y_bound: float) -> tuple[np.ndarray, int]:

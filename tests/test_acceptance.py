@@ -180,7 +180,7 @@ def test_criterion_10_search_finds_no_counterexample():
     found = audit.search_violations(
         REF.a, REF.b, REF.mu, 0.08, 1.0, budget=100_000, seed=0
     )
-    ok = found == []
+    ok = len(found) == 0
     _report(10, ok, f"budget 100000, {len(found)} violations")
 
 

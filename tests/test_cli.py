@@ -1,14 +1,17 @@
 """End-to-end tests of the command-line interface."""
 
 import csv
+import importlib.util
+import inspect
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from convexmix import bounds, cli, mixture, oracle
+from convexmix import audit, bounds, cli, mixture, oracle, signals
 from convexmix.mixture import NumericError, SignalSample
-from convexmix.signals import read_trajectory, samples_from_frame
+from convexmix.signals import read_trajectory
 
 
 def run_cli(*argv):
@@ -100,6 +103,29 @@ class TestRunCommand:
         assert run_cli("run", "--spec", str(spec), "--mu", "0.2") == 0
         assert read_json("summary.json")["n"] == 40
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"kind": "constant", "n": 10.5}, "sequence field n must be an integer, got 10.5"),
+        ({"kind": "square_wave", "n": 10, "period": "4"},
+         "sequence field period must be an integer, got '4'"),
+        ({"kind": "constant", "n": True}, "sequence field n must be an integer, got True"),
+        ({"kind": "constant", "n": None}, "sequence field n must be an integer, got None"),
+        ({"kind": "piecewise_switch", "n": 10, "switch_at": 5.0},
+         "sequence field switch_at must be an integer, got 5.0"),
+        ({"kind": "constant", "n": 10, "y_bound": "0.5"},
+         "sequence field y_bound must be a real number, got '0.5'"),
+        ({"kind": "constant", "n": 10, "amplitude": False},
+         "sequence field amplitude must be a real number, got False"),
+        ({"kind": "custom_file", "path": ["seq.csv"]},
+         "sequence field path must be a string, got ['seq.csv']"),
+    ], ids=["n float", "period str", "n bool", "n null", "switch_at float", "y_bound str",
+            "amplitude bool", "path list"])
+    def test_spec_field_types_are_input_errors(self, workdir, capsys, fields, message):
+        """A spec field of the wrong JSON type exits 2 with a message, not a traceback."""
+        (workdir / "spec.json").write_text(json.dumps(fields))
+        assert run_cli("run", "--spec", "spec.json", "--mu", "0.1") == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert sorted(p.name for p in workdir.iterdir()) == ["spec.json"]
+
     def test_monitor_mode_reports_out_of_range(self, workdir):
         """With a floor of 0.3 the first benchmark drifts above 0.7 and the
         monitor run flags it instead of projecting."""
@@ -127,7 +153,7 @@ class TestWindow:
         s = read_json("summary.json")
         assert s["window"] == f"{lo}:{hi}"
         frame = read_trajectory("trajectory.csv")
-        samples = samples_from_frame(frame)[lo - 1: hi]
+        samples = np.stack((frame.y, frame.yhat1, frame.yhat2), axis=1)[lo - 1: hi]
         best = oracle.best_beta(oracle.stats_from(samples))
         w_loss = float(frame.cum_loss[hi - 1] - frame.cum_loss[lo - 2])
         constants = bounds.constants_from_mu(0.04, 0.54, 0.08)
@@ -443,3 +469,64 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert (workdir / "summary.json").exists()
+
+
+def _tracer_counters():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "trace_child.py"
+    spec = importlib.util.spec_from_file_location("trace_child", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.COUNTERS
+
+
+RUN = ("run", "--case", "1", "--n", "50")
+PLOT = ("plot", "--input", "trajectory.csv")
+VERIFY = ("verify", "--trials", "1", "--n", "20", "--seed", "0", "--out", "r.json")
+LEMMA = ("lemma-audit", "--eps", "0.1", "--budget", "100", "--out", "w.json")
+# each function the benchmark tracer wraps, and a command that reaches it
+TRACED = [
+    (signals, "generate", RUN),
+    (mixture, "run", RUN),
+    (cli, "summarize", RUN),
+    (signals, "write_trajectory", RUN),
+    (signals, "read_trajectory", PLOT),
+    (cli, "render_regret_svg", PLOT),
+    (mixture, "run", VERIFY),
+    (cli, "run_verification", VERIFY),
+    (oracle, "stats_from", VERIFY),
+    (oracle, "grid_best_beta", VERIFY),
+    (bounds, "per_step_margins", VERIFY),
+    (audit, "search_violations", LEMMA),
+]
+
+
+class TestTracedLayers:
+    """``perfbench/trace_child.py`` replaces module attributes and reads named
+    arguments (``traj``, ``frame``, ...) and result attributes (``.projected``,
+    ``.in_range``, ...).  A function the CLI stops reaching through its module
+    attribute, or a renamed argument, would read as a silent 0 there."""
+
+    COUNTERS = _tracer_counters()
+
+    def test_every_counter_is_covered(self):
+        assert {(m, name) for m, name, _ in TRACED} == set(self.COUNTERS)
+
+    @pytest.mark.parametrize("module, name, argv", TRACED,
+                             ids=[f"{m.__name__.rsplit('.', 1)[-1]}.{n}-{a[0]}" for m, n, a in TRACED])
+    def test_reached_through_module_attribute(self, workdir, monkeypatch, module, name, argv):
+        if argv is PLOT:
+            assert run_cli(*RUN) == 0
+        fn = getattr(module, name)
+        sig = inspect.signature(fn)
+        counter = self.COUNTERS[(module, name)]
+        counts = []
+
+        def counted(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            counts.append(counter(sig.bind(*args, **kwargs).arguments, result))
+            return result
+
+        monkeypatch.setattr(module, name, counted)
+        assert run_cli(*argv) == 0
+        assert counts
+        assert all(isinstance(v, int) for c in counts for v in c.values())

@@ -245,22 +245,22 @@ class TestRun:
         traj = run(_params(), _case1(2))
         assert traj.cum_loss[0] == 0.25
         assert traj.cum_loss[1] == 0.25
-        assert traj.errors[1] == 0.0
+        assert traj.e[1] == 0.0
 
     def test_perfect_experts_zero_loss(self):
         samples = [SignalSample(0.3, 0.3, 0.3)] * 50
         traj = run(_params(y_bound=1.0), samples)
-        assert traj.total_loss == 0.0
-        assert traj.lambdas_after.tolist() == [0.5] * 50
+        assert traj.cum_loss[-1] == 0.0
+        assert traj.lam_after.tolist() == [0.5] * 50
 
     def test_benchmark_weight_pins_at_ceiling(self):
         """Update sign is nonnegative every step, so the weight climbs and,
         with projection, sticks at 1 - lambda_plus."""
         traj = run(_params(mode="project"), _case1(10_000))
-        lams = traj.lambdas
+        lams = traj.lam
         assert np.all(np.diff(lams) >= 0.0)
         assert traj.final_state.lam == 0.92
-        assert traj.lambdas_after[-1] == 0.92
+        assert traj.lam_after[-1] == 0.92
         assert traj.projected.sum() > 0
 
     def test_monitor_mode_exceeds_ceiling(self):
@@ -272,7 +272,7 @@ class TestRun:
     def test_determinism(self):
         a = run(_params(mode="project"), _case1(300))
         b = run(_params(mode="project"), _case1(300))
-        for name in ("lambdas", "lambdas_after", "predictions", "errors", "in_range", "projected"):
+        for name in ("t", "lam", "lam_after", "yhat", "e", "in_range", "projected"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name), strict=True)
         assert a.final_state == b.final_state
         assert np.array_equal(a.cum_loss, b.cum_loss)
@@ -282,7 +282,7 @@ class TestRun:
         rng = np.random.default_rng(7)
         samples = [SignalSample(*rng.uniform(-1, 1, 3)) for _ in range(400)]
         traj = run(_params(mu=1.0, y_bound=1.0), samples)
-        for lam_after, rho_next in zip(traj.lambdas_after, list(traj.rho[1:]) + [traj.final_state.rho]):
+        for lam_after, rho_next in zip(traj.lam_after, list(traj.rho[1:]) + [traj.final_state.rho]):
             assert abs(lam_after - logistic(rho_next)) <= 1e-15
 
     def test_monotone_response(self):
@@ -290,7 +290,7 @@ class TestRun:
         rng = np.random.default_rng(19)
         samples = [SignalSample(*rng.uniform(-1, 1, 3)) for _ in range(500)]
         traj = run(_params(mu=0.8, y_bound=1.0), samples)
-        rows = zip(traj.errors.tolist(), traj.lambdas.tolist(), traj.lambdas_after.tolist(), samples)
+        rows = zip(traj.e.tolist(), traj.lam.tolist(), traj.lam_after.tolist(), samples)
         for e, before, after, sample in rows:
             drive = e * (sample.yhat1 - sample.yhat2)
             if drive > 0:
@@ -304,8 +304,8 @@ class TestRun:
         rng = np.random.default_rng(23)
         samples = [SignalSample(*rng.uniform(-0.5, 0.5, 3)) for _ in range(500)]
         traj = run(_params(mu=1.0), samples)
-        assert np.all(np.abs(traj.predictions) <= 0.5 + 1e-12)
-        assert np.all(np.abs(traj.errors) <= 1.0 + 1e-12)
+        assert np.all(np.abs(traj.yhat) <= 0.5 + 1e-12)
+        assert np.all(np.abs(traj.e) <= 1.0 + 1e-12)
 
     def test_rejects_empty_sequence(self):
         with pytest.raises(ValueError):
@@ -375,17 +375,18 @@ class TestSaturation:
 
 def _reference_columns(params, samples, state):
     """Every column of a run, from a plain loop of the scalar reference ``step``."""
-    cols = {name: [] for name in ("lambdas", "lambdas_after", "rho", "predictions",
-                                  "errors", "cum_loss", "in_range", "projected")}
+    cols = {name: [] for name in ("t", "lam", "lam_after", "rho", "yhat",
+                                  "e", "cum_loss", "in_range", "projected")}
     total = 0.0
     for sample in samples:
         cols["rho"].append(state.rho)
         state, rec = step(params, state, sample)
         total += rec.e * rec.e
-        cols["lambdas"].append(rec.lambda_before)
-        cols["lambdas_after"].append(rec.lambda_after)
-        cols["predictions"].append(rec.yhat)
-        cols["errors"].append(rec.e)
+        cols["t"].append(rec.t)
+        cols["lam"].append(rec.lambda_before)
+        cols["lam_after"].append(rec.lambda_after)
+        cols["yhat"].append(rec.yhat)
+        cols["e"].append(rec.e)
         cols["cum_loss"].append(total)
         cols["in_range"].append(rec.in_range)
         cols["projected"].append(rec.projected)
@@ -406,6 +407,9 @@ def _runs(draw):
     lam = draw(st.floats(0.02, 0.98))
     return MixtureParams(mu=mu, lambda_plus=lambda_plus, y_bound=y_bound, mode=mode), \
         samples, state_from_lambda(lam, t=draw(st.integers(1, 5)))
+
+
+_DTYPES = {"t": np.int64, "in_range": bool, "projected": bool}
 
 
 def _bits(values, dtype=float):
@@ -430,7 +434,7 @@ class TestRunMatchesStep:
         traj = run(params, samples, initial_state=state)
         assert len(traj) == len(samples)
         for name, values in want.items():
-            dtype = bool if name in ("in_range", "projected") else float
+            dtype = _DTYPES.get(name, float)
             assert getattr(traj, name).dtype == dtype, name
             assert getattr(traj, name).tobytes() == _bits(values, dtype), name
         assert traj.final_state == want_final
@@ -447,7 +451,7 @@ class TestRunMatchesStep:
         traj = run(params, samples)
         assert 0 < traj.projected.sum() < len(traj)
         for name, values in want.items():
-            dtype = bool if name in ("in_range", "projected") else float
+            dtype = _DTYPES.get(name, float)
             assert getattr(traj, name).tobytes() == _bits(values, dtype), name
         assert traj.final_state == want_final
 
@@ -483,8 +487,8 @@ class TestArrayInput:
             assert str(info.value) == str(exc)
             return
         got = run(params, _as_array(samples), initial_state=state)
-        for name in ("y", "yhat1", "yhat2", "lambdas", "lambdas_after", "rho", "predictions",
-                     "errors", "cum_loss", "in_range", "projected"):
+        for name in ("t", "y", "yhat1", "yhat2", "lam", "lam_after", "rho", "yhat",
+                     "e", "cum_loss", "in_range", "projected"):
             assert getattr(got, name).dtype == getattr(want, name).dtype, name
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
         assert got.final_state == want.final_state

@@ -8,17 +8,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from convexmix.mixture import Trajectory
 from convexmix.signals import (
     TRAJECTORY_COLUMNS,
     ParseError,
     SequenceSpec,
-    TrajectoryFrame,
     clip_samples,
     generate,
     load_csv,
     read_trajectory,
     resolve,
-    samples_from_frame,
     write_trajectory,
 )
 
@@ -186,7 +185,7 @@ class TestLoadCsv:
         frame = _tiny_frame()
         write_trajectory(frame, str(p))
         samples, clipped = load_csv(str(p), 1.0)
-        assert samples.tobytes() == samples_from_frame(frame).tobytes()
+        assert samples.tobytes() == np.stack((frame.y, frame.yhat1, frame.yhat2), axis=1).tobytes()
         assert samples.shape == (len(frame), 3)
         assert clipped == 0
 
@@ -243,9 +242,14 @@ class TestCustomFileSequences:
         assert len(generate(SequenceSpec("custom_file", path=str(p)))) == 5
 
 
-def _tiny_frame() -> TrajectoryFrame:
+def _column(frame, name):
+    """The column of ``frame`` named ``name`` in the file schema (``lambda`` is ``lam``)."""
+    return getattr(frame, "lam" if name == "lambda" else name)
+
+
+def _tiny_frame() -> Trajectory:
     n = 3
-    return TrajectoryFrame(
+    return Trajectory(
         t=np.arange(1, n + 1),
         y=np.array([1 / 3, -0.1, 5e-324]),
         yhat1=np.array([math.pi / 4, 0.0, 1e-17]),
@@ -273,7 +277,7 @@ class TestTrajectoryRoundTrip:
         write_trajectory(frame, str(p))
         back = read_trajectory(str(p))
         for name in TRAJECTORY_COLUMNS:
-            np.testing.assert_array_equal(back.column(name), frame.column(name), err_msg=name)
+            np.testing.assert_array_equal(_column(back, name), _column(frame, name), err_msg=name)
 
     @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -295,13 +299,13 @@ class TestTrajectoryRoundTrip:
                 source = flags if name in ("in_range", "projected") else floats
                 values = [next(source) for _ in range(n)]
             columns["lam" if name == "lambda" else name] = np.array(values)
-        frame = TrajectoryFrame(**columns)
+        frame = Trajectory(**columns)
         p = tmp_path / "drawn.csv"
         write_trajectory(frame, str(p))
         back = read_trajectory(str(p))
         for name in TRAJECTORY_COLUMNS:
-            assert back.column(name).dtype == frame.column(name).dtype, name
-            assert back.column(name).tobytes() == frame.column(name).tobytes(), name
+            assert _column(back, name).dtype == _column(frame, name).dtype, name
+            assert _column(back, name).tobytes() == _column(frame, name).tobytes(), name
 
     def test_header_row_order(self, tmp_path):
         p = tmp_path / "traj.csv"
@@ -319,8 +323,8 @@ class TestTrajectoryRoundTrip:
 
     def test_refuses_empty(self, tmp_path):
         frame = _tiny_frame()
-        empty = TrajectoryFrame(**{
-            name: frame.column(col)[:0]
+        empty = Trajectory(**{
+            name: _column(frame, col)[:0]
             for col, name in zip(
                 TRAJECTORY_COLUMNS,
                 [c if c != "lambda" else "lam" for c in TRAJECTORY_COLUMNS],
@@ -401,7 +405,7 @@ class TestTrajectoryRoundTrip:
             writer = csv.writer(fh)
             writer.writerow(TRAJECTORY_COLUMNS)
             for i in range(len(frame)):
-                cells = [frame.column(name)[i] for name in TRAJECTORY_COLUMNS]
+                cells = [_column(frame, name)[i] for name in TRAJECTORY_COLUMNS]
                 writer.writerow([f"{int(cells[0])}"]
                                 + [f"{float(c):.17g}" for c in cells[1:14]]
                                 + [f"{int(c)}" for c in cells[14:]])
@@ -409,9 +413,3 @@ class TestTrajectoryRoundTrip:
         write_trajectory(frame, str(got))
         assert got.read_bytes() == want.read_bytes()
         assert got.read_bytes().count(b"\r\n") == 4
-
-    def test_column_accessor(self):
-        frame = _tiny_frame()
-        assert frame.column("lambda") is frame.lam
-        with pytest.raises(KeyError):
-            frame.column("weights")
