@@ -686,6 +686,10 @@ SWEEP_DEFAULTS = {
     "lambda_plus": 0.08, "ybound": None, "mode": "project", "out": "sweep.csv",
     "lambda_init": 0.5,
 }
+# the columns of the sweep table, one row per rate
+SWEEP_COLUMNS = ("mu", "eps", "n", "l_alg", "beta_o", "l_best", "regret", "norm_regret",
+                 "bound_total", "bound_normalized", "out_of_range_steps", "projected_steps",
+                 "theorem_valid")
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -711,33 +715,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
          MixtureParams(mu=mu, lambda_plus=lambda_plus, y_bound=y_bound, mode=mode))
         for mu in mus
     ]
-    rows = []
-    for mu, constants, params in configs:
-        _, summary = run_experiment(
-            samples, params, constants, lambda_init=lambda_init, clip_count=clipped
-        )
-        path = f"{stem}_mu{mu:g}.json"
-        _write_json(path, summary.to_dict())
-        rows.append((mu, constants.eps, summary))
-        print(f"mu={mu:g}: loss={summary.l_alg:.6g} regret={summary.regret:.6g} "
-              f"bound={summary.bound_total:.6g} -> {path}")
-
-    import csv as _csv
-
+    # every summary is computed, and the table written, before any per-rate file
+    rows = [(mu, constants.eps, run_experiment(samples, params, constants, lambda_init=lambda_init,
+                                               clip_count=clipped)[1])
+            for mu, constants, params in configs]
     with open(out, "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow([
-            "mu", "eps", "n", "l_alg", "beta_o", "l_best", "regret", "norm_regret",
-            "bound_total", "bound_normalized", "out_of_range_steps",
-            "projected_steps", "theorem_valid",
-        ])
+        fh.write(",".join(SWEEP_COLUMNS) + "\r\n")
         for mu, eps, s in rows:
-            writer.writerow([
-                f"{mu:.17g}", f"{eps:.17g}", s.n, f"{s.l_alg:.17g}", f"{s.beta_o:.17g}",
-                f"{s.l_best:.17g}", f"{s.regret:.17g}", f"{s.norm_regret:.17g}",
-                f"{s.bound_total:.17g}", f"{s.bound_normalized:.17g}",
-                s.out_of_range_steps, s.projected_steps, int(s.theorem_valid),
-            ])
+            cells = {"mu": mu, "eps": eps, **s.to_dict()}
+            fh.write(",".join("%.17g" % v if isinstance(v, float) else str(int(v))
+                              for v in map(cells.get, SWEEP_COLUMNS)) + "\r\n")
+    for mu, _, s in rows:
+        path = f"{stem}_mu{mu:g}.json"
+        _write_json(path, s.to_dict())
+        print(f"mu={mu:g}: loss={s.l_alg:.6g} regret={s.regret:.6g} "
+              f"bound={s.bound_total:.6g} -> {path}")
     print(f"sweep table -> {out}")
     return 0
 

@@ -210,40 +210,68 @@ def load_csv(path: str, y_bound: float) -> tuple[np.ndarray, int]:
     """
     if not (math.isfinite(y_bound) and y_bound > 0.0):
         raise ValueError(f"magnitude cap must be finite and positive, got {y_bound}")
+    header, table, rows = _read_table(
+        path, float, f"columns {','.join(INPUT_COLUMNS)} (or a full trajectory header)",
+        INPUT_COLUMNS, TRAJECTORY_COLUMNS,
+    )
+    picks = [1, 2, 3] if header == TRAJECTORY_COLUMNS else [0, 1, 2]
+    if table is not None and np.isfinite(table[:, picks]).all():
+        return clip_samples(table[:, picks], y_bound)
+    values = []
+    # a non-finite cell numpy parsed is named from the csv rows
+    for i, row in enumerate(rows or _csv_rows(path, len(header)), start=2):
+        for j in picks:
+            cell = row[j].strip()
+            try:
+                v = float(cell)
+            except ValueError:
+                raise ParseError(f"{path}: row {i}: non-numeric value {cell!r}") from None
+            if not math.isfinite(v):
+                raise ParseError(f"{path}: row {i}: non-finite value {cell!r}")
+            values.append(v)
+    return clip_samples(np.array(values).reshape(-1, 3), y_bound)
+
+
+def _read_table(path: str, dtype, expected: str, *headers: tuple) -> tuple:
+    """Parse a CSV file whose header is one of ``headers``.
+
+    Returns ``(header, table, rows)``.  ``table`` is one numpy parse of the
+    data rows with ``dtype``, whose number parsing gives the same doubles as
+    float(); it is ``None`` when numpy rejects a cell or parses a different
+    number of rows than the file has lines (a blank line, a quoted newline).
+    Only then is ``rows`` the cells as the csv module splits them.
+    """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
         try:
-            header = [h.strip() for h in next(reader)]
+            header = tuple(h.strip() for h in next(csv.reader(fh)))
         except StopIteration:
             raise ParseError(f"{path}: row 1: empty file, expected a header") from None
-        if tuple(header) == INPUT_COLUMNS:
-            picks = (0, 1, 2)
-        elif tuple(header) == TRAJECTORY_COLUMNS:
-            picks = (1, 2, 3)
-        else:
-            raise ParseError(
-                f"{path}: row 1: expected columns {','.join(INPUT_COLUMNS)} "
-                f"(or a full trajectory header), got {','.join(header)}"
-            )
-        width = len(header)
-        rows = []
-        for i, row in enumerate(reader, start=2):
-            if len(row) != width:
-                raise ParseError(f"{path}: row {i}: expected {width} columns, found {len(row)}")
-            values = []
-            for j in picks:
-                cell = row[j].strip()
-                try:
-                    v = float(cell)
-                except ValueError:
-                    raise ParseError(f"{path}: row {i}: non-numeric value {cell!r}") from None
-                if not math.isfinite(v):
-                    raise ParseError(f"{path}: row {i}: non-finite value {cell!r}")
-                values.append(v)
-            rows.append(values)
-        if not rows:
-            raise ParseError(f"{path}: row 2: no data rows after the header")
-    return clip_samples(np.array(rows), y_bound)
+        if header not in headers:
+            raise ParseError(f"{path}: row 1: expected {expected}, got {','.join(header)}")
+        lines = sum(1 for _ in fh)
+    if not lines:
+        raise ParseError(f"{path}: row 2: no data rows after the header")
+    shape = (lines,) if np.dtype(dtype).names else (lines, len(header))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # numpy warns on a body of blank lines
+        try:
+            table = np.loadtxt(path, dtype=dtype, delimiter=",", skiprows=1, comments=None,
+                               quotechar='"', ndmin=len(shape))
+        except (ValueError, OverflowError):
+            table = None
+    if table is not None and table.shape == shape:
+        return header, table, None
+    return header, None, _csv_rows(path, len(header))
+
+
+def _csv_rows(path: str, width: int) -> list:
+    """The data rows as the csv module splits them, each checked to be ``width`` cells wide."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    for i, row in enumerate(rows, start=2):
+        if len(row) != width:
+            raise ParseError(f"{path}: row {i}: expected {width} columns, found {len(row)}")
+    return rows
 
 
 # One data row exactly as csv.writer wrote it: no formatted number needs
@@ -271,61 +299,27 @@ _TRAJECTORY_DTYPE = np.dtype(
 )
 
 
-def _convert_cells(path: str) -> dict:
-    """Convert every cell with int()/float(), naming the first bad column."""
-    with open(path, newline="") as fh:
-        raw = list(csv.reader(fh))[1:]
-    data = {}
-    for j, name in enumerate(TRAJECTORY_COLUMNS):
-        convert = int if name in _INT_COLUMNS else float
-        try:
-            data[name] = np.array([convert(r[j]) for r in raw])
-        except ValueError as exc:
-            raise ParseError(f"{path}: column {name}: {exc}") from None
-    return data
-
-
 def read_trajectory(path: str) -> Trajectory:
     """Read back a trajectory CSV written by :func:`write_trajectory`.
 
-    Flags come back as int64 and ``final_state`` as ``None``.
-
-    Rows are checked for their column count as the csv module splits them,
-    then parsed in one pass by numpy, whose number parsing gives the same
-    doubles as float().  Should numpy reject a cell, every cell goes through
-    int()/float() instead, which names the offending column or accepts what
-    Python accepts (such as digit-group underscores).
+    Flags come back as int64 and ``final_state`` as ``None``.  Should numpy
+    reject the file, every cell goes through int()/float() instead, which
+    names the offending column or accepts what Python accepts (such as
+    digit-group underscores).
     """
-    width = len(TRAJECTORY_COLUMNS)
-    rows = 0
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise ParseError(f"{path}: row 1: empty file, expected a header") from None
-        if tuple(header) != TRAJECTORY_COLUMNS:
-            raise ParseError(
-                f"{path}: row 1: expected the trajectory columns "
-                f"{','.join(TRAJECTORY_COLUMNS)}, got {','.join(header)}"
-            )
-        for rows, row in enumerate(reader, start=1):
-            if len(row) != width:
-                raise ParseError(
-                    f"{path}: row {rows + 1}: expected {width} columns, found {len(row)}"
-                )
-    if not rows:
-        raise ParseError(f"{path}: row 2: no data rows after the header")
-    try:
-        table = np.loadtxt(path, dtype=_TRAJECTORY_DTYPE, delimiter=",", skiprows=1,
-                           comments=None, quotechar='"', ndmin=1)
-    except (ValueError, OverflowError):
-        table = None
-    if table is not None and len(table) == rows:
-        data = {name: np.ascontiguousarray(table[name]) for name in TRAJECTORY_COLUMNS}
-    else:
-        data = _convert_cells(path)
-    return Trajectory(**{field: data[name] for field, name in zip(_FIELDS, TRAJECTORY_COLUMNS)})
+    _, table, rows = _read_table(
+        path, _TRAJECTORY_DTYPE, f"the trajectory columns {','.join(TRAJECTORY_COLUMNS)}",
+        TRAJECTORY_COLUMNS,
+    )
+    if table is None:
+        table = {}
+        for name, cells in zip(TRAJECTORY_COLUMNS, zip(*rows)):
+            try:
+                table[name] = np.array(list(map(int if name in _INT_COLUMNS else float, cells)))
+            except ValueError as exc:
+                raise ParseError(f"{path}: column {name}: {exc}") from None
+    return Trajectory(**{field: np.ascontiguousarray(table[name])
+                         for field, name in zip(_FIELDS, TRAJECTORY_COLUMNS)})
 
 
 def clip_samples(samples: np.ndarray, y_bound: float) -> tuple[np.ndarray, int]:

@@ -447,6 +447,14 @@ class TestSweepCommand:
                        "--mu-list", "0.08,30") == 2
         assert sorted(p.name for p in workdir.iterdir()) == []
 
+    def test_unopenable_table_leaves_no_partial_output(self, workdir, capsys):
+        """A table path that cannot be opened fails before any per-rate file is written."""
+        (workdir / "outdir").mkdir()
+        assert run_cli("sweep", "--case", "1", "--n", "20",
+                       "--mu-list", "0.1", "--out", "outdir/") == 2
+        assert sorted(p.name for p in (workdir / "outdir").iterdir()) == []
+        assert capsys.readouterr().out == ""
+
 
 class TestModuleEntryPoint:
     def test_python_dash_m(self, workdir):

@@ -8,6 +8,8 @@ up here.  The lemma-audit hashes were taken from the one-shot search
 (every instance held in Python lists) before it became a blocked search.
 The sequence-source hashes (``--input``, ``--spec`` and ``generate``) were
 taken while every sequence was still built as a list of ``SignalSample``.
+The trajectory-replay and underscore-cell hashes were taken while
+``load_csv`` and ``read_trajectory`` each parsed files with their own code.
 """
 
 import hashlib
@@ -17,7 +19,7 @@ import pytest
 
 from convexmix import cli
 from convexmix.mixture import sample_columns
-from convexmix.signals import SequenceSpec, generate
+from convexmix.signals import TRAJECTORY_COLUMNS, SequenceSpec, generate
 
 # 60 rows whose fields reach +-1.25, so the default cap of 1.0 clips 37 of
 # them, in both signs; 23 of the clipped fields lie in rows 46-60
@@ -25,6 +27,15 @@ SEQ_CSV = "y,yhat1,yhat2\n" + "".join(
     f"{((k * 37) % 41 - 20) / 16:.6g},{((k * 23) % 29 - 14) / 11:.6g},"
     f"{((k * 13) % 31 - 15) / 12.5:.6g}\n"
     for k in range(60)
+)
+
+# a 40-row trajectory whose row 13 writes its norm_regret cell with a
+# digit-group underscore, which numpy rejects and float() accepts
+PLOT_CSV = ",".join(TRAJECTORY_COLUMNS) + "\n" + "".join(
+    f"{t},0.5,0.5,{-0.5 if t % 2 else 0.5},0.5,0,0.5,0,{t / 4:.17g},1,{t / 5:.17g},"
+    f"{t / 20:.17g},{'7_5e-2' if t == 13 else f'{((t * 7) % 11 - 5) / 40:.17g}'},"
+    f"{152 / t:.17g},1,0\n"
+    for t in range(1, 41)
 )
 
 # files written into the working directory before the commands run
@@ -35,6 +46,7 @@ FILES = {
         "file.json": json.dumps({"kind": "custom_file", "path": "seq.csv", "n": 45,
                                  "y_bound": 0.9}),
     },
+    "plot underscore cell": {"u.csv": PLOT_CSV},
     "run --spec square_wave": {
         "sq.json": json.dumps({"kind": "square_wave", "n": 500, "period": 7,
                                "amplitude": 0.7}),
@@ -119,6 +131,23 @@ GOLDEN = {
         {
             "sw.csv": "e2e82671f458a5fd3c1912dde924980a540bfcc8fdb409e4e5cd07ef0fbaebd3",
             "sw.summary.json": "3ab59cb2b01ecc34c3539bc6973730ac20b6ff37c59aa7e7612177ee6a85b680",
+        },
+    ),
+    "run --input trajectory replay": (
+        [
+            ["run", "--case", "2", "--n", "300", "--out", "traj.csv", "--summary", "traj.json"],
+            ["run", "--input", "traj.csv", "--mu", "0.1", "--out", "replay.csv",
+             "--summary", "replay.json"],
+        ],
+        {
+            "replay.csv": "7a4457ec3b490650a44112b7b7c9898af99da6858936c0e861390808f5147806",
+            "replay.json": "781cc4291b7a10af45e287959529bf78c090dded42a584fd789a80788c99a3c4",
+        },
+    ),
+    "plot underscore cell": (
+        [["plot", "--input", "u.csv", "--out", "u.svg"]],
+        {
+            "u.svg": "535365647acb21ec9688db1eeef4a607043686888b2dba5436014b653cda54cf",
         },
     ),
     "verify": (

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from convexmix import signals
 from convexmix.mixture import Trajectory
 from convexmix.signals import (
     TRAJECTORY_COLUMNS,
@@ -151,6 +152,16 @@ class TestGenerateMatchesReference:
         assert got.tobytes() == np.array(_reference_rows(spec), dtype=float).tobytes()
 
 
+@pytest.fixture(params=["numpy", "fallback"])
+def parser(request, monkeypatch):
+    """Each reader once as it runs and once with numpy made to reject every file."""
+    if request.param == "fallback":
+        def reject(*args, **kwargs):
+            raise ValueError("numpy parsing switched off")
+        monkeypatch.setattr(signals.np, "loadtxt", reject)
+    return request.param
+
+
 def _write_input_csv(path, rows, header=("y", "yhat1", "yhat2")):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -226,6 +237,93 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="magnitude cap"):
             load_csv(str(p), 0.0)
 
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_drawn_doubles_load_bit_for_bit(self, tmp_path, parser, data):
+        """Finite doubles, written shortest or with 17 digits, load exactly on either path."""
+        n = data.draw(st.integers(1, 8))
+        values = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                    min_size=3 * n, max_size=3 * n))
+        fmt = data.draw(st.sampled_from([repr, "{:.17g}".format]))
+        p = tmp_path / "drawn.csv"
+        _write_input_csv(p, [[fmt(v) for v in values[i : i + 3]] for i in range(0, 3 * n, 3)])
+        samples, clipped = load_csv(str(p), 1.7976931348623157e308)
+        want = np.array(values, dtype=float).reshape(n, 3)
+        assert samples.dtype == want.dtype and samples.shape == want.shape
+        assert samples.tobytes() == want.tobytes()
+        assert clipped == 0
+
+
+class TestLoadCsvRouting:
+    """Files numpy parses and files it rejects load alike; the csv pass names the bad row."""
+
+    WANT = np.array([[0.1, 0.2, -0.3], [0.0, -1.0, 1.0]])
+
+    def _load(self, tmp_path, text):
+        p = tmp_path / "seq.csv"
+        p.write_bytes(text.encode())
+        return load_csv(str(p), 1.0)[0]
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["LF", "CRLF"])
+    @pytest.mark.parametrize("last", [True, False], ids=["trailing-newline", "no-trailing-newline"])
+    def test_line_ends(self, tmp_path, end, last):
+        text = end.join(["y,yhat1,yhat2", "0.1,0.2,-0.3", "0,-1,1"]) + (end if last else "")
+        np.testing.assert_array_equal(self._load(tmp_path, text), self.WANT, strict=True)
+
+    def test_quoted_cell_and_whitespace(self, tmp_path):
+        text = 'y,yhat1,yhat2\n"0.1", 0.2 ,\t-0.3\n0,"-1",1 \n'
+        np.testing.assert_array_equal(self._load(tmp_path, text), self.WANT, strict=True)
+
+    def test_underscore_cell_goes_through_float(self, tmp_path):
+        got = self._load(tmp_path, "y,yhat1,yhat2\n0.1,0.2,-0.3\n0,-1,1_0e-1\n")
+        np.testing.assert_array_equal(got, self.WANT, strict=True)
+
+    def test_blank_line(self, tmp_path):
+        with pytest.raises(ParseError, match="row 3: expected 3 columns, found 0"):
+            self._load(tmp_path, "y,yhat1,yhat2\n0.1,0.2,-0.3\n\n0,-1,1\n")
+
+    def test_blank_body(self, tmp_path):
+        with pytest.raises(ParseError, match="row 2: expected 3 columns, found 0"):
+            self._load(tmp_path, "y,yhat1,yhat2\n\n")
+
+    def test_extra_column_on_every_row(self, tmp_path):
+        with pytest.raises(ParseError, match="row 2: expected 3 columns, found 4"):
+            self._load(tmp_path, "y,yhat1,yhat2\n0.1,0.2,-0.3,9\n0,-1,1,9\n")
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e999"])
+    def test_non_finite_numpy_parses(self, tmp_path, cell):
+        with pytest.raises(ParseError, match=f"row 3: non-finite value '{cell}'"):
+            self._load(tmp_path, f"y,yhat1,yhat2\n0.1,0.2,-0.3\n0,{cell},1\n")
+
+    def test_trajectory_with_bad_unpicked_cell(self, tmp_path):
+        """A replayed run file needs only its input echo columns to be numbers."""
+        p = tmp_path / "traj.csv"
+        frame = _tiny_frame()
+        write_trajectory(frame, str(p))
+        lines = p.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[5] = "x"
+        p.write_text("\n".join(lines[:2] + [",".join(cells)] + lines[3:]) + "\n")
+        samples, _ = load_csv(str(p), 1.0)
+        assert samples.tobytes() == np.stack((frame.y, frame.yhat1, frame.yhat2), axis=1).tobytes()
+
+    def test_width_error_before_bad_cell(self, tmp_path):
+        """Every row's width is checked before any cell is converted, as read_trajectory does."""
+        with pytest.raises(ParseError, match="row 3: expected 3 columns, found 2"):
+            self._load(tmp_path, "y,yhat1,yhat2\n0,zero,0\n0,0\n")
+
+    def test_clean_files_skip_the_csv_pass(self, tmp_path, monkeypatch):
+        def refuse(path, width):
+            raise AssertionError("csv pass on a file numpy parses")
+        monkeypatch.setattr(signals, "_csv_rows", refuse)
+        p = tmp_path / "traj.csv"
+        write_trajectory(_tiny_frame(), str(p))
+        assert len(read_trajectory(str(p))) == 3
+        assert load_csv(str(p), 1.0)[0].shape == (3, 3)
+        np.testing.assert_array_equal(self._load(tmp_path, "y,yhat1,yhat2\n0.1,0.2,-0.3\n0,-1,1\n"),
+                                      self.WANT, strict=True)
+
 
 class TestCustomFileSequences:
     def test_truncates_and_warns_on_clip(self, tmp_path):
@@ -282,8 +380,9 @@ class TestTrajectoryRoundTrip:
     @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.data())
-    def test_drawn_doubles_roundtrip_bit_for_bit(self, tmp_path, data):
-        """Any finite double survives write then read, -0.0, subnormals and +-1e308 included."""
+    def test_drawn_doubles_roundtrip_bit_for_bit(self, tmp_path, parser, data):
+        """Any finite double survives write then read, -0.0, subnormals and +-1e308 included,
+        whether numpy parses the file or every cell goes through int()/float()."""
         n = data.draw(st.integers(1, 8))
         edges = st.sampled_from([-0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
                                  -2.225073858507201e-308, 1e308, -1e308,
