@@ -39,7 +39,7 @@ DEFAULT_TOL = 1e-9
 # the columns of a witness row returned by search_violations
 WITNESS_COLUMNS = ("y", "yhat1", "yhat2", "lambda_t", "beta", "lhs", "progress", "margin")
 # rows of instance space evaluated at once by the search
-BLOCK = 1 << 16
+BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -139,6 +139,36 @@ def _grid(y_bound: float, lambda_plus: float) -> np.ndarray:
     return np.array(list(itertools.product(levels, levels, levels, lams, betas)), dtype=float)
 
 
+def _instance_blocks(budget: int, seed: int, y_bound: float, lambda_plus: float):
+    """Yield the search's instances in order, as ``(5, k)`` views of one buffer.
+
+    The rows are (y, yhat1, yhat2, lambda_t, beta): the grid, then the
+    draws one ``default_rng(seed)`` makes field after field.  A uniform
+    double takes one 64-bit output, so field f starts at output f*draws;
+    each field streams from its own generator advanced there.  A view holds
+    at most :data:`BLOCK` instances and is refilled in place, so callers
+    copy what they keep.
+    """
+    grid = _grid(y_bound, lambda_plus)[:budget].T
+    draws = budget - grid.shape[1]
+    ranges = [(-y_bound, y_bound)] * 3 + [(lambda_plus, 1.0 - lambda_plus), (0.0, 1.0)]
+    streams = []
+    if draws:  # no generator is built for the grid alone
+        for f in range(5):
+            rng = np.random.default_rng(seed)
+            rng.bit_generator.advance(f * draws)
+            streams.append(rng)
+    buf = np.empty((5, min(BLOCK, budget)))
+    for start in range(0, budget, BLOCK):
+        block = buf[:, : min(BLOCK, budget - start)]
+        fixed = grid[:, start : start + BLOCK]
+        g = fixed.shape[1]
+        block[:, :g] = fixed
+        for row, rng, (lo, hi) in zip(block, streams, ranges):
+            row[g:] = rng.uniform(lo, hi, block.shape[1] - g)
+        yield block
+
+
 def search_violations(
     a: float,
     b: float,
@@ -157,10 +187,11 @@ def search_violations(
     fixed seed.  Returns the violating instances, worst first, as a
     ``(k, 8)`` float64 array with the columns of :data:`WITNESS_COLUMNS`.
 
-    The instances are held as five float64 columns (40 bytes each) and
-    evaluated :data:`BLOCK` at a time through
-    :func:`~convexmix.mixture.multiplicative_lambdas`, so the temporaries
-    stay one block in size whatever the budget.
+    The instances are generated and evaluated :data:`BLOCK` at a time
+    (see :func:`_instance_blocks`) through
+    :func:`~convexmix.mixture.multiplicative_lambdas`, so memory is one
+    block of five float64 columns and its temporaries whatever the budget;
+    only the witnesses grow with it.
     """
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
@@ -171,19 +202,9 @@ def search_violations(
     if not (math.isfinite(y_bound) and y_bound > 0.0):
         raise ValueError(f"magnitude cap must be finite and positive, got {y_bound}")
 
-    # one row per field, one column per instance: the grid, then the draws
-    cols = np.empty((5, budget))
-    grid = _grid(y_bound, lambda_plus)[:budget]
-    cols[:, : len(grid)] = grid.T
-    if budget > len(grid):
-        rng = np.random.default_rng(seed)
-        ranges = [(-y_bound, y_bound)] * 3 + [(lambda_plus, 1.0 - lambda_plus), (0.0, 1.0)]
-        for row, (lo, hi) in zip(cols, ranges):
-            row[len(grid):] = rng.uniform(lo, hi, budget - len(grid))
-
     hits = []
-    for start in range(0, budget, BLOCK):
-        y, y1, y2, lam, beta = block = cols[:, start : start + BLOCK]
+    for block in _instance_blocks(budget, seed, y_bound, lambda_plus):
+        y, y1, y2, lam, beta = block
         lam1 = multiplicative_lambdas(mu, lam, y, y1, y2)
         e = y - (lam * y1 + (1.0 - lam) * y2)
         progress = beta * np.log(lam1 / lam) + (1.0 - beta) * np.log((1.0 - lam1) / (1.0 - lam))
@@ -191,6 +212,7 @@ def search_violations(
         lhs = a * e * e - b * e_beta * e_beta
         margin = progress - lhs
         at = np.flatnonzero(margin < -tol)
+        # the fancy index copies the rows before the buffer is refilled
         hits.append(np.vstack((block[:, at], lhs[at], progress[at], margin[at])))
 
     # worst first, ties broken by the instance fields in order (a stable sort)

@@ -320,6 +320,8 @@ def run_verification(
         raise UsageError(f"trials must be at least 1, got {trials}")
     if n < 1:
         raise UsageError(f"n must be at least 1, got {n}")
+    if not 0.0 < resolution <= 0.1:
+        raise UsageError(f"resolution must lie in (0, 0.1], got {resolution}")
     margin_suite, tele_suite = _margin_and_telescope_suites(constants, trials, n, seed, tol)
     report = {
         "tolerance": tol,

@@ -141,7 +141,7 @@ def best_betas(s_dd: np.ndarray, s_rd: np.ndarray, s_rr: np.ndarray):
 
 
 # grid points times samples evaluated at once by :func:`grid_best_beta`
-GRID_CHUNK = 1 << 18
+GRID_CHUNK = 1 << 15
 
 
 class GridBest(NamedTuple):

@@ -1,6 +1,7 @@
 """Tests for the worst-case constructions and the counterexample search."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -166,6 +167,12 @@ class TestSearchViolations:
         with pytest.raises(ArithmeticError, match="saturated"):
             search_violations(0.1, 0.1, 1e6, 0.08, 1.0, budget=50, seed=0)
 
+    def test_grid_only_budget_builds_no_generator(self):
+        """Up to the grid size no draw is made, so the seed is never used."""
+        assert search_violations(REF.a, REF.b, REF.mu, 0.08, 1.0, budget=1875, seed=-1).shape == (0, 8)
+        with pytest.raises(ValueError):
+            search_violations(REF.a, REF.b, REF.mu, 0.08, 1.0, budget=1876, seed=-1)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             search_violations(REF.a, REF.b, REF.mu, 0.08, 1.0, budget=0, seed=0)
@@ -195,6 +202,57 @@ class TestBlockedSearch:
         monkeypatch.setattr(audit, "BLOCK", 7)
         again = search_violations(0.0586, 0.005, 1.03, 0.08, 1.0, budget=5000, seed=2)
         assert again.shape == whole.shape and again.tobytes() == whole.tobytes()
+
+
+def _one_shot_instances(budget, seed, y_bound, lambda_plus):
+    """The instance layout drawn in one go: the grid, then five uniform rows
+    drawn field by field from a single generator."""
+    grid = audit._grid(y_bound, lambda_plus)[:budget].T
+    draws = budget - grid.shape[1]
+    if not draws:
+        return grid
+    rng = np.random.default_rng(seed)
+    ranges = [(-y_bound, y_bound)] * 3 + [(lambda_plus, 1.0 - lambda_plus), (0.0, 1.0)]
+    return np.concatenate((grid, [rng.uniform(lo, hi, draws) for lo, hi in ranges]), axis=1)
+
+
+class TestInstanceBlocks:
+    """Each field streams from its own advanced generator, yet the blocks
+    together are the one-shot layout, bit for bit."""
+
+    B = audit.BLOCK
+
+    @pytest.mark.parametrize("budget", [1, 1875, 1876, B - 1, B, B + 1875, 3 * B + 5])
+    @pytest.mark.parametrize("block", [None, 7, 1875])
+    @pytest.mark.parametrize("seed", [5, 2**32 + 17])
+    def test_blocks_concatenate_to_one_shot_layout(self, budget, block, seed, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(audit, "BLOCK", block)
+        blocks = [b.copy() for b in audit._instance_blocks(budget, seed, 2.5, 0.1)]
+        assert all(b.shape[0] == 5 and 1 <= b.shape[1] <= audit.BLOCK for b in blocks)
+        got = np.concatenate(blocks, axis=1)
+        want = _one_shot_instances(budget, seed, 2.5, 0.1)
+        assert got.shape == want.shape == (5, budget)
+        assert got.tobytes() == want.tobytes()
+
+
+class TestSearchMemory:
+    @staticmethod
+    def _peak(budget):
+        tracemalloc.start()
+        try:
+            found = search_violations(REF.a, REF.b, REF.mu, 0.08, 1.0, budget=budget, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # witnesses are output and grow with the budget; these constants have none
+        assert found.shape == (0, 8)
+        return peak
+
+    def test_peak_does_not_grow_with_budget(self):
+        small, large = self._peak(200_000), self._peak(800_000)
+        assert large <= small + 2**20
+        assert large < 8 * 2**20
 
 
 class TestLogMixLowerBound:

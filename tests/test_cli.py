@@ -316,6 +316,17 @@ class TestVerifyCommand:
         assert run_cli("verify", *flags, "--out", "r.json") == 2
         assert not (workdir / "r.json").exists()
 
+    @pytest.mark.parametrize("resolution", ["0.5", "-0.01", "nan"])
+    def test_bad_resolution_fails_before_any_suite(self, workdir, monkeypatch, capsys, resolution):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a suite ran before the resolution was checked")
+
+        monkeypatch.setattr(cli.mixture, "run", no_run)
+        assert run_cli("verify", "--trials", "200", "--n", "1000", "--resolution", resolution,
+                       "--out", "r.json") == 2
+        assert capsys.readouterr().err == f"error: resolution must lie in (0, 0.1], got {float(resolution)}\n"
+        assert not any(workdir.iterdir())
+
 
 class TestLemmaAuditCommand:
     def test_derived_constants_pass(self, workdir, capsys):

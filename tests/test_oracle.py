@@ -323,7 +323,7 @@ class TestArrayInput:
 class TestGridChunks:
     """The chunked in-place grid search picks what one broadcast evaluation picks."""
 
-    @pytest.mark.parametrize("chunk", [1, 7, 1 << 18])
+    @pytest.mark.parametrize("chunk", [1, 7, 1 << 15, 1 << 18])
     @pytest.mark.parametrize("n, resolution", [(1, 0.1), (37, 0.03), (500, 1e-3)])
     def test_matches_one_shot(self, chunk, n, resolution, monkeypatch):
         rng = np.random.default_rng(n)
