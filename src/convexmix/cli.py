@@ -482,6 +482,17 @@ def _write_json(path: str, data: dict) -> None:
         fh.write("\n")
 
 
+def _check_outputs(*paths: str) -> None:
+    """Refuse, before any is opened, output paths that cannot all be written."""
+    if not all(isinstance(p, str) for p in paths):
+        raise UsageError(f"output paths must be strings, got {', '.join(map(repr, paths))}")
+    if len({os.path.realpath(p) for p in paths}) < len(paths):
+        raise UsageError(f"output paths must differ, got {', '.join(paths)}")
+    for path in paths:
+        if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+            raise UsageError(f"cannot write {path}: it is a directory or its directory is missing")
+
+
 def _parse_window(text: str, n: int) -> tuple[int, int]:
     try:
         lo_s, hi_s = text.split(":")
@@ -569,6 +580,8 @@ RUN_DEFAULTS = {
 
 def cmd_run(args: argparse.Namespace) -> int:
     merged = _merged(args, RUN_DEFAULTS)
+    out, summary_path = merged["out"], merged["summary"]
+    _check_outputs(out, summary_path)
     samples, y_bound, clipped, default_rate = _sequence_from_args(merged)
     constants, mu = _constants_from_args(merged, y_bound, default_rate)
     params = MixtureParams(mu=mu, lambda_plus=constants.lambda_plus, y_bound=y_bound,
@@ -581,7 +594,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         samples, params, constants,
         lambda_init=lambda_init, clip_count=clipped, window=window,
     )
-    out, summary_path = merged["out"], merged["summary"]
     signals.write_trajectory(frame, out)
     _write_json(summary_path, summary.to_dict())
     print(
@@ -671,12 +683,14 @@ def cmd_lemma_audit(args: argparse.Namespace) -> int:
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
-    frame = signals.read_trajectory(args.input)
-    svg = render_regret_svg(frame.t, frame.norm_regret, frame.bound_norm, logx=bool(args.logx))
     out = args.out
     if out is None:
         stem, _ = os.path.splitext(args.input)
         out = stem + ".svg"
+    if os.path.realpath(out) == os.path.realpath(args.input):
+        raise UsageError(f"plot output {out} is the input file")
+    frame = signals.read_trajectory(args.input)
+    svg = render_regret_svg(frame.t, frame.norm_regret, frame.bound_norm, logx=bool(args.logx))
     with open(out, "w") as fh:
         fh.write(svg)
     print(f"plot -> {out}")

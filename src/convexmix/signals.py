@@ -11,6 +11,7 @@ exact.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import numbers
 import warnings
@@ -274,24 +275,157 @@ def _csv_rows(path: str, width: int) -> list:
     return rows
 
 
-# One data row exactly as csv.writer wrote it: no formatted number needs
-# quoting, and rows end in CRLF.
-_ROW_FORMAT = "%d," + "%.17g," * 13 + "%d,%d\r\n"
 _INT_COLUMNS = ("t", "in_range", "projected")
-_WRITE_BLOCK = 8192
+# rows formatted per write: a block's buffers stay near 2 MB at any n
+_WRITE_BLOCK = 4096
+_COMMA, _CRLF = (np.frombuffer(sep, np.uint8)[None] for sep in (b",", b"\r\n"))
 
 
 def write_trajectory(frame: Trajectory, path: str) -> None:
-    """Write every column as CSV, floats with 17 significant digits and flags as 0/1."""
+    """Write every column as CSV, floats as ``'%.17g' % x`` and steps and flags as ``'%d' % x``.
+
+    The bytes are those csv.writer wrote, CRLF line ends included.  Per block
+    of rows, each column's distinct values are formatted once into NUL-padded
+    cells; the cells are joined with commas and line ends, and the NULs dropped.
+    """
     if len(frame) == 0:
         raise ValueError("refusing to write an empty trajectory")
-    cols = [np.asarray(getattr(frame, name)) for name in _FIELDS]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(TRAJECTORY_COLUMNS) + "\r\n")
-        # blocks of rows keep the Python objects of only one block alive
+    cols = [(np.asarray(getattr(frame, field)),
+             *((np.int64, _int_cells) if name in _INT_COLUMNS else (np.float64, _float_cells)))
+            for field, name in zip(_FIELDS, TRAJECTORY_COLUMNS)]
+    with open(path, "wb") as fh:
+        fh.write((",".join(TRAJECTORY_COLUMNS) + "\r\n").encode())
         for start in range(0, len(frame), _WRITE_BLOCK):
-            block = [c[start : start + _WRITE_BLOCK].tolist() for c in cols]
-            fh.writelines(map(_ROW_FORMAT.__mod__, zip(*block)))
+            pieces = []
+            for col, dtype, cells in cols:
+                # converted per block (flags may be bool); distinct bit
+                # patterns, so that -0.0 stays apart from 0.0
+                values = np.asarray(col[start : start + _WRITE_BLOCK], dtype=dtype)
+                bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+                text = cells(bits.view(dtype))
+                # columns that are NUL in every cell are dropped before the gather
+                pieces += [text[:, text.any(axis=0)][inverse], _COMMA]
+            pieces[-1] = _CRLF
+            block = np.hstack([np.broadcast_to(p, (len(values), p.shape[1])) for p in pieces])
+            fh.write(block[block != 0])
+
+
+# 2**27 + 1 splits a double into two halves whose products are exact (Dekker 1971)
+_SPLIT = 134217729.0
+# k = floor(log10 |x|) lies in [-308, 308] for normal doubles; p = 16 - k
+_P_MIN, _P_MAX = 16 - 308, 16 + 308
+
+
+@functools.cache
+def _powers_of_ten() -> tuple:
+    """hi, the two halves of hi, lo and shift: 10**p = (hi + lo) * 2**shift, hi in (1/2, 2).
+
+    For p in [_P_MIN, _P_MAX]; Python's int / int rounds correctly, so
+    hi + lo is 10**p to about 106 bits.
+    """
+    table = []
+    for p in range(_P_MIN, _P_MAX + 1):
+        num, den = (10**p, 1) if p >= 0 else (1, 10**-p)
+        s = num.bit_length() - den.bit_length()
+        num, den = (num, den << s) if s >= 0 else (num << -s, den)
+        a, b = (num / den).as_integer_ratio()
+        table.append((a / b, (num * b - a * den) / (den * b), s))
+    hi, lo, shift = map(np.array, zip(*table))
+    hi_hi = _SPLIT * hi - (_SPLIT * hi - hi)
+    return hi, hi_hi, hi - hi_hi, lo, shift
+
+
+@functools.cache
+def _four_digits() -> np.ndarray:
+    """The four ASCII digits of each of 0..9999, one uint32 per number."""
+    return np.array([b"%04d" % i for i in range(10_000)]).view(np.uint32)
+
+
+def _digits17(d: np.ndarray) -> np.ndarray:
+    """The 17 ASCII digits of each int64 of ``d``, 10**16 <= d < 10**17."""
+    top, low = np.divmod(d, 10**16)
+    quarters = np.stack(np.divmod(np.stack(np.divmod(low, 10**8), axis=1), 10**4), axis=2)
+    groups = np.hstack((top[:, None], quarters.reshape(-1, 4)))
+    return _four_digits()[groups].view(np.uint8)[:, 3:]
+
+
+def _decimal17(a: np.ndarray) -> tuple:
+    """``(d, x, exact)``: each positive normal double of ``a`` rounds to ``d * 10**(x - 16)``.
+
+    10**16 <= d < 10**17.  ``exact`` is False where ``a * 10**(16 - k)`` is within
+    1e-6 of a tie, or where the estimate k of x was off near a power of ten.
+    """
+    k = np.floor(np.log10(a)).astype(np.int64)
+    hi, hi_hi, hi_lo, lo, shift = (t[16 - k - _P_MIN] for t in _powers_of_ten())
+    m, e = np.frexp(a)
+    # m * (hi + lo) as the double-double s + low: Dekker's error-free
+    # product m * hi = p + err, with m * lo folded into the error
+    m_hi = _SPLIT * m - (_SPLIT * m - m)
+    m_lo = m - m_hi
+    p = m * hi
+    err = ((m_hi * hi_hi - p) + m_hi * hi_lo + m_lo * hi_hi) + m_lo * hi_lo + m * lo
+    s = p + err
+    low = np.ldexp(err - (s - p), e + shift)
+    s = np.ldexp(s, e + shift)
+    # s >= 2**53 is a whole number, so the fraction is all in low
+    whole, frac = np.divmod(low, 1.0)
+    ok = (s >= 1e16) & (s < 1e17)
+    floor = np.where(ok, s, 1e16).astype(np.int64) + whole.astype(np.int64)
+    exact = ok & (np.abs(frac - 0.5) >= 1e-6) & (floor >= 10**16) & (floor < 10**17)
+    d = floor + (frac > 0.5)
+    carry = d == 10**17
+    return np.where(carry, 10**16, d), k + carry, exact
+
+
+# ``%g`` layouts: fixed notation for decimal exponents in [-4, 17), else exponential
+_EXPONENTIAL, _SLOW = 17, 99
+
+
+def _float_cells(x: np.ndarray) -> np.ndarray:
+    """``'%.17g' % v`` for each float64 ``v`` of ``x``, as rows of ASCII padded with NULs anywhere.
+
+    Zeros, subnormals, non-finite values and the rare values
+    :func:`_decimal17` is not certain of are formatted by Python.
+    """
+    out = np.zeros((len(x), 24), np.uint8)
+    a = np.abs(x)
+    fast = (a >= np.finfo(np.float64).tiny) & (a <= np.finfo(np.float64).max)
+    d, exp10, exact = _decimal17(np.where(fast, a, 1.0))
+    fast &= exact
+    digits = _digits17(d)
+    # shown[:, j]: a nonzero digit lies at j or after it; trailing zeros become NUL
+    shown = np.logical_or.accumulate(digits[:, ::-1] != 48, axis=1)[:, ::-1]
+    tail = digits * shown
+    out[:, 0] = 45 * np.signbit(x)
+    layout = np.where(fast, np.where((exp10 >= -4) & (exp10 < 17), exp10, _EXPONENTIAL), _SLOW)
+    # np.unique sorts by bits, so each layout is a few runs of rows
+    edges = [0, *(np.flatnonzero(np.diff(layout)) + 1), len(x)]
+    for i, j in zip(edges[:-1], edges[1:]):
+        kind, o = layout[i], out[i:j]
+        if kind < 0:  # 0.000ddd
+            o[:, 1:3] = np.frombuffer(b"0.", np.uint8)
+            o[:, 3 : 2 - kind] = 48
+            o[:, 2 - kind : 19 - kind] = tail[i:j]
+        elif kind != _SLOW:
+            # exponential notation is fixed with one digit before the point, plus a suffix
+            point = 0 if kind == _EXPONENTIAL else kind
+            o[:, 1 : point + 2] = digits[i:j, : point + 1]
+            if point < 16:
+                o[:, point + 2] = 46 * shown[i:j, point + 1]
+                o[:, point + 3 : 19] = tail[i:j, point + 1 :]
+        if kind == _EXPONENTIAL:
+            o[:, 19] = ord("e")
+            o[:, 20] = np.where(exp10[i:j] < 0, ord("-"), ord("+"))
+            mag = np.abs(exp10[i:j, None])
+            o[:, 21:24] = np.where(mag >= [100, 0, 0], 48 + mag // [100, 10, 1] % 10, 0)
+    slow = [b"%.17g" % v for v in x[~fast].tolist()]
+    out[~fast] = np.array(slow, "S24").view(np.uint8).reshape(-1, 24)
+    return out
+
+
+def _int_cells(v: np.ndarray) -> np.ndarray:
+    """``'%d' % i`` for each int64 ``i`` of ``v``, as rows of NUL-padded ASCII."""
+    return np.array([b"%d" % i for i in v.tolist()], "S20").view(np.uint8).reshape(-1, 20)
 
 
 _TRAJECTORY_DTYPE = np.dtype(

@@ -145,6 +145,33 @@ class TestRunCommand:
         assert s["theorem_valid"] is True
 
 
+class TestRunOutputs:
+    @pytest.mark.parametrize("flags", [
+        ("--summary", "nodir/s.json"),
+        ("--out", "nodir/t.csv"),
+        ("--summary", "outdir"),
+        ("--out", "outdir"),
+        ("--out", "keep.json", "--summary", "keep.json"),
+        ("--out", "./keep.json", "--summary", "keep.json"),
+    ], ids=["summary in missing dir", "out in missing dir", "summary is dir", "out is dir",
+            "same path", "same file"])
+    def test_unwritable_output_leaves_no_partial_output(self, workdir, capsys, flags):
+        """Both output paths are checked before either file is created or truncated."""
+        (workdir / "outdir").mkdir()
+        (workdir / "keep.json").write_text("keep\n")
+        assert run_cli("run", "--case", "1", "--n", "10", *flags) == 2
+        assert sorted(p.name for p in workdir.iterdir()) == ["keep.json", "outdir"]
+        assert (workdir / "keep.json").read_text() == "keep\n"
+        assert list((workdir / "outdir").iterdir()) == []
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_non_string_path_from_config_is_a_usage_error(self, workdir, capsys):
+        (workdir / "c.json").write_text('{"out": 5}')
+        assert run_cli("run", "--case", "1", "--n", "10", "--config", "c.json") == 2
+        assert capsys.readouterr().err == "error: output paths must be strings, got 5, 'summary.json'\n"
+        assert sorted(p.name for p in workdir.iterdir()) == ["c.json"]
+
+
 class TestWindow:
     def test_window_matches_slice_recomputation(self, workdir):
         lo, hi = 101, 220
@@ -411,6 +438,17 @@ class TestPlotCommand:
         assert run_cli("plot", "--input", "trajectory.csv", "--logx",
                        "--out", "p.svg") == 0
         assert "t (log scale)" in (workdir / "p.svg").read_text()
+
+    @pytest.mark.parametrize("out", [None, "t.svg", "./t.svg"])
+    def test_refuses_to_overwrite_its_input(self, workdir, capsys, out):
+        """An output that resolves to the input file exits 2 and leaves the input as it was."""
+        assert run_cli("run", "--case", "1", "--n", "10", "--out", "t.svg") == 0
+        before = (workdir / "t.svg").read_bytes()
+        flags = () if out is None else ("--out", out)
+        assert run_cli("plot", "--input", "t.svg", *flags) == 2
+        assert "is the input file" in capsys.readouterr().err
+        assert (workdir / "t.svg").read_bytes() == before
+        assert run_cli("plot", "--input", "t.svg", "--out", "p.svg") == 0
 
     def test_rejects_plain_input_csv(self, workdir):
         (workdir / "seq.csv").write_text("y,yhat1,yhat2\n0.1,0.1,0.1\n")

@@ -2,14 +2,16 @@
 
 import csv
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from convexmix import signals
-from convexmix.mixture import Trajectory
+from convexmix import bounds, cli, signals
+from convexmix.mixture import MixtureParams, Trajectory
 from convexmix.signals import (
     TRAJECTORY_COLUMNS,
     ParseError,
@@ -512,3 +514,146 @@ class TestTrajectoryRoundTrip:
         write_trajectory(frame, str(got))
         assert got.read_bytes() == want.read_bytes()
         assert got.read_bytes().count(b"\r\n") == 4
+
+
+# The writer's former per-row format, kept as the reference for the block formatter.
+_ROW_FORMAT = "%d," + "%.17g," * 13 + "%d,%d\r\n"
+
+
+def _reference_bytes(frame) -> bytes:
+    cols = [np.asarray(_column(frame, name)).tolist() for name in TRAJECTORY_COLUMNS]
+    rows = "".join(map(_ROW_FORMAT.__mod__, zip(*cols)))
+    return (",".join(TRAJECTORY_COLUMNS) + "\r\n" + rows).encode()
+
+
+def _texts(cells: np.ndarray) -> list:
+    """The text of each row of NUL-padded cells."""
+    return [row[row != 0].tobytes().decode() for row in cells]
+
+
+def _bits(*patterns) -> np.ndarray:
+    return np.array(patterns, dtype=np.uint64).view(np.float64)
+
+
+class TestCellFormatter:
+    """The cells equal Python's ``'%.17g' % x`` and ``'%d' % i``, byte for byte."""
+
+    EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+             1.7976931348623157e308, -1.7976931348623157e308, math.inf, -math.inf,
+             1e-5, 1e-4, 0.00011, 9.9999999999999e-5, 1e16, 1e17, 9.9999999999999999e16,
+             12345678901234567.0, 123456789012345678.0, 0.08, 0.1, 0.3, 1 / 3, -2.5, 1e100,
+             1.5e-100, 2.0**-25, 2.0**-24, 152.37936659592273]
+
+    def _check(self, x):
+        x = np.asarray(x, dtype=np.float64)
+        assert _texts(signals._float_cells(x)) == ["%.17g" % v for v in x.tolist()]
+
+    def test_edges(self):
+        self._check(self.EDGES + [-v for v in self.EDGES])
+
+    def test_nan_of_either_sign_prints_nan(self):
+        nans = _bits(0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001, 0xFFFFFFFFFFFFFFFF)
+        assert np.isnan(nans).all() and np.signbit(nans[1])
+        self._check(nans)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_bit_patterns(self, seed):
+        """Every exponent, subnormals and non-finite values included, in any order."""
+        bits = np.random.default_rng(seed).integers(-(2**63), 2**63, 1 << 14, dtype=np.int64)
+        self._check(bits.view(np.float64))
+        self._check(np.sort(bits).view(np.float64))
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        """Where the log10 estimate of the exponent can be off by one."""
+        powers = 10.0 ** np.arange(-307, 309)
+        near = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
+        self._check(np.concatenate([near, -near]))
+
+    def test_ties_and_their_neighbours(self):
+        """x * 10**(16 - k) an exact half, rounded to even, and the doubles beside it."""
+        rng = np.random.default_rng(5)
+        whole = rng.integers(10**14, 2**47, 2000).astype(np.float64)
+        ties = whole + 0.125 * rng.choice([1, 3, 5, 7], 2000)
+        ties = np.concatenate([ties, 2.0 ** -np.arange(20, 60)])
+        self._check(np.concatenate([ties, np.nextafter(ties, 0), np.nextafter(ties, np.inf)]))
+
+    def test_decimal_looking_values(self):
+        rng = np.random.default_rng(9)
+        digits = rng.integers(0, 10**9, 4000).astype(np.float64)
+        self._check(digits / 10.0 ** rng.integers(0, 12, 4000) * 10.0 ** rng.integers(-6, 12, 4000))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(width=64), min_size=1, max_size=40))
+    def test_drawn_floats(self, values):
+        self._check(values)
+
+    def test_integers(self):
+        info = np.iinfo(np.int64)
+        rng = np.random.default_rng(3)
+        drawn = rng.integers(info.min, info.max, 4000, dtype=np.int64, endpoint=True)
+        drawn //= 10 ** rng.integers(0, 19, 4000)
+        v = np.concatenate([[info.min, info.max, info.min + 1, 0, -1, 1, 10**18, -(10**18)], drawn])
+        assert _texts(signals._int_cells(v)) == ["%d" % i for i in v.tolist()]
+
+
+def _drawn_frame(n: int, seed: int) -> Trajectory:
+    """A frame whose float columns mix random bit patterns, repeated and ordinary values."""
+    rng = np.random.default_rng(seed)
+    pool = np.array([0.0, -0.0, 0.5, -0.5, 0.08, 1.0, 5e-324, math.inf, math.nan, 1e-5, 1e17])
+    kinds = [
+        lambda: rng.integers(-(2**63), 2**63, n, dtype=np.int64).view(np.float64),
+        lambda: rng.choice(pool, n),
+        lambda: rng.standard_normal(n) * 10.0 ** rng.integers(-8, 20, n),
+        lambda: np.cumsum(rng.random(n)),
+    ]
+    columns = {"t": np.arange(1, n + 1), "in_range": rng.integers(0, 2, n),
+               "projected": rng.integers(0, 2, n).astype(bool)}
+    for i, name in enumerate(TRAJECTORY_COLUMNS[1:14]):
+        columns["lam" if name == "lambda" else name] = kinds[i % len(kinds)]()
+    return Trajectory(**columns)
+
+
+class TestBlockWriter:
+    @pytest.mark.parametrize("rows", [1, signals._WRITE_BLOCK - 1, signals._WRITE_BLOCK,
+                                      signals._WRITE_BLOCK + 1, 3 * signals._WRITE_BLOCK + 5])
+    def test_file_matches_the_row_format(self, tmp_path, rows):
+        frame = _drawn_frame(rows, seed=rows)
+        p = tmp_path / "traj.csv"
+        write_trajectory(frame, str(p))
+        assert p.read_bytes() == _reference_bytes(frame)
+
+    def test_run_frame_writes_as_its_read_back(self, tmp_path):
+        """A frame straight from a run (bool flags) and the same frame read back (int64 flags)."""
+        samples = generate(SequenceSpec("piecewise_switch", n=3000))
+        params = MixtureParams(mu=0.5, lambda_plus=0.3, y_bound=1.0, mode="monitor")
+        frame, _ = cli.run_experiment(samples, params, bounds.constants_from_mu(0.5, 1.0, 0.3))
+        assert frame.in_range.dtype == bool and 0 < frame.in_range.sum() < len(frame)
+        first, second = tmp_path / "run.csv", tmp_path / "back.csv"
+        write_trajectory(frame, str(first))
+        back = read_trajectory(str(first))
+        assert back.in_range.dtype == np.int64
+        write_trajectory(back, str(second))
+        assert first.read_bytes() == second.read_bytes() == _reference_bytes(frame)
+
+
+class TestWriterMemory:
+    def _peak(self, n: int) -> int:
+        rng = np.random.default_rng(n)
+        # few distinct values keep the formatting short; the buffers are what is measured
+        columns = {name: rng.integers(-50, 50, n) / 8.0 for name in
+                   ("y", "yhat1", "yhat2", "lam", "rho", "yhat", "e", "cum_loss", "best_beta_prefix",
+                    "best_loss_prefix", "regret", "norm_regret", "bound_norm")}
+        frame = Trajectory(t=np.arange(1, n + 1), in_range=rng.random(n) < 0.5,
+                           projected=rng.random(n) < 0.5, **columns)
+        # the lazy tables are built outside the measurement
+        write_trajectory(_drawn_frame(10, seed=0), os.devnull)
+        tracemalloc.start()
+        try:
+            write_trajectory(frame, os.devnull)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_does_not_grow_with_rows(self):
+        small, large = self._peak(50_000), self._peak(200_000)
+        assert large <= small + 2**20
