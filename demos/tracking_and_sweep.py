@@ -16,8 +16,8 @@ from convexmix import (
     generate,
     run,
     stats_from,
+    summarize,
 )
-from convexmix.cli import run_experiment
 
 # Expert roles swap at t = 1000: first expert 1 is clean, then expert 2.
 n = 2000
@@ -36,7 +36,7 @@ print(f"global best fixed beta {whole.beta:.3f}, loss {whole.loss:.2f}")
 # combiner's windowed regret stays modest because it re-converges after the
 # switch.
 for window in ((1, 1000), (1001, 2000)):
-    _, summary = run_experiment(samples, params, constants, window=window)
+    _, summary = summarize(run(params, samples), constants, window=window)
     print(f"window {summary.window}: best beta {summary.window_beta:.3f} "
           f"(loss {summary.window_best_loss:.2f}), "
           f"windowed regret {summary.window_regret:.2f} "
@@ -52,6 +52,6 @@ for mu in (0.1, 0.3, 0.6, 1.0):
     c = constants_from_mu(mu, 1.0, 0.08)
     p = MixtureParams(mu=mu, lambda_plus=0.08, y_bound=1.0, mode="project")
     traj = run(p, samples)
-    _, summary = run_experiment(samples, p, c)
+    _, summary = summarize(traj, c)
     print(f"{mu:6.2f} {summary.l_alg:9.2f} {summary.regret:9.2f} "
           f"{summary.bound_total:10.2f} {traj.final_state.lam:10.4f}")

@@ -34,7 +34,6 @@ from .bounds import (
     sufficiency_roots,
     z_of,
 )
-from .cli import RunSummary, run_experiment, run_verification
 from .mixture import (
     MixtureParams,
     MixtureState,
@@ -66,6 +65,7 @@ from .oracle import (
     stats_from,
     subtract,
 )
+from .report import RunSummary, summarize
 from .signals import (
     KINDS,
     TRAJECTORY_COLUMNS,
@@ -79,5 +79,6 @@ from .signals import (
     resolve,
     write_trajectory,
 )
+from .verify import run_verification
 
 __version__ = "0.1.0"

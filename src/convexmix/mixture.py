@@ -228,7 +228,7 @@ class Trajectory:
     """One run, one array per column of :data:`convexmix.signals.TRAJECTORY_COLUMNS`.
 
     ``lam`` stands for ``lambda``.  :func:`run` fills the combiner columns;
-    :func:`convexmix.cli.summarize` fills in the five comparator columns.
+    :func:`convexmix.report.summarize` fills in the five comparator columns.
     ``final_state`` is the state after the last update, so the weight path
     lambda_1, ..., lambda_{n+1} is available in full; a trajectory read back
     from CSV has none.

@@ -1,0 +1,180 @@
+"""Seeded random checks of the guarantee machinery: constant identities,
+per-step margins, telescoping, the two update forms and the two oracles.
+Every failure is reported with the seed that reproduces it.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+
+import numpy as np
+
+from . import bounds, mixture, oracle
+from .bounds import TheoremConstants
+from .mixture import MixtureParams, SignalSample
+
+__all__ = ["run_verification", "IDENTITY_TOL", "EQUIVALENCE_TOL"]
+
+IDENTITY_TOL = 1e-12
+EQUIVALENCE_TOL = 1e-12
+
+
+def _margin_and_telescope_suites(constants, trials, n, seed, tol):
+    params = MixtureParams(
+        mu=constants.mu,
+        lambda_plus=constants.lambda_plus,
+        y_bound=constants.y_bound,
+        mode="monitor",
+    )
+    fixed = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+    margin_failures = []
+    tele_failures = []
+    checked_margin = 0
+    checked_tele = 0
+    skipped = 0
+    for i in range(trials):
+        trial_seed = seed + i
+        rng = np.random.default_rng(trial_seed)
+        y, y1, y2 = columns = rng.uniform(-constants.y_bound, constants.y_bound, (3, n))
+        rand_betas = rng.uniform(0.0, 1.0, (20, n))
+        traj = mixture.run(params, columns.T)
+        l0 = traj.lam
+        l1 = traj.lam_after
+        mask = traj.in_range
+        skipped += int(n - mask.sum())
+        if mask.any():
+            m_fixed = bounds.per_step_margins(
+                constants, fixed, l0[mask], l1[mask], y[mask], y1[mask], y2[mask]
+            )
+            m_rand = bounds.per_step_margins(
+                constants, rand_betas[:, mask], l0[mask], l1[mask], y[mask], y1[mask], y2[mask]
+            )
+            checked_margin += m_fixed.size + m_rand.size
+            worst = float(min(m_fixed.min(), m_rand.min()))
+            if worst < -tol:
+                margin_failures.append({"seed": trial_seed, "worst_margin": worst})
+        lam_end = traj.final_state.lam
+        log_ratio1 = np.log(l1 / l0)
+        log_ratio0 = np.log((1.0 - l1) / (1.0 - l0))
+        for beta in (0.0, 0.5, 1.0):
+            total = float(beta * log_ratio1.sum() + (1.0 - beta) * log_ratio0.sum())
+            via_kl = bounds.kl((beta, 1.0 - beta), (l0[0], 1.0 - l0[0])) - bounds.kl(
+                (beta, 1.0 - beta), (lam_end, 1.0 - lam_end)
+            )
+            checked_tele += 1
+            err = abs(total - via_kl)
+            if err > tol:
+                tele_failures.append({"seed": trial_seed, "beta": beta, "error": err})
+    margin_suite = {
+        "checked": checked_margin,
+        "skipped_out_of_range_steps": skipped,
+        "failures": margin_failures,
+    }
+    tele_suite = {"checked": checked_tele, "failures": tele_failures}
+    return margin_suite, tele_suite
+
+
+def _equivalence_suite(constants, trials, seed):
+    failures = []
+    checked = 0
+    draws = 10
+    for i in range(trials):
+        trial_seed = seed + 50_000 + i
+        rng = np.random.default_rng(trial_seed)
+        for _ in range(draws):
+            lam = float(rng.uniform(0.01, 0.99))
+            mu = float(rng.uniform(0.01, 2.0))
+            y, y1, y2 = rng.uniform(-constants.y_bound, constants.y_bound, 3)
+            sample = SignalSample(float(y), float(y1), float(y2))
+            params = MixtureParams(
+                mu=mu, lambda_plus=constants.lambda_plus,
+                y_bound=constants.y_bound, mode="monitor",
+            )
+            state, _ = mixture.step(params, mixture.state_from_lambda(lam), sample)
+            other = mixture.multiplicative_lambda(mu, lam, sample)
+            checked += 1
+            diff = abs(state.lam - other)
+            if diff > EQUIVALENCE_TOL:
+                failures.append({"seed": trial_seed, "lam": lam, "mu": mu, "diff": diff})
+    return {"checked": checked, "tolerance": EQUIVALENCE_TOL, "failures": failures}
+
+
+def _oracle_suite(constants, trials, n, seed, resolution):
+    failures = []
+    checked = 0
+    for i in range(trials):
+        trial_seed = seed + 100_000 + i
+        rng = np.random.default_rng(trial_seed)
+        samples = rng.uniform(-constants.y_bound, constants.y_bound, (3, n)).T
+        stats = oracle.stats_from(samples)
+        closed = oracle.best_beta(stats)
+        grid = oracle.grid_best_beta(samples, resolution)
+        checked += 1
+        beta_gap = abs(closed.beta - grid.beta)
+        # the closed form must also price the grid's winner consistently
+        cross = abs(oracle.loss_at_beta(stats, grid.beta) - grid.loss)
+        scale = max(1.0, grid.loss)
+        if beta_gap > resolution + 1e-12 or closed.loss > grid.loss + 1e-9 * scale or cross > 1e-9 * scale:
+            failures.append({
+                "seed": trial_seed, "beta_gap": beta_gap,
+                "closed_loss": closed.loss, "grid_loss": grid.loss,
+            })
+    return {"checked": checked, "failures": failures}
+
+
+def _identity_suite(constants):
+    failures = list(bounds.constant_identity_errors(constants, tol=IDENTITY_TOL))
+    info = {}
+    try:
+        roots = bounds.sufficiency_roots(constants)
+        info["k1"] = roots.k1
+        info["k2"] = roots.k2
+        if not roots.k1_at_least_quarter:
+            failures.append(f"k1 = {roots.k1!r} is below 1/4")
+        if not roots.k2_within_floor:
+            failures.append(f"k2 = {roots.k2!r} exceeds the floor product")
+    except ValueError as exc:
+        failures.append(str(exc))
+    try:
+        eps_back = bounds.eps_from_mu(constants.mu, constants.y_bound, constants.lambda_plus)
+        info["eps_roundtrip"] = eps_back
+        if abs(eps_back - constants.eps) > IDENTITY_TOL * max(1.0, abs(constants.eps)):
+            failures.append(f"eps roundtrip {eps_back!r} != {constants.eps!r}")
+    except ValueError as exc:
+        failures.append(f"eps roundtrip: {exc}")
+    return {"checked": 10, "tolerance": IDENTITY_TOL, "failures": failures, **info}
+
+
+def run_verification(
+    constants: TheoremConstants,
+    *,
+    trials: int,
+    n: int,
+    seed: int,
+    resolution: float,
+    tol: float,
+) -> dict:
+    """Run every verification suite; the report lists failures with seeds."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+    if not 0.0 < resolution <= 0.1:
+        raise ValueError(f"resolution must lie in (0, 0.1], got {resolution}")
+    margin_suite, tele_suite = _margin_and_telescope_suites(constants, trials, n, seed, tol)
+    report = {
+        "tolerance": tol,
+        "trials": trials,
+        "n": n,
+        "seed": seed,
+        "constants": dataclasses.asdict(constants),
+        "suites": {
+            "constant_identities": _identity_suite(constants),
+            "per_step_margin": margin_suite,
+            "telescoping": tele_suite,
+            "form_equivalence": _equivalence_suite(constants, trials, seed),
+            "oracle_agreement": _oracle_suite(constants, trials, n, seed, resolution),
+        },
+    }
+    report["all_pass"] = all(not s["failures"] for s in report["suites"].values())
+    return report

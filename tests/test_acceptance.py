@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from convexmix import audit, bounds, cli, mixture, oracle, signals
+from convexmix import audit, bounds, mixture, oracle, report, signals, verify
 from convexmix.mixture import MixtureParams, SignalSample
 
 MARGIN_TRIALS = 100
@@ -35,7 +35,7 @@ def _benchmark_run(case: int, mu: float, n: int = 10_000):
     samples = signals.generate(resolved)
     constants = bounds.constants_from_mu(mu, resolved.y_bound, 0.08)
     params = MixtureParams(mu=mu, lambda_plus=0.08, y_bound=resolved.y_bound, mode="project")
-    frame, summary = cli.run_experiment(samples, params, constants)
+    frame, summary = report.summarize(mixture.run(params, samples), constants)
     return frame, summary, constants
 
 
@@ -52,7 +52,7 @@ def benchmark_frames():
 @pytest.fixture(scope="module")
 def margin_suites():
     start = time.perf_counter()
-    margin, tele = cli._margin_and_telescope_suites(
+    margin, tele = verify._margin_and_telescope_suites(
         REF, MARGIN_TRIALS, MARGIN_N, MARGIN_SEED, MARGIN_TOL
     )
     return margin, tele, time.perf_counter() - start

@@ -211,7 +211,94 @@ class TestWindow:
         assert run_cli("run", "--case", "1", "--n", "10", "--window", window) == 2
 
 
+BAD_JSON = "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
+# every usage error: (environment, files written first, command, its exact standard error)
+USAGE_ERRORS = {
+    "tol-not-a-number": ({"CONVEXMIX_TOL": "banana"}, {}, "verify --trials 1 --n 5",
+                         "CONVEXMIX_TOL must be a number, got 'banana'"),
+    "tol-negative": ({"CONVEXMIX_TOL": "-1"}, {}, "verify --trials 1 --n 5",
+                     "CONVEXMIX_TOL must be finite and positive, got -1.0"),
+    "tol-zero": ({"CONVEXMIX_TOL": "0"}, {}, "lemma-audit --eps 0.1 --budget 10",
+                 "CONVEXMIX_TOL must be finite and positive, got 0.0"),
+    "tol-nan": ({"CONVEXMIX_TOL": "nan"}, {}, "verify --trials 1 --n 5",
+                "CONVEXMIX_TOL must be finite and positive, got nan"),
+    "tol-inf": ({"CONVEXMIX_TOL": "inf"}, {}, "verify --trials 1 --n 5",
+                "CONVEXMIX_TOL must be finite and positive, got inf"),
+    "config-invalid-json": ({}, {"cfg.json": "{not json"}, "run --config cfg.json",
+                            f"config cfg.json: invalid JSON ({BAD_JSON})"),
+    "config-not-an-object": ({}, {"cfg.json": "[1, 2]"}, "run --config cfg.json",
+                             "config cfg.json: expected a JSON object"),
+    "config-unknown-key": ({}, {"cfg.json": '{"case": 1, "horizon": 50}'}, "run --config cfg.json",
+                           "config has unknown keys: ['horizon']"),
+    "config-unknown-keys": ({}, {"cfg.json": '{"case": 1, "zeta": 1, "alpha": 2}'},
+                            "verify --config cfg.json",
+                            "config has unknown keys: ['alpha', 'case', 'zeta']"),
+    "config-bad-case": ({}, {"cfg.json": '{"case": 3}'}, "run --config cfg.json",
+                        "case must be 1 or 2, got 3"),
+    "window-no-colon": ({}, {}, "run --case 1 --n 10 --window 5",
+                        "window must look like A:B with integers, got '5'"),
+    "window-not-integers": ({}, {}, "run --case 1 --n 10 --window a:b",
+                            "window must look like A:B with integers, got 'a:b'"),
+    "window-reversed": ({}, {}, "run --case 1 --n 10 --window 9:5",
+                        "window 9:5 is out of range for a length-10 sequence"),
+    "window-zero": ({}, {}, "run --case 1 --n 10 --window 0:4",
+                    "window 0:4 is out of range for a length-10 sequence"),
+    "window-past-end": ({}, {}, "run --case 1 --n 10 --window 3:99",
+                        "window 3:99 is out of range for a length-10 sequence"),
+    "no-source": ({}, {}, "run --mu 0.1", "choose exactly one of --case, --input, --spec"),
+    "two-sources": ({}, {}, "run --case 1 --input x.csv --mu 0.1",
+                    "choose exactly one of --case, --input, --spec"),
+    "sweep-no-source": ({}, {}, "sweep --mu-list 0.1",
+                        "choose exactly one of --case, --input, --spec"),
+    "mu-and-eps": ({}, {}, "run --case 1 --mu 0.1 --eps 0.1", "choose --mu or --eps, not both"),
+    "verify-mu-and-eps": ({}, {}, "verify --mu 0.5 --eps 0.1", "choose --mu or --eps, not both"),
+    "missing-rate": ({}, {"seq.csv": "y,yhat1,yhat2\n0.1,0.1,0.1\n"}, "run --input seq.csv",
+                     "provide --mu or --eps for this sequence source"),
+    "verify-trials-zero": ({}, {}, "verify --trials 0 --n 5", "trials must be at least 1, got 0"),
+    "verify-n-zero": ({}, {}, "verify --trials 1 --n 0", "n must be at least 1, got 0"),
+    "run-n-zero": ({}, {}, "run --case 1 --n 0", "n must be at least 1, got 0"),
+    "run-n-negative": ({}, {}, "run --case 1 --n -3", "n must be at least 1, got -3"),
+    "spec-invalid-json": ({}, {"sp.json": "{bad"}, "run --spec sp.json --mu 0.1",
+                          f"sequence spec sp.json: invalid JSON ({BAD_JSON})"),
+    "spec-not-an-object": ({}, {"sp.json": "[1]"}, "run --spec sp.json --mu 0.1",
+                           "sequence spec sp.json: expected an object with a 'kind'"),
+    "spec-unknown-key": ({}, {"sp.json": '{"kind": "constant", "nn": 3}'},
+                         "run --spec sp.json --mu 0.1", "sequence spec has unknown keys: ['nn']"),
+    "audit-eps-and-triple": ({}, {}, "lemma-audit --eps 0.1 --a 1",
+                             "choose --eps or an explicit --a/--b/--mu triple, not both"),
+    "audit-partial-triple": ({}, {}, "lemma-audit --a 1",
+                             "provide --eps or the full --a/--b/--mu triple"),
+    "sweep-no-mu-list": ({}, {}, "sweep --case 1 --n 10",
+                         "provide --mu-list with comma-separated learning rates"),
+    "sweep-bad-mu-list": ({}, {}, "sweep --case 1 --n 10 --mu-list 0.1,zap",
+                          "--mu-list must be comma-separated numbers, got '0.1,zap'"),
+    "sweep-empty-mu-list": ({}, {}, "sweep --case 1 --n 10 --mu-list ,", "--mu-list is empty"),
+    "outputs-collide": ({}, {}, "run --case 1 --n 10 --out same.csv --summary same.csv",
+                        "output paths must differ, got same.csv, same.csv"),
+    "output-dir-missing": ({}, {}, "run --case 1 --n 10 --out nodir/x.csv",
+                           "cannot write nodir/x.csv: it is a directory or its directory is missing"),
+    "output-not-a-string": ({}, {"cfg.json": '{"out": 5}'}, "run --case 1 --n 10 --config cfg.json",
+                            "output paths must be strings, got 5, 'summary.json'"),
+    "plot-onto-input": ({}, {"t.csv": "x"}, "plot --input t.csv --out t.csv",
+                        "plot output t.csv is the input file"),
+    "verify-bad-resolution": ({}, {}, "verify --trials 1 --n 5 --resolution 0.5",
+                              "resolution must lie in (0, 0.1], got 0.5"),
+}
+
+
 class TestUsageErrors:
+    @pytest.mark.parametrize("env, files, command, message", USAGE_ERRORS.values(),
+                             ids=USAGE_ERRORS)
+    def test_exact_message(self, workdir, monkeypatch, capsys, env, files, command, message):
+        """Each usage error prints its one line, exits 2 and writes nothing."""
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        for name, text in files.items():
+            (workdir / name).write_text(text)
+        assert run_cli(*command.split()) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert sorted(p.name for p in workdir.iterdir()) == sorted(files)
+
     def test_no_source(self, workdir):
         assert run_cli("run", "--mu", "0.1") == 2
 
@@ -464,10 +551,10 @@ class TestSweepCommand:
             rows = list(csv.DictReader(fh))
         assert [float(r["mu"]) for r in rows] == [0.04, 0.08]
         for r in rows:
+            # every cell of the row equals the JSON file named for its rate
             per_mu = read_json(f"sweep_mu{float(r['mu']):g}.json")
-            assert float(r["l_alg"]) == per_mu["l_alg"]
-            assert float(r["regret"]) == per_mu["regret"]
-            assert float(r["bound_total"]) == per_mu["bound_total"]
+            for key in cli.SWEEP_COLUMNS[2:]:
+                assert float(r[key]) == per_mu[key], (r["mu"], key)
             assert int(r["n"]) == 300
         # smaller rate -> larger guarantee under the fixed-start convention
         assert float(rows[0]["bound_total"]) == pytest.approx(
@@ -503,6 +590,48 @@ class TestSweepCommand:
                        "--mu-list", "0.1", "--out", "outdir/") == 2
         assert sorted(p.name for p in (workdir / "outdir").iterdir()) == []
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("mu_list", ["0.08,0.08000001", "0.1,0.1"])
+    def test_rates_sharing_a_file_are_refused(self, workdir, capsys, mu_list):
+        """Two rates that print alike would name one per-rate file; nothing is written."""
+        assert run_cli("sweep", "--case", "1", "--n", "50", "--mu-list", mu_list) == 2
+        name = f"sweep_mu{float(mu_list.split(',')[0]):g}.json"
+        assert capsys.readouterr().err == (
+            f"error: output paths must differ, got sweep.csv, {name}, {name}\n")
+        assert not any(workdir.iterdir())
+
+
+class TestOutputsCheckedFirst:
+    """An output that cannot be written exits 2 before any work, and nothing is written."""
+
+    @pytest.mark.parametrize("config, command, message", [
+        ({"out": 1}, "verify --trials 2 --n 10", "output paths must be strings, got 1"),
+        ({"out": 5}, "sweep --case 1 --n 10 --mu-list 0.1", "output paths must be strings, got 5"),
+        (None, "verify --out d",
+         "cannot write d: it is a directory or its directory is missing"),
+        (None, "lemma-audit --eps 0.1 --budget 2000000 --out nodir/w.json",
+         "cannot write nodir/w.json: it is a directory or its directory is missing"),
+        (None, "plot --input t.csv --out nodir/t.svg",
+         "cannot write nodir/t.svg: it is a directory or its directory is missing"),
+    ], ids=["verify-config-out", "sweep-config-out", "verify-directory", "lemma-audit-no-dir",
+            "plot-no-dir"])
+    def test_refused_before_work(self, workdir, monkeypatch, capsys, config, command, message):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the outputs were checked")
+
+        for module, name in ((signals, "generate"), (signals, "read_trajectory"),
+                             (mixture, "run"), (audit, "search_violations"),
+                             (cli, "run_verification")):
+            monkeypatch.setattr(module, name, no_work)
+        (workdir / "d").mkdir()
+        argv = command.split()
+        if config is not None:
+            (workdir / "c.json").write_text(json.dumps(config))
+            argv += ["--config", "c.json"]
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert sorted(p.name for p in workdir.iterdir()) == ["c.json"] * (config is not None) + ["d"]
+        assert not any((workdir / "d").iterdir())
 
 
 class TestModuleEntryPoint:

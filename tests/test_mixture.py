@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from convexmix.cli import EQUIVALENCE_TOL
+from convexmix.verify import EQUIVALENCE_TOL
 from convexmix.mixture import (
     MixtureParams,
     MixtureState,

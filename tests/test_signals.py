@@ -10,8 +10,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from convexmix import bounds, cli, signals
-from convexmix.mixture import MixtureParams, Trajectory
+from convexmix import bounds, report, signals
+from convexmix.mixture import MixtureParams, Trajectory, run
 from convexmix.signals import (
     TRAJECTORY_COLUMNS,
     ParseError,
@@ -626,7 +626,7 @@ class TestBlockWriter:
         """A frame straight from a run (bool flags) and the same frame read back (int64 flags)."""
         samples = generate(SequenceSpec("piecewise_switch", n=3000))
         params = MixtureParams(mu=0.5, lambda_plus=0.3, y_bound=1.0, mode="monitor")
-        frame, _ = cli.run_experiment(samples, params, bounds.constants_from_mu(0.5, 1.0, 0.3))
+        frame, _ = report.summarize(run(params, samples), bounds.constants_from_mu(0.5, 1.0, 0.3))
         assert frame.in_range.dtype == bool and 0 < frame.in_range.sum() < len(frame)
         first, second = tmp_path / "run.csv", tmp_path / "back.csv"
         write_trajectory(frame, str(first))
