@@ -23,6 +23,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import audit, bounds, signals
 from . import mixture
 from .mixture import MixtureParams
@@ -275,6 +277,23 @@ def cmd_lemma_audit(args: argparse.Namespace) -> int:
     return 1 if (len(witnesses) or construction_hit) else 0
 
 
+def _check_drawable(path: str, frame, logx: bool) -> None:
+    """Refuse a non-finite drawn value, or a step t <= 0 on a log axis, naming its row."""
+    bad = []
+    for name in ("t", "norm_regret", "bound_norm"):
+        column = getattr(frame, name)
+        wrong = ~np.isfinite(column)
+        if logx and name == "t":
+            wrong |= column <= 0
+        if wrong.any():
+            i = int(np.argmax(wrong))
+            bad.append((i, name, column[i]))
+    if bad:
+        i, name, value = min(bad, key=lambda b: b[0])
+        need = "a positive step for --logx" if name == "t" else "a finite value"
+        raise ValueError(f"{path}: row {i + 2}: column {name} is {value}; plot needs {need}")
+
+
 def cmd_plot(args: argparse.Namespace) -> int:
     out = args.out
     if out is None:
@@ -284,6 +303,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
         raise ValueError(f"plot output {out} is the input file")
     _check_outputs(out)
     frame = signals.read_trajectory(args.input)
+    _check_drawable(args.input, frame, bool(args.logx))
     svg = render_regret_svg(frame.t, frame.norm_regret, frame.bound_norm, logx=bool(args.logx))
     with open(out, "w") as fh:
         fh.write(svg)

@@ -39,6 +39,9 @@ __all__ = [
 ]
 
 MODES = ("monitor", "project")
+# steps per block of the combiner loop: the per-step Python floats and
+# lists of one block stay well under 1 MB at any n
+_RUN_BLOCK = 4096
 
 
 class NumericError(ArithmeticError):
@@ -282,10 +285,11 @@ def sample_columns(samples) -> np.ndarray:
 
 def _check_samples(columns: np.ndarray, y_bound: float):
     # columns is (3, n) in field order; report the first offending field
-    # in sample-major order
-    bad = ~np.isfinite(columns) | (np.abs(columns) > y_bound)
-    if not bad.any():
+    # in sample-major order.  NaN fails both comparisons, so a clean
+    # sequence passes without a temporary the size of the columns.
+    if -y_bound <= columns.min() and columns.max() <= y_bound:
         return
+    bad = ~np.isfinite(columns) | (np.abs(columns) > y_bound)
     i = int(np.argmax(bad.any(axis=0)))
     j = int(np.argmax(bad[:, i]))
     name = ("y", "yhat1", "yhat2")[j]
@@ -305,8 +309,11 @@ def run(params: MixtureParams, samples, initial_state: MixtureState | None = Non
 
     The recurrence runs as a loop over plain floats that repeats the
     arithmetic of :func:`step` operation for operation, so every column is
-    bit-identical to a loop of :func:`step`; predictions, errors, running
-    loss and range flags are then computed over whole columns.
+    bit-identical to a loop of :func:`step`.  The loop takes
+    :data:`_RUN_BLOCK` steps at a time and stores each block's weights,
+    auxiliary values and projection flags into preallocated columns, so no
+    per-step Python object outlives its block; predictions, errors, running
+    loss and range flags are then computed over whole columns, in place.
     """
     columns = sample_columns(samples)
     if not columns.size:
@@ -326,47 +333,60 @@ def run(params: MixtureParams, samples, initial_state: MixtureState | None = Non
     project = params.mode == "project"
     rho_lo, rho_hi = logit(lo), logit(hi)
     exp, inf = math.exp, math.inf
-    lam_path = [lam]
-    rho_path = [rho]
-    projected_at = []
-    for i, (a, b, c) in enumerate(zip(y.tolist(), y1.tolist(), y2.tolist())):
-        rho = rho + mu * (a - (lam * b + (1.0 - lam) * c)) * lam * (1.0 - lam) * (b - c)
-        if not -inf < rho < inf:
-            raise NumericError("auxiliary variable became non-finite", step=t + i)
-        if rho >= 0.0:
-            lam = 1.0 / (1.0 + exp(-rho))
-        else:
-            ex = exp(rho)
-            lam = ex / (1.0 + ex)
-        if project:
-            if lam < lo:
-                lam, rho = lo, rho_lo
-                projected_at.append(i)
-            elif lam > hi:
-                lam, rho = hi, rho_hi
-                projected_at.append(i)
-        elif not 0.0 < lam < 1.0:
-            raise NumericError(f"weight saturated at {lam}", step=t + i)
-        lam_path.append(lam)
-        rho_path.append(rho)
-
     n = len(y)
-    before = np.array(lam_path)[:-1]
-    yhat = before * y1 + (1.0 - before) * y2
-    e = y - yhat
+    lam_col = np.empty(n)
+    rho_col = np.empty(n)
     projected = np.zeros(n, dtype=bool)
-    projected[projected_at] = True
+    for start in range(0, n, _RUN_BLOCK):
+        stop = start + _RUN_BLOCK
+        lams, rhos, projected_at = [], [], []
+        for i, (a, b, c) in enumerate(zip(y[start:stop].tolist(), y1[start:stop].tolist(),
+                                          y2[start:stop].tolist()), start):
+            lams.append(lam)
+            rhos.append(rho)
+            rho = rho + mu * (a - (lam * b + (1.0 - lam) * c)) * lam * (1.0 - lam) * (b - c)
+            if not -inf < rho < inf:
+                raise NumericError("auxiliary variable became non-finite", step=t + i)
+            if rho >= 0.0:
+                lam = 1.0 / (1.0 + exp(-rho))
+            else:
+                ex = exp(rho)
+                lam = ex / (1.0 + ex)
+            if project:
+                if lam < lo:
+                    lam, rho = lo, rho_lo
+                    projected_at.append(i)
+                elif lam > hi:
+                    lam, rho = hi, rho_hi
+                    projected_at.append(i)
+            elif not 0.0 < lam < 1.0:
+                raise NumericError(f"weight saturated at {lam}", step=t + i)
+        lam_col[start:stop] = lams
+        rho_col[start:stop] = rhos
+        projected[projected_at] = True
+
+    # whole-column arithmetic in place: the only arrays allocated are the
+    # returned columns, each computed as lam*y1 + (1-lam)*y2 and y - yhat
+    e = np.subtract(1.0, lam_col)
+    e *= y2
+    yhat = lam_col * y1
+    yhat += e
+    np.subtract(y, yhat, out=e)
+    cum_loss = e * e
+    np.cumsum(cum_loss, out=cum_loss)
+    in_range = lo <= lam_col
+    in_range &= lam_col <= hi
     return Trajectory(
         t=np.arange(t, t + n),
         y=y,
         yhat1=y1,
         yhat2=y2,
-        lam=before,
-        rho=np.array(rho_path[:-1]),
+        lam=lam_col,
+        rho=rho_col,
         yhat=yhat,
         e=e,
-        cum_loss=np.cumsum(e * e),
-        in_range=(lo <= before) & (before <= hi),
+        cum_loss=cum_loss,
+        in_range=in_range,
         projected=projected,
         final_state=MixtureState(rho=rho, lam=lam, t=t + n),
     )

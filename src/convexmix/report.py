@@ -119,6 +119,26 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
 
 
+def _pixel_envelope(x_px: np.ndarray, y_px: np.ndarray) -> np.ndarray:
+    """Indices, in path order, of the points a polyline keeps.
+
+    Consecutive points whose ``x_px`` share an integer part form a run.  A
+    run of at most four points is kept whole; a longer one keeps its first
+    and last point and its lowest and highest ``y_px`` (the first of tied
+    lows and the last of tied highs).
+    """
+    n = len(x_px)
+    col = np.floor(x_px)
+    starts = np.flatnonzero(np.concatenate(([True], col[1:] != col[:-1])))
+    lengths = np.diff(np.append(starts, n))
+    # sorted by run, then by height: each run keeps its positions, lowest first
+    order = np.lexsort((y_px, np.repeat(np.arange(len(starts)), lengths)))
+    keep = np.repeat(lengths <= 4, lengths)
+    ends = starts + lengths - 1
+    keep[starts] = keep[ends] = keep[order[starts]] = keep[order[ends]] = True
+    return np.flatnonzero(keep)
+
+
 def render_regret_svg(
     t,
     norm_regret,
@@ -130,7 +150,13 @@ def render_regret_svg(
     """Render two series over t as a standalone SVG string.
 
     Pure function of its inputs: rendering the same trajectory twice yields
-    byte-identical output.
+    byte-identical output.  The inputs must be finite (and ``t`` positive
+    under ``logx``).  The axes span the full series; each polyline keeps,
+    per run of consecutive points in one integer pixel column, the first,
+    last, lowest and highest point (M4 aggregation, Jugel et al., VLDB
+    2014), so the drawn envelope is that of every point and the SVG's size
+    is bounded by the plot's width, not by ``len(t)``.  A run of at most
+    four points is kept whole.
     """
     t = np.asarray(t, dtype=float)
     r = np.asarray(norm_regret, dtype=float)
@@ -155,13 +181,14 @@ def render_regret_svg(
     def sy(v):
         return bottom - (v - ylo) / (yhi - ylo) * (bottom - top)
 
-    x_px = sx(x).tolist()
+    x_px = sx(x)
 
     def poly(series: np.ndarray, color: str) -> str:
-        y_px = sy(series).tolist()
+        y_px = sy(series)
         if len(t) == 1:
             return f'<circle cx="{x_px[0]:.2f}" cy="{y_px[0]:.2f}" r="4" fill="{color}"/>'
-        pts = " ".join(map("%.2f,%.2f".__mod__, zip(x_px, y_px)))
+        kept = _pixel_envelope(x_px, y_px)
+        pts = " ".join(map("%.2f,%.2f".__mod__, zip(x_px[kept].tolist(), y_px[kept].tolist())))
         return f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
 
     parts = [

@@ -211,13 +211,15 @@ def load_csv(path: str, y_bound: float) -> tuple[np.ndarray, int]:
     """
     if not (math.isfinite(y_bound) and y_bound > 0.0):
         raise ValueError(f"magnitude cap must be finite and positive, got {y_bound}")
-    header, table, rows = _read_table(
-        path, float, f"columns {','.join(INPUT_COLUMNS)} (or a full trajectory header)",
-        INPUT_COLUMNS, TRAJECTORY_COLUMNS,
+    header, columns, rows = _read_table(
+        path, f"columns {','.join(INPUT_COLUMNS)} (or a full trajectory header)",
+        INPUT_COLUMNS, TRAJECTORY_COLUMNS, keep=INPUT_COLUMNS,
     )
+    if columns is not None:
+        table = np.stack([columns[name] for name in INPUT_COLUMNS], axis=1)
+        if np.isfinite(table).all():
+            return clip_samples(table, y_bound)
     picks = [1, 2, 3] if header == TRAJECTORY_COLUMNS else [0, 1, 2]
-    if table is not None and np.isfinite(table[:, picks]).all():
-        return clip_samples(table[:, picks], y_bound)
     values = []
     # a non-finite cell numpy parsed is named from the csv rows
     for i, row in enumerate(rows or _csv_rows(path, len(header)), start=2):
@@ -233,14 +235,22 @@ def load_csv(path: str, y_bound: float) -> tuple[np.ndarray, int]:
     return clip_samples(np.array(values).reshape(-1, 3), y_bound)
 
 
-def _read_table(path: str, dtype, expected: str, *headers: tuple) -> tuple:
+# rows parsed per np.loadtxt call of the table reader
+_READ_BLOCK = 4096
+
+
+def _read_table(path: str, expected: str, *headers: tuple, ints=(), keep=None) -> tuple:
     """Parse a CSV file whose header is one of ``headers``.
 
-    Returns ``(header, table, rows)``.  ``table`` is one numpy parse of the
-    data rows with ``dtype``, whose number parsing gives the same doubles as
-    float(); it is ``None`` when numpy rejects a cell or parses a different
-    number of rows than the file has lines (a blank line, a quoted newline).
-    Only then is ``rows`` the cells as the csv module splits them.
+    Returns ``(header, columns, rows)``.  ``columns`` maps each name of
+    ``keep`` (default: the whole header) to an owned array, int64 for the
+    names in ``ints`` and float64 otherwise.  The open file is parsed
+    :data:`_READ_BLOCK` rows per ``np.loadtxt`` call, whose number parsing
+    gives the same doubles as float(), straight into those arrays; every
+    cell is parsed, kept or not.  ``columns`` is ``None`` when numpy rejects
+    a cell or parses a different number of rows than the file has lines (a
+    blank line, a quoted newline).  Only then is ``rows`` the cells as the
+    csv module splits them.
     """
     with open(path, newline="") as fh:
         try:
@@ -250,18 +260,28 @@ def _read_table(path: str, dtype, expected: str, *headers: tuple) -> tuple:
         if header not in headers:
             raise ParseError(f"{path}: row 1: expected {expected}, got {','.join(header)}")
         lines = sum(1 for _ in fh)
-    if not lines:
-        raise ParseError(f"{path}: row 2: no data rows after the header")
-    shape = (lines,) if np.dtype(dtype).names else (lines, len(header))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # numpy warns on a body of blank lines
-        try:
-            table = np.loadtxt(path, dtype=dtype, delimiter=",", skiprows=1, comments=None,
-                               quotechar='"', ndmin=len(shape))
-        except (ValueError, OverflowError):
-            table = None
-    if table is not None and table.shape == shape:
-        return header, table, None
+        if not lines:
+            raise ParseError(f"{path}: row 2: no data rows after the header")
+        dtype = np.dtype([(name, np.int64 if name in ints else np.float64) for name in header])
+        columns = {name: np.empty(lines, dtype[name]) for name in keep or header}
+        fh.seek(0)
+        next(csv.reader(fh))
+        done = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # numpy warns on blank lines and on empty input
+            try:
+                for start in range(0, lines, _READ_BLOCK):
+                    # a short block means the lines ran out first: every later one is empty
+                    block = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None,
+                                       quotechar='"', ndmin=1,
+                                       max_rows=min(_READ_BLOCK, lines - start))
+                    for name, column in columns.items():
+                        column[start : start + len(block)] = block[name]
+                    done = start + len(block)
+            except (ValueError, OverflowError):
+                pass
+    if done == lines:
+        return header, columns, None
     return header, None, _csv_rows(path, len(header))
 
 
@@ -428,11 +448,6 @@ def _int_cells(v: np.ndarray) -> np.ndarray:
     return np.array([b"%d" % i for i in v.tolist()], "S20").view(np.uint8).reshape(-1, 20)
 
 
-_TRAJECTORY_DTYPE = np.dtype(
-    [(name, np.int64 if name in _INT_COLUMNS else np.float64) for name in TRAJECTORY_COLUMNS]
-)
-
-
 def read_trajectory(path: str) -> Trajectory:
     """Read back a trajectory CSV written by :func:`write_trajectory`.
 
@@ -441,19 +456,18 @@ def read_trajectory(path: str) -> Trajectory:
     names the offending column or accepts what Python accepts (such as
     digit-group underscores).
     """
-    _, table, rows = _read_table(
-        path, _TRAJECTORY_DTYPE, f"the trajectory columns {','.join(TRAJECTORY_COLUMNS)}",
-        TRAJECTORY_COLUMNS,
+    _, columns, rows = _read_table(
+        path, f"the trajectory columns {','.join(TRAJECTORY_COLUMNS)}", TRAJECTORY_COLUMNS,
+        ints=_INT_COLUMNS,
     )
-    if table is None:
-        table = {}
+    if columns is None:
+        columns = {}
         for name, cells in zip(TRAJECTORY_COLUMNS, zip(*rows)):
             try:
-                table[name] = np.array(list(map(int if name in _INT_COLUMNS else float, cells)))
+                columns[name] = np.array(list(map(int if name in _INT_COLUMNS else float, cells)))
             except ValueError as exc:
                 raise ParseError(f"{path}: column {name}: {exc}") from None
-    return Trajectory(**{field: np.ascontiguousarray(table[name])
-                         for field, name in zip(_FIELDS, TRAJECTORY_COLUMNS)})
+    return Trajectory(**{field: columns[name] for field, name in zip(_FIELDS, TRAJECTORY_COLUMNS)})
 
 
 def clip_samples(samples: np.ndarray, y_bound: float) -> tuple[np.ndarray, int]:

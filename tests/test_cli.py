@@ -212,6 +212,21 @@ class TestWindow:
 
 
 BAD_JSON = "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
+
+
+def _trajectory_text(**row4) -> str:
+    """A 5-row trajectory file; each NAME=CELL of ``row4`` replaces a cell of file row 4."""
+    lines = [",".join(signals.TRAJECTORY_COLUMNS)]
+    for t in range(1, 6):
+        cells = dict(zip(signals.TRAJECTORY_COLUMNS,
+                         [str(t), "0.5", "0.5", "-0.5", "0.5", "0", "0", "1", str(t), "1", "0",
+                          "0", "0.1", repr(152 / t), "1", "0"]))
+        if t == 3:
+            cells.update(row4)
+        lines.append(",".join(cells.values()))
+    return "\n".join(lines) + "\n"
+
+
 # every usage error: (environment, files written first, command, its exact standard error)
 USAGE_ERRORS = {
     "tol-not-a-number": ({"CONVEXMIX_TOL": "banana"}, {}, "verify --trials 1 --n 5",
@@ -283,6 +298,18 @@ USAGE_ERRORS = {
                         "plot output t.csv is the input file"),
     "verify-bad-resolution": ({}, {}, "verify --trials 1 --n 5 --resolution 0.5",
                               "resolution must lie in (0, 0.1], got 0.5"),
+    "plot-nan-regret": ({}, {"t.csv": _trajectory_text(norm_regret="nan")},
+                        "plot --input t.csv --out p.svg",
+                        "t.csv: row 4: column norm_regret is nan; plot needs a finite value"),
+    "plot-inf-bound": ({}, {"t.csv": _trajectory_text(bound_norm="-inf")},
+                       "plot --input t.csv --logx --out p.svg",
+                       "t.csv: row 4: column bound_norm is -inf; plot needs a finite value"),
+    "plot-logx-zero-step": ({}, {"t.csv": _trajectory_text(t="0", norm_regret="inf")},
+                            "plot --input t.csv --logx --out p.svg",
+                            "t.csv: row 4: column t is 0; plot needs a positive step for --logx"),
+    "plot-logx-negative-step": ({}, {"t.csv": _trajectory_text(t="-3")},
+                                "plot --input t.csv --logx --out p.svg",
+                                "t.csv: row 4: column t is -3; plot needs a positive step for --logx"),
 }
 
 
@@ -536,6 +563,22 @@ class TestPlotCommand:
         assert "is the input file" in capsys.readouterr().err
         assert (workdir / "t.svg").read_bytes() == before
         assert run_cli("plot", "--input", "t.svg", "--out", "p.svg") == 0
+
+    def test_first_bad_row_is_named(self, workdir, capsys):
+        """Row 3's bound_norm is named before row 4's norm_regret, an earlier column."""
+        lines = _trajectory_text(norm_regret="nan").splitlines()
+        cells = lines[2].split(",")
+        cells[13] = "inf"
+        lines[2] = ",".join(cells)
+        (workdir / "t.csv").write_text("\n".join(lines) + "\n")
+        assert run_cli("plot", "--input", "t.csv") == 2
+        assert capsys.readouterr().err == (
+            "error: t.csv: row 3: column bound_norm is inf; plot needs a finite value\n")
+
+    def test_linear_axis_draws_nonpositive_steps(self, workdir):
+        (workdir / "t.csv").write_text(_trajectory_text(t="-3"))
+        assert run_cli("plot", "--input", "t.csv") == 0
+        assert "nan" not in (workdir / "t.svg").read_text()
 
     def test_rejects_plain_input_csv(self, workdir):
         (workdir / "seq.csv").write_text("y,yhat1,yhat2\n0.1,0.1,0.1\n")

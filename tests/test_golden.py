@@ -10,6 +10,10 @@ The sequence-source hashes (``--input``, ``--spec`` and ``generate``) were
 taken while every sequence was still built as a list of ``SignalSample``.
 The trajectory-replay and underscore-cell hashes were taken while
 ``load_csv`` and ``read_trajectory`` each parsed files with their own code.
+The ``c1.svg`` and ``c2.svg`` hashes were re-recorded when each polyline
+became its pixel-column envelope; only their two ``points`` lists changed,
+and every kept point is one the full polylines drew.  ``u.svg`` has at most
+four points per pixel column, so its hash did not move.
 """
 
 import hashlib
@@ -66,7 +70,7 @@ GOLDEN = {
         {
             "c1.csv": "793b0b39fc6e3a272766326f3926ded669319bcdca18af2fb6ab6402d0a3b377",
             "c1.json": "0907ea318d3d2675fd21517ec77e82c4b909e7c96930ead33c66e931ffbdd00a",
-            "c1.svg": "72229cfb603109ad1dc9794ee89ea7eb43c935e1e9425b6ab011c9c48c419cad",
+            "c1.svg": "aa9d0860501f918a71d9aa616a7aae0008350c59e57908a6c83b63e08a486a1c",
         },
     ),
     "run --case 2 monitor window": (
@@ -78,7 +82,7 @@ GOLDEN = {
         {
             "c2.csv": "09f1138825438452943b02baac088778cf7bbca9e1a440a476a0d1de846a28d0",
             "c2.json": "a4a314011f9c176162927014f7eef3eea499b002030e8a576f1d7a18f1837f32",
-            "c2.svg": "331ccd761b652c74aa2acff9b35cc54c1946789f28f8e561652d940e69e96b62",
+            "c2.svg": "3459d0dda9f312a9128ba09cc72cbf2ea81a16415179f88f218be7262fc71d19",
         },
     ),
     "sweep": (

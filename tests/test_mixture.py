@@ -1,12 +1,15 @@
 """Tests for the online convex combiner: parameterization, updates, runs."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from convexmix import mixture
+from convexmix.signals import SequenceSpec, generate
 from convexmix.verify import EQUIVALENCE_TOL
 from convexmix.mixture import (
     MixtureParams,
@@ -466,6 +469,54 @@ class TestRunMatchesStep:
             run(params, samples, initial_state=state)
         assert got.value.step == ref.value.step == 7
         assert str(got.value) == str(ref.value)
+
+
+B = mixture._RUN_BLOCK
+
+
+class TestRunBlocks:
+    """The loop runs ``_RUN_BLOCK`` steps at a time; block edges change no bit."""
+
+    @pytest.mark.parametrize("mode", ["monitor", "project"])
+    @pytest.mark.parametrize("n", [B - 1, B, B + 1, 2 * B + 1])
+    def test_bit_identical_to_step_at_block_edges(self, n, mode):
+        # rate 50 clamps often in project mode and stays in (0, 1) in monitor mode
+        params = _params(mu=50.0 if mode == "project" else 0.5, y_bound=1.0, mode=mode)
+        rows = np.random.default_rng(n).uniform(-1.0, 1.0, (n, 3))
+        state = state_from_lambda(0.3, t=2)
+        want, want_final = _reference_columns(params, [SignalSample(*r) for r in rows.tolist()],
+                                              state)
+        traj = run(params, rows, initial_state=state)
+        if mode == "project":
+            assert traj.projected.any()
+        for name, values in want.items():
+            dtype = _DTYPES.get(name, float)
+            assert getattr(traj, name).tobytes() == _bits(values, dtype), name
+        assert traj.final_state == want_final
+
+    @pytest.mark.parametrize("mode", ["monitor", "project"])
+    def test_failure_in_second_block_carries_global_step(self, mode):
+        params = _params(mu=1e308, y_bound=10.0, mode=mode)
+        rows = np.array([[0.0, 1.0, 1.0]] * (B + 10) + [[10.0, 10.0, -10.0]])
+        with pytest.raises(NumericError) as info:
+            run(params, rows, initial_state=state_from_lambda(0.5, t=4))
+        assert info.value.step == 4 + B + 10
+        assert str(info.value) == f"step {4 + B + 10}: auxiliary variable became non-finite"
+
+
+class TestRunMemory:
+    def test_working_memory_is_one_block(self):
+        """Beyond the columns it returns, a run holds one block's Python floats."""
+        samples = generate(SequenceSpec("case1", n=200_000))
+        params = _params(mode="project")
+        tracemalloc.start()
+        try:
+            traj = run(params, samples)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert traj.projected.any()
+        assert peak - retained < 2**20
 
 
 def _as_array(samples):

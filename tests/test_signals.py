@@ -657,3 +657,88 @@ class TestWriterMemory:
     def test_peak_does_not_grow_with_rows(self):
         small, large = self._peak(50_000), self._peak(200_000)
         assert large <= small + 2**20
+
+
+RB = signals._READ_BLOCK
+
+
+def _cells_parsed_by_python(path) -> dict:
+    """Each column of a trajectory file converted cell by cell with int() and float()."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    return {name: np.array([(int if name in signals._INT_COLUMNS else float)(cell)
+                            for cell in cells])
+            for name, cells in zip(TRAJECTORY_COLUMNS, zip(*rows))}
+
+
+class TestBlockReader:
+    """The table reader parses ``_READ_BLOCK`` rows per numpy call; block edges change nothing."""
+
+    @pytest.mark.parametrize("rows", [RB - 1, RB, RB + 1])
+    def test_columns_bit_identical_at_block_edges(self, tmp_path, parser, rows):
+        p = tmp_path / "traj.csv"
+        write_trajectory(_drawn_frame(rows, seed=rows), str(p))
+        back = read_trajectory(str(p))
+        for name, want in _cells_parsed_by_python(p).items():
+            got = _column(back, name)
+            assert got.dtype == want.dtype and got.flags.owndata, name
+            assert got.tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("rows", [RB - 1, RB, RB + 1])
+    def test_input_file_bit_identical_at_block_edges(self, tmp_path, parser, rows):
+        want = np.random.default_rng(rows).standard_normal((rows, 3))
+        p = tmp_path / "seq.csv"
+        _write_input_csv(p, [[repr(v) for v in row] for row in want.tolist()])
+        samples, clipped = load_csv(str(p), 1e308)
+        assert samples.tobytes() == want.tobytes() and clipped == 0
+
+    def _last_block_edited(self, tmp_path, edit):
+        p = tmp_path / "traj.csv"
+        write_trajectory(_drawn_frame(2 * RB + 5, seed=1), str(p))
+        lines = p.read_bytes().decode().split("\r\n")[:-1]
+        edit(lines)
+        p.write_text("\n".join(lines) + "\n")
+        return str(p)
+
+    def test_bad_cell_in_last_block(self, tmp_path):
+        def edit(lines):
+            cells = lines[-2].split(",")
+            cells[5] = "x"
+            lines[-2] = ",".join(cells)
+        with pytest.raises(ParseError, match="column rho: could not convert string to float: 'x'"):
+            read_trajectory(self._last_block_edited(tmp_path, edit))
+
+    def test_blank_line_in_last_block(self, tmp_path):
+        path = self._last_block_edited(tmp_path, lambda lines: lines.insert(2 * RB + 3, ""))  # row 2 * RB + 4
+        with pytest.raises(ParseError, match=f"row {2 * RB + 4}: expected 16 columns, found 0$"):
+            read_trajectory(path)
+
+    def test_short_row_in_last_block(self, tmp_path):
+        def edit(lines):
+            lines[-1] = "1,0,0"
+        path = self._last_block_edited(tmp_path, edit)
+        with pytest.raises(ParseError, match=f"row {2 * RB + 6}: expected 16 columns, found 3$"):
+            read_trajectory(path)
+        with pytest.raises(ParseError, match=f"row {2 * RB + 6}: expected 16 columns, found 3$"):
+            load_csv(path, 1.0)
+
+
+class TestReaderMemory:
+    def test_working_memory_is_one_block(self, tmp_path):
+        """Beyond the 16 columns it returns, reading 100,000 rows holds about one block."""
+        n = 100_000
+        rng = np.random.default_rng(0)
+        # few distinct values keep the file quick to write
+        columns = {field: rng.integers(-50, 50, n) / 8.0 for field in signals._FIELDS[1:14]}
+        frame = Trajectory(t=np.arange(1, n + 1), in_range=rng.integers(0, 2, n),
+                           projected=rng.integers(0, 2, n), **columns)
+        p = tmp_path / "traj.csv"
+        write_trajectory(frame, str(p))
+        tracemalloc.start()
+        try:
+            back = read_trajectory(str(p))
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(back) == n
+        assert peak - retained < 2 * 2**20
