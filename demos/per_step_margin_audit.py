@@ -16,7 +16,6 @@ import numpy as np
 
 from convexmix import (
     MixtureParams,
-    SignalSample,
     constants_from_eps,
     kl,
     per_step_margins,
@@ -29,10 +28,9 @@ params = MixtureParams(mu=constants.mu, lambda_plus=0.08, y_bound=1.0, mode="mon
 # A rough random sequence: both experts noisy, target uncorrelated.
 rng = np.random.default_rng(2026)
 n = 500
-y, y1, y2 = rng.uniform(-1.0, 1.0, (3, n))
-samples = [SignalSample(*row) for row in zip(y, y1, y2)]
+y, y1, y2 = columns = rng.uniform(-1.0, 1.0, (3, n))
 
-traj = run(params, samples)
+traj = run(params, columns.T)
 in_range = traj.in_range
 print(f"{int(in_range.sum())} of {n} steps stayed inside the floor band")
 

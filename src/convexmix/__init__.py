@@ -38,14 +38,11 @@ from .mixture import (
     MixtureParams,
     MixtureState,
     NumericError,
-    SignalSample,
-    StepRecord,
     Trajectory,
     logistic,
     logit,
     multiplicative_lambda,
     multiplicative_lambdas,
-    predict,
     run,
     sample_columns,
     state_from_lambda,
@@ -60,7 +57,6 @@ from .oracle import (
     best_betas,
     grid_best_beta,
     loss_at_beta,
-    merge,
     prefix_stats,
     stats_from,
     subtract,

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .mixture import SignalSample, multiplicative_lambda, multiplicative_lambdas
+from .mixture import multiplicative_lambda, multiplicative_lambdas
 
 __all__ = [
     "AuditInstance",
@@ -121,8 +121,7 @@ def evaluate_instance(
         raise ValueError(f"current weight must lie strictly inside (0, 1), got {lam}")
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"comparator weight must lie in [0, 1], got {beta}")
-    sample = SignalSample(instance.y, instance.yhat1, instance.yhat2)
-    lam1 = multiplicative_lambda(mu, lam, sample)
+    lam1 = multiplicative_lambda(mu, lam, instance.y, instance.yhat1, instance.yhat2)
     e = instance.y - (lam * instance.yhat1 + (1.0 - lam) * instance.yhat2)
     e_beta = instance.y - (beta * instance.yhat1 + (1.0 - beta) * instance.yhat2)
     progress = beta * math.log(lam1 / lam) + (1.0 - beta) * math.log((1.0 - lam1) / (1.0 - lam))

@@ -244,7 +244,10 @@ def cmd_lemma_audit(args: argparse.Namespace) -> int:
           f"b >= {lb.b_min_combined:.12g} (combined, conservative)")
     constructions = []
     for label, inst in zip(("floor", "midpoint"), audit.construction_instances(y_bound, lambda_plus)):
-        rep = audit.evaluate_instance(a, b, mu, inst, tol=tol)
+        try:
+            rep = audit.evaluate_instance(a, b, mu, inst, tol=tol)
+        except mixture.NumericError as exc:
+            raise mixture.NumericError(f"construction {label}: {exc}") from None
         constructions.append((label, inst, rep))
         flag = "VIOLATED" if rep.violated else "ok"
         print(f"construction {label}: lhs={rep.lhs:.12g} progress={rep.progress:.12g} "

@@ -22,14 +22,11 @@ import numpy as np
 
 __all__ = [
     "NumericError",
-    "SignalSample",
     "MixtureParams",
     "MixtureState",
-    "StepRecord",
     "Trajectory",
     "logistic",
     "logit",
-    "predict",
     "step",
     "multiplicative_lambda",
     "multiplicative_lambdas",
@@ -52,15 +49,6 @@ class NumericError(ArithmeticError):
             message = f"step {step}: {message}"
         super().__init__(message)
         self.step = step
-
-
-@dataclass(frozen=True)
-class SignalSample:
-    """One round of the stream: target ``y`` and the two expert outputs."""
-
-    y: float
-    yhat1: float
-    yhat2: float
 
 
 @dataclass(frozen=True)
@@ -98,19 +86,6 @@ class MixtureState:
     t: int = 1
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    """What happened at one step, before and after the update."""
-
-    t: int
-    lambda_before: float
-    lambda_after: float
-    yhat: float
-    e: float
-    in_range: bool
-    projected: bool
-
-
 def logistic(rho: float) -> float:
     """Map the auxiliary variable to a combination weight in (0, 1)."""
     if not math.isfinite(rho):
@@ -129,25 +104,22 @@ def logit(lam: float) -> float:
     return math.log(lam / (1.0 - lam))
 
 
-def predict(lam: float, sample: SignalSample) -> float:
-    """Convex combination of the two expert outputs under weight ``lam``."""
-    if not 0.0 < lam < 1.0:
-        raise ValueError(f"weight must lie strictly inside (0, 1), got {lam}")
-    return lam * sample.yhat1 + (1.0 - lam) * sample.yhat2
-
-
-def step(params: MixtureParams, state: MixtureState, sample: SignalSample) -> tuple[MixtureState, StepRecord]:
+def step(
+    params: MixtureParams, state: MixtureState, y: float, yhat1: float, yhat2: float
+) -> tuple[MixtureState, float, float, bool, bool]:
     """Advance the combiner by one observation.
 
-    Returns the next state together with a record of the step.  The range
-    flag refers to the weight that produced the prediction, i.e. the weight
+    Returns ``(next_state, yhat, e, in_range, projected)``.  The range flag
+    refers to the weight that produced the prediction, i.e. the weight
     before the update.  This is the readable reference that the loop in
     :func:`run` reproduces bit for bit.
     """
     lam = state.lam
-    yhat = predict(lam, sample)
-    e = sample.y - yhat
-    rho_new = state.rho + params.mu * e * lam * (1.0 - lam) * (sample.yhat1 - sample.yhat2)
+    if not 0.0 < lam < 1.0:
+        raise ValueError(f"weight must lie strictly inside (0, 1), got {lam}")
+    yhat = lam * yhat1 + (1.0 - lam) * yhat2
+    e = y - yhat
+    rho_new = state.rho + params.mu * e * lam * (1.0 - lam) * (yhat1 - yhat2)
     if not math.isfinite(rho_new):
         raise NumericError("auxiliary variable became non-finite", step=state.t)
     lam_new = logistic(rho_new)
@@ -162,19 +134,10 @@ def step(params: MixtureParams, state: MixtureState, sample: SignalSample) -> tu
     if not 0.0 < lam_new < 1.0:
         raise NumericError(f"weight saturated at {lam_new}", step=state.t)
     in_range = params.lambda_plus <= lam <= 1.0 - params.lambda_plus
-    record = StepRecord(
-        t=state.t,
-        lambda_before=lam,
-        lambda_after=lam_new,
-        yhat=yhat,
-        e=e,
-        in_range=in_range,
-        projected=projected,
-    )
-    return MixtureState(rho=rho_new, lam=lam_new, t=state.t + 1), record
+    return MixtureState(rho=rho_new, lam=lam_new, t=state.t + 1), yhat, e, in_range, projected
 
 
-def multiplicative_lambda(mu: float, lam: float, sample: SignalSample) -> float:
+def multiplicative_lambda(mu: float, lam: float, y: float, yhat1: float, yhat2: float) -> float:
     """Weight after one multiplicative update, equivalent to :func:`step`.
 
     With m = mu * e * lam * (1-lam), the next weight is
@@ -185,10 +148,10 @@ def multiplicative_lambda(mu: float, lam: float, sample: SignalSample) -> float:
     """
     if not 0.0 < lam < 1.0:
         raise ValueError(f"weight must lie strictly inside (0, 1), got {lam}")
-    e = sample.y - (lam * sample.yhat1 + (1.0 - lam) * sample.yhat2)
+    e = y - (lam * yhat1 + (1.0 - lam) * yhat2)
     m = mu * e * lam * (1.0 - lam)
-    g1 = m * sample.yhat1
-    g2 = m * sample.yhat2
+    g1 = m * yhat1
+    g2 = m * yhat2
     top = max(g1, g2)
     num = lam * math.exp(g1 - top)
     den = num + (1.0 - lam) * math.exp(g2 - top)
@@ -261,26 +224,22 @@ class Trajectory:
     @property
     def lam_after(self) -> np.ndarray:
         """The weight after each step, lambda_2, ..., lambda_{n+1}."""
+        if self.final_state is None:
+            raise ValueError("a trajectory read from CSV has no final weight")
         return np.append(self.lam[1:], self.final_state.lam)
 
 
 def sample_columns(samples) -> np.ndarray:
     """The ``(3, n)`` float64 array of rows ``y``, ``yhat1``, ``yhat2``.
 
-    ``samples`` is either an ``(n, 3)`` array, one row per step in field
-    order, or an iterable of :class:`SignalSample`.  The result is a fresh
-    array, never a view of the caller's data.
+    ``samples`` is an ``(n, 3)`` array, or anything ``np.asarray`` makes
+    one of, one row per step in field order.  The result is a fresh array,
+    never a view of the caller's data.
     """
-    if isinstance(samples, np.ndarray):
-        if samples.ndim != 2 or samples.shape[1] != 3:
-            raise ValueError(f"sample array must have shape (n, 3), got {samples.shape}")
-        return np.array(samples.T, dtype=float, order="C")
-    samples = list(samples)
-    columns = np.empty((3, len(samples)))
-    columns[0] = [s.y for s in samples]
-    columns[1] = [s.yhat1 for s in samples]
-    columns[2] = [s.yhat2 for s in samples]
-    return columns
+    samples = np.asarray(samples, dtype=float)
+    if samples.ndim != 2 or samples.shape[1] != 3:
+        raise ValueError(f"sample array must have shape (n, 3), got {samples.shape}")
+    return np.array(samples.T, order="C")
 
 
 def _check_samples(columns: np.ndarray, y_bound: float):
@@ -302,10 +261,9 @@ def _check_samples(columns: np.ndarray, y_bound: float):
 def run(params: MixtureParams, samples, initial_state: MixtureState | None = None) -> Trajectory:
     """Run the combiner over a whole sequence.
 
-    ``samples`` is an ``(n, 3)`` array or a sequence of
-    :class:`SignalSample` (see :func:`sample_columns`).  All sample fields
-    must already lie within ``params.y_bound`` in absolute value; out-of-cap
-    inputs are rejected rather than silently clipped.
+    ``samples`` is an ``(n, 3)`` array (see :func:`sample_columns`).  All
+    sample fields must already lie within ``params.y_bound`` in absolute
+    value; out-of-cap inputs are rejected rather than silently clipped.
 
     The recurrence runs as a loop over plain floats that repeats the
     arithmetic of :func:`step` operation for operation, so every column is

@@ -21,14 +21,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .mixture import SignalSample, sample_columns
+from .mixture import sample_columns
 
 __all__ = [
     "OracleStats",
     "BestBeta",
     "GridBest",
     "accumulate",
-    "merge",
     "subtract",
     "stats_from",
     "prefix_stats",
@@ -49,21 +48,16 @@ class OracleStats:
     s_rr: float = 0.0
 
 
-def accumulate(stats: OracleStats, sample: SignalSample) -> OracleStats:
+def accumulate(stats: OracleStats, y: float, yhat1: float, yhat2: float) -> OracleStats:
     """Fold one sample into the statistics."""
-    d = sample.yhat1 - sample.yhat2
-    r = sample.y - sample.yhat2
+    d = yhat1 - yhat2
+    r = y - yhat2
     return OracleStats(
         n=stats.n + 1,
         s_dd=stats.s_dd + d * d,
         s_rd=stats.s_rd + r * d,
         s_rr=stats.s_rr + r * r,
     )
-
-
-def merge(a: OracleStats, b: OracleStats) -> OracleStats:
-    """Statistics of the concatenation of two streams."""
-    return OracleStats(a.n + b.n, a.s_dd + b.s_dd, a.s_rd + b.s_rd, a.s_rr + b.s_rr)
 
 
 def subtract(total: OracleStats, prefix: OracleStats) -> OracleStats:
@@ -91,7 +85,7 @@ def prefix_stats(y: np.ndarray, yhat1: np.ndarray, yhat2: np.ndarray):
 
 
 def stats_from(samples) -> OracleStats:
-    """Statistics of a whole sequence: an ``(n, 3)`` array or ``SignalSample``s."""
+    """Statistics of a whole ``(n, 3)`` sequence."""
     columns = sample_columns(samples)
     return OracleStats(columns.shape[1], *(float(p[-1]) for p in prefix_stats(*columns)))
 
@@ -160,9 +154,9 @@ def _beta_grid(resolution: float) -> np.ndarray:
 def grid_best_beta(samples, resolution: float) -> GridBest:
     """Brute-force search over the weight grid {0, resolution, ..., 1}.
 
-    ``samples`` is an ``(n, 3)`` array or a sequence of ``SignalSample``.
-    Evaluates the residual sum directly for every grid point; ties go to
-    the smallest weight.  Independent of :func:`best_beta` by construction.
+    ``samples`` is an ``(n, 3)`` array.  Evaluates the residual sum
+    directly for every grid point; ties go to the smallest weight.
+    Independent of :func:`best_beta` by construction.
     """
     y, y1, y2 = sample_columns(samples)
     if not len(y):

@@ -310,6 +310,10 @@ def write_trajectory(frame: Trajectory, path: str) -> None:
     """
     if len(frame) == 0:
         raise ValueError("refusing to write an empty trajectory")
+    for field, name in zip(_FIELDS, TRAJECTORY_COLUMNS):
+        if getattr(frame, field) is None:
+            raise ValueError(f"refusing to write a trajectory whose column {name} is unfilled; "
+                             "summarize the run first")
     cols = [(np.asarray(getattr(frame, field)),
              *((np.int64, _int_cells) if name in _INT_COLUMNS else (np.float64, _float_cells)))
             for field, name in zip(_FIELDS, TRAJECTORY_COLUMNS)]

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import bounds, mixture, oracle
 from .bounds import TheoremConstants
-from .mixture import MixtureParams, SignalSample
+from .mixture import MixtureParams
 
 __all__ = ["run_verification", "IDENTITY_TOL", "EQUIVALENCE_TOL"]
 
@@ -84,14 +84,13 @@ def _equivalence_suite(constants, trials, seed):
         for _ in range(draws):
             lam = float(rng.uniform(0.01, 0.99))
             mu = float(rng.uniform(0.01, 2.0))
-            y, y1, y2 = rng.uniform(-constants.y_bound, constants.y_bound, 3)
-            sample = SignalSample(float(y), float(y1), float(y2))
+            y, y1, y2 = rng.uniform(-constants.y_bound, constants.y_bound, 3).tolist()
             params = MixtureParams(
                 mu=mu, lambda_plus=constants.lambda_plus,
                 y_bound=constants.y_bound, mode="monitor",
             )
-            state, _ = mixture.step(params, mixture.state_from_lambda(lam), sample)
-            other = mixture.multiplicative_lambda(mu, lam, sample)
+            state = mixture.step(params, mixture.state_from_lambda(lam), y, y1, y2)[0]
+            other = mixture.multiplicative_lambda(mu, lam, y, y1, y2)
             checked += 1
             diff = abs(state.lam - other)
             if diff > EQUIVALENCE_TOL:

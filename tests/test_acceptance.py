@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from convexmix import audit, bounds, mixture, oracle, report, signals, verify
-from convexmix.mixture import MixtureParams, SignalSample
+from convexmix.mixture import MixtureParams
 
 MARGIN_TRIALS = 100
 MARGIN_N = 500
@@ -144,10 +144,10 @@ def test_criterion_08_update_forms_agree():
     y, y1, y2 = rng.uniform(-1.0, 1.0, (3, draws))
     worst = 0.0
     for i in range(draws):
-        sample = SignalSample(y[i], y1[i], y2[i])
+        sample = y[i], y1[i], y2[i]
         params = MixtureParams(mu=mu[i], lambda_plus=0.08, y_bound=1.0, mode="monitor")
-        state, _ = mixture.step(params, mixture.state_from_lambda(lam[i]), sample)
-        other = mixture.multiplicative_lambda(mu[i], lam[i], sample)
+        state = mixture.step(params, mixture.state_from_lambda(lam[i]), *sample)[0]
+        other = mixture.multiplicative_lambda(mu[i], lam[i], *sample)
         diff = abs(state.lam - other)
         if diff > worst:
             worst = diff

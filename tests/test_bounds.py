@@ -20,7 +20,7 @@ from convexmix.bounds import (
     sufficiency_roots,
     z_of,
 )
-from convexmix.mixture import SignalSample, multiplicative_lambda
+from convexmix.mixture import multiplicative_lambda
 
 
 class TestZ:
@@ -144,8 +144,7 @@ class TestKl:
 
 
 def _midpoint_instance_margin(c):
-    sample = SignalSample(-0.5, 0.0, 1.0)
-    lam1 = multiplicative_lambda(c.mu, 0.5, sample)
+    lam1 = multiplicative_lambda(c.mu, 0.5, -0.5, 0.0, 1.0)
     return per_step_margin(c, 1.0, 0.5, lam1, -1.0, -0.5), lam1
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from convexmix import audit, bounds, cli, mixture, oracle, signals
-from convexmix.mixture import NumericError, SignalSample
+from convexmix.mixture import NumericError
 from convexmix.signals import read_trajectory
 
 
@@ -512,6 +512,17 @@ class TestLemmaAuditCommand:
         assert run_cli("lemma-audit", "--eps", "0.1", "--budget", "0", "--out", "w.json") == 2
         assert not (workdir / "w.json").exists()
         assert "budget must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, label", [
+        (("--a", "0.01", "--b", "1", "--mu", "1e6"), "floor"),
+        # the midpoint update saturates at a smaller rate than the floor one
+        (("--a", "0.01", "--b", "1", "--mu", "300"), "midpoint"),
+    ], ids=["floor", "midpoint"])
+    def test_numeric_failure_names_the_construction(self, workdir, capsys, argv, label):
+        assert run_cli("lemma-audit", *argv, "--out", "w.json") == 3
+        assert capsys.readouterr().err == (
+            f"numeric failure: construction {label}: multiplicative update degenerated to 1.0\n")
+        assert not (workdir / "w.json").exists()
 
     def test_unit_budget(self, workdir):
         assert run_cli("lemma-audit", "--eps", "0.1", "--budget", "1",

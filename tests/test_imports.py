@@ -1,7 +1,9 @@
-"""Every module-level import in the package is used in its module.
+"""Every module-level import in the package is used in its module, and
+every exported name is used somewhere in the package.
 
-No linter is part of the toolchain, so this is the check that catches an
-import left behind when code moves from one module to another.
+No linter is part of the toolchain, so these are the checks that catch an
+import left behind when code moves from one module to another, and an
+export whose last caller went away.
 """
 
 import ast
@@ -11,6 +13,18 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "convexmix"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# scalar references kept only so the kernels can be tested against them
+UNUSED_EXPORTS = {("bounds", "per_step_margin"), ("oracle", "accumulate")}
+
+
+def _exports(tree: ast.Module) -> list[str]:
+    return [
+        elt.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for elt in node.value.elts
+    ]
 
 
 def _unused_imports(source: str) -> set[str]:
@@ -24,14 +38,33 @@ def _unused_imports(source: str) -> set[str]:
     }
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     # a name listed in __all__ is used: the module exports it
-    exported = {
-        elt.value
-        for node in tree.body
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
-        for elt in node.value.elts
+    return imported - used - set(_exports(tree))
+
+
+def _unused_exports(sources: dict[str, str]) -> set[tuple[str, str]]:
+    """``(module, name)`` for each name in a module's ``__all__`` that nothing uses.
+
+    A use is a name read bare, or read as an attribute of a package module
+    (``oracle.x``), anywhere outside the name's own definition.  Imports and
+    ``__all__`` entries are not uses.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    uses = set()  # (name, module, top-level definition the use sits in)
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            owner = getattr(stmt, "name", None)
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    uses.add((node.id, module, owner))
+                elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                      and node.value.id in trees):
+                    uses.add((node.attr, module, owner))
+    return {
+        (module, name)
+        for module, tree in trees.items()
+        for name in _exports(tree)
+        if not any(n == name and (m, o) != (module, name) for n, m, o in uses)
     }
-    return imported - used - exported
 
 
 def test_the_check_sees_an_unused_import():
@@ -43,3 +76,17 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert _unused_imports(path.read_text()) == set()
+
+
+def test_the_check_sees_an_unused_export():
+    sources = {
+        "a": "__all__ = ['f', 'g', 'h']\ndef f():\n    return f()\ndef g():\n    return 1\n"
+             "def h():\n    return np.add.accumulate\n",
+        "b": "from . import a\n__all__ = ['accumulate']\ndef accumulate():\n    return a.g()\n",
+    }
+    assert _unused_exports(sources) == {("a", "f"), ("a", "h"), ("b", "accumulate")}
+
+
+def test_every_export_is_used():
+    sources = {p.stem: p.read_text() for p in MODULES}
+    assert _unused_exports(sources) == UNUSED_EXPORTS

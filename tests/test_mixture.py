@@ -15,12 +15,10 @@ from convexmix.mixture import (
     MixtureParams,
     MixtureState,
     NumericError,
-    SignalSample,
     logistic,
     logit,
     multiplicative_lambda,
     multiplicative_lambdas,
-    predict,
     run,
     sample_columns,
     state_from_lambda,
@@ -78,94 +76,98 @@ class TestLogit:
                 logit(bad)
 
 
+def _yhat(lam, y, y1, y2):
+    """The prediction ``step`` makes at weight ``lam``."""
+    return step(_params(), MixtureState(lam=lam), y, y1, y2)[1]
+
+
 class TestPredict:
     def test_midpoint_symmetry(self):
-        assert predict(0.5, SignalSample(0.0, 1.0, -1.0)) == 0.0
+        assert _yhat(0.5, 0.0, 1.0, -1.0) == 0.0
 
     def test_unit_experts(self):
-        assert predict(0.3, SignalSample(0.0, 1.0, 0.0)) == pytest.approx(0.3)
+        assert _yhat(0.3, 0.0, 1.0, 0.0) == pytest.approx(0.3)
 
     def test_benchmark_first_step(self):
         """Equal and opposite experts at weight 1/2 cancel."""
-        assert predict(0.5, SignalSample(0.5, 0.5, -0.5)) == 0.0
+        assert _yhat(0.5, 0.5, 0.5, -0.5) == 0.0
 
     def test_stays_in_hull(self):
         rng = np.random.default_rng(5)
         for _ in range(500):
             lam = rng.uniform(1e-6, 1 - 1e-6)
             y1, y2 = rng.uniform(-2, 2, 2)
-            yhat = predict(lam, SignalSample(0.0, y1, y2))
+            yhat = _yhat(lam, 0.0, y1, y2)
             assert min(y1, y2) - 1e-12 <= yhat <= max(y1, y2) + 1e-12
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            predict(0.0, SignalSample(0.0, 1.0, -1.0))
+            _yhat(0.0, 0.0, 1.0, -1.0)
         with pytest.raises(ValueError):
-            predict(1.0, SignalSample(0.0, 1.0, -1.0))
+            _yhat(1.0, 0.0, 1.0, -1.0)
 
 
 class TestStep:
     def test_hand_computed_update(self):
         """mu*e*lam*(1-lam)*(yhat1-yhat2) = 0.08*0.5*0.25*1.0 = 0.01."""
-        state, rec = step(_params(), MixtureState(), SignalSample(0.5, 0.5, -0.5))
-        assert rec.e == 0.5
+        state, yhat, e, in_range, projected = step(_params(), MixtureState(), 0.5, 0.5, -0.5)
+        assert (yhat, e) == (0.0, 0.5)
         assert state.rho == pytest.approx(0.01, abs=1e-15)
         assert state.lam == pytest.approx(0.502499979166875, rel=1e-12)
-        assert rec.lambda_before == 0.5
-        assert rec.lambda_after == state.lam
-        assert rec.in_range and not rec.projected
+        assert state.t == 2
+        assert in_range and not projected
 
     def test_identical_experts_freeze(self):
-        state, _ = step(_params(), MixtureState(), SignalSample(0.3, 0.2, 0.2))
+        state = step(_params(), MixtureState(), 0.3, 0.2, 0.2)[0]
         assert state.rho == 0.0
         assert state.lam == 0.5
 
     def test_zero_error_freezes(self):
-        state, rec = step(_params(), MixtureState(), SignalSample(0.0, 0.5, -0.5))
-        assert rec.e == 0.0
+        state, _, e, _, _ = step(_params(), MixtureState(), 0.0, 0.5, -0.5)
+        assert e == 0.0
         assert state.rho == 0.0
 
     def test_project_clamps_and_resets_rho(self):
         params = _params(mu=50.0, lambda_plus=0.45, y_bound=1.0, mode="project")
-        state, rec = step(params, MixtureState(), SignalSample(1.0, 1.0, -1.0))
-        assert rec.projected
+        state, _, _, _, projected = step(params, MixtureState(), 1.0, 1.0, -1.0)
+        assert projected
         assert state.lam == 0.55
         assert state.rho == pytest.approx(logit(0.55), rel=1e-12)
         assert logistic(state.rho) == pytest.approx(state.lam, abs=1e-15)
 
     def test_monitor_never_clamps(self):
         params = _params(mu=50.0, lambda_plus=0.45, y_bound=1.0, mode="monitor")
-        state, rec = step(params, MixtureState(), SignalSample(1.0, 1.0, -1.0))
-        assert not rec.projected
+        state, _, _, _, projected = step(params, MixtureState(), 1.0, 1.0, -1.0)
+        assert not projected
         assert state.lam > 0.55
 
     def test_in_range_reflects_weight_before(self):
         params = _params(lambda_plus=0.4, y_bound=1.0)
         start = state_from_lambda(0.2)
-        _, rec = step(params, start, SignalSample(1.0, 1.0, -1.0))
-        assert not rec.in_range
+        in_range = step(params, start, 1.0, 1.0, -1.0)[3]
+        assert not in_range
 
     def test_numeric_error_carries_step_index(self):
         params = _params(mu=1e308, y_bound=10.0)
         start = MixtureState(rho=0.0, lam=0.5, t=17)
         with pytest.raises(NumericError, match="step 17"):
-            step(params, start, SignalSample(10.0, 10.0, -10.0))
+            step(params, start, 10.0, 10.0, -10.0)
 
 
 class TestMultiplicativeForm:
     def test_matches_additive_on_hand_example(self):
         params = _params()
-        state, _ = step(params, MixtureState(), SignalSample(0.5, 0.5, -0.5))
-        other = multiplicative_lambda(params.mu, 0.5, SignalSample(0.5, 0.5, -0.5))
+        state = step(params, MixtureState(), 0.5, 0.5, -0.5)[0]
+        other = multiplicative_lambda(params.mu, 0.5, 0.5, 0.5, -0.5)
         assert abs(state.lam - other) <= 1e-12
         assert other == pytest.approx(0.50250, abs=5e-6)
 
     def test_identical_experts_exact_fixpoint(self):
-        assert multiplicative_lambda(0.7, 0.31, SignalSample(0.9, 0.4, 0.4)) == 0.31
+        assert multiplicative_lambda(0.7, 0.31, 0.9, 0.4, 0.4) == 0.31
 
     def test_hand_computed_asymmetric_case(self):
         """Exponent mu*e*lam*(1-lam)*yhat2 = -0.25752; weight is logistic(0.25752)."""
-        lam = multiplicative_lambda(1.03008, 0.5, SignalSample(-0.5, 0.0, 1.0))
+        lam = multiplicative_lambda(1.03008, 0.5, -0.5, 0.0, 1.0)
         assert lam == pytest.approx(0.564026555444559, rel=1e-12)
 
     def test_form_equivalence_property(self):
@@ -174,19 +176,18 @@ class TestMultiplicativeForm:
         for _ in range(2000):
             lam = rng.uniform(0.01, 0.99)
             mu = rng.uniform(0.01, 2.0)
-            y, y1, y2 = rng.uniform(-1, 1, 3)
-            sample = SignalSample(y, y1, y2)
+            sample = rng.uniform(-1, 1, 3)
             params = _params(mu=mu, y_bound=1.0)
-            state, _ = step(params, state_from_lambda(lam), sample)
-            assert abs(state.lam - multiplicative_lambda(mu, lam, sample)) <= 1e-12
+            state = step(params, state_from_lambda(lam), *sample)[0]
+            assert abs(state.lam - multiplicative_lambda(mu, lam, *sample)) <= 1e-12
 
     def test_saturation_is_a_numeric_error(self):
         with pytest.raises(NumericError, match="degenerated"):
-            multiplicative_lambda(1e6, 0.5, SignalSample(-1.0, 0.0, 1.0))
+            multiplicative_lambda(1e6, 0.5, -1.0, 0.0, 1.0)
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            multiplicative_lambda(0.1, 0.0, SignalSample(0.0, 0.0, 0.0))
+            multiplicative_lambda(0.1, 0.0, 0.0, 0.0, 0.0)
 
 
 _unit = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)
@@ -207,9 +208,9 @@ class TestMultiplicativeKernel:
         for k, m in enumerate(mu.tolist()):
             # one rate per call, as the audit uses it
             got = multiplicative_lambdas(m, lam[k:k + 1], y[k:k + 1], y1[k:k + 1], y2[k:k + 1])
-            sample = SignalSample(y[k], y1[k], y2[k])
-            ref = multiplicative_lambda(m, lam[k], sample)
-            state, _ = step(_params(mu=m, y_bound=1.0), state_from_lambda(lam[k]), sample)
+            sample = y[k], y1[k], y2[k]
+            ref = multiplicative_lambda(m, lam[k], *sample)
+            state = step(_params(mu=m, y_bound=1.0), state_from_lambda(lam[k]), *sample)[0]
             assert abs(got[0] - ref) <= EQUIVALENCE_TOL
             assert abs(got[0] - state.lam) <= EQUIVALENCE_TOL
 
@@ -219,7 +220,7 @@ class TestMultiplicativeKernel:
         y, y1, y2 = rng.uniform(-1, 1, (3, 5000))
         whole = multiplicative_lambdas(1.03, lam, y, y1, y2)
         ref = np.array([multiplicative_lambda(1.03, *v) for v in zip(
-            lam.tolist(), map(SignalSample, y.tolist(), y1.tolist(), y2.tolist()))])
+            lam.tolist(), y.tolist(), y1.tolist(), y2.tolist())])
         assert np.max(np.abs(whole - ref)) <= EQUIVALENCE_TOL
 
     def test_identical_experts_exact_fixpoint(self):
@@ -235,11 +236,9 @@ class TestMultiplicativeKernel:
 
 
 def _case1(n):
-    out = []
-    for t in range(1, n + 1):
-        sign = -1.0 if t % 2 == 1 else 1.0
-        out.append(SignalSample(0.5, 0.5, sign * 0.5))
-    return out
+    rows = np.full((n, 3), 0.5)
+    rows[::2, 2] = -0.5
+    return rows
 
 
 class TestRun:
@@ -251,7 +250,7 @@ class TestRun:
         assert traj.e[1] == 0.0
 
     def test_perfect_experts_zero_loss(self):
-        samples = [SignalSample(0.3, 0.3, 0.3)] * 50
+        samples = [(0.3, 0.3, 0.3)] * 50
         traj = run(_params(y_bound=1.0), samples)
         assert traj.cum_loss[-1] == 0.0
         assert traj.lam_after.tolist() == [0.5] * 50
@@ -283,7 +282,7 @@ class TestRun:
 
     def test_state_consistency_throughout(self):
         rng = np.random.default_rng(7)
-        samples = [SignalSample(*rng.uniform(-1, 1, 3)) for _ in range(400)]
+        samples = rng.uniform(-1, 1, (400, 3))
         traj = run(_params(mu=1.0, y_bound=1.0), samples)
         for lam_after, rho_next in zip(traj.lam_after, list(traj.rho[1:]) + [traj.final_state.rho]):
             assert abs(lam_after - logistic(rho_next)) <= 1e-15
@@ -291,11 +290,12 @@ class TestRun:
     def test_monotone_response(self):
         """In monitor mode the weight moves up exactly when e*(yhat1-yhat2) > 0."""
         rng = np.random.default_rng(19)
-        samples = [SignalSample(*rng.uniform(-1, 1, 3)) for _ in range(500)]
+        samples = rng.uniform(-1, 1, (500, 3))
         traj = run(_params(mu=0.8, y_bound=1.0), samples)
-        rows = zip(traj.e.tolist(), traj.lam.tolist(), traj.lam_after.tolist(), samples)
-        for e, before, after, sample in rows:
-            drive = e * (sample.yhat1 - sample.yhat2)
+        rows = zip(traj.e.tolist(), traj.lam.tolist(), traj.lam_after.tolist(),
+                   (samples[:, 1] - samples[:, 2]).tolist())
+        for e, before, after, d in rows:
+            drive = e * d
             if drive > 0:
                 assert after > before
             elif drive < 0:
@@ -305,22 +305,22 @@ class TestRun:
 
     def test_boundedness(self):
         rng = np.random.default_rng(23)
-        samples = [SignalSample(*rng.uniform(-0.5, 0.5, 3)) for _ in range(500)]
+        samples = rng.uniform(-0.5, 0.5, (500, 3))
         traj = run(_params(mu=1.0), samples)
         assert np.all(np.abs(traj.yhat) <= 0.5 + 1e-12)
         assert np.all(np.abs(traj.e) <= 1.0 + 1e-12)
 
     def test_rejects_empty_sequence(self):
         with pytest.raises(ValueError):
-            run(_params(), [])
+            run(_params(), np.empty((0, 3)))
 
     def test_rejects_unclipped_samples(self):
         with pytest.raises(ValueError, match="exceeds"):
-            run(_params(), [SignalSample(0.7, 0.1, 0.1)])
+            run(_params(), [(0.7, 0.1, 0.1)])
 
     def test_rejects_non_finite_samples(self):
         with pytest.raises(ValueError, match="finite"):
-            run(_params(), [SignalSample(math.nan, 0.1, 0.1)])
+            run(_params(), [(math.nan, 0.1, 0.1)])
 
     def test_rejects_inconsistent_initial_state(self):
         with pytest.raises(ValueError, match="inconsistent"):
@@ -328,7 +328,7 @@ class TestRun:
 
     def test_numeric_error_propagates_with_index(self):
         params = _params(mu=1e308, y_bound=10.0)
-        samples = [SignalSample(0.0, 1.0, 1.0), SignalSample(10.0, 10.0, -10.0)]
+        samples = [(0.0, 1.0, 1.0), (10.0, 10.0, -10.0)]
         with pytest.raises(NumericError, match="step 2"):
             run(params, samples)
 
@@ -361,12 +361,12 @@ class TestSaturation:
     def test_step_reports_step_index(self):
         params = MixtureParams(mu=1e4, lambda_plus=0.08, y_bound=1.0, mode="monitor")
         with pytest.raises(NumericError) as info:
-            step(params, MixtureState(t=7), SignalSample(0.5, 0.5, -0.5))
+            step(params, MixtureState(t=7), 0.5, 0.5, -0.5)
         assert info.value.step == 7
 
     def test_saturation_toward_zero(self):
         params = MixtureParams(mu=1e4, lambda_plus=0.08, y_bound=1.0, mode="monitor")
-        samples = [SignalSample(0.5, 0.5, 0.5), SignalSample(-0.5, 0.5, -0.5)]
+        samples = [(0.5, 0.5, 0.5), (-0.5, 0.5, -0.5)]
         with pytest.raises(NumericError, match="step 2: weight saturated at 0.0"):
             run(params, samples)
 
@@ -381,18 +381,18 @@ def _reference_columns(params, samples, state):
     cols = {name: [] for name in ("t", "lam", "lam_after", "rho", "yhat",
                                   "e", "cum_loss", "in_range", "projected")}
     total = 0.0
-    for sample in samples:
+    for y, y1, y2 in samples:
+        cols["t"].append(state.t)
+        cols["lam"].append(state.lam)
         cols["rho"].append(state.rho)
-        state, rec = step(params, state, sample)
-        total += rec.e * rec.e
-        cols["t"].append(rec.t)
-        cols["lam"].append(rec.lambda_before)
-        cols["lam_after"].append(rec.lambda_after)
-        cols["yhat"].append(rec.yhat)
-        cols["e"].append(rec.e)
+        state, yhat, e, in_range, projected = step(params, state, y, y1, y2)
+        total += e * e
+        cols["lam_after"].append(state.lam)
+        cols["yhat"].append(yhat)
+        cols["e"].append(e)
         cols["cum_loss"].append(total)
-        cols["in_range"].append(rec.in_range)
-        cols["projected"].append(rec.projected)
+        cols["in_range"].append(in_range)
+        cols["projected"].append(projected)
     return cols, state
 
 
@@ -401,7 +401,7 @@ def _runs(draw):
     y_bound = draw(st.sampled_from([0.5, 1.0, 3.0]))
     value = st.floats(-y_bound, y_bound, allow_nan=False, allow_subnormal=False)
     n = draw(st.integers(1, 40))
-    samples = [SignalSample(draw(value), draw(value), draw(value)) for _ in range(n)]
+    samples = [(draw(value), draw(value), draw(value)) for _ in range(n)]
     # rates up to 1e3 push the weight out of range, so project mode clamps
     # and monitor mode may saturate
     mu = draw(st.floats(1e-3, 1e3))
@@ -443,14 +443,14 @@ class TestRunMatchesStep:
         assert traj.final_state == want_final
         assert _bits([traj.final_state.rho, traj.final_state.lam]) == _bits(
             [want_final.rho, want_final.lam])
-        for name in ("y", "yhat1", "yhat2"):
-            assert getattr(traj, name).tobytes() == _bits([getattr(s, name) for s in samples]), name
+        for name, column in zip(("y", "yhat1", "yhat2"), zip(*samples)):
+            assert getattr(traj, name).tobytes() == _bits(column), name
 
     def test_projected_steps_are_exercised(self):
         params = _params(mu=50.0, y_bound=1.0, mode="project")
         rng = np.random.default_rng(5)
-        samples = [SignalSample(*rng.uniform(-1, 1, 3)) for _ in range(300)]
-        want, want_final = _reference_columns(params, samples, MixtureState())
+        samples = rng.uniform(-1, 1, (300, 3))
+        want, want_final = _reference_columns(params, samples.tolist(), MixtureState())
         traj = run(params, samples)
         assert 0 < traj.projected.sum() < len(traj)
         for name, values in want.items():
@@ -461,7 +461,7 @@ class TestRunMatchesStep:
     @pytest.mark.parametrize("mode", ["monitor", "project"])
     def test_non_finite_rho_step_index(self, mode):
         params = _params(mu=1e308, y_bound=10.0, mode=mode)
-        samples = [SignalSample(0.0, 1.0, 1.0)] * 3 + [SignalSample(10.0, 10.0, -10.0)]
+        samples = [(0.0, 1.0, 1.0)] * 3 + [(10.0, 10.0, -10.0)]
         state = state_from_lambda(0.5, t=4)
         with pytest.raises(NumericError) as ref:
             _reference_columns(params, samples, state)
@@ -484,8 +484,7 @@ class TestRunBlocks:
         params = _params(mu=50.0 if mode == "project" else 0.5, y_bound=1.0, mode=mode)
         rows = np.random.default_rng(n).uniform(-1.0, 1.0, (n, 3))
         state = state_from_lambda(0.3, t=2)
-        want, want_final = _reference_columns(params, [SignalSample(*r) for r in rows.tolist()],
-                                              state)
+        want, want_final = _reference_columns(params, rows.tolist(), state)
         traj = run(params, rows, initial_state=state)
         if mode == "project":
             assert traj.projected.any()
@@ -519,30 +518,8 @@ class TestRunMemory:
         assert peak - retained < 2**20
 
 
-def _as_array(samples):
-    return np.array([(s.y, s.yhat1, s.yhat2) for s in samples])
-
-
 class TestArrayInput:
-    """An ``(n, 3)`` array and the equal ``SignalSample`` list run alike."""
-
-    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(_runs())
-    def test_every_column_bit_identical(self, case):
-        params, samples, state = case
-        try:
-            want = run(params, samples, initial_state=state)
-        except NumericError as exc:
-            with pytest.raises(NumericError) as info:
-                run(params, _as_array(samples), initial_state=state)
-            assert str(info.value) == str(exc)
-            return
-        got = run(params, _as_array(samples), initial_state=state)
-        for name in ("t", "y", "yhat1", "yhat2", "lam", "lam_after", "rho", "yhat",
-                     "e", "cum_loss", "in_range", "projected"):
-            assert getattr(got, name).dtype == getattr(want, name).dtype, name
-            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
-        assert got.final_state == want.final_state
+    """A sequence is an ``(n, 3)`` array, or rows ``np.asarray`` makes one of."""
 
     def test_columns_are_copies(self):
         rows = np.array([[0.5, 0.5, -0.5], [-0.5, -0.5, 0.5]])
@@ -553,21 +530,24 @@ class TestArrayInput:
             assert column.flags.c_contiguous and not np.shares_memory(column, rows)
 
     @pytest.mark.parametrize("bad, message", [
-        (SignalSample(0.1, math.nan, 0.1), "sample 2: field yhat1 is not finite (nan)"),
-        (SignalSample(0.1, 0.1, -math.inf), "sample 2: field yhat2 is not finite (-inf)"),
-        (SignalSample(0.7, 0.1, 0.9), "sample 2: field y = 0.7 exceeds the magnitude cap 0.5"),
+        ((0.1, math.nan, 0.1), "sample 2: field yhat1 is not finite (nan)"),
+        ((0.1, 0.1, -math.inf), "sample 2: field yhat2 is not finite (-inf)"),
+        ((0.7, 0.1, 0.9), "sample 2: field y = 0.7 exceeds the magnitude cap 0.5"),
     ])
     def test_same_rejection_messages(self, bad, message):
-        samples = [SignalSample(0.1, 0.2, 0.3), bad, SignalSample(math.nan, 0.0, 0.0)]
-        for given_as in (samples, _as_array(samples)):
-            with pytest.raises(ValueError) as info:
-                run(_params(), given_as)
-            assert str(info.value) == message
+        with pytest.raises(ValueError) as info:
+            run(_params(), np.array([(0.1, 0.2, 0.3), bad, (math.nan, 0.0, 0.0)]))
+        assert str(info.value) == message
 
     def test_empty_input(self):
-        for given_as in ([], np.empty((0, 3))):
-            with pytest.raises(ValueError, match="^sequence must be non-empty$"):
-                run(_params(), given_as)
+        with pytest.raises(ValueError, match="^sequence must be non-empty$"):
+            run(_params(), np.empty((0, 3)))
+
+    def test_list_of_rows(self):
+        rows = [(0.5, 0.5, -0.5), (-0.5, -0.5, 0.5), (0.25, 0.0, 0.5)]
+        want, got = run(_params(), np.array(rows)), run(_params(), rows)
+        for name in ("y", "yhat1", "yhat2", "lam", "rho", "yhat", "e", "cum_loss"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
     @pytest.mark.parametrize("shape", [(4,), (4, 2), (2, 3, 1)])
     def test_rejects_other_shapes(self, shape):

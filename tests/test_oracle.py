@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convexmix import oracle
-from convexmix.mixture import SignalSample
 from convexmix.oracle import (
     OracleStats,
     accumulate,
@@ -14,7 +13,6 @@ from convexmix.oracle import (
     best_betas,
     grid_best_beta,
     loss_at_beta,
-    merge,
     prefix_stats,
     stats_from,
     subtract,
@@ -23,30 +21,30 @@ from convexmix.signals import SequenceSpec, generate
 
 
 def _random_samples(rng, n, scale=1.0):
-    return [SignalSample(*(scale * rng.uniform(-1, 1, 3))) for _ in range(n)]
+    return scale * rng.uniform(-1, 1, (n, 3))
 
 
 def _direct_loss(samples, beta):
-    return sum((s.y - beta * s.yhat1 - (1 - beta) * s.yhat2) ** 2 for s in samples)
+    return sum((y - beta * y1 - (1 - beta) * y2) ** 2 for y, y1, y2 in samples.tolist())
 
 
 class TestAccumulate:
     def test_single_alternating_sample(self):
         """d = 1, r = 1 for (0.5, 0.5, -0.5)."""
-        stats = accumulate(OracleStats(), SignalSample(0.5, 0.5, -0.5))
+        stats = accumulate(OracleStats(), 0.5, 0.5, -0.5)
         assert stats == OracleStats(n=1, s_dd=1.0, s_rd=1.0, s_rr=1.0)
 
     def test_identical_experts_leave_cross_terms(self):
         before = OracleStats(n=3, s_dd=2.0, s_rd=1.0, s_rr=4.0)
-        after = accumulate(before, SignalSample(0.5, 0.2, 0.2))
+        after = accumulate(before, 0.5, 0.2, 0.2)
         assert after.s_dd == before.s_dd
         assert after.s_rd == before.s_rd
         assert after.s_rr > before.s_rr
 
     def test_two_equal_samples_double(self):
-        s = SignalSample(0.4, -0.3, 0.1)
-        once = accumulate(OracleStats(), s)
-        twice = accumulate(once, s)
+        s = (0.4, -0.3, 0.1)
+        once = accumulate(OracleStats(), *s)
+        twice = accumulate(once, *s)
         assert twice.n == 2
         assert twice.s_dd == 2 * once.s_dd
         assert twice.s_rd == 2 * once.s_rd
@@ -56,27 +54,6 @@ class TestAccumulate:
         rng = np.random.default_rng(31)
         stats = stats_from(_random_samples(rng, 200))
         assert stats.s_rd ** 2 <= stats.s_dd * stats.s_rr * (1 + 1e-12)
-
-    def test_merge_subtract_roundtrip(self):
-        """Stats are additive under concatenation."""
-        rng = np.random.default_rng(8)
-        left = _random_samples(rng, 60)
-        right = _random_samples(rng, 40)
-        a, b = stats_from(left), stats_from(right)
-        total = stats_from(left + right)
-        merged = merge(a, b)
-        assert merged.n == total.n
-        np.testing.assert_allclose(
-            [merged.s_dd, merged.s_rd, merged.s_rr],
-            [total.s_dd, total.s_rd, total.s_rr],
-            rtol=1e-12,
-        )
-        back = subtract(merged, a)
-        np.testing.assert_allclose(
-            [back.s_dd, back.s_rd, back.s_rr],
-            [b.s_dd, b.s_rd, b.s_rr],
-            rtol=1e-9, atol=1e-15,
-        )
 
     def test_subtract_rejects_oversized_prefix(self):
         with pytest.raises(ValueError):
@@ -147,7 +124,7 @@ class TestBestBeta:
         assert best.loss == pytest.approx(7.385524372234613, rel=1e-9)
 
     def test_degenerate_when_experts_agree(self):
-        stats = stats_from([SignalSample(0.5, 0.2, 0.2)] * 4)
+        stats = stats_from([(0.5, 0.2, 0.2)] * 4)
         best = best_beta(stats)
         assert best.degenerate
         assert best.beta == 0.5
@@ -155,10 +132,10 @@ class TestBestBeta:
 
     def test_clamps_exterior_minimizer(self):
         # r and d anti-correlated pushes the raw ratio below 0
-        samples = [SignalSample(0.0, 1.0, -1.0), SignalSample(0.0, 1.0, -1.0)]
+        samples = [(0.0, 1.0, -1.0), (0.0, 1.0, -1.0)]
         best = best_beta(stats_from(samples))
         assert best.beta == 0.5  # here the minimizer is interior; sanity
-        samples = [SignalSample(-1.0, 1.0, 0.0)] * 3
+        samples = [(-1.0, 1.0, 0.0)] * 3
         best = best_beta(stats_from(samples))
         assert best.beta == 0.0
 
@@ -193,12 +170,12 @@ class TestGridBestBeta:
         assert grid.loss == 0.0
 
     def test_tie_breaks_to_smaller_beta(self):
-        samples = [SignalSample(0.5, 0.5, 0.5)] * 5
+        samples = [(0.5, 0.5, 0.5)] * 5
         grid = grid_best_beta(samples, 0.1)
         assert grid.beta == 0.0
 
     def test_grid_endpoint_is_exactly_one(self):
-        samples = [SignalSample(1.0, 1.0, -1.0)]
+        samples = [(1.0, 1.0, -1.0)]
         for res in (0.1, 0.07, 0.01, 1e-3):
             grid = grid_best_beta(samples, res)
             assert grid.beta == 1.0
@@ -215,8 +192,8 @@ class TestGridBestBeta:
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            grid_best_beta([], 0.01)
-        sample = [SignalSample(0.1, 0.2, 0.3)]
+            grid_best_beta(np.empty((0, 3)), 0.01)
+        sample = [(0.1, 0.2, 0.3)]
         for bad in (0.0, 0.2, -0.1):
             with pytest.raises(ValueError):
                 grid_best_beta(sample, bad)
@@ -229,18 +206,17 @@ class TestPrefixColumns:
     """Column forms of the oracle equal the scalar fold and closed form bit for bit."""
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.tuples(_value, _value, _value).map(lambda v: SignalSample(*v)),
-                    min_size=1, max_size=30)
-           | st.lists(st.sampled_from([SignalSample(0.0, 0.5, 0.5), SignalSample(-0.0, 0.5, 0.0),
-                                       SignalSample(0.5, -0.5, 0.5), SignalSample(0.25, 0.25, 0.25)]),
+    @given(st.lists(st.tuples(_value, _value, _value), min_size=1, max_size=30)
+           | st.lists(st.sampled_from([(0.0, 0.5, 0.5), (-0.0, 0.5, 0.0),
+                                       (0.5, -0.5, 0.5), (0.25, 0.25, 0.25)]),
                       min_size=1, max_size=12))
     def test_matches_fold(self, samples):
-        cols = [np.array([getattr(s, f) for s in samples]) for f in ("y", "yhat1", "yhat2")]
+        cols = [np.array(c) for c in zip(*samples)]
         s_dd, s_rd, s_rr = prefix_stats(*cols)
         beta, loss = best_betas(s_dd[1:], s_rd[1:], s_rr[1:])
         stats = OracleStats()
         for k, sample in enumerate(samples, start=1):
-            stats = accumulate(stats, sample)
+            stats = accumulate(stats, *sample)
             got = (s_dd[k], s_rd[k], s_rr[k], beta[k - 1], loss[k - 1])
             want = (stats.s_dd, stats.s_rd, stats.s_rr, *best_beta(stats)[:2])
             assert np.array(got).tobytes() == np.array(want).tobytes()
@@ -249,7 +225,7 @@ class TestPrefixColumns:
     def test_empty_prefix_is_zero(self):
         s_dd, s_rd, s_rr = prefix_stats(*(np.array([0.5]),) * 3)
         assert (s_dd[0], s_rd[0], s_rr[0]) == (0.0, 0.0, 0.0)
-        assert stats_from([]) == OracleStats()
+        assert stats_from(np.empty((0, 3))) == OracleStats()
 
 
 # multiples of 1/8 in [-2, 2]: every product is a multiple of 1/64 below 16
@@ -264,15 +240,15 @@ def _stats(rows):
 
 
 class TestStatsAlgebra:
-    """``merge`` and ``subtract`` against ``stats_from`` of the concatenation and the suffix."""
+    """``subtract`` against ``stats_from`` of the suffix."""
 
     @settings(max_examples=200, deadline=None)
     @given(_dyadic_rows, _dyadic_rows)
     def test_exact_when_sums_are_exact(self, head, tail):
         whole = _stats(head + tail)
-        assert merge(_stats(head), _stats(tail)) == whole
         assert subtract(whole, _stats(head)) == _stats(tail)
-        assert merge(whole, OracleStats()) == whole == subtract(whole, OracleStats())
+        assert subtract(whole, _stats(tail)) == _stats(head)
+        assert subtract(whole, OracleStats()) == whole
 
     @settings(max_examples=200, deadline=None)
     @given(_rows, _rows)
@@ -287,37 +263,27 @@ class TestStatsAlgebra:
         cols = np.array(head + tail, dtype=float).reshape(-1, 3).T
         d, r = cols[1] - cols[2], cols[0] - cols[2]
         n = whole.n
-        merged, suffix = merge(first, last), subtract(whole, first)
-        assert merged.n == n and suffix.n == last.n
+        suffix = subtract(whole, first)
+        assert suffix.n == last.n
         for name, terms in (("s_dd", d * d), ("s_rd", r * d), ("s_rr", r * r)):
             tol = 4 * (n + 1) * 2.0**-53 * float(np.abs(terms).sum())
-            assert abs(getattr(merged, name) - getattr(whole, name)) <= tol, name
             assert abs(getattr(suffix, name) - getattr(last, name)) <= tol, name
 
 
 class TestArrayInput:
-    """An ``(n, 3)`` array and the equal ``SignalSample`` list give equal results."""
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.tuples(_value, _value, _value), min_size=1, max_size=30))
-    def test_stats_and_grid_agree(self, rows):
-        samples = [SignalSample(*row) for row in rows]
-        array = np.array(rows, dtype=float)
-        assert stats_from(array) == stats_from(samples)
-        assert grid_best_beta(array, 0.01) == grid_best_beta(samples, 0.01)
+    """A sequence is an ``(n, 3)`` array, a view of one included."""
 
     def test_transposed_view(self):
         rng = np.random.default_rng(4)
         columns = rng.uniform(-1, 1, (3, 500))
-        samples = [SignalSample(*row) for row in zip(*columns.tolist())]
-        assert stats_from(columns.T) == stats_from(samples)
-        assert grid_best_beta(columns.T, 0.05) == grid_best_beta(samples, 0.05)
+        rows = np.ascontiguousarray(columns.T)
+        assert stats_from(columns.T) == stats_from(rows)
+        assert grid_best_beta(columns.T, 0.05) == grid_best_beta(rows, 0.05)
 
     def test_empty_input(self):
-        assert stats_from(np.empty((0, 3))) == stats_from([]) == OracleStats()
-        for given_as in ([], np.empty((0, 3))):
-            with pytest.raises(ValueError, match="^sequence must be non-empty$"):
-                grid_best_beta(given_as, 0.01)
+        assert stats_from(np.empty((0, 3))) == OracleStats()
+        with pytest.raises(ValueError, match="^sequence must be non-empty$"):
+            grid_best_beta(np.empty((0, 3)), 0.01)
 
 
 class TestGridChunks:

@@ -434,6 +434,24 @@ class TestTrajectoryRoundTrip:
         with pytest.raises(ValueError, match="empty trajectory"):
             write_trajectory(empty, str(tmp_path / "x.csv"))
 
+    def test_refuses_unfilled_comparator_columns(self, tmp_path):
+        """A frame straight from ``run`` has no comparator columns; no file is created."""
+        params = MixtureParams(mu=0.08, lambda_plus=0.08, y_bound=0.5)
+        frame = run(params, generate(SequenceSpec("case1", n=10)))
+        p = tmp_path / "x.csv"
+        with pytest.raises(ValueError, match="^refusing to write a trajectory whose column "
+                                             "best_beta_prefix is unfilled; summarize the run first$"):
+            write_trajectory(frame, str(p))
+        assert not p.exists()
+
+    def test_read_back_has_no_weight_after_last_step(self, tmp_path):
+        p = tmp_path / "traj.csv"
+        write_trajectory(_tiny_frame(), str(p))
+        back = read_trajectory(str(p))
+        assert back.final_state is None
+        with pytest.raises(ValueError, match="^a trajectory read from CSV has no final weight$"):
+            back.lam_after
+
     def test_read_rejects_wrong_schema(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("t,y\n1,0\n")
