@@ -9,8 +9,6 @@ stress tests, benchmark sequences, and CSV/SVG tooling.
 
 from .audit import (
     WITNESS_COLUMNS,
-    AuditInstance,
-    AuditReport,
     LemmaBounds,
     construction_instances,
     evaluate_instance,
@@ -31,6 +29,7 @@ from .bounds import (
     per_step_margin,
     per_step_margins,
     regret_and_bound,
+    requirement_sides,
     sufficiency_roots,
     z_of,
 )
@@ -59,7 +58,6 @@ from .oracle import (
     loss_at_beta,
     prefix_stats,
     stats_from,
-    subtract,
 )
 from .report import RunSummary, summarize
 from .signals import (

@@ -17,16 +17,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from .bounds import requirement_sides
 from .mixture import multiplicative_lambda, multiplicative_lambdas
 
 __all__ = [
-    "AuditInstance",
-    "AuditReport",
     "LemmaBounds",
     "lemma_bounds",
     "construction_instances",
@@ -40,27 +38,6 @@ DEFAULT_TOL = 1e-9
 WITNESS_COLUMNS = ("y", "yhat1", "yhat2", "lambda_t", "beta", "lhs", "progress", "margin")
 # rows of instance space evaluated at once by the search
 BLOCK = 1 << 14
-
-
-@dataclass(frozen=True)
-class AuditInstance:
-    """One candidate worst case: a sample, a current weight, a comparator."""
-
-    y: float
-    yhat1: float
-    yhat2: float
-    lambda_t: float
-    beta: float
-
-
-@dataclass(frozen=True)
-class AuditReport:
-    """Exact evaluation of the requirement at one instance."""
-
-    lhs: float
-    progress: float
-    margin: float
-    violated: bool
 
 
 class LemmaBounds(NamedTuple):
@@ -90,8 +67,8 @@ def lemma_bounds(a: float, mu: float, lambda_plus: float) -> LemmaBounds:
     return LemmaBounds(a / k0, 4.0 * a + mu / 4.0, 4.0 * a + a / (4.0 * k0))
 
 
-def construction_instances(y_bound: float, lambda_plus: float) -> tuple[AuditInstance, AuditInstance]:
-    """The two closed-form worst-case candidates.
+def construction_instances(y_bound: float, lambda_plus: float) -> tuple[tuple, tuple]:
+    """The two closed-form worst-case candidates, as ``(y, yhat1, yhat2, lambda_t, beta)``.
 
     First: target and expert 1 at the cap, expert 2 silent, weight at the
     floor, comparator fully on expert 1.  Second: target at -Y/2 between a
@@ -102,32 +79,29 @@ def construction_instances(y_bound: float, lambda_plus: float) -> tuple[AuditIns
         raise ValueError(f"magnitude cap must be finite and positive, got {y_bound}")
     if not 0.0 < lambda_plus < 0.5:
         raise ValueError(f"weight floor must lie in (0, 1/2), got {lambda_plus}")
-    first = AuditInstance(y=y_bound, yhat1=y_bound, yhat2=0.0, lambda_t=lambda_plus, beta=1.0)
-    second = AuditInstance(y=-y_bound / 2.0, yhat1=0.0, yhat2=y_bound, lambda_t=0.5, beta=1.0)
-    return first, second
+    return (y_bound, y_bound, 0.0, lambda_plus, 1.0), (-y_bound / 2.0, 0.0, y_bound, 0.5, 1.0)
 
 
 def evaluate_instance(
-    a: float, b: float, mu: float, instance: AuditInstance, tol: float = DEFAULT_TOL
-) -> AuditReport:
-    """Evaluate the requirement exactly at one instance.
+    a: float, b: float, mu: float, y: float, yhat1: float, yhat2: float, lambda_t: float, beta: float
+) -> tuple:
+    """The row of :data:`WITNESS_COLUMNS` at one instance; the search's scalar reference.
 
     The updated weight comes from the true multiplicative update, not from
-    any bound on it, so a reported violation is a genuine counterexample.
+    any bound on it, so a negative margin is a genuine counterexample.
     """
-    lam = instance.lambda_t
-    beta = instance.beta
-    if not 0.0 < lam < 1.0:
-        raise ValueError(f"current weight must lie strictly inside (0, 1), got {lam}")
+    if not 0.0 < lambda_t < 1.0:
+        raise ValueError(f"current weight must lie strictly inside (0, 1), got {lambda_t}")
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"comparator weight must lie in [0, 1], got {beta}")
-    lam1 = multiplicative_lambda(mu, lam, instance.y, instance.yhat1, instance.yhat2)
-    e = instance.y - (lam * instance.yhat1 + (1.0 - lam) * instance.yhat2)
-    e_beta = instance.y - (beta * instance.yhat1 + (1.0 - beta) * instance.yhat2)
-    progress = beta * math.log(lam1 / lam) + (1.0 - beta) * math.log((1.0 - lam1) / (1.0 - lam))
+    lam1 = multiplicative_lambda(mu, lambda_t, y, yhat1, yhat2)
+    e = y - (lambda_t * yhat1 + (1.0 - lambda_t) * yhat2)
+    e_beta = y - (beta * yhat1 + (1.0 - beta) * yhat2)
+    progress = beta * math.log(lam1 / lambda_t) + (1.0 - beta) * math.log(
+        (1.0 - lam1) / (1.0 - lambda_t)
+    )
     lhs = a * e * e - b * e_beta * e_beta
-    margin = progress - lhs
-    return AuditReport(lhs=lhs, progress=progress, margin=margin, violated=margin < -tol)
+    return y, yhat1, yhat2, lambda_t, beta, lhs, progress, progress - lhs
 
 
 def _grid(y_bound: float, lambda_plus: float) -> np.ndarray:
@@ -187,8 +161,8 @@ def search_violations(
     ``(k, 8)`` float64 array with the columns of :data:`WITNESS_COLUMNS`.
 
     The instances are generated and evaluated :data:`BLOCK` at a time
-    (see :func:`_instance_blocks`) through
-    :func:`~convexmix.mixture.multiplicative_lambdas`, so memory is one
+    (see :func:`_instance_blocks`) through the array kernels
+    ``multiplicative_lambdas`` and ``bounds.requirement_sides``, so memory is one
     block of five float64 columns and its temporaries whatever the budget;
     only the witnesses grow with it.
     """
@@ -205,10 +179,7 @@ def search_violations(
     for block in _instance_blocks(budget, seed, y_bound, lambda_plus):
         y, y1, y2, lam, beta = block
         lam1 = multiplicative_lambdas(mu, lam, y, y1, y2)
-        e = y - (lam * y1 + (1.0 - lam) * y2)
-        progress = beta * np.log(lam1 / lam) + (1.0 - beta) * np.log((1.0 - lam1) / (1.0 - lam))
-        e_beta = y - (beta * y1 + (1.0 - beta) * y2)
-        lhs = a * e * e - b * e_beta * e_beta
+        lhs, progress = requirement_sides(a, b, beta, lam, lam1, y, y1, y2)
         margin = progress - lhs
         at = np.flatnonzero(margin < -tol)
         # the fancy index copies the rows before the buffer is refilled

@@ -46,6 +46,7 @@ __all__ = [
     "kl",
     "loss_factor",
     "per_step_margin",
+    "requirement_sides",
     "per_step_margins",
     "sufficiency_roots",
     "regret_and_bound",
@@ -177,6 +178,17 @@ def per_step_margin(
     return progress - (constants.a * e_t * e_t - constants.b * e_beta_t * e_beta_t)
 
 
+def requirement_sides(a, b, beta, lam, lam1, y, y1, y2):
+    """The requirement's two sides ``(lhs, progress)`` over broadcast arrays, unchecked.
+
+    The margin is progress - lhs; the weights must lie strictly inside (0, 1).
+    """
+    progress = beta * np.log(lam1 / lam) + (1.0 - beta) * np.log((1.0 - lam1) / (1.0 - lam))
+    e = y - (lam * y1 + (1.0 - lam) * y2)
+    e_beta = y - (beta * y1 + (1.0 - beta) * y2)
+    return a * e * e - b * e_beta * e_beta, progress
+
+
 def per_step_margins(
     constants: TheoremConstants,
     betas,
@@ -194,17 +206,12 @@ def per_step_margins(
     betas = np.asarray(betas, dtype=float)
     if betas.ndim == 1:
         betas = betas[:, None]
-    l0 = np.asarray(lambda_t, dtype=float)[None, :]
-    l1 = np.asarray(lambda_t1, dtype=float)[None, :]
+    l0, l1 = (np.asarray(v, dtype=float)[None, :] for v in (lambda_t, lambda_t1))
     if np.any(l0 <= 0.0) or np.any(l0 >= 1.0) or np.any(l1 <= 0.0) or np.any(l1 >= 1.0):
         raise ValueError("weights must lie strictly inside (0, 1)")
-    y = np.asarray(y, dtype=float)[None, :]
-    y1 = np.asarray(yhat1, dtype=float)[None, :]
-    y2 = np.asarray(yhat2, dtype=float)[None, :]
-    progress = betas * np.log(l1 / l0) + (1.0 - betas) * np.log((1.0 - l1) / (1.0 - l0))
-    e = y - (l0 * y1 + (1.0 - l0) * y2)
-    e_b = y - (betas * y1 + (1.0 - betas) * y2)
-    return progress - (constants.a * e * e - constants.b * e_b * e_b)
+    y, y1, y2 = (np.asarray(v, dtype=float)[None, :] for v in (y, yhat1, yhat2))
+    lhs, progress = requirement_sides(constants.a, constants.b, betas, l0, l1, y, y1, y2)
+    return progress - lhs
 
 
 class SufficiencyRoots(NamedTuple):

@@ -61,14 +61,33 @@ def _read_json(path: str, what: str):
             raise ValueError(f"{what} {path}: invalid JSON ({exc})") from None
 
 
+# the JSON values a config key may hold, by its flag's argparse type
+_CONFIG_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+                 None: ((str,), "a string")}
+
+
 def _merged(args: argparse.Namespace, defaults: dict) -> dict:
-    """Each key of ``defaults`` from its flag, else the config file, else the default."""
+    """Each key of ``defaults`` from its flag, else the config file, else the default.
+
+    A config value has its flag's type, as ``args.flag_types`` gives it: a
+    JSON integer, a number (made a float) or a string, never a boolean;
+    null leaves the key unset.  Output paths are left to
+    :func:`_check_outputs`, which names them all.
+    """
     config = _read_json(args.config, "config") if args.config else {}
     if not isinstance(config, dict):
         raise ValueError(f"config {args.config}: expected a JSON object")
     unknown = set(config) - set(defaults)
     if unknown:
         raise ValueError(f"config has unknown keys: {sorted(unknown)}")
+    for key, value in config.items():
+        if value is None or key in ("out", "summary"):
+            continue
+        flag_type = args.flag_types[key]
+        kinds, what = _CONFIG_TYPES[flag_type]
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise ValueError(f"config key {key} must be {what}, got {json.dumps(value)}")
+        config[key] = flag_type(value) if flag_type else value
     merged = dict(defaults)
     for layer in (config, {key: getattr(args, key) for key in defaults}):
         merged.update((key, value) for key, value in layer.items() if value is not None)
@@ -108,18 +127,12 @@ def _sequence_from_args(merged: dict):
     sources = [k for k in ("case", "input", "spec") if merged[k] is not None]
     if len(sources) != 1:
         raise ValueError("choose exactly one of --case, --input, --spec")
-    n = merged["n"]
-    if n is not None:
-        n = int(n)
-        if n < 1:
-            raise ValueError(f"n must be at least 1, got {n}")
-
-    y_bound = merged["ybound"]
-    if y_bound is not None:
-        y_bound = float(y_bound)
+    n, y_bound = merged["n"], merged["ybound"]
+    if n is not None and n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     default_rate = {}
     if sources[0] == "case":
-        case = int(merged["case"])
+        case = merged["case"]
         if case not in (1, 2):
             raise ValueError(f"case must be 1 or 2, got {case}")
         spec = SequenceSpec(kind=f"case{case}", n=n or 10_000, y_bound=y_bound)
@@ -148,7 +161,7 @@ def _sequence_from_args(merged: dict):
 
 def _constants_from_args(merged: dict, y_bound: float, default_rate: dict):
     """Constants from --mu or --eps, else from ``default_rate`` ({"mu": x}, {"eps": x} or {})."""
-    lambda_plus = float(merged["lambda_plus"])
+    lambda_plus = merged["lambda_plus"]
     rate = {key: merged[key] for key in ("mu", "eps") if merged[key] is not None}
     if len(rate) == 2:
         raise ValueError("choose --mu or --eps, not both")
@@ -157,9 +170,9 @@ def _constants_from_args(merged: dict, y_bound: float, default_rate: dict):
             raise ValueError("provide --mu or --eps for this sequence source")
         rate = default_rate
     if "eps" in rate:
-        constants = bounds.constants_from_eps(float(rate["eps"]), y_bound, lambda_plus)
+        constants = bounds.constants_from_eps(rate["eps"], y_bound, lambda_plus)
         return constants, constants.mu
-    mu = float(rate["mu"])
+    mu = rate["mu"]
     return bounds.constants_from_mu(mu, y_bound, lambda_plus), mu
 
 
@@ -181,11 +194,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     constants, mu = _constants_from_args(merged, y_bound, default_rate)
     params = MixtureParams(mu=mu, lambda_plus=constants.lambda_plus, y_bound=y_bound,
                            mode=merged["mode"])
-    lambda_init = float(merged["lambda_init"])
     window = None
     if merged["window"] is not None:
-        window = _parse_window(str(merged["window"]), len(samples))
-    traj = mixture.run(params, samples, initial_state=mixture.state_from_lambda(lambda_init))
+        window = _parse_window(merged["window"], len(samples))
+    traj = mixture.run(params, samples, initial_state=mixture.state_from_lambda(merged["lambda_init"]))
     frame, summary = summarize(traj, constants, clip_count=clipped, window=window)
     signals.write_trajectory(frame, out)
     _write_json(summary_path, summary.to_dict())
@@ -207,12 +219,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     merged = _merged(args, VERIFY_DEFAULTS)
     _check_outputs(merged["out"])
     # without --mu or --eps, verify uses eps = 0.1
-    constants, _ = _constants_from_args(merged, float(merged["ybound"]), {"eps": 0.1})
+    constants, _ = _constants_from_args(merged, merged["ybound"], {"eps": 0.1})
     if merged["override_a"] is not None:
-        constants = dataclasses.replace(constants, a=float(merged["override_a"]))
+        constants = dataclasses.replace(constants, a=merged["override_a"])
     report = run_verification(
-        constants, trials=int(merged["trials"]), n=int(merged["n"]), seed=int(merged["seed"]),
-        resolution=float(merged["resolution"]), tol=inequality_tolerance(),
+        constants, trials=merged["trials"], n=merged["n"], seed=merged["seed"],
+        resolution=merged["resolution"], tol=inequality_tolerance(),
     )
     for name, suite in report["suites"].items():
         status = "ok" if not suite["failures"] else f"{len(suite['failures'])} FAILURES"
@@ -226,10 +238,9 @@ def cmd_lemma_audit(args: argparse.Namespace) -> int:
     _check_outputs(args.out)
     y_bound, lambda_plus = args.ybound, args.lambda_plus
     triple = (args.a, args.b, args.mu)
-    have_triple = all(v is not None for v in triple)
     if args.eps is not None and any(v is not None for v in triple):
         raise ValueError("choose --eps or an explicit --a/--b/--mu triple, not both")
-    if args.eps is None and not have_triple:
+    if args.eps is None and None in triple:
         raise ValueError("provide --eps or the full --a/--b/--mu triple")
     if args.eps is not None:
         constants = bounds.constants_from_eps(args.eps, y_bound, lambda_plus)
@@ -242,16 +253,16 @@ def cmd_lemma_audit(args: argparse.Namespace) -> int:
     print(f"closed-form bounds: mu >= {lb.mu_min:.12g} (necessary), "
           f"b >= {lb.b_min_via_mu:.12g} (via mu, conservative), "
           f"b >= {lb.b_min_combined:.12g} (combined, conservative)")
-    constructions = []
-    for label, inst in zip(("floor", "midpoint"), audit.construction_instances(y_bound, lambda_plus)):
+    constructions = {}
+    for label, instance in zip(("floor", "midpoint"), audit.construction_instances(y_bound, lambda_plus)):
         try:
-            rep = audit.evaluate_instance(a, b, mu, inst, tol=tol)
+            *_, lhs, progress, margin = row = audit.evaluate_instance(a, b, mu, *instance)
         except mixture.NumericError as exc:
             raise mixture.NumericError(f"construction {label}: {exc}") from None
-        constructions.append((label, inst, rep))
-        flag = "VIOLATED" if rep.violated else "ok"
-        print(f"construction {label}: lhs={rep.lhs:.12g} progress={rep.progress:.12g} "
-              f"margin={rep.margin:.12g} [{flag}]")
+        constructions[label] = dict(zip(audit.WITNESS_COLUMNS, row), violated=margin < -tol)
+        flag = "VIOLATED" if margin < -tol else "ok"
+        print(f"construction {label}: lhs={lhs:.12g} progress={progress:.12g} "
+              f"margin={margin:.12g} [{flag}]")
     budget, seed = args.budget, args.seed
     witnesses = audit.search_violations(a, b, mu, lambda_plus, y_bound, budget, seed, tol=tol)
     print(f"searched {budget} instances: {len(witnesses)} violations")
@@ -266,8 +277,7 @@ def cmd_lemma_audit(args: argparse.Namespace) -> int:
         "lambda_plus": lambda_plus, "y_bound": y_bound,
         "tolerance": tol, "budget": budget, "seed": seed,
         "lemma_bounds": lb._asdict(),
-        "constructions": {label: {**dataclasses.asdict(i), **dataclasses.asdict(r)}
-                          for label, i, r in constructions},
+        "constructions": constructions,
         "violation_count": len(witnesses),
         # dicts only for the rows written
         "violations": [dict(zip(audit.WITNESS_COLUMNS, row), violated=True)
@@ -276,7 +286,7 @@ def cmd_lemma_audit(args: argparse.Namespace) -> int:
     }
     _write_json(args.out, payload)
     print(f"witness file -> {args.out}")
-    construction_hit = any(r.violated for _, _, r in constructions)
+    construction_hit = any(c["violated"] for c in constructions.values())
     return 1 if (len(witnesses) or construction_hit) else 0
 
 
@@ -330,7 +340,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not merged["mu_list"]:
         raise ValueError("provide --mu-list with comma-separated learning rates")
     try:
-        mus = sorted(float(tok) for tok in str(merged["mu_list"]).split(",") if tok.strip())
+        mus = sorted(float(tok) for tok in merged["mu_list"].split(",") if tok.strip())
     except ValueError:
         raise ValueError(f"--mu-list must be comma-separated numbers, got {merged['mu_list']!r}") from None
     if not mus:
@@ -343,8 +353,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     _check_outputs(out, *paths)
     samples, y_bound, clipped, _ = _sequence_from_args(merged)
     mode = merged["mode"]
-    lambda_plus = float(merged["lambda_plus"])
-    initial = mixture.state_from_lambda(float(merged["lambda_init"]))
+    lambda_plus = merged["lambda_plus"]
+    initial = mixture.state_from_lambda(merged["lambda_init"])
 
     # every rate is validated before anything runs or is written
     configs = [
@@ -450,6 +460,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", help="combined table CSV path (default sweep.csv)")
     p_sweep.set_defaults(func=cmd_sweep)
 
+    for p in (p_run, p_ver, p_sweep):
+        # the type each --config key must have is its flag's
+        p.set_defaults(flag_types={action.dest: action.type for action in p._actions})
     return parser
 
 

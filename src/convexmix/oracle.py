@@ -7,8 +7,9 @@ r = y - yhat2,
     loss(beta) = sum(r^2) - 2*beta*sum(r*d) + beta^2*sum(d^2)
 
 so the stats are additive under concatenation and the minimizer over [0, 1]
-is the clamped ratio sum(r*d) / sum(d^2).  The statistics and the minimizer
-of every prefix are also available as whole columns.  A brute-force grid
+is the clamped ratio sum(r*d) / sum(d^2).  The statistics of every prefix
+are whole columns; their differences are the statistics of any interval,
+and :func:`best_betas` prices any array of them.  A brute-force grid
 search over beta is kept as an independent check; it evaluates residuals
 directly and never touches the closed form.
 """
@@ -28,7 +29,6 @@ __all__ = [
     "BestBeta",
     "GridBest",
     "accumulate",
-    "subtract",
     "stats_from",
     "prefix_stats",
     "best_betas",
@@ -57,18 +57,6 @@ def accumulate(stats: OracleStats, y: float, yhat1: float, yhat2: float) -> Orac
         s_dd=stats.s_dd + d * d,
         s_rd=stats.s_rd + r * d,
         s_rr=stats.s_rr + r * r,
-    )
-
-
-def subtract(total: OracleStats, prefix: OracleStats) -> OracleStats:
-    """Statistics of a suffix, given the whole stream and a prefix of it."""
-    if prefix.n > total.n:
-        raise ValueError(f"prefix has {prefix.n} samples but the total only {total.n}")
-    return OracleStats(
-        total.n - prefix.n,
-        total.s_dd - prefix.s_dd,
-        total.s_rd - prefix.s_rd,
-        total.s_rr - prefix.s_rr,
     )
 
 

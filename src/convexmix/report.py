@@ -67,8 +67,8 @@ def summarize(
     rb = bounds.regret_and_bound(0.0, 0.0, constants, n, lambda_init=lambda_init)
     bound_total = rb.bound_total
 
-    s_dd, s_rd, s_rr = oracle.prefix_stats(traj.y, traj.yhat1, traj.yhat2)
-    best_b, best_l = oracle.best_betas(s_dd[1:], s_rd[1:], s_rr[1:])
+    prefix = oracle.prefix_stats(traj.y, traj.yhat1, traj.yhat2)
+    best_b, best_l = oracle.best_betas(*(s[1:] for s in prefix))
     cum = traj.cum_loss
     steps = np.arange(1, n + 1)
     regret = cum - factor * best_l
@@ -98,18 +98,17 @@ def summarize(
     )
     if window is not None:
         lo, hi = window
-        prefix = [oracle.OracleStats(k, float(s_dd[k]), float(s_rd[k]), float(s_rr[k]))
-                  for k in (lo - 1, hi)]
-        wbest = oracle.best_beta(oracle.subtract(prefix[1], prefix[0]))
+        # the window's statistics are differences of the prefix columns
+        w_beta, w_best = map(float, oracle.best_betas(*(s[hi] - s[lo - 1] for s in prefix)))
         w_l_alg = max(float(cum[hi - 1] - (cum[lo - 2] if lo > 1 else 0.0)), 0.0)
         w_init = float(traj.lam[lo - 1])
         wrb = bounds.regret_and_bound(
-            w_l_alg, wbest.loss, constants, hi - lo + 1, lambda_init=w_init
+            w_l_alg, w_best, constants, hi - lo + 1, lambda_init=w_init
         )
         summary.window = f"{lo}:{hi}"
         summary.window_regret = wrb.regret
-        summary.window_beta = wbest.beta
-        summary.window_best_loss = wbest.loss
+        summary.window_beta = w_beta
+        summary.window_best_loss = w_best
         summary.window_bound_total = wrb.bound_total
     return frame, summary
 

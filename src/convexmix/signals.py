@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import math
 import numbers
 import warnings
@@ -211,28 +212,28 @@ def load_csv(path: str, y_bound: float) -> tuple[np.ndarray, int]:
     """
     if not (math.isfinite(y_bound) and y_bound > 0.0):
         raise ValueError(f"magnitude cap must be finite and positive, got {y_bound}")
-    header, columns, rows = _read_table(
+    header, columns, parsed = _read_table(
         path, f"columns {','.join(INPUT_COLUMNS)} (or a full trajectory header)",
         INPUT_COLUMNS, TRAJECTORY_COLUMNS, keep=INPUT_COLUMNS,
     )
-    if columns is not None:
-        table = np.stack([columns[name] for name in INPUT_COLUMNS], axis=1)
-        if np.isfinite(table).all():
-            return clip_samples(table, y_bound)
-    picks = [1, 2, 3] if header == TRAJECTORY_COLUMNS else [0, 1, 2]
-    values = []
-    # a non-finite cell numpy parsed is named from the csv rows
-    for i, row in enumerate(rows or _csv_rows(path, len(header)), start=2):
-        for j in picks:
-            cell = row[j].strip()
-            try:
-                v = float(cell)
-            except ValueError:
-                raise ParseError(f"{path}: row {i}: non-numeric value {cell!r}") from None
-            if not math.isfinite(v):
-                raise ParseError(f"{path}: row {i}: non-finite value {cell!r}")
-            values.append(v)
-    return clip_samples(np.array(values).reshape(-1, 3), y_bound)
+    if parsed and all(np.isfinite(column).all() for column in columns.values()):
+        return clip_samples(np.stack([columns[name] for name in INPUT_COLUMNS], axis=1), y_bound)
+    # the csv rows name a cell numpy rejected, or a non-finite one it parsed
+    picks = [(header.index(name), columns[name]) for name in INPUT_COLUMNS]
+    count, blocks = _csv_rows(path, len(header))
+    for start, rows in blocks:
+        for i, row in enumerate(rows, start=start):
+            for j, column in picks:
+                cell = row[j].strip()
+                try:
+                    v = float(cell)
+                except ValueError:
+                    raise ParseError(f"{path}: row {i + 2}: non-numeric value {cell!r}") from None
+                if not math.isfinite(v):
+                    raise ParseError(f"{path}: row {i + 2}: non-finite value {cell!r}")
+                column[i] = v
+    return clip_samples(np.stack([columns[name][:count] for name in INPUT_COLUMNS], axis=1),
+                        y_bound)
 
 
 # rows parsed per np.loadtxt call of the table reader
@@ -242,15 +243,15 @@ _READ_BLOCK = 4096
 def _read_table(path: str, expected: str, *headers: tuple, ints=(), keep=None) -> tuple:
     """Parse a CSV file whose header is one of ``headers``.
 
-    Returns ``(header, columns, rows)``.  ``columns`` maps each name of
-    ``keep`` (default: the whole header) to an owned array, int64 for the
-    names in ``ints`` and float64 otherwise.  The open file is parsed
-    :data:`_READ_BLOCK` rows per ``np.loadtxt`` call, whose number parsing
-    gives the same doubles as float(), straight into those arrays; every
-    cell is parsed, kept or not.  ``columns`` is ``None`` when numpy rejects
-    a cell or parses a different number of rows than the file has lines (a
-    blank line, a quoted newline).  Only then is ``rows`` the cells as the
-    csv module splits them.
+    Returns ``(header, columns, parsed)``.  ``columns`` maps each name of
+    ``keep`` (default: the whole header) to an owned array with one entry
+    per data line, int64 for the names in ``ints`` and float64 otherwise.
+    The open file is parsed :data:`_READ_BLOCK` rows per ``np.loadtxt``
+    call, whose number parsing gives the same doubles as float(), straight
+    into those arrays; every cell is parsed, kept or not.  ``parsed`` is
+    false when numpy rejects a cell or parses a different number of rows
+    than the file has lines (a blank line, a quoted newline); the caller
+    then fills the columns from :func:`_csv_rows`.
     """
     with open(path, newline="") as fh:
         try:
@@ -280,19 +281,30 @@ def _read_table(path: str, expected: str, *headers: tuple, ints=(), keep=None) -
                     done = start + len(block)
             except (ValueError, OverflowError):
                 pass
-    if done == lines:
-        return header, columns, None
-    return header, None, _csv_rows(path, len(header))
+    return header, columns, done == lines
 
 
-def _csv_rows(path: str, width: int) -> list:
-    """The data rows as the csv module splits them, each checked to be ``width`` cells wide."""
+def _csv_rows(path: str, width: int) -> tuple:
+    """The data rows as the csv module splits them: ``(count, blocks)``.
+
+    One streaming pass checks that every row is ``width`` cells wide and
+    counts them, before any cell is converted; ``blocks`` then reads the
+    file again and yields ``(start, rows)``, lists of at most
+    :data:`_READ_BLOCK` rows, so working memory is one block at any length.
+    """
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))[1:]
-    for i, row in enumerate(rows, start=2):
-        if len(row) != width:
-            raise ParseError(f"{path}: row {i}: expected {width} columns, found {len(row)}")
-    return rows
+        count = 0
+        for count, row in enumerate(itertools.islice(csv.reader(fh), 1, None), start=1):
+            if len(row) != width:
+                raise ParseError(f"{path}: row {count + 1}: expected {width} columns, found {len(row)}")
+
+    def blocks():
+        with open(path, newline="") as fh:
+            rows = itertools.islice(csv.reader(fh), 1, None)
+            for start in range(0, count, _READ_BLOCK):
+                yield start, list(itertools.islice(rows, _READ_BLOCK))
+
+    return count, blocks()
 
 
 _INT_COLUMNS = ("t", "in_range", "projected")
@@ -460,17 +472,28 @@ def read_trajectory(path: str) -> Trajectory:
     names the offending column or accepts what Python accepts (such as
     digit-group underscores).
     """
-    _, columns, rows = _read_table(
+    _, columns, parsed = _read_table(
         path, f"the trajectory columns {','.join(TRAJECTORY_COLUMNS)}", TRAJECTORY_COLUMNS,
         ints=_INT_COLUMNS,
     )
-    if columns is None:
-        columns = {}
-        for name, cells in zip(TRAJECTORY_COLUMNS, zip(*rows)):
-            try:
-                columns[name] = np.array(list(map(int if name in _INT_COLUMNS else float, cells)))
-            except ValueError as exc:
-                raise ParseError(f"{path}: column {name}: {exc}") from None
+    if not parsed:
+        count, blocks = _csv_rows(path, len(TRAJECTORY_COLUMNS))
+        bad = {}  # column index -> the error of its first bad cell
+        for start, rows in blocks:
+            # a column after the first bad one cannot be the one named
+            for j, cells in enumerate(zip(*rows)):
+                if bad and j >= min(bad):
+                    break
+                name = TRAJECTORY_COLUMNS[j]
+                try:
+                    columns[name][start : start + len(cells)] = list(
+                        map(int if name in _INT_COLUMNS else float, cells))
+                except (ValueError, OverflowError) as exc:
+                    bad[j] = f"{path}: column {name}: {exc}"
+        if bad:
+            raise ParseError(bad[min(bad)])
+        if count < len(columns["t"]):  # a quoted line break joined lines into one row
+            columns = {name: column[:count] for name, column in columns.items()}
     return Trajectory(**{field: columns[name] for field, name in zip(_FIELDS, TRAJECTORY_COLUMNS)})
 
 

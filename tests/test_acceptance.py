@@ -186,12 +186,13 @@ def test_criterion_10_search_finds_no_counterexample():
 
 def test_criterion_11_midpoint_construction_is_positive():
     _, second = audit.construction_instances(1.0, 0.08)
-    rep = audit.evaluate_instance(REF.a, REF.b, REF.mu, second)
+    *_, progress, margin = audit.evaluate_instance(REF.a, REF.b, REF.mu, *second)
+    violated = margin < -audit.DEFAULT_TOL
     ok = (
-        rep.progress == pytest.approx(0.1204930492688809, abs=1e-9)
-        and rep.progress > 0.0
-        and rep.margin == pytest.approx(0.08692246687866127, abs=1e-9)
-        and not rep.violated
+        progress == pytest.approx(0.1204930492688809, abs=1e-9)
+        and progress > 0.0
+        and margin == pytest.approx(0.08692246687866127, abs=1e-9)
+        and not violated
     )
-    _report(11, ok, f"progress={rep.progress:.6f} margin={rep.margin:.6f} "
-                    f"violated={rep.violated}")
+    _report(11, ok, f"progress={progress:.6f} margin={margin:.6f} "
+                    f"violated={violated}")

@@ -8,7 +8,7 @@ import pytest
 
 from convexmix import audit
 from convexmix.audit import (
-    AuditInstance,
+    WITNESS_COLUMNS,
     construction_instances,
     evaluate_instance,
     lemma_bounds,
@@ -17,6 +17,11 @@ from convexmix.audit import (
 from convexmix.bounds import constants_from_eps
 
 REF = constants_from_eps(0.1, 1.0, 0.08)
+
+
+def _evaluated(a, b, mu, instance):
+    """The row of :func:`evaluate_instance` as a dict keyed by ``WITNESS_COLUMNS``."""
+    return dict(zip(WITNESS_COLUMNS, evaluate_instance(a, b, mu, *instance)))
 
 
 class TestLemmaBounds:
@@ -58,14 +63,14 @@ class TestLemmaBounds:
 class TestConstructionInstances:
     def test_unit_cap(self):
         first, second = construction_instances(1.0, 0.08)
-        assert first == AuditInstance(y=1.0, yhat1=1.0, yhat2=0.0, lambda_t=0.08, beta=1.0)
-        assert second == AuditInstance(y=-0.5, yhat1=0.0, yhat2=1.0, lambda_t=0.5, beta=1.0)
+        assert first == (1.0, 1.0, 0.0, 0.08, 1.0)
+        assert second == (-0.5, 0.0, 1.0, 0.5, 1.0)
 
     def test_signals_scale_with_cap(self):
         first, second = construction_instances(0.5, 0.08)
-        assert (first.y, first.yhat1, first.yhat2) == (0.5, 0.5, 0.0)
-        assert (second.y, second.yhat1, second.yhat2) == (-0.25, 0.0, 0.5)
-        assert (first.lambda_t, second.lambda_t) == (0.08, 0.5)
+        assert first[:3] == (0.5, 0.5, 0.0)
+        assert second[:3] == (-0.25, 0.0, 0.5)
+        assert (first[3], second[3]) == (0.08, 0.5)
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -79,28 +84,27 @@ class TestEvaluateInstance:
         """Weight at the floor, comparator on the accurate expert: the
         progress term clears the loss difference with margin ~0.0144."""
         first, _ = construction_instances(1.0, 0.08)
-        rep = evaluate_instance(REF.a, REF.b, REF.mu, first)
-        assert rep.lhs == pytest.approx(0.04957414093512029, abs=1e-9)
-        assert rep.progress == pytest.approx(0.06398620364160835, abs=1e-9)
-        assert rep.margin == pytest.approx(0.014412062706488063, abs=1e-9)
-        assert not rep.violated
+        rep = _evaluated(REF.a, REF.b, REF.mu, first)
+        assert rep["lhs"] == pytest.approx(0.04957414093512029, abs=1e-9)
+        assert rep["progress"] == pytest.approx(0.06398620364160835, abs=1e-9)
+        assert rep["margin"] == pytest.approx(0.014412062706488063, abs=1e-9)
+        assert rep["margin"] >= -audit.DEFAULT_TOL
 
     def test_midpoint_construction_margin(self):
         """Both experts miss; the exact progress is positive (~0.1205), so
         the requirement holds with margin ~0.0869 rather than binding."""
         _, second = construction_instances(1.0, 0.08)
-        rep = evaluate_instance(REF.a, REF.b, REF.mu, second)
-        assert rep.lhs == pytest.approx(0.03357058239021963, abs=1e-9)
-        assert rep.progress == pytest.approx(0.1204930492688809, abs=1e-9)
-        assert rep.progress > 0.0
-        assert rep.margin == pytest.approx(0.08692246687866127, abs=1e-9)
-        assert not rep.violated
+        rep = _evaluated(REF.a, REF.b, REF.mu, second)
+        assert rep["lhs"] == pytest.approx(0.03357058239021963, abs=1e-9)
+        assert rep["progress"] == pytest.approx(0.1204930492688809, abs=1e-9)
+        assert rep["progress"] > 0.0
+        assert rep["margin"] == pytest.approx(0.08692246687866127, abs=1e-9)
+        assert rep["margin"] >= -audit.DEFAULT_TOL
 
     def test_agreeing_experts_inert(self):
-        inst = AuditInstance(y=0.3, yhat1=0.3, yhat2=0.3, lambda_t=0.4, beta=0.7)
-        rep = evaluate_instance(REF.a, REF.b, REF.mu, inst)
-        assert rep.margin == 0.0
-        assert not rep.violated
+        row = evaluate_instance(REF.a, REF.b, REF.mu, 0.3, 0.3, 0.3, 0.4, 0.7)
+        assert row[:5] == (0.3, 0.3, 0.3, 0.4, 0.7)
+        assert row[-1] == 0.0
 
     def test_oversized_a_is_caught(self):
         """a > mu*k0 breaks the floor construction: the update cannot make
@@ -108,20 +112,19 @@ class TestEvaluateInstance:
         loss side charges a*(1-lp)^2*Y^2."""
         first, _ = construction_instances(1.0, 0.08)
         k0 = 0.08 * 0.92
-        rep = evaluate_instance(1.5 * k0, 1e-6, 1.0, first)
-        assert rep.violated
-        assert rep.margin < 0.0
+        margin = evaluate_instance(1.5 * k0, 1e-6, 1.0, *first)[-1]
+        assert margin < -audit.DEFAULT_TOL
 
     def test_saturation_raises(self):
         first, _ = construction_instances(1.0, 0.08)
         with pytest.raises(ArithmeticError, match="degenerated"):
-            evaluate_instance(0.1, 0.1, 1e6, first)
+            evaluate_instance(0.1, 0.1, 1e6, *first)
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            evaluate_instance(REF.a, REF.b, REF.mu, AuditInstance(0, 0, 0, 0.0, 0.5))
+            evaluate_instance(REF.a, REF.b, REF.mu, 0, 0, 0, 0.0, 0.5)
         with pytest.raises(ValueError):
-            evaluate_instance(REF.a, REF.b, REF.mu, AuditInstance(0, 0, 0, 0.5, 1.5))
+            evaluate_instance(REF.a, REF.b, REF.mu, 0, 0, 0, 0.5, 1.5)
 
 
 class TestSearchViolations:
@@ -137,15 +140,16 @@ class TestSearchViolations:
         found = search_violations(0.0586, 0.005, 1.03, 0.08, 1.0, budget=1875, seed=0)
         assert len(found)
         assert found[0, 7] == pytest.approx(-0.3418285434612441, rel=1e-12)
-        assert AuditInstance(*found[0, :5].tolist()) == AuditInstance(
-            y=-1.0, yhat1=1.0, yhat2=-0.5, lambda_t=0.5, beta=1.0)
+        assert found[0, :5].tolist() == [-1.0, 1.0, -0.5, 0.5, 1.0]
         margins = found[:, 7].tolist()
         assert margins == sorted(margins)
         assert all(m < -1e-9 for m in margins)
         # every row is a genuine witness under exact evaluation
         for row in found.tolist():
-            rep = evaluate_instance(0.0586, 0.005, 1.03, AuditInstance(*row[:5]))
-            assert rep.violated and rep.margin == pytest.approx(row[7], rel=1e-9, abs=1e-12)
+            want = evaluate_instance(0.0586, 0.005, 1.03, *row[:5])
+            assert want[:5] == tuple(row[:5])
+            assert want[-1] < -audit.DEFAULT_TOL
+            assert list(want[5:]) == pytest.approx(row[5:], rel=1e-9, abs=1e-12)
 
     def test_random_fill_extends_search(self):
         a_grid = search_violations(0.0586, 0.005, 1.03, 0.08, 1.0, budget=1875, seed=0)

@@ -195,12 +195,18 @@ class TestWindow:
         assert s["window_regret"] == pytest.approx(rb.regret, abs=1e-9)
         assert s["window_bound_total"] == pytest.approx(rb.bound_total, rel=1e-12)
 
-    def test_full_range_window_matches_global_figures(self, workdir):
-        assert run_cli("run", "--case", "1", "--n", "80", "--window", "1:80") == 0
+    @pytest.mark.parametrize("mode", ["project", "monitor"])
+    @pytest.mark.parametrize("case", ["1", "2"])
+    def test_full_range_window_matches_global_figures(self, workdir, case, mode):
+        """A window over the whole run is priced by the whole run's own prefix
+        columns through the same ``best_betas``, so every figure is equal."""
+        assert run_cli("run", "--case", case, "--n", "80", "--mode", mode,
+                       "--window", "1:80") == 0
         s = read_json("summary.json")
-        assert s["window_regret"] == pytest.approx(s["regret"], abs=1e-12)
         assert s["window_beta"] == s["beta_o"]
-        assert s["window_bound_total"] == pytest.approx(s["bound_total"], rel=1e-12)
+        assert s["window_best_loss"] == s["l_best"]
+        assert s["window_regret"] == s["regret"]
+        assert s["window_bound_total"] == s["bound_total"]
 
     def test_window_absent_without_flag(self, workdir):
         assert run_cli("run", "--case", "1", "--n", "10") == 0
@@ -294,6 +300,29 @@ USAGE_ERRORS = {
                            "cannot write nodir/x.csv: it is a directory or its directory is missing"),
     "output-not-a-string": ({}, {"cfg.json": '{"out": 5}'}, "run --case 1 --n 10 --config cfg.json",
                             "output paths must be strings, got 5, 'summary.json'"),
+    # a config value must have its flag's type: a number is not truncated, a
+    # boolean is not a number, and a path given as a number is no file descriptor
+    "config-int-fraction": ({}, {"cfg.json": '{"case": 1, "n": 10.7}'}, "run --config cfg.json",
+                            "config key n must be an integer, got 10.7"),
+    "config-int-boolean": ({}, {"cfg.json": '{"case": 1, "n": true}'}, "run --config cfg.json",
+                           "config key n must be an integer, got true"),
+    "config-verify-seed-fraction": ({}, {"cfg.json": '{"seed": 7.9}'},
+                                    "verify --trials 1 --n 5 --config cfg.json",
+                                    "config key seed must be an integer, got 7.9"),
+    "config-verify-trials-boolean": ({}, {"cfg.json": '{"trials": true}'},
+                                     "verify --n 5 --config cfg.json",
+                                     "config key trials must be an integer, got true"),
+    "config-float-string": ({}, {"cfg.json": '{"mu": "0.1"}'},
+                            "run --case 1 --n 10 --config cfg.json",
+                            'config key mu must be a number, got "0.1"'),
+    "config-float-boolean": ({}, {"cfg.json": '{"lambda_plus": false}'},
+                             "sweep --case 1 --n 10 --mu-list 0.1 --config cfg.json",
+                             "config key lambda_plus must be a number, got false"),
+    "config-spec-number": ({}, {"cfg.json": '{"spec": 0}'}, "run --mu 0.1 --config cfg.json",
+                           "config key spec must be a string, got 0"),
+    "config-sweep-rates-number": ({}, {"cfg.json": '{"mu_list": 0.1}'},
+                                  "sweep --case 1 --n 10 --config cfg.json",
+                                  "config key mu_list must be a string, got 0.1"),
     "plot-onto-input": ({}, {"t.csv": "x"}, "plot --input t.csv --out t.csv",
                         "plot output t.csv is the input file"),
     "verify-bad-resolution": ({}, {}, "verify --trials 1 --n 5 --resolution 0.5",

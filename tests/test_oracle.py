@@ -15,7 +15,6 @@ from convexmix.oracle import (
     loss_at_beta,
     prefix_stats,
     stats_from,
-    subtract,
 )
 from convexmix.signals import SequenceSpec, generate
 
@@ -54,10 +53,6 @@ class TestAccumulate:
         rng = np.random.default_rng(31)
         stats = stats_from(_random_samples(rng, 200))
         assert stats.s_rd ** 2 <= stats.s_dd * stats.s_rr * (1 + 1e-12)
-
-    def test_subtract_rejects_oversized_prefix(self):
-        with pytest.raises(ValueError):
-            subtract(OracleStats(n=2), OracleStats(n=3))
 
 
 class TestLossAtBeta:
@@ -239,16 +234,22 @@ def _stats(rows):
     return stats_from(np.array(rows, dtype=float).reshape(-1, 3))
 
 
+def _interval(rows, lo, hi):
+    """Statistics of ``rows[lo:hi]`` as differences of the prefix columns, as a window is priced."""
+    columns = np.array(rows, dtype=float).reshape(-1, 3).T
+    return OracleStats(hi - lo, *(float(p[hi] - p[lo]) for p in prefix_stats(*columns)))
+
+
 class TestStatsAlgebra:
-    """``subtract`` against ``stats_from`` of the suffix."""
+    """Differences of ``prefix_stats`` entries against ``stats_from`` of the interval."""
 
     @settings(max_examples=200, deadline=None)
     @given(_dyadic_rows, _dyadic_rows)
     def test_exact_when_sums_are_exact(self, head, tail):
-        whole = _stats(head + tail)
-        assert subtract(whole, _stats(head)) == _stats(tail)
-        assert subtract(whole, _stats(tail)) == _stats(head)
-        assert subtract(whole, OracleStats()) == whole
+        rows = head + tail
+        assert _interval(rows, len(head), len(rows)) == _stats(tail)
+        assert _interval(rows, 0, len(head)) == _stats(head)
+        assert _interval(rows, 0, len(rows)) == _stats(rows)
 
     @settings(max_examples=200, deadline=None)
     @given(_rows, _rows)
@@ -259,11 +260,12 @@ class TestStatsAlgebra:
         with u = 2**-53; both sides are such sums plus one rounded add, so
         they differ by less than 4*(n+1)*u*sum|x_i| over all n terms.
         """
-        whole, first, last = _stats(head + tail), _stats(head), _stats(tail)
-        cols = np.array(head + tail, dtype=float).reshape(-1, 3).T
+        rows = head + tail
+        last = _stats(tail)
+        cols = np.array(rows, dtype=float).reshape(-1, 3).T
         d, r = cols[1] - cols[2], cols[0] - cols[2]
-        n = whole.n
-        suffix = subtract(whole, first)
+        n = len(rows)
+        suffix = _interval(rows, len(head), n)
         assert suffix.n == last.n
         for name, terms in (("s_dd", d * d), ("s_rd", r * d), ("s_rr", r * r)):
             tol = 4 * (n + 1) * 2.0**-53 * float(np.abs(terms).sum())

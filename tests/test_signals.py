@@ -742,21 +742,49 @@ class TestBlockReader:
 
 
 class TestReaderMemory:
-    def test_working_memory_is_one_block(self, tmp_path):
-        """Beyond the 16 columns it returns, reading 100,000 rows holds about one block."""
-        n = 100_000
-        rng = np.random.default_rng(0)
+    @staticmethod
+    def _written(tmp_path, n, seed):
+        rng = np.random.default_rng(seed)
         # few distinct values keep the file quick to write
         columns = {field: rng.integers(-50, 50, n) / 8.0 for field in signals._FIELDS[1:14]}
         frame = Trajectory(t=np.arange(1, n + 1), in_range=rng.integers(0, 2, n),
                            projected=rng.integers(0, 2, n), **columns)
         p = tmp_path / "traj.csv"
         write_trajectory(frame, str(p))
+        return p
+
+    @staticmethod
+    def _read_traced(p):
+        """The trajectory read back, and the bytes held at the peak beyond what it retains."""
         tracemalloc.start()
         try:
             back = read_trajectory(str(p))
             retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        return back, peak - retained
+
+    def test_working_memory_is_one_block(self, tmp_path):
+        """Beyond the 16 columns it returns, reading 100,000 rows holds about one block."""
+        n = 100_000
+        back, extra = self._read_traced(self._written(tmp_path, n, seed=0))
         assert len(back) == n
-        assert peak - retained < 2 * 2**20
+        assert extra < 2 * 2**20
+
+    def test_csv_fallback_working_memory_is_one_block(self, tmp_path, monkeypatch):
+        """A cell numpy rejects sends the whole file through the csv module,
+        two streaming passes of which hold one block of rows, not the file."""
+        monkeypatch.setattr(signals, "_READ_BLOCK", 512)
+        n = 20_000
+        p = self._written(tmp_path, n, seed=1)
+        lines = p.read_bytes().decode().split("\r\n")
+        cells = lines[n // 2].split(",")
+        cells[12] = "7_5e-2"  # norm_regret of row n // 2, a digit-group underscore
+        lines[n // 2] = ",".join(cells)
+        p.write_bytes("\r\n".join(lines).encode())
+        back, extra = self._read_traced(p)
+        assert back.norm_regret[n // 2 - 1] == 0.75
+        assert len(back) == n and back.t.flags.owndata
+        # the 16 columns are 2.4 MiB; one block of rows is about 1 MiB, and
+        # every row of the file held as csv cells at once would be about 19 MiB
+        assert extra < 3 * 2**20
