@@ -8,19 +8,10 @@ suffers zero loss.  In the second the "clean" expert carries a small
 systematic offset, which moves the hindsight optimum strictly inside (0, 1).
 """
 
-from convexmix import (
-    MixtureParams,
-    best_beta,
-    best_betas,
-    constants_from_mu,
-    generate,
-    loss_factor,
-    prefix_stats,
-    regret_and_bound,
-    run,
-    stats_from,
-    SequenceSpec,
-)
+from convexmix.bounds import constants_from_mu, regret_and_bound
+from convexmix.mixture import MixtureParams, run
+from convexmix.oracle import best_beta, best_betas, prefix_stats, stats_from
+from convexmix.signals import SequenceSpec, generate
 
 # ---------------------------------------------------------------------------
 # Setup 1: target 0.5, expert 1 pinned at 0.5, expert 2 alternating +-0.5.
@@ -64,7 +55,9 @@ print(f"  regret {rb2.regret:.4f} <= bound {rb2.bound_total:.4f}")
 
 s_dd, s_rd, s_rr = prefix_stats(*samples2.T)
 _, prefix_best_loss = best_betas(s_dd[1:], s_rd[1:], s_rr[1:])
-prefix_regret = traj2.cum_loss - loss_factor(constants2) * prefix_best_loss
+# regret_and_bound takes every prefix at once: loss arrays and horizons 1..n
+prefix_regret = regret_and_bound(traj2.cum_loss, prefix_best_loss, constants2,
+                                 traj2.t).regret
 
 print(f"  max prefix regret {prefix_regret.max():.4f} "
       f"(bound {rb2.bound_total:.4f}) at t = {prefix_regret.argmax() + 1}")

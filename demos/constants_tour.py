@@ -10,7 +10,7 @@ and the trade-off that eps controls.
 
 import math
 
-from convexmix import (
+from convexmix.bounds import (
     constants_from_eps,
     eps_from_mu,
     loss_factor,

@@ -14,13 +14,8 @@ look for a negative one.
 
 import numpy as np
 
-from convexmix import (
-    MixtureParams,
-    constants_from_eps,
-    kl,
-    per_step_margins,
-    run,
-)
+from convexmix.bounds import constants_from_eps, kl, per_step_margins
+from convexmix.mixture import MixtureParams, run
 
 constants = constants_from_eps(0.1, 1.0, 0.08)
 params = MixtureParams(mu=constants.mu, lambda_plus=0.08, y_bound=1.0, mode="monitor")

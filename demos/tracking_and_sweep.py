@@ -8,16 +8,11 @@ inside each regime, which is where an online combiner shines; a learning-rate
 sweep then shows the guarantee's price for faster adaptation.
 """
 
-from convexmix import (
-    MixtureParams,
-    SequenceSpec,
-    best_beta,
-    constants_from_mu,
-    generate,
-    run,
-    stats_from,
-    summarize,
-)
+from convexmix.bounds import constants_from_mu
+from convexmix.mixture import MixtureParams, run
+from convexmix.oracle import best_beta, stats_from
+from convexmix.report import summarize
+from convexmix.signals import SequenceSpec, generate
 
 # Expert roles swap at t = 1000: first expert 1 is clean, then expert 2.
 n = 2000

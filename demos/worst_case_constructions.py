@@ -11,14 +11,14 @@ requirement's two sides and their margin.  The constructions and the
 search's witnesses are rows of the same shape, printed here alike.
 """
 
-from convexmix import (
+from convexmix.audit import (
     WITNESS_COLUMNS,
-    constants_from_eps,
     construction_instances,
     evaluate_instance,
     lemma_bounds,
     search_violations,
 )
+from convexmix.bounds import constants_from_eps
 
 c = constants_from_eps(0.1, 1.0, 0.08)
 print(f"derived triple: a={c.a:.6f}, b={c.b:.6f}, mu={c.mu:.6f}")

@@ -253,10 +253,10 @@ class RegretBound(NamedTuple):
 
 
 def regret_and_bound(
-    l_alg: float,
-    l_best: float,
+    l_alg,
+    l_best,
     constants: TheoremConstants,
-    n: int,
+    n,
     lambda_init: float = 0.5,
     beta: float | None = None,
 ) -> RegretBound:
@@ -266,11 +266,16 @@ def regret_and_bound(
     to the initial weight pair.  Without a comparator weight the worst
     case over beta in [0, 1] is used, which is attained at an endpoint;
     at lambda_init = 1/2 it equals ln(2)/a.
+
+    ``l_alg``, ``l_best`` and ``n`` are floats and an int, or arrays that
+    broadcast together, such as every prefix of a run; ``regret`` and
+    ``bound_normalized`` are then arrays, each entry the float the scalar
+    call gives.
     """
-    if l_alg < 0.0 or l_best < 0.0:
+    if np.any(np.less(l_alg, 0.0)) or np.any(np.less(l_best, 0.0)):
         raise ValueError("losses must be nonnegative")
-    if n < 1:
-        raise ValueError(f"horizon must be at least 1, got {n}")
+    if np.any(np.less(n, 1)):
+        raise ValueError(f"horizon must be at least 1, got {np.min(n)}")
     if not 0.0 < lambda_init < 1.0:
         raise ValueError(f"initial weight must lie strictly inside (0, 1), got {lambda_init}")
     regret = l_alg - loss_factor(constants) * l_best

@@ -63,22 +63,18 @@ def summarize(
     """
     n = len(traj)
     lambda_init = float(traj.lam[0])
-    factor = bounds.loss_factor(constants)
-    rb = bounds.regret_and_bound(0.0, 0.0, constants, n, lambda_init=lambda_init)
-    bound_total = rb.bound_total
-
     prefix = oracle.prefix_stats(traj.y, traj.yhat1, traj.yhat2)
     best_b, best_l = oracle.best_betas(*(s[1:] for s in prefix))
     cum = traj.cum_loss
     steps = np.arange(1, n + 1)
-    regret = cum - factor * best_l
+    rb = bounds.regret_and_bound(cum, best_l, constants, steps, lambda_init=lambda_init)
     frame = dataclasses.replace(
         traj,
         best_beta_prefix=best_b,
         best_loss_prefix=best_l,
-        regret=regret,
-        norm_regret=regret / steps,
-        bound_norm=bound_total / steps,
+        regret=rb.regret,
+        norm_regret=rb.regret / steps,
+        bound_norm=rb.bound_normalized,
     )
     out_of_range = int(n - traj.in_range.sum())
     summary = RunSummary(
@@ -87,10 +83,10 @@ def summarize(
         l_alg=float(cum[-1]),
         beta_o=float(best_b[-1]),
         l_best=float(best_l[-1]),
-        regret=float(regret[-1]),
-        norm_regret=float(regret[-1] / n),
-        bound_total=bound_total,
-        bound_normalized=bound_total / n,
+        regret=float(frame.regret[-1]),
+        norm_regret=float(frame.norm_regret[-1]),
+        bound_total=rb.bound_total,
+        bound_normalized=float(frame.bound_norm[-1]),
         out_of_range_steps=out_of_range,
         projected_steps=int(traj.projected.sum()),
         clip_count=clip_count,

@@ -36,15 +36,11 @@ __all__ = [
     "clip_samples",
 ]
 
-KINDS = (
-    "case1",
-    "case2",
-    "constant",
-    "alternating",
-    "square_wave",
-    "piecewise_switch",
-    "custom_file",
-)
+# each sequence kind and the optional fields it reads; resolve refuses any other it is given
+_KIND_FIELDS = {"case1": (), "case2": (), "constant": ("amplitude",), "alternating": ("amplitude",),
+                "square_wave": ("amplitude", "period"),
+                "piecewise_switch": ("amplitude", "switch_at"), "custom_file": ("path",)}
+KINDS = tuple(_KIND_FIELDS)
 
 INPUT_COLUMNS = ("y", "yhat1", "yhat2")
 
@@ -97,6 +93,8 @@ class SequenceSpec:
 _FIELD_TYPES = {"n": numbers.Integral, "period": numbers.Integral, "switch_at": numbers.Integral,
                 "y_bound": numbers.Real, "amplitude": numbers.Real, "path": str}
 _TYPE_NAMES = {numbers.Integral: "an integer", numbers.Real: "a real number", str: "a string"}
+# the kinds whose magnitude cap defaults to other than 1.0
+_DEFAULT_CAPS = {"case1": 0.5, "case2": 0.54}
 
 
 def resolve(spec: SequenceSpec) -> SequenceSpec:
@@ -108,31 +106,23 @@ def resolve(spec: SequenceSpec) -> SequenceSpec:
             raise ValueError(f"sequence field {name} must be {_TYPE_NAMES[kind]}, got {value!r}")
     if spec.kind not in KINDS:
         raise ValueError(f"unknown sequence kind {spec.kind!r}; expected one of {KINDS}")
+    for name in ("amplitude", "period", "switch_at", "path"):
+        if getattr(spec, name) is not None and name not in _KIND_FIELDS[spec.kind]:
+            raise ValueError(f"sequence field {name} is not read by kind {spec.kind}")
+    y_bound = _DEFAULT_CAPS.get(spec.kind, 1.0) if spec.y_bound is None else spec.y_bound
+    if not (math.isfinite(y_bound) and y_bound > 0.0):
+        raise ValueError(f"magnitude cap must be finite and positive, got {y_bound}")
     if spec.kind == "custom_file":
         if not spec.path:
             raise ValueError("custom_file sequences need a path")
         if spec.n < 0:
             raise ValueError(f"horizon must be nonnegative, got {spec.n}")
-        y_bound = 1.0 if spec.y_bound is None else spec.y_bound
-        if not (math.isfinite(y_bound) and y_bound > 0.0):
-            raise ValueError(f"magnitude cap must be finite and positive, got {y_bound}")
         return replace(spec, y_bound=y_bound)
 
     if spec.n < 1:
         raise ValueError(f"horizon must be at least 1, got {spec.n}")
-    if spec.kind == "case1":
-        y_bound = 0.5 if spec.y_bound is None else spec.y_bound
-    elif spec.kind == "case2":
-        y_bound = 0.54 if spec.y_bound is None else spec.y_bound
-    else:
-        y_bound = 1.0 if spec.y_bound is None else spec.y_bound
-    if not (math.isfinite(y_bound) and y_bound > 0.0):
-        raise ValueError(f"magnitude cap must be finite and positive, got {y_bound}")
-
     amplitude = spec.amplitude
-    if spec.kind in ("case1", "case2"):
-        amplitude = None
-    elif amplitude is None:
+    if amplitude is None and "amplitude" in _KIND_FIELDS[spec.kind]:
         amplitude = y_bound
     if amplitude is not None and abs(amplitude) > y_bound:
         raise ValueError(f"amplitude {amplitude} exceeds the magnitude cap {y_bound}")
@@ -151,18 +141,15 @@ def resolve(spec: SequenceSpec) -> SequenceSpec:
 
 
 def generate(spec: SequenceSpec) -> np.ndarray:
-    """Materialize the sequence described by ``spec``.
+    """Materialize the synthetic sequence described by ``spec``.
 
     Returns an ``(n, 3)`` float64 array whose row ``t - 1`` holds step t's
-    ``y``, ``yhat1``, ``yhat2``.
+    ``y``, ``yhat1``, ``yhat2``.  A ``custom_file`` spec is refused: it is
+    read by :func:`load_sequence`, which also returns the clip count.
     """
     spec = resolve(spec)
     if spec.kind == "custom_file":
-        samples, clipped = load_sequence(spec)
-        # clipping must never be silent
-        if clipped:
-            warnings.warn(f"clipped {clipped} out-of-cap fields while loading {spec.path}")
-        return samples
+        raise ValueError("custom_file sequences are read by load_sequence, not generated")
     n, a = spec.n, spec.amplitude
     t = np.arange(1, n + 1)
     # alternation starts negative: -1 at t = 1, +1 at t = 2, ...
@@ -192,12 +179,14 @@ def load_sequence(spec: SequenceSpec) -> tuple[np.ndarray, int]:
     """Load a ``custom_file`` sequence, truncated to its first ``n`` rows if n >= 1.
 
     Returns the ``(n, 3)`` array and the number of fields clipped in the
-    whole file.
+    whole file.  An ``n`` beyond the file's data rows is refused.
     """
     spec = resolve(spec)
     if spec.kind != "custom_file":
         raise ValueError(f"only custom_file sequences are loaded, got {spec.kind!r}")
     samples, clipped = load_csv(spec.path, spec.y_bound)
+    if spec.n > len(samples):
+        raise ValueError(f"{spec.path}: n = {spec.n} exceeds the file's {len(samples)} data rows")
     if spec.n >= 1:
         samples = samples[: spec.n]
     return samples, clipped

@@ -319,6 +319,25 @@ class TestRegretAndBound:
             regret_and_bound(0.0, 0.0, c, 0)
         with pytest.raises(ValueError):
             regret_and_bound(0.0, 0.0, c, 10, lambda_init=1.0)
+        with pytest.raises(ValueError, match="losses must be nonnegative"):
+            regret_and_bound(np.zeros(2), np.array([0.0, -1e-300]), c, np.array([1, 2]))
+        with pytest.raises(ValueError, match="horizon must be at least 1, got 0"):
+            regret_and_bound(np.zeros(2), np.zeros(2), c, np.array([1, 0]))
+
+    @pytest.mark.parametrize("beta", [None, 0.3])
+    def test_array_form_is_the_scalar_call_per_entry(self, beta):
+        """Every prefix at once, as ``report.summarize`` prices a run, bit for bit."""
+        c = constants_from_mu(0.08, 0.5, 0.08)
+        rng = np.random.default_rng(11)
+        l_alg = np.concatenate(([0.0, 5e-324], rng.uniform(0.0, 60.0, 300)))
+        l_best = np.concatenate(([0.0, 0.0], rng.uniform(0.0, 20.0, 300)))
+        n = np.arange(1, len(l_alg) + 1)
+        got = regret_and_bound(l_alg, l_best, c, n, lambda_init=0.3, beta=beta)
+        want = [regret_and_bound(a, b, c, k, lambda_init=0.3, beta=beta)
+                for a, b, k in zip(l_alg.tolist(), l_best.tolist(), n.tolist())]
+        assert got.regret.tobytes() == np.array([w.regret for w in want]).tobytes()
+        assert got.bound_normalized.tobytes() == np.array([w.bound_normalized for w in want]).tobytes()
+        assert all(w.bound_total == got.bound_total for w in want)
 
 
 class TestRandomTripleIdentities:

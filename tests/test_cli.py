@@ -285,6 +285,27 @@ USAGE_ERRORS = {
                            "sequence spec sp.json: expected an object with a 'kind'"),
     "spec-unknown-key": ({}, {"sp.json": '{"kind": "constant", "nn": 3}'},
                          "run --spec sp.json --mu 0.1", "sequence spec has unknown keys: ['nn']"),
+    # a spec field the kind never reads is refused, not ignored; the first is named
+    "spec-unread-fields": ({}, {"sp.json": '{"kind": "case1", "n": 50, "amplitude": 0.3, '
+                                           '"period": 7, "path": "nope.csv"}'},
+                           "run --spec sp.json", "sequence field amplitude is not read by kind case1"),
+    "spec-period-on-constant": ({}, {"sp.json": '{"kind": "constant", "n": 5, "period": 7}'},
+                                "run --spec sp.json --mu 0.1",
+                                "sequence field period is not read by kind constant"),
+    "spec-switch-on-square-wave": ({}, {"sp.json": '{"kind": "square_wave", "n": 5, "switch_at": 2}'},
+                                   "run --spec sp.json --mu 0.1",
+                                   "sequence field switch_at is not read by kind square_wave"),
+    "spec-path-on-alternating": ({}, {"sp.json": '{"kind": "alternating", "n": 5, "path": "x.csv"}'},
+                                 "run --spec sp.json --mu 0.1",
+                                 "sequence field path is not read by kind alternating"),
+    "spec-amplitude-on-file": ({}, {"seq.csv": "y,yhat1,yhat2\n0.1,0.1,0.1\n",
+                                    "sp.json": '{"kind": "custom_file", "path": "seq.csv", '
+                                               '"amplitude": 0.5}'},
+                               "run --spec sp.json --mu 0.1",
+                               "sequence field amplitude is not read by kind custom_file"),
+    "input-n-beyond-rows": ({}, {"in.csv": "y,yhat1,yhat2\n0.1,0.1,0.1\n0,0,0\n0.2,0.2,0.2\n"},
+                            "run --input in.csv --n 1000 --mu 0.1",
+                            "in.csv: n = 1000 exceeds the file's 3 data rows"),
     "audit-eps-and-triple": ({}, {}, "lemma-audit --eps 0.1 --a 1",
                              "choose --eps or an explicit --a/--b/--mu triple, not both"),
     "audit-partial-triple": ({}, {}, "lemma-audit --a 1",

@@ -1,5 +1,6 @@
-"""Every module-level import in the package is used in its module, and
-every exported name is used somewhere in the package.
+"""Every module-level import in the package is used in its module, every
+exported name is used somewhere in the package, and the package root binds
+nothing but its version, so each name has one import path.
 
 No linter is part of the toolchain, so these are the checks that catch an
 import left behind when code moves from one module to another, and an
@@ -65,6 +66,29 @@ def _unused_exports(sources: dict[str, str]) -> set[tuple[str, str]]:
         for name in _exports(tree)
         if not any(n == name and (m, o) != (module, name) for n, m, o in uses)
     }
+
+
+def _bound_names(source: str) -> set[str]:
+    """Every name a module binds: imports, assignments, functions and classes."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+    return names
+
+
+def test_the_check_sees_a_bound_name():
+    source = "from .a import f as g\nfrom . import b\nimport os.path\nx, y = 1, 2\nclass C: pass\n"
+    assert _bound_names(source) == {"g", "b", "os", "x", "y", "C"}
+
+
+def test_package_root_binds_only_the_version():
+    """Each name has one import path, its module's: the package root re-exports nothing."""
+    assert _bound_names((PACKAGE / "__init__.py").read_text()) == {"__version__"}
 
 
 def test_the_check_sees_an_unused_import():

@@ -19,6 +19,7 @@ from convexmix.signals import (
     clip_samples,
     generate,
     load_csv,
+    load_sequence,
     read_trajectory,
     resolve,
     write_trajectory,
@@ -60,6 +61,18 @@ class TestResolve:
             resolve(SequenceSpec("custom_file"))
         with pytest.raises(ValueError, match="magnitude cap"):
             resolve(SequenceSpec("case1", n=5, y_bound=-1.0))
+
+    @pytest.mark.parametrize("kind, field, value", [
+        ("case1", "amplitude", 0.3), ("case2", "amplitude", 0.3), ("custom_file", "amplitude", 0.3),
+        ("constant", "period", 7), ("piecewise_switch", "period", 7), ("custom_file", "period", 7),
+        ("square_wave", "switch_at", 2), ("alternating", "switch_at", 2),
+        ("case1", "path", "x.csv"), ("square_wave", "path", "x.csv"),
+    ])
+    def test_field_the_kind_never_reads_is_refused(self, kind, field, value):
+        fields = {"path": "x.csv"} if kind == "custom_file" else {}
+        fields[field] = value
+        with pytest.raises(ValueError, match=f"^sequence field {field} is not read by kind {kind}$"):
+            resolve(SequenceSpec(kind, n=5, **fields))
 
 
 class TestGenerate:
@@ -135,14 +148,18 @@ def _specs(draw):
                                  "piecewise_switch"]))
     n = draw(st.integers(1, 60))
     y_bound = draw(st.sampled_from([None, 0.5, 0.75, 1, 2.0]))
-    cap = resolve(SequenceSpec("constant", n=n, y_bound=y_bound)).y_bound
-    amplitude = draw(st.none() | st.sampled_from([0.0, -0.0, cap, -cap])
-                     | st.floats(-cap, cap, allow_nan=False))
-    period = draw(st.none() | st.integers(2, 2 * n + 3))
-    # the default switch step n // 2 is valid only from n = 2 on
-    switch_at = draw((st.none() if n > 1 else st.nothing()) | st.integers(1, n))
-    return SequenceSpec(kind, n=n, y_bound=y_bound, amplitude=amplitude, period=period,
-                        switch_at=switch_at)
+    # only the fields the kind reads: resolve refuses any other
+    fields = {}
+    if kind not in ("case1", "case2"):
+        cap = resolve(SequenceSpec("constant", n=n, y_bound=y_bound)).y_bound
+        fields["amplitude"] = draw(st.none() | st.sampled_from([0.0, -0.0, cap, -cap])
+                                   | st.floats(-cap, cap, allow_nan=False))
+    if kind == "square_wave":
+        fields["period"] = draw(st.none() | st.integers(2, 2 * n + 3))
+    if kind == "piecewise_switch":
+        # the default switch step n // 2 is valid only from n = 2 on
+        fields["switch_at"] = draw((st.none() if n > 1 else st.nothing()) | st.integers(1, n))
+    return SequenceSpec(kind, n=n, y_bound=y_bound, **fields)
 
 
 class TestGenerateMatchesReference:
@@ -328,18 +345,31 @@ class TestLoadCsvRouting:
 
 
 class TestCustomFileSequences:
-    def test_truncates_and_warns_on_clip(self, tmp_path):
+    def test_truncates_and_counts_clips(self, tmp_path):
         p = tmp_path / "seq.csv"
         _write_input_csv(p, [(0.1, 0.2, 0.3), (2.0, 0.0, 0.0), (0.4, 0.4, 0.4)])
-        with pytest.warns(UserWarning, match="clipped 1"):
-            got = generate(SequenceSpec("custom_file", n=2, path=str(p)))
+        got, clipped = load_sequence(SequenceSpec("custom_file", n=2, path=str(p)))
         np.testing.assert_array_equal(got, np.array([[0.1, 0.2, 0.3], [1.0, 0.0, 0.0]]),
                                       strict=True)
+        assert clipped == 1
 
     def test_zero_horizon_takes_all_rows(self, tmp_path):
         p = tmp_path / "seq.csv"
         _write_input_csv(p, [(0.1, 0.1, 0.1)] * 5)
-        assert len(generate(SequenceSpec("custom_file", path=str(p)))) == 5
+        assert len(load_sequence(SequenceSpec("custom_file", path=str(p)))[0]) == 5
+
+    def test_horizon_beyond_the_rows_is_refused(self, tmp_path):
+        p = tmp_path / "seq.csv"
+        _write_input_csv(p, [(0.1, 0.1, 0.1)] * 3)
+        assert len(load_sequence(SequenceSpec("custom_file", n=3, path=str(p)))[0]) == 3
+        with pytest.raises(ValueError, match="n = 4 exceeds the file's 3 data rows"):
+            load_sequence(SequenceSpec("custom_file", n=4, path=str(p)))
+
+    def test_generate_refuses_a_file(self, tmp_path):
+        p = tmp_path / "seq.csv"
+        _write_input_csv(p, [(0.1, 0.1, 0.1)] * 3)
+        with pytest.raises(ValueError, match="custom_file sequences are read by load_sequence"):
+            generate(SequenceSpec("custom_file", path=str(p)))
 
 
 def _column(frame, name):
