@@ -28,7 +28,7 @@ rb = regret_and_bound(loss, hindsight.loss, constants, len(samples))
 print("setup 1 (clean expert exact)")
 print(f"  algorithm loss   {loss:.4f}")
 print(f"  best fixed beta  {hindsight.beta:g} with loss {hindsight.loss:g}")
-print(f"  final weight     {traj.final_state.lam:.4f} (drawn toward expert 1)")
+print(f"  final weight     {traj.final_lambda:.4f} (drawn toward expert 1)")
 print(f"  regret {rb.regret:.4f} <= bound {rb.bound_total:.4f}")
 
 # ---------------------------------------------------------------------------

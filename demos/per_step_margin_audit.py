@@ -51,8 +51,6 @@ for beta in (0.0, 0.5, 1.0):
     total = float(
         beta * np.log(l1 / l0).sum() + (1 - beta) * np.log((1 - l1) / (1 - l0)).sum()
     )
-    drop = kl((beta, 1 - beta), (l0[0], 1 - l0[0])) - kl(
-        (beta, 1 - beta), (traj.final_state.lam, 1 - traj.final_state.lam)
-    )
+    drop = kl(beta, l0[0]) - kl(beta, traj.final_lambda)
     print(f"beta={beta}: summed progress {total:+.6f}, divergence drop {drop:+.6f}, "
           f"difference {abs(total - drop):.2e}")

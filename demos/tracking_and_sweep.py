@@ -49,4 +49,4 @@ for mu in (0.1, 0.3, 0.6, 1.0):
     traj = run(p, samples)
     _, summary = summarize(traj, c)
     print(f"{mu:6.2f} {summary.l_alg:9.2f} {summary.regret:9.2f} "
-          f"{summary.bound_total:10.2f} {traj.final_state.lam:10.4f}")
+          f"{summary.bound_total:10.2f} {traj.final_lambda:10.4f}")

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -119,23 +119,16 @@ def constants_from_mu(mu: float, y_bound: float, lambda_plus: float) -> TheoremC
     return constants_from_eps(eps_from_mu(mu, y_bound, lambda_plus), y_bound, lambda_plus)
 
 
-def kl(u: Sequence[float], w: Sequence[float]) -> float:
-    """Divergence between two-point weight vectors, in nats.
+def kl(beta: float, lam: float) -> float:
+    """Divergence from (beta, 1-beta) to (lam, 1-lam), in nats.
 
-    Terms with u_i = 0 contribute nothing; w_i = 0 against u_i > 0 yields
-    an infinite divergence.
+    A zero comparator component contributes nothing; a zero weight component
+    against a positive comparator one makes the divergence infinite.
     """
-    if len(u) != 2 or len(w) != 2:
-        raise ValueError("expected two-component weight vectors")
-    u0, u1 = float(u[0]), float(u[1])
-    w0, w1 = float(w[0]), float(w[1])
-    for name, pair in (("first", (u0, u1)), ("second", (w0, w1))):
-        if not all(0.0 <= x <= 1.0 for x in pair):
-            raise ValueError(f"{name} vector has components outside [0, 1]: {pair}")
-        if abs(pair[0] + pair[1] - 1.0) > 1e-12:
-            raise ValueError(f"{name} vector does not sum to 1: {pair}")
+    if not (0.0 <= beta <= 1.0 and 0.0 <= lam <= 1.0):
+        raise ValueError(f"weights must lie in [0, 1], got {beta} and {lam}")
     total = 0.0
-    for ui, wi in ((u0, w0), (u1, w1)):
+    for ui, wi in ((beta, lam), (1.0 - beta, 1.0 - lam)):
         if ui > 0.0:
             if wi <= 0.0:
                 return math.inf
@@ -169,8 +162,7 @@ def per_step_margin(
     progress = beta * math.log(lambda_t1 / lambda_t) + (1.0 - beta) * math.log(
         (1.0 - lambda_t1) / (1.0 - lambda_t)
     )
-    u = (beta, 1.0 - beta)
-    via_kl = kl(u, (lambda_t, 1.0 - lambda_t)) - kl(u, (lambda_t1, 1.0 - lambda_t1))
+    via_kl = kl(beta, lambda_t) - kl(beta, lambda_t1)
     if abs(progress - via_kl) > 1e-12:
         raise ArithmeticError(
             f"log progress {progress} and divergence difference {via_kl} disagree"
@@ -282,7 +274,7 @@ def regret_and_bound(
     if beta is None:
         div = max(-math.log(lambda_init), -math.log(1.0 - lambda_init))
     else:
-        div = kl((beta, 1.0 - beta), (lambda_init, 1.0 - lambda_init))
+        div = kl(beta, lambda_init)
     bound_total = div / constants.a
     return RegretBound(regret, bound_total, bound_total / n)
 

@@ -66,32 +66,30 @@ _CONFIG_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
                  None: ((str,), "a string")}
 
 
-def _merged(args: argparse.Namespace, defaults: dict) -> dict:
-    """Each key of ``defaults`` from its flag, else the config file, else the default.
+def _config_defaults(sub: argparse.ArgumentParser, path: str) -> dict:
+    """The --config file at ``path`` as defaults for the subcommand parser ``sub``.
 
-    A config value has its flag's type, as ``args.flag_types`` gives it: a
-    JSON integer, a number (made a float) or a string, never a boolean;
-    null leaves the key unset.  Output paths are left to
-    :func:`_check_outputs`, which names them all.
+    Each key is the destination of one of ``sub``'s flags and has that
+    flag's type: a JSON integer, a number (made a float) or a string, never
+    a boolean; null leaves the key at its default.  Output paths are left
+    to :func:`_check_outputs`, which names them all.
     """
-    config = _read_json(args.config, "config") if args.config else {}
+    config = _read_json(path, "config")
     if not isinstance(config, dict):
-        raise ValueError(f"config {args.config}: expected a JSON object")
-    unknown = set(config) - set(defaults)
+        raise ValueError(f"config {path}: expected a JSON object")
+    types = {action.dest: action.type for action in sub._actions
+             if action.dest not in ("help", "config")}
+    unknown = set(config) - set(types)
     if unknown:
         raise ValueError(f"config has unknown keys: {sorted(unknown)}")
     for key, value in config.items():
         if value is None or key in ("out", "summary"):
             continue
-        flag_type = args.flag_types[key]
-        kinds, what = _CONFIG_TYPES[flag_type]
+        kinds, what = _CONFIG_TYPES[types[key]]
         if isinstance(value, bool) or not isinstance(value, kinds):
             raise ValueError(f"config key {key} must be {what}, got {json.dumps(value)}")
-        config[key] = flag_type(value) if flag_type else value
-    merged = dict(defaults)
-    for layer in (config, {key: getattr(args, key) for key in defaults}):
-        merged.update((key, value) for key, value in layer.items() if value is not None)
-    return merged
+        config[key] = types[key](value) if types[key] else value
+    return {key: value for key, value in config.items() if value is not None}
 
 
 def _write_json(path: str, data: dict) -> None:
@@ -122,27 +120,26 @@ def _parse_window(text: str, n: int) -> tuple[int, int]:
     return lo, hi
 
 
-def _sequence_from_args(merged: dict):
+def _sequence_from_args(args: argparse.Namespace):
     """Resolve the sequence source; returns (samples, y_bound, clip_count, default_rate)."""
-    sources = [k for k in ("case", "input", "spec") if merged[k] is not None]
+    sources = [k for k in ("case", "input", "spec") if getattr(args, k) is not None]
     if len(sources) != 1:
         raise ValueError("choose exactly one of --case, --input, --spec")
-    n, y_bound = merged["n"], merged["ybound"]
+    n, y_bound = args.n, args.ybound
     if n is not None and n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     default_rate = {}
     if sources[0] == "case":
-        case = merged["case"]
-        if case not in (1, 2):
-            raise ValueError(f"case must be 1 or 2, got {case}")
-        spec = SequenceSpec(kind=f"case{case}", n=n or 10_000, y_bound=y_bound)
-        default_rate = {"mu": 0.08 if case == 1 else 0.04}
+        if args.case not in (1, 2):
+            raise ValueError(f"case must be 1 or 2, got {args.case}")
+        spec = SequenceSpec(kind=f"case{args.case}", n=n or 10_000, y_bound=y_bound)
+        default_rate = {"mu": 0.08 if args.case == 1 else 0.04}
     elif sources[0] == "input":
-        spec = SequenceSpec("custom_file", n=n or 0, y_bound=y_bound, path=merged["input"])
+        spec = SequenceSpec("custom_file", n=n or 0, y_bound=y_bound, path=args.input)
     else:
-        data = _read_json(merged["spec"], "sequence spec")
+        data = _read_json(args.spec, "sequence spec")
         if not isinstance(data, dict) or "kind" not in data:
-            raise ValueError(f"sequence spec {merged['spec']}: expected an object with a 'kind'")
+            raise ValueError(f"sequence spec {args.spec}: expected an object with a 'kind'")
         unknown = set(data) - {field.name for field in dataclasses.fields(SequenceSpec)}
         if unknown:
             raise ValueError(f"sequence spec has unknown keys: {sorted(unknown)}")
@@ -159,10 +156,9 @@ def _sequence_from_args(merged: dict):
     return samples, resolved.y_bound, clipped, default_rate
 
 
-def _constants_from_args(merged: dict, y_bound: float, default_rate: dict):
+def _constants_from_args(args: argparse.Namespace, y_bound: float, default_rate: dict):
     """Constants from --mu or --eps, else from ``default_rate`` ({"mu": x}, {"eps": x} or {})."""
-    lambda_plus = merged["lambda_plus"]
-    rate = {key: merged[key] for key in ("mu", "eps") if merged[key] is not None}
+    rate = {key: getattr(args, key) for key in ("mu", "eps") if getattr(args, key) is not None}
     if len(rate) == 2:
         raise ValueError("choose --mu or --eps, not both")
     if not rate:
@@ -170,78 +166,64 @@ def _constants_from_args(merged: dict, y_bound: float, default_rate: dict):
             raise ValueError("provide --mu or --eps for this sequence source")
         rate = default_rate
     if "eps" in rate:
-        constants = bounds.constants_from_eps(rate["eps"], y_bound, lambda_plus)
+        constants = bounds.constants_from_eps(rate["eps"], y_bound, args.lambda_plus)
         return constants, constants.mu
     mu = rate["mu"]
-    return bounds.constants_from_mu(mu, y_bound, lambda_plus), mu
+    return bounds.constants_from_mu(mu, y_bound, args.lambda_plus), mu
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
-RUN_DEFAULTS = {
-    "case": None, "input": None, "spec": None, "n": None, "mu": None, "eps": None,
-    "lambda_plus": 0.08, "ybound": None, "mode": "project", "window": None,
-    "out": "trajectory.csv", "summary": "summary.json", "lambda_init": 0.5,
-}
-
-
 def cmd_run(args: argparse.Namespace) -> int:
-    merged = _merged(args, RUN_DEFAULTS)
-    out, summary_path = merged["out"], merged["summary"]
-    _check_outputs(out, summary_path)
-    samples, y_bound, clipped, default_rate = _sequence_from_args(merged)
-    constants, mu = _constants_from_args(merged, y_bound, default_rate)
+    _check_outputs(args.out, args.summary)
+    samples, y_bound, clipped, default_rate = _sequence_from_args(args)
+    constants, mu = _constants_from_args(args, y_bound, default_rate)
     params = MixtureParams(mu=mu, lambda_plus=constants.lambda_plus, y_bound=y_bound,
-                           mode=merged["mode"])
+                           mode=args.mode)
     window = None
-    if merged["window"] is not None:
-        window = _parse_window(merged["window"], len(samples))
-    traj = mixture.run(params, samples, initial_state=mixture.state_from_lambda(merged["lambda_init"]))
+    if args.window is not None:
+        window = _parse_window(args.window, len(samples))
+    traj = mixture.run(params, samples, lambda_init=args.lambda_init)
     frame, summary = summarize(traj, constants, clip_count=clipped, window=window)
-    signals.write_trajectory(frame, out)
-    _write_json(summary_path, summary.to_dict())
+    signals.write_trajectory(frame, args.out)
+    _write_json(args.summary, summary.to_dict())
     print(
         f"n={summary.n} loss={summary.l_alg:.6g} best_beta={summary.beta_o:.6g} "
         f"regret={summary.regret:.6g} bound={summary.bound_total:.6g} "
-        f"-> {out}, {summary_path}"
+        f"-> {args.out}, {args.summary}"
     )
     return 0
 
 
-VERIFY_DEFAULTS = {
-    "eps": None, "mu": None, "lambda_plus": 0.08, "ybound": 1.0, "trials": 100, "n": 500,
-    "seed": 7, "resolution": 0.01, "override_a": None, "out": "verify_report.json",
-}
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
-    merged = _merged(args, VERIFY_DEFAULTS)
-    _check_outputs(merged["out"])
+    _check_outputs(args.out)
     # without --mu or --eps, verify uses eps = 0.1
-    constants, _ = _constants_from_args(merged, merged["ybound"], {"eps": 0.1})
-    if merged["override_a"] is not None:
-        constants = dataclasses.replace(constants, a=merged["override_a"])
+    constants, _ = _constants_from_args(args, args.ybound, {"eps": 0.1})
+    if args.override_a is not None:
+        constants = dataclasses.replace(constants, a=args.override_a)
     report = run_verification(
-        constants, trials=merged["trials"], n=merged["n"], seed=merged["seed"],
-        resolution=merged["resolution"], tol=inequality_tolerance(),
+        constants, trials=args.trials, n=args.n, seed=args.seed,
+        resolution=args.resolution, tol=inequality_tolerance(),
     )
     for name, suite in report["suites"].items():
         status = "ok" if not suite["failures"] else f"{len(suite['failures'])} FAILURES"
         print(f"suite {name}: {suite['checked']} checks, {status}")
-    _write_json(merged["out"], report)
-    print(f"report -> {merged['out']}")
+    _write_json(args.out, report)
+    print(f"report -> {args.out}")
     return 0 if report["all_pass"] else 1
 
 
 def cmd_lemma_audit(args: argparse.Namespace) -> int:
     _check_outputs(args.out)
-    y_bound, lambda_plus = args.ybound, args.lambda_plus
+    y_bound, lambda_plus, budget, seed = args.ybound, args.lambda_plus, args.budget, args.seed
     triple = (args.a, args.b, args.mu)
     if args.eps is not None and any(v is not None for v in triple):
         raise ValueError("choose --eps or an explicit --a/--b/--mu triple, not both")
     if args.eps is None and None in triple:
         raise ValueError("provide --eps or the full --a/--b/--mu triple")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     if args.eps is not None:
         constants = bounds.constants_from_eps(args.eps, y_bound, lambda_plus)
         a, b, mu = constants.a, constants.b, constants.mu
@@ -249,22 +231,24 @@ def cmd_lemma_audit(args: argparse.Namespace) -> int:
         a, b, mu = triple
     tol = inequality_tolerance()
 
+    # everything is checked and computed before the first line is printed
     lb = audit.lemma_bounds(a, mu, lambda_plus)
-    print(f"closed-form bounds: mu >= {lb.mu_min:.12g} (necessary), "
-          f"b >= {lb.b_min_via_mu:.12g} (via mu, conservative), "
-          f"b >= {lb.b_min_combined:.12g} (combined, conservative)")
     constructions = {}
     for label, instance in zip(("floor", "midpoint"), audit.construction_instances(y_bound, lambda_plus)):
         try:
-            *_, lhs, progress, margin = row = audit.evaluate_instance(a, b, mu, *instance)
+            row = audit.evaluate_instance(a, b, mu, *instance)
         except mixture.NumericError as exc:
             raise mixture.NumericError(f"construction {label}: {exc}") from None
-        constructions[label] = dict(zip(audit.WITNESS_COLUMNS, row), violated=margin < -tol)
-        flag = "VIOLATED" if margin < -tol else "ok"
-        print(f"construction {label}: lhs={lhs:.12g} progress={progress:.12g} "
-              f"margin={margin:.12g} [{flag}]")
-    budget, seed = args.budget, args.seed
+        constructions[label] = dict(zip(audit.WITNESS_COLUMNS, row), violated=row[-1] < -tol)
     witnesses = audit.search_violations(a, b, mu, lambda_plus, y_bound, budget, seed, tol=tol)
+
+    print(f"closed-form bounds: mu >= {lb.mu_min:.12g} (necessary), "
+          f"b >= {lb.b_min_via_mu:.12g} (via mu, conservative), "
+          f"b >= {lb.b_min_combined:.12g} (combined, conservative)")
+    for label, c in constructions.items():
+        flag = "VIOLATED" if c["violated"] else "ok"
+        print(f"construction {label}: lhs={c['lhs']:.12g} progress={c['progress']:.12g} "
+              f"margin={c['margin']:.12g} [{flag}]")
     print(f"searched {budget} instances: {len(witnesses)} violations")
     if len(witnesses):
         y, y1, y2, lam, beta, _, _, margin = witnesses[0].tolist()
@@ -324,11 +308,6 @@ def cmd_plot(args: argparse.Namespace) -> int:
     return 0
 
 
-SWEEP_DEFAULTS = {
-    "case": None, "input": None, "spec": None, "n": None, "mu_list": None,
-    "lambda_plus": 0.08, "ybound": None, "mode": "project", "out": "sweep.csv",
-    "lambda_init": 0.5,
-}
 # the columns of the sweep table, one row per rate
 SWEEP_COLUMNS = ("mu", "eps", "n", "l_alg", "beta_o", "l_best", "regret", "norm_regret",
                  "bound_total", "bound_normalized", "out_of_range_steps", "projected_steps",
@@ -336,34 +315,30 @@ SWEEP_COLUMNS = ("mu", "eps", "n", "l_alg", "beta_o", "l_best", "regret", "norm_
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    merged = _merged(args, SWEEP_DEFAULTS)
-    if not merged["mu_list"]:
+    if not args.mu_list:
         raise ValueError("provide --mu-list with comma-separated learning rates")
     try:
-        mus = sorted(float(tok) for tok in merged["mu_list"].split(",") if tok.strip())
+        mus = sorted(float(tok) for tok in args.mu_list.split(",") if tok.strip())
     except ValueError:
-        raise ValueError(f"--mu-list must be comma-separated numbers, got {merged['mu_list']!r}") from None
+        raise ValueError(f"--mu-list must be comma-separated numbers, got {args.mu_list!r}") from None
     if not mus:
         raise ValueError("--mu-list is empty")
-    out = merged["out"]
+    out = args.out
     _check_outputs(out)  # a string, so its stem can name the per-rate files
     stem, _ = os.path.splitext(out)
     # two rates that print alike would write one file
     paths = [f"{stem}_mu{mu:g}.json" for mu in mus]
     _check_outputs(out, *paths)
-    samples, y_bound, clipped, _ = _sequence_from_args(merged)
-    mode = merged["mode"]
-    lambda_plus = merged["lambda_plus"]
-    initial = mixture.state_from_lambda(merged["lambda_init"])
+    samples, y_bound, clipped, _ = _sequence_from_args(args)
 
     # every rate is validated before anything runs or is written
     configs = [
-        (mu, bounds.constants_from_mu(mu, y_bound, lambda_plus),
-         MixtureParams(mu=mu, lambda_plus=lambda_plus, y_bound=y_bound, mode=mode))
+        (mu, bounds.constants_from_mu(mu, y_bound, args.lambda_plus),
+         MixtureParams(mu=mu, lambda_plus=args.lambda_plus, y_bound=y_bound, mode=args.mode))
         for mu in mus
     ]
     # every summary is computed, and the table written, before any per-rate file
-    rows = [(mu, constants.eps, summarize(mixture.run(params, samples, initial_state=initial),
+    rows = [(mu, constants.eps, summarize(mixture.run(params, samples, lambda_init=args.lambda_init),
                                           constants, clip_count=clipped)[1])
             for mu, constants, params in configs]
     with open(out, "w", newline="") as fh:
@@ -383,15 +358,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+def _add_floor_flag(p: argparse.ArgumentParser):
+    p.add_argument("--lambda-plus", dest="lambda_plus", type=float, default=0.08,
+                   help="weight floor (default %(default)s)")
+
+
 def _add_sequence_flags(p: argparse.ArgumentParser):
     p.add_argument("--case", type=int, choices=(1, 2), help="built-in benchmark sequence")
     p.add_argument("--input", help="CSV file with columns y,yhat1,yhat2")
     p.add_argument("--spec", help="JSON sequence spec file")
     p.add_argument("--n", type=int, help="horizon (default 10000 for --case)")
-    p.add_argument("--lambda-plus", dest="lambda_plus", type=float,
-                   help="weight floor (default 0.08)")
+    _add_floor_flag(p)
     p.add_argument("--ybound", type=float, help="magnitude cap")
-    p.add_argument("--mode", choices=mixture.MODES, help="range handling (default project)")
+    p.add_argument("--mode", choices=mixture.MODES, default="project",
+                   help="range handling (default %(default)s)")
     p.add_argument("--config", help="JSON config file; flags override its keys")
 
 
@@ -406,27 +386,30 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sequence_flags(p_run)
     p_run.add_argument("--mu", type=float, help="learning rate")
     p_run.add_argument("--eps", type=float, help="slack parameter (alternative to --mu)")
-    p_run.add_argument("--lambda-init", dest="lambda_init", type=float,
-                       help="initial weight (default 0.5)")
+    p_run.add_argument("--lambda-init", dest="lambda_init", type=float, default=0.5,
+                       help="initial weight (default %(default)s)")
     p_run.add_argument("--window", help="A:B inclusive 1-based step window for local regret")
-    p_run.add_argument("--out", help="trajectory CSV path (default trajectory.csv)")
-    p_run.add_argument("--summary", help="summary JSON path (default summary.json)")
+    p_run.add_argument("--out", default="trajectory.csv",
+                       help="trajectory CSV path (default %(default)s)")
+    p_run.add_argument("--summary", default="summary.json",
+                       help="summary JSON path (default %(default)s)")
     p_run.set_defaults(func=cmd_run)
 
     p_ver = sub.add_parser("verify", help="check the guarantee machinery")
     p_ver.add_argument("--eps", type=float, help="slack parameter (default 0.1)")
     p_ver.add_argument("--mu", type=float, help="learning rate (alternative to --eps)")
-    p_ver.add_argument("--lambda-plus", dest="lambda_plus", type=float,
-                       help="weight floor (default 0.08)")
-    p_ver.add_argument("--ybound", type=float, help="magnitude cap (default 1.0)")
-    p_ver.add_argument("--trials", type=int, help="random sequences per suite (default 100)")
-    p_ver.add_argument("--n", type=int, help="steps per sequence (default 500)")
-    p_ver.add_argument("--seed", type=int, help="base seed (default 7)")
-    p_ver.add_argument("--resolution", type=float,
-                       help="grid step for the oracle suite (default 0.01)")
+    _add_floor_flag(p_ver)
+    p_ver.add_argument("--ybound", type=float, default=1.0, help="magnitude cap (default %(default)s)")
+    p_ver.add_argument("--trials", type=int, default=100,
+                       help="random sequences per suite (default %(default)s)")
+    p_ver.add_argument("--n", type=int, default=500, help="steps per sequence (default %(default)s)")
+    p_ver.add_argument("--seed", type=int, default=7, help="base seed (default %(default)s)")
+    p_ver.add_argument("--resolution", type=float, default=0.01,
+                       help="grid step for the oracle suite (default %(default)s)")
     p_ver.add_argument("--override-a", dest="override_a", type=float,
                        help="replace the progress coefficient, for sanity checks")
-    p_ver.add_argument("--out", help="report JSON path (default verify_report.json)")
+    p_ver.add_argument("--out", default="verify_report.json",
+                       help="report JSON path (default %(default)s)")
     p_ver.add_argument("--config", help="JSON config file; flags override its keys")
     p_ver.set_defaults(func=cmd_verify)
 
@@ -435,14 +418,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_lem.add_argument("--a", type=float, help="progress coefficient")
     p_lem.add_argument("--b", type=float, help="comparator coefficient")
     p_lem.add_argument("--mu", type=float, help="learning rate")
-    p_lem.add_argument("--lambda-plus", dest="lambda_plus", type=float, default=0.08,
-                       help="weight floor (default 0.08)")
-    p_lem.add_argument("--ybound", type=float, default=1.0, help="magnitude cap (default 1.0)")
+    _add_floor_flag(p_lem)
+    p_lem.add_argument("--ybound", type=float, default=1.0, help="magnitude cap (default %(default)s)")
     p_lem.add_argument("--budget", type=int, default=20_000,
-                       help="instances to evaluate (default 20000)")
-    p_lem.add_argument("--seed", type=int, default=0, help="seed for the random fill (default 0)")
+                       help="instances to evaluate (default %(default)s)")
+    p_lem.add_argument("--seed", type=int, default=0,
+                       help="seed for the random fill (default %(default)s)")
     p_lem.add_argument("--out", default="lemma_witnesses.json",
-                       help="witness JSON path (default lemma_witnesses.json)")
+                       help="witness JSON path (default %(default)s)")
     p_lem.set_defaults(func=cmd_lemma_audit)
 
     p_plot = sub.add_parser("plot", help="SVG of normalized regret vs its guarantee")
@@ -455,14 +438,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sequence_flags(p_sweep)
     p_sweep.add_argument("--mu-list", dest="mu_list",
                          help="comma-separated learning rates")
-    p_sweep.add_argument("--lambda-init", dest="lambda_init", type=float,
-                         help="initial weight (default 0.5)")
-    p_sweep.add_argument("--out", help="combined table CSV path (default sweep.csv)")
+    p_sweep.add_argument("--lambda-init", dest="lambda_init", type=float, default=0.5,
+                         help="initial weight (default %(default)s)")
+    p_sweep.add_argument("--out", default="sweep.csv",
+                         help="combined table CSV path (default %(default)s)")
     p_sweep.set_defaults(func=cmd_sweep)
-
-    for p in (p_run, p_ver, p_sweep):
-        # the type each --config key must have is its flag's
-        p.set_defaults(flag_types={action.dest: action.type for action in p._actions})
     return parser
 
 
@@ -476,6 +456,12 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
+        if getattr(args, "config", None):
+            # the file's values become the subcommand's defaults, so parsed
+            # again, a flag wins wherever it appears
+            sub = parser._subparsers._group_actions[0].choices[args.command]
+            sub.set_defaults(**_config_defaults(sub, args.config))
+            args = parser.parse_args(argv)
         return args.func(args)
     except ArithmeticError as exc:
         # covers NumericError from the combiner and saturation in the audit

@@ -23,14 +23,12 @@ import numpy as np
 __all__ = [
     "NumericError",
     "MixtureParams",
-    "MixtureState",
     "Trajectory",
     "logistic",
     "logit",
     "step",
     "multiplicative_lambda",
     "multiplicative_lambdas",
-    "state_from_lambda",
     "sample_columns",
     "run",
 ]
@@ -77,15 +75,6 @@ class MixtureParams:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
 
 
-@dataclass(frozen=True)
-class MixtureState:
-    """Combiner state before step ``t``; ``lam`` must equal logistic(rho)."""
-
-    rho: float = 0.0
-    lam: float = 0.5
-    t: int = 1
-
-
 def logistic(rho: float) -> float:
     """Map the auxiliary variable to a combination weight in (0, 1)."""
     if not math.isfinite(rho):
@@ -105,23 +94,23 @@ def logit(lam: float) -> float:
 
 
 def step(
-    params: MixtureParams, state: MixtureState, y: float, yhat1: float, yhat2: float
-) -> tuple[MixtureState, float, float, bool, bool]:
-    """Advance the combiner by one observation.
+    params: MixtureParams, rho: float, lam: float, y: float, yhat1: float, yhat2: float
+) -> tuple[float, float, float, float, bool, bool]:
+    """Advance the combiner by one observation from ``rho`` and ``lam = logistic(rho)``.
 
-    Returns ``(next_state, yhat, e, in_range, projected)``.  The range flag
-    refers to the weight that produced the prediction, i.e. the weight
-    before the update.  This is the readable reference that the loop in
-    :func:`run` reproduces bit for bit.
+    Returns ``(rho, lam, yhat, e, in_range, projected)``, the first two after
+    the update.  The range flag refers to the weight that produced the
+    prediction, i.e. the weight before the update.  This is the readable
+    reference that the loop in :func:`run` reproduces bit for bit; a
+    :class:`NumericError` raised here carries no step index.
     """
-    lam = state.lam
     if not 0.0 < lam < 1.0:
         raise ValueError(f"weight must lie strictly inside (0, 1), got {lam}")
     yhat = lam * yhat1 + (1.0 - lam) * yhat2
     e = y - yhat
-    rho_new = state.rho + params.mu * e * lam * (1.0 - lam) * (yhat1 - yhat2)
+    rho_new = rho + params.mu * e * lam * (1.0 - lam) * (yhat1 - yhat2)
     if not math.isfinite(rho_new):
-        raise NumericError("auxiliary variable became non-finite", step=state.t)
+        raise NumericError("auxiliary variable became non-finite")
     lam_new = logistic(rho_new)
     projected = False
     if params.mode == "project":
@@ -132,9 +121,9 @@ def step(
         elif lam_new > hi:
             lam_new, rho_new, projected = hi, logit(hi), True
     if not 0.0 < lam_new < 1.0:
-        raise NumericError(f"weight saturated at {lam_new}", step=state.t)
+        raise NumericError(f"weight saturated at {lam_new}")
     in_range = params.lambda_plus <= lam <= 1.0 - params.lambda_plus
-    return MixtureState(rho=rho_new, lam=lam_new, t=state.t + 1), yhat, e, in_range, projected
+    return rho_new, lam_new, yhat, e, in_range, projected
 
 
 def multiplicative_lambda(mu: float, lam: float, y: float, yhat1: float, yhat2: float) -> float:
@@ -184,18 +173,13 @@ def multiplicative_lambdas(mu: float, lam, y, yhat1, yhat2) -> np.ndarray:
     return out
 
 
-def state_from_lambda(lam: float, t: int = 1) -> MixtureState:
-    """Build a consistent state whose weight is ``lam``."""
-    return MixtureState(rho=logit(lam), lam=lam, t=t)
-
-
 @dataclass(kw_only=True)
 class Trajectory:
     """One run, one array per column of :data:`convexmix.signals.TRAJECTORY_COLUMNS`.
 
     ``lam`` stands for ``lambda``.  :func:`run` fills the combiner columns;
     :func:`convexmix.report.summarize` fills in the five comparator columns.
-    ``final_state`` is the state after the last update, so the weight path
+    ``final_lambda`` is the weight after the last update, so the weight path
     lambda_1, ..., lambda_{n+1} is available in full; a trajectory read back
     from CSV has none.
     """
@@ -216,7 +200,7 @@ class Trajectory:
     bound_norm: np.ndarray | None = None
     in_range: np.ndarray
     projected: np.ndarray
-    final_state: MixtureState | None = None
+    final_lambda: float | None = None
 
     def __len__(self) -> int:
         return len(self.t)
@@ -224,9 +208,9 @@ class Trajectory:
     @property
     def lam_after(self) -> np.ndarray:
         """The weight after each step, lambda_2, ..., lambda_{n+1}."""
-        if self.final_state is None:
+        if self.final_lambda is None:
             raise ValueError("a trajectory read from CSV has no final weight")
-        return np.append(self.lam[1:], self.final_state.lam)
+        return np.append(self.lam[1:], self.final_lambda)
 
 
 def sample_columns(samples) -> np.ndarray:
@@ -258,8 +242,8 @@ def _check_samples(columns: np.ndarray, y_bound: float):
     raise ValueError(f"sample {i + 1}: field {name} = {v} exceeds the magnitude cap {y_bound}")
 
 
-def run(params: MixtureParams, samples, initial_state: MixtureState | None = None) -> Trajectory:
-    """Run the combiner over a whole sequence.
+def run(params: MixtureParams, samples, lambda_init: float = 0.5) -> Trajectory:
+    """Run the combiner over a whole sequence, from weight ``lambda_init`` at step 1.
 
     ``samples`` is an ``(n, 3)`` array (see :func:`sample_columns`).  All
     sample fields must already lie within ``params.y_bound`` in absolute
@@ -278,12 +262,7 @@ def run(params: MixtureParams, samples, initial_state: MixtureState | None = Non
         raise ValueError("sequence must be non-empty")
     _check_samples(columns, params.y_bound)
     y, y1, y2 = columns
-    state = initial_state if initial_state is not None else MixtureState()
-    if abs(state.lam - logistic(state.rho)) > 1e-12:
-        raise ValueError("initial state is inconsistent: lam must equal logistic(rho)")
-    rho, lam, t = state.rho, state.lam, state.t
-    if not 0.0 < lam < 1.0:
-        raise ValueError(f"weight must lie strictly inside (0, 1), got {lam}")
+    rho, lam = logit(lambda_init), lambda_init
 
     mu = params.mu
     lo = params.lambda_plus
@@ -304,7 +283,7 @@ def run(params: MixtureParams, samples, initial_state: MixtureState | None = Non
             rhos.append(rho)
             rho = rho + mu * (a - (lam * b + (1.0 - lam) * c)) * lam * (1.0 - lam) * (b - c)
             if not -inf < rho < inf:
-                raise NumericError("auxiliary variable became non-finite", step=t + i)
+                raise NumericError("auxiliary variable became non-finite", step=i + 1)
             if rho >= 0.0:
                 lam = 1.0 / (1.0 + exp(-rho))
             else:
@@ -318,7 +297,7 @@ def run(params: MixtureParams, samples, initial_state: MixtureState | None = Non
                     lam, rho = hi, rho_hi
                     projected_at.append(i)
             elif not 0.0 < lam < 1.0:
-                raise NumericError(f"weight saturated at {lam}", step=t + i)
+                raise NumericError(f"weight saturated at {lam}", step=i + 1)
         lam_col[start:stop] = lams
         rho_col[start:stop] = rhos
         projected[projected_at] = True
@@ -335,7 +314,7 @@ def run(params: MixtureParams, samples, initial_state: MixtureState | None = Non
     in_range = lo <= lam_col
     in_range &= lam_col <= hi
     return Trajectory(
-        t=np.arange(t, t + n),
+        t=np.arange(1, n + 1),
         y=y,
         yhat1=y1,
         yhat2=y2,
@@ -346,5 +325,5 @@ def run(params: MixtureParams, samples, initial_state: MixtureState | None = Non
         cum_loss=cum_loss,
         in_range=in_range,
         projected=projected,
-        final_state=MixtureState(rho=rho, lam=lam, t=t + n),
+        final_lambda=lam,
     )

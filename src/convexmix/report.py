@@ -79,7 +79,7 @@ def summarize(
     out_of_range = int(n - traj.in_range.sum())
     summary = RunSummary(
         n=n,
-        final_lambda=traj.final_state.lam,
+        final_lambda=traj.final_lambda,
         l_alg=float(cum[-1]),
         beta_o=float(best_b[-1]),
         l_best=float(best_l[-1]),

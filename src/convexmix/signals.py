@@ -456,7 +456,7 @@ def _int_cells(v: np.ndarray) -> np.ndarray:
 def read_trajectory(path: str) -> Trajectory:
     """Read back a trajectory CSV written by :func:`write_trajectory`.
 
-    Flags come back as int64 and ``final_state`` as ``None``.  Should numpy
+    Flags come back as int64 and ``final_lambda`` as ``None``.  Should numpy
     reject the file, every cell goes through int()/float() instead, which
     names the offending column or accepts what Python accepts (such as
     digit-group underscores).

@@ -53,14 +53,11 @@ def _margin_and_telescope_suites(constants, trials, n, seed, tol):
             worst = float(min(m_fixed.min(), m_rand.min()))
             if worst < -tol:
                 margin_failures.append({"seed": trial_seed, "worst_margin": worst})
-        lam_end = traj.final_state.lam
         log_ratio1 = np.log(l1 / l0)
         log_ratio0 = np.log((1.0 - l1) / (1.0 - l0))
         for beta in (0.0, 0.5, 1.0):
             total = float(beta * log_ratio1.sum() + (1.0 - beta) * log_ratio0.sum())
-            via_kl = bounds.kl((beta, 1.0 - beta), (l0[0], 1.0 - l0[0])) - bounds.kl(
-                (beta, 1.0 - beta), (lam_end, 1.0 - lam_end)
-            )
+            via_kl = bounds.kl(beta, l0[0]) - bounds.kl(beta, traj.final_lambda)
             checked_tele += 1
             err = abs(total - via_kl)
             if err > tol:
@@ -89,10 +86,10 @@ def _equivalence_suite(constants, trials, seed):
                 mu=mu, lambda_plus=constants.lambda_plus,
                 y_bound=constants.y_bound, mode="monitor",
             )
-            state = mixture.step(params, mixture.state_from_lambda(lam), y, y1, y2)[0]
+            lam_new = mixture.step(params, mixture.logit(lam), lam, y, y1, y2)[1]
             other = mixture.multiplicative_lambda(mu, lam, y, y1, y2)
             checked += 1
-            diff = abs(state.lam - other)
+            diff = abs(lam_new - other)
             if diff > EQUIVALENCE_TOL:
                 failures.append({"seed": trial_seed, "lam": lam, "mu": mu, "diff": diff})
     return {"checked": checked, "tolerance": EQUIVALENCE_TOL, "failures": failures}
@@ -160,6 +157,8 @@ def run_verification(
         raise ValueError(f"n must be at least 1, got {n}")
     if not 0.0 < resolution <= 0.1:
         raise ValueError(f"resolution must lie in (0, 0.1], got {resolution}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     margin_suite, tele_suite = _margin_and_telescope_suites(constants, trials, n, seed, tol)
     report = {
         "tolerance": tol,

@@ -146,9 +146,9 @@ def test_criterion_08_update_forms_agree():
     for i in range(draws):
         sample = y[i], y1[i], y2[i]
         params = MixtureParams(mu=mu[i], lambda_plus=0.08, y_bound=1.0, mode="monitor")
-        state = mixture.step(params, mixture.state_from_lambda(lam[i]), *sample)[0]
+        lam_new = mixture.step(params, mixture.logit(lam[i]), lam[i], *sample)[1]
         other = mixture.multiplicative_lambda(mu[i], lam[i], *sample)
-        diff = abs(state.lam - other)
+        diff = abs(lam_new - other)
         if diff > worst:
             worst = diff
     ok = worst <= 1e-12

@@ -310,6 +310,10 @@ USAGE_ERRORS = {
                              "choose --eps or an explicit --a/--b/--mu triple, not both"),
     "audit-partial-triple": ({}, {}, "lemma-audit --a 1",
                              "provide --eps or the full --a/--b/--mu triple"),
+    # numpy's own refusal of a negative seed names no flag
+    "audit-seed-negative": ({}, {}, "lemma-audit --eps 0.1 --seed -1 --budget 5000",
+                            "seed must be nonnegative, got -1"),
+    "verify-seed-negative": ({}, {}, "verify --seed -1", "seed must be nonnegative, got -1"),
     "sweep-no-mu-list": ({}, {}, "sweep --case 1 --n 10",
                          "provide --mu-list with comma-separated learning rates"),
     "sweep-bad-mu-list": ({}, {}, "sweep --case 1 --n 10 --mu-list 0.1,zap",
@@ -431,6 +435,12 @@ class TestConfigFile:
         cfg = workdir / "cfg.json"
         cfg.write_text(json.dumps({"case": 1, "n": 50}))
         assert run_cli("run", "--config", str(cfg), "--n", "80") == 0
+        assert read_json("summary.json")["n"] == 80
+
+    def test_flag_before_config_wins(self, workdir):
+        cfg = workdir / "cfg.json"
+        cfg.write_text(json.dumps({"case": 1, "n": 50}))
+        assert run_cli("run", "--n", "80", "--config", str(cfg)) == 0
         assert read_json("summary.json")["n"] == 80
 
     def test_config_supplies_missing_flags(self, workdir):
@@ -573,6 +583,27 @@ class TestLemmaAuditCommand:
         assert capsys.readouterr().err == (
             f"numeric failure: construction {label}: multiplicative update degenerated to 1.0\n")
         assert not (workdir / "w.json").exists()
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (("--a", "0.1", "--b", "-1", "--mu", "0.1"), 2,
+         "error: a, b, mu must be positive, got a=0.1, b=-1.0, mu=0.1"),
+        (("--eps", "0.1", "--budget", "0"), 2, "error: budget must be at least 1, got 0"),
+        (("--a", "0.1", "--b", "0.1", "--mu", "0.1", "--ybound", "-1"), 2,
+         "error: magnitude cap must be finite and positive, got -1.0"),
+        (("--eps", "0.1", "--seed", "-1", "--budget", "5000"), 2,
+         "error: seed must be nonnegative, got -1"),
+        (("--a", "0.01", "--b", "1", "--mu", "1e6"), 3,
+         "numeric failure: construction floor: multiplicative update degenerated to 1.0"),
+        # both constructions hold at this rate; a grid instance saturates
+        (("--a", "0.01", "--b", "1", "--mu", "100"), 3,
+         "numeric failure: an updated weight saturated; mu too extreme"),
+    ], ids=["negative-b", "zero-budget", "negative-cap", "negative-seed",
+            "construction-saturates", "search-saturates"])
+    def test_refusal_prints_nothing(self, workdir, capsys, argv, code, message):
+        """Every check and the search run before the first line is printed."""
+        assert run_cli("lemma-audit", *argv, "--out", "w.json") == code
+        assert capsys.readouterr() == ("", message + "\n")
+        assert not any(workdir.iterdir())
 
     def test_unit_budget(self, workdir):
         assert run_cli("lemma-audit", "--eps", "0.1", "--budget", "1",

@@ -13,7 +13,6 @@ from convexmix.signals import SequenceSpec, generate
 from convexmix.verify import EQUIVALENCE_TOL
 from convexmix.mixture import (
     MixtureParams,
-    MixtureState,
     NumericError,
     logistic,
     logit,
@@ -21,7 +20,6 @@ from convexmix.mixture import (
     multiplicative_lambdas,
     run,
     sample_columns,
-    state_from_lambda,
     step,
 )
 
@@ -77,8 +75,8 @@ class TestLogit:
 
 
 def _yhat(lam, y, y1, y2):
-    """The prediction ``step`` makes at weight ``lam``."""
-    return step(_params(), MixtureState(lam=lam), y, y1, y2)[1]
+    """The prediction ``step`` makes at weight ``lam``; it reads no ``rho``."""
+    return step(_params(), 0.0, lam, y, y1, y2)[2]
 
 
 class TestPredict:
@@ -110,56 +108,55 @@ class TestPredict:
 class TestStep:
     def test_hand_computed_update(self):
         """mu*e*lam*(1-lam)*(yhat1-yhat2) = 0.08*0.5*0.25*1.0 = 0.01."""
-        state, yhat, e, in_range, projected = step(_params(), MixtureState(), 0.5, 0.5, -0.5)
+        rho, lam, yhat, e, in_range, projected = step(_params(), 0.0, 0.5, 0.5, 0.5, -0.5)
         assert (yhat, e) == (0.0, 0.5)
-        assert state.rho == pytest.approx(0.01, abs=1e-15)
-        assert state.lam == pytest.approx(0.502499979166875, rel=1e-12)
-        assert state.t == 2
+        assert rho == pytest.approx(0.01, abs=1e-15)
+        assert lam == pytest.approx(0.502499979166875, rel=1e-12)
         assert in_range and not projected
 
     def test_identical_experts_freeze(self):
-        state = step(_params(), MixtureState(), 0.3, 0.2, 0.2)[0]
-        assert state.rho == 0.0
-        assert state.lam == 0.5
+        rho, lam = step(_params(), 0.0, 0.5, 0.3, 0.2, 0.2)[:2]
+        assert rho == 0.0
+        assert lam == 0.5
 
     def test_zero_error_freezes(self):
-        state, _, e, _, _ = step(_params(), MixtureState(), 0.0, 0.5, -0.5)
+        rho, _, _, e, _, _ = step(_params(), 0.0, 0.5, 0.0, 0.5, -0.5)
         assert e == 0.0
-        assert state.rho == 0.0
+        assert rho == 0.0
 
     def test_project_clamps_and_resets_rho(self):
         params = _params(mu=50.0, lambda_plus=0.45, y_bound=1.0, mode="project")
-        state, _, _, _, projected = step(params, MixtureState(), 1.0, 1.0, -1.0)
+        rho, lam, _, _, _, projected = step(params, 0.0, 0.5, 1.0, 1.0, -1.0)
         assert projected
-        assert state.lam == 0.55
-        assert state.rho == pytest.approx(logit(0.55), rel=1e-12)
-        assert logistic(state.rho) == pytest.approx(state.lam, abs=1e-15)
+        assert lam == 0.55
+        assert rho == pytest.approx(logit(0.55), rel=1e-12)
+        assert logistic(rho) == pytest.approx(lam, abs=1e-15)
 
     def test_monitor_never_clamps(self):
         params = _params(mu=50.0, lambda_plus=0.45, y_bound=1.0, mode="monitor")
-        state, _, _, _, projected = step(params, MixtureState(), 1.0, 1.0, -1.0)
+        _, lam, _, _, _, projected = step(params, 0.0, 0.5, 1.0, 1.0, -1.0)
         assert not projected
-        assert state.lam > 0.55
+        assert lam > 0.55
 
     def test_in_range_reflects_weight_before(self):
         params = _params(lambda_plus=0.4, y_bound=1.0)
-        start = state_from_lambda(0.2)
-        in_range = step(params, start, 1.0, 1.0, -1.0)[3]
+        in_range = step(params, logit(0.2), 0.2, 1.0, 1.0, -1.0)[4]
         assert not in_range
 
-    def test_numeric_error_carries_step_index(self):
+    def test_numeric_error_has_no_step_index(self):
+        """Only ``run`` knows which step failed."""
         params = _params(mu=1e308, y_bound=10.0)
-        start = MixtureState(rho=0.0, lam=0.5, t=17)
-        with pytest.raises(NumericError, match="step 17"):
-            step(params, start, 10.0, 10.0, -10.0)
+        with pytest.raises(NumericError, match="^auxiliary variable became non-finite$") as info:
+            step(params, 0.0, 0.5, 10.0, 10.0, -10.0)
+        assert info.value.step is None
 
 
 class TestMultiplicativeForm:
     def test_matches_additive_on_hand_example(self):
         params = _params()
-        state = step(params, MixtureState(), 0.5, 0.5, -0.5)[0]
+        lam = step(params, 0.0, 0.5, 0.5, 0.5, -0.5)[1]
         other = multiplicative_lambda(params.mu, 0.5, 0.5, 0.5, -0.5)
-        assert abs(state.lam - other) <= 1e-12
+        assert abs(lam - other) <= 1e-12
         assert other == pytest.approx(0.50250, abs=5e-6)
 
     def test_identical_experts_exact_fixpoint(self):
@@ -178,8 +175,8 @@ class TestMultiplicativeForm:
             mu = rng.uniform(0.01, 2.0)
             sample = rng.uniform(-1, 1, 3)
             params = _params(mu=mu, y_bound=1.0)
-            state = step(params, state_from_lambda(lam), *sample)[0]
-            assert abs(state.lam - multiplicative_lambda(mu, lam, *sample)) <= 1e-12
+            lam_new = step(params, logit(lam), lam, *sample)[1]
+            assert abs(lam_new - multiplicative_lambda(mu, lam, *sample)) <= 1e-12
 
     def test_saturation_is_a_numeric_error(self):
         with pytest.raises(NumericError, match="degenerated"):
@@ -210,9 +207,9 @@ class TestMultiplicativeKernel:
             got = multiplicative_lambdas(m, lam[k:k + 1], y[k:k + 1], y1[k:k + 1], y2[k:k + 1])
             sample = y[k], y1[k], y2[k]
             ref = multiplicative_lambda(m, lam[k], *sample)
-            state = step(_params(mu=m, y_bound=1.0), state_from_lambda(lam[k]), *sample)[0]
+            lam_new = step(_params(mu=m, y_bound=1.0), logit(lam[k]), lam[k], *sample)[1]
             assert abs(got[0] - ref) <= EQUIVALENCE_TOL
-            assert abs(got[0] - state.lam) <= EQUIVALENCE_TOL
+            assert abs(got[0] - lam_new) <= EQUIVALENCE_TOL
 
     def test_whole_array_matches_rowwise(self):
         rng = np.random.default_rng(8)
@@ -261,14 +258,14 @@ class TestRun:
         traj = run(_params(mode="project"), _case1(10_000))
         lams = traj.lam
         assert np.all(np.diff(lams) >= 0.0)
-        assert traj.final_state.lam == 0.92
+        assert traj.final_lambda == 0.92
         assert traj.lam_after[-1] == 0.92
         assert traj.projected.sum() > 0
 
     def test_monitor_mode_exceeds_ceiling(self):
         traj = run(_params(mode="monitor"), _case1(10_000))
-        assert traj.final_state.lam > 0.92
-        assert traj.final_state.lam == pytest.approx(0.961828, abs=1e-3)
+        assert traj.final_lambda > 0.92
+        assert traj.final_lambda == pytest.approx(0.961828, abs=1e-3)
         assert traj.in_range.sum() < len(traj)
 
     def test_determinism(self):
@@ -276,7 +273,7 @@ class TestRun:
         b = run(_params(mode="project"), _case1(300))
         for name in ("t", "lam", "lam_after", "yhat", "e", "in_range", "projected"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name), strict=True)
-        assert a.final_state == b.final_state
+        assert a.final_lambda == b.final_lambda
         assert np.array_equal(a.cum_loss, b.cum_loss)
         assert np.array_equal(a.rho, b.rho)
 
@@ -284,8 +281,8 @@ class TestRun:
         rng = np.random.default_rng(7)
         samples = rng.uniform(-1, 1, (400, 3))
         traj = run(_params(mu=1.0, y_bound=1.0), samples)
-        for lam_after, rho_next in zip(traj.lam_after, list(traj.rho[1:]) + [traj.final_state.rho]):
-            assert abs(lam_after - logistic(rho_next)) <= 1e-15
+        for lam, rho in zip(traj.lam, traj.rho):
+            assert abs(lam - logistic(rho)) <= 1e-15
 
     def test_monotone_response(self):
         """In monitor mode the weight moves up exactly when e*(yhat1-yhat2) > 0."""
@@ -322,9 +319,14 @@ class TestRun:
         with pytest.raises(ValueError, match="finite"):
             run(_params(), [(math.nan, 0.1, 0.1)])
 
-    def test_rejects_inconsistent_initial_state(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            run(_params(), _case1(3), initial_state=MixtureState(rho=2.0, lam=0.5))
+    def test_rejects_initial_weight_outside_the_open_interval(self):
+        for lam in (0.0, 1.0, math.nan):
+            with pytest.raises(ValueError, match="^weight must lie strictly inside"):
+                run(_params(), _case1(3), lambda_init=lam)
+
+    def test_starts_from_the_initial_weight(self):
+        traj = run(_params(), _case1(3), lambda_init=0.3)
+        assert (traj.t[0], traj.lam[0], traj.rho[0]) == (1, 0.3, logit(0.3))
 
     def test_numeric_error_propagates_with_index(self):
         params = _params(mu=1e308, y_bound=10.0)
@@ -358,11 +360,11 @@ class TestSaturation:
             run(params, _case1(50))
         assert info.value.step == 1
 
-    def test_step_reports_step_index(self):
+    def test_step_leaves_the_index_to_run(self):
         params = MixtureParams(mu=1e4, lambda_plus=0.08, y_bound=1.0, mode="monitor")
-        with pytest.raises(NumericError) as info:
-            step(params, MixtureState(t=7), 0.5, 0.5, -0.5)
-        assert info.value.step == 7
+        with pytest.raises(NumericError, match="^weight saturated at 1.0$") as info:
+            step(params, 0.0, 0.5, 0.5, 0.5, -0.5)
+        assert info.value.step is None
 
     def test_saturation_toward_zero(self):
         params = MixtureParams(mu=1e4, lambda_plus=0.08, y_bound=1.0, mode="monitor")
@@ -373,27 +375,32 @@ class TestSaturation:
     def test_projection_prevents_saturation(self):
         params = MixtureParams(mu=1e4, lambda_plus=0.08, y_bound=1.0, mode="project")
         traj = run(params, _case1(50))
-        assert traj.final_state.lam == 0.92
+        assert traj.final_lambda == 0.92
 
 
-def _reference_columns(params, samples, state):
-    """Every column of a run, from a plain loop of the scalar reference ``step``."""
+def _reference_columns(params, samples, lam):
+    """Every column of a run from ``lam``, and its final weight, from a plain
+    loop of the scalar reference ``step``; a failure is given its step index."""
     cols = {name: [] for name in ("t", "lam", "lam_after", "rho", "yhat",
                                   "e", "cum_loss", "in_range", "projected")}
     total = 0.0
-    for y, y1, y2 in samples:
-        cols["t"].append(state.t)
-        cols["lam"].append(state.lam)
-        cols["rho"].append(state.rho)
-        state, yhat, e, in_range, projected = step(params, state, y, y1, y2)
+    rho = logit(lam)
+    for t, (y, y1, y2) in enumerate(samples, 1):
+        cols["t"].append(t)
+        cols["lam"].append(lam)
+        cols["rho"].append(rho)
+        try:
+            rho, lam, yhat, e, in_range, projected = step(params, rho, lam, y, y1, y2)
+        except NumericError as exc:
+            raise NumericError(str(exc), step=t) from None
         total += e * e
-        cols["lam_after"].append(state.lam)
+        cols["lam_after"].append(lam)
         cols["yhat"].append(yhat)
         cols["e"].append(e)
         cols["cum_loss"].append(total)
         cols["in_range"].append(in_range)
         cols["projected"].append(projected)
-    return cols, state
+    return cols, lam
 
 
 @st.composite
@@ -408,8 +415,7 @@ def _runs(draw):
     lambda_plus = draw(st.floats(0.01, 0.45))
     mode = draw(st.sampled_from(["monitor", "project"]))
     lam = draw(st.floats(0.02, 0.98))
-    return MixtureParams(mu=mu, lambda_plus=lambda_plus, y_bound=y_bound, mode=mode), \
-        samples, state_from_lambda(lam, t=draw(st.integers(1, 5)))
+    return MixtureParams(mu=mu, lambda_plus=lambda_plus, y_bound=y_bound, mode=mode), samples, lam
 
 
 _DTYPES = {"t": np.int64, "in_range": bool, "projected": bool}
@@ -425,24 +431,22 @@ class TestRunMatchesStep:
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(_runs())
     def test_every_column_bit_identical(self, case):
-        params, samples, state = case
+        params, samples, lam = case
         try:
-            want, want_final = _reference_columns(params, samples, state)
+            want, want_final = _reference_columns(params, samples, lam)
         except NumericError as exc:
             with pytest.raises(NumericError) as info:
-                run(params, samples, initial_state=state)
+                run(params, samples, lambda_init=lam)
             assert info.value.step == exc.step
             assert str(info.value) == str(exc)
             return
-        traj = run(params, samples, initial_state=state)
+        traj = run(params, samples, lambda_init=lam)
         assert len(traj) == len(samples)
         for name, values in want.items():
             dtype = _DTYPES.get(name, float)
             assert getattr(traj, name).dtype == dtype, name
             assert getattr(traj, name).tobytes() == _bits(values, dtype), name
-        assert traj.final_state == want_final
-        assert _bits([traj.final_state.rho, traj.final_state.lam]) == _bits(
-            [want_final.rho, want_final.lam])
+        assert _bits([traj.final_lambda]) == _bits([want_final])
         for name, column in zip(("y", "yhat1", "yhat2"), zip(*samples)):
             assert getattr(traj, name).tobytes() == _bits(column), name
 
@@ -450,24 +454,23 @@ class TestRunMatchesStep:
         params = _params(mu=50.0, y_bound=1.0, mode="project")
         rng = np.random.default_rng(5)
         samples = rng.uniform(-1, 1, (300, 3))
-        want, want_final = _reference_columns(params, samples.tolist(), MixtureState())
+        want, want_final = _reference_columns(params, samples.tolist(), 0.5)
         traj = run(params, samples)
         assert 0 < traj.projected.sum() < len(traj)
         for name, values in want.items():
             dtype = _DTYPES.get(name, float)
             assert getattr(traj, name).tobytes() == _bits(values, dtype), name
-        assert traj.final_state == want_final
+        assert traj.final_lambda == want_final
 
     @pytest.mark.parametrize("mode", ["monitor", "project"])
     def test_non_finite_rho_step_index(self, mode):
         params = _params(mu=1e308, y_bound=10.0, mode=mode)
         samples = [(0.0, 1.0, 1.0)] * 3 + [(10.0, 10.0, -10.0)]
-        state = state_from_lambda(0.5, t=4)
         with pytest.raises(NumericError) as ref:
-            _reference_columns(params, samples, state)
+            _reference_columns(params, samples, 0.5)
         with pytest.raises(NumericError) as got:
-            run(params, samples, initial_state=state)
-        assert got.value.step == ref.value.step == 7
+            run(params, samples)
+        assert got.value.step == ref.value.step == 4
         assert str(got.value) == str(ref.value)
 
 
@@ -483,24 +486,23 @@ class TestRunBlocks:
         # rate 50 clamps often in project mode and stays in (0, 1) in monitor mode
         params = _params(mu=50.0 if mode == "project" else 0.5, y_bound=1.0, mode=mode)
         rows = np.random.default_rng(n).uniform(-1.0, 1.0, (n, 3))
-        state = state_from_lambda(0.3, t=2)
-        want, want_final = _reference_columns(params, rows.tolist(), state)
-        traj = run(params, rows, initial_state=state)
+        want, want_final = _reference_columns(params, rows.tolist(), 0.3)
+        traj = run(params, rows, lambda_init=0.3)
         if mode == "project":
             assert traj.projected.any()
         for name, values in want.items():
             dtype = _DTYPES.get(name, float)
             assert getattr(traj, name).tobytes() == _bits(values, dtype), name
-        assert traj.final_state == want_final
+        assert traj.final_lambda == want_final
 
     @pytest.mark.parametrize("mode", ["monitor", "project"])
     def test_failure_in_second_block_carries_global_step(self, mode):
         params = _params(mu=1e308, y_bound=10.0, mode=mode)
         rows = np.array([[0.0, 1.0, 1.0]] * (B + 10) + [[10.0, 10.0, -10.0]])
         with pytest.raises(NumericError) as info:
-            run(params, rows, initial_state=state_from_lambda(0.5, t=4))
-        assert info.value.step == 4 + B + 10
-        assert str(info.value) == f"step {4 + B + 10}: auxiliary variable became non-finite"
+            run(params, rows)
+        assert info.value.step == B + 11
+        assert str(info.value) == f"step {B + 11}: auxiliary variable became non-finite"
 
 
 class TestRunMemory:

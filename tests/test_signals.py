@@ -478,7 +478,7 @@ class TestTrajectoryRoundTrip:
         p = tmp_path / "traj.csv"
         write_trajectory(_tiny_frame(), str(p))
         back = read_trajectory(str(p))
-        assert back.final_state is None
+        assert back.final_lambda is None
         with pytest.raises(ValueError, match="^a trajectory read from CSV has no final weight$"):
             back.lam_after
 
