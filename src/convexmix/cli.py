@@ -49,6 +49,13 @@ def inequality_tolerance() -> float:
     return value
 
 
+# fallbacks that are not argparse defaults, because --mu and --eps exclude
+# each other and --n depends on the source; the help strings read them too
+CASE_MU = {1: 0.08, 2: 0.04}  # run's learning rate per --case
+CASE_N = 10_000  # horizon of a --case sequence
+VERIFY_EPS = 0.1  # verify's slack without --mu or --eps
+
+
 # ---------------------------------------------------------------------------
 # argument plumbing
 
@@ -130,10 +137,10 @@ def _sequence_from_args(args: argparse.Namespace):
         raise ValueError(f"n must be at least 1, got {n}")
     default_rate = {}
     if sources[0] == "case":
-        if args.case not in (1, 2):
+        if args.case not in CASE_MU:
             raise ValueError(f"case must be 1 or 2, got {args.case}")
-        spec = SequenceSpec(kind=f"case{args.case}", n=n or 10_000, y_bound=y_bound)
-        default_rate = {"mu": 0.08 if args.case == 1 else 0.04}
+        spec = SequenceSpec(kind=f"case{args.case}", n=n or CASE_N, y_bound=y_bound)
+        default_rate = {"mu": CASE_MU[args.case]}
     elif sources[0] == "input":
         spec = SequenceSpec("custom_file", n=n or 0, y_bound=y_bound, path=args.input)
     else:
@@ -198,8 +205,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     _check_outputs(args.out)
-    # without --mu or --eps, verify uses eps = 0.1
-    constants, _ = _constants_from_args(args, args.ybound, {"eps": 0.1})
+    constants, _ = _constants_from_args(args, args.ybound, {"eps": VERIFY_EPS})
     if args.override_a is not None:
         constants = dataclasses.replace(constants, a=args.override_a)
     report = run_verification(
@@ -274,10 +280,14 @@ def cmd_lemma_audit(args: argparse.Namespace) -> int:
     return 1 if (len(witnesses) or construction_hit) else 0
 
 
+# the trajectory columns plot reads; it parses no other
+_DRAWN = ("t", "norm_regret", "bound_norm")
+
+
 def _check_drawable(path: str, frame, logx: bool) -> None:
     """Refuse a non-finite drawn value, or a step t <= 0 on a log axis, naming its row."""
     bad = []
-    for name in ("t", "norm_regret", "bound_norm"):
+    for name in _DRAWN:
         column = getattr(frame, name)
         wrong = ~np.isfinite(column)
         if logx and name == "t":
@@ -299,7 +309,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
     if os.path.realpath(out) == os.path.realpath(args.input):
         raise ValueError(f"plot output {out} is the input file")
     _check_outputs(out)
-    frame = signals.read_trajectory(args.input)
+    frame = signals.read_trajectory(args.input, keep=_DRAWN)
     _check_drawable(args.input, frame, bool(args.logx))
     svg = render_regret_svg(frame.t, frame.norm_regret, frame.bound_norm, logx=bool(args.logx))
     with open(out, "w") as fh:
@@ -367,7 +377,7 @@ def _add_sequence_flags(p: argparse.ArgumentParser):
     p.add_argument("--case", type=int, choices=(1, 2), help="built-in benchmark sequence")
     p.add_argument("--input", help="CSV file with columns y,yhat1,yhat2")
     p.add_argument("--spec", help="JSON sequence spec file")
-    p.add_argument("--n", type=int, help="horizon (default 10000 for --case)")
+    p.add_argument("--n", type=int, help=f"horizon (default {CASE_N} for --case)")
     _add_floor_flag(p)
     p.add_argument("--ybound", type=float, help="magnitude cap")
     p.add_argument("--mode", choices=mixture.MODES, default="project",
@@ -384,7 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="simulate one sequence")
     _add_sequence_flags(p_run)
-    p_run.add_argument("--mu", type=float, help="learning rate")
+    p_run.add_argument("--mu", type=float, help=f"learning rate (default {CASE_MU[1]} for --case 1, "
+                                                f"{CASE_MU[2]} for --case 2)")
     p_run.add_argument("--eps", type=float, help="slack parameter (alternative to --mu)")
     p_run.add_argument("--lambda-init", dest="lambda_init", type=float, default=0.5,
                        help="initial weight (default %(default)s)")
@@ -396,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=cmd_run)
 
     p_ver = sub.add_parser("verify", help="check the guarantee machinery")
-    p_ver.add_argument("--eps", type=float, help="slack parameter (default 0.1)")
+    p_ver.add_argument("--eps", type=float, help=f"slack parameter (default {VERIFY_EPS})")
     p_ver.add_argument("--mu", type=float, help="learning rate (alternative to --eps)")
     _add_floor_flag(p_ver)
     p_ver.add_argument("--ybound", type=float, default=1.0, help="magnitude cap (default %(default)s)")

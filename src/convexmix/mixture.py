@@ -181,7 +181,7 @@ class Trajectory:
     :func:`convexmix.report.summarize` fills in the five comparator columns.
     ``final_lambda`` is the weight after the last update, so the weight path
     lambda_1, ..., lambda_{n+1} is available in full; a trajectory read back
-    from CSV has none.
+    from CSV has none, and ``None`` for each column the reader did not keep.
     """
 
     t: np.ndarray
@@ -203,7 +203,7 @@ class Trajectory:
     final_lambda: float | None = None
 
     def __len__(self) -> int:
-        return len(self.t)
+        return len(next(c for c in vars(self).values() if isinstance(c, np.ndarray)))
 
     @property
     def lam_after(self) -> np.ndarray:

@@ -15,7 +15,7 @@ import functools
 import itertools
 import math
 import numbers
-import warnings
+import re
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -196,104 +196,98 @@ def load_csv(path: str, y_bound: float) -> tuple[np.ndarray, int]:
     """Load a sequence from CSV, clipping fields into [-y_bound, y_bound].
 
     Accepts either the 3-column input schema (y, yhat1, yhat2) or a full
-    trajectory file, whose input-echo columns are extracted.  Returns the
-    ``(n, 3)`` array and the number of clipped fields.
+    trajectory file, of which only the input-echo columns are parsed: a bad
+    cell elsewhere in it does not stop the load.  Every parsed cell must be
+    a finite number.  Returns the ``(n, 3)`` array and the number of clipped
+    fields.
     """
     if not (math.isfinite(y_bound) and y_bound > 0.0):
         raise ValueError(f"magnitude cap must be finite and positive, got {y_bound}")
-    header, columns, parsed = _read_table(
+    header, columns = _read_table(
         path, f"columns {','.join(INPUT_COLUMNS)} (or a full trajectory header)",
         INPUT_COLUMNS, TRAJECTORY_COLUMNS, keep=INPUT_COLUMNS,
     )
-    if parsed and all(np.isfinite(column).all() for column in columns.values()):
-        return clip_samples(np.stack([columns[name] for name in INPUT_COLUMNS], axis=1), y_bound)
-    # the csv rows name a cell numpy rejected, or a non-finite one it parsed
-    picks = [(header.index(name), columns[name]) for name in INPUT_COLUMNS]
-    count, blocks = _csv_rows(path, len(header))
-    for start, rows in blocks:
-        for i, row in enumerate(rows, start=start):
-            for j, column in picks:
-                cell = row[j].strip()
-                try:
-                    v = float(cell)
-                except ValueError:
-                    raise ParseError(f"{path}: row {i + 2}: non-numeric value {cell!r}") from None
-                if not math.isfinite(v):
-                    raise ParseError(f"{path}: row {i + 2}: non-finite value {cell!r}")
-                column[i] = v
-    return clip_samples(np.stack([columns[name][:count] for name in INPUT_COLUMNS], axis=1),
-                        y_bound)
+    samples = np.stack([columns[name] for name in INPUT_COLUMNS], axis=1)
+    bad = ~np.isfinite(samples)
+    if bad.any():
+        i, j = divmod(int(np.argmax(bad)), len(INPUT_COLUMNS))
+        with open(path, "rb") as fh:
+            line = next(itertools.islice(fh, i + 1, None))
+        raise ParseError(f"{path}: row {i + 2}: non-finite value "
+                         f"{_cell(line, header.index(INPUT_COLUMNS[j]))!r} in column {INPUT_COLUMNS[j]}")
+    return clip_samples(samples, y_bound)
 
 
-# rows parsed per np.loadtxt call of the table reader
+# lines parsed per np.loadtxt call of the table reader
 _READ_BLOCK = 4096
+# where numpy's conversion error puts the cell: 0-based row of the call, 1-based file column
+_NUMPY_CELL = re.compile(r"at row (\d+), column (\d+)")
+
+
+def _cell(line: bytes, j: int) -> str:
+    """The text of cell ``j`` of a data line, without surrounding whitespace."""
+    return line.split(b",")[j].strip().decode("latin-1")
 
 
 def _read_table(path: str, expected: str, *headers: tuple, ints=(), keep=None) -> tuple:
-    """Parse a CSV file whose header is one of ``headers``.
+    """Parse the columns ``keep`` (default: all) of a CSV file whose header is one of ``headers``.
 
-    Returns ``(header, columns, parsed)``.  ``columns`` maps each name of
-    ``keep`` (default: the whole header) to an owned array with one entry
-    per data line, int64 for the names in ``ints`` and float64 otherwise.
-    The open file is parsed :data:`_READ_BLOCK` rows per ``np.loadtxt``
-    call, whose number parsing gives the same doubles as float(), straight
-    into those arrays; every cell is parsed, kept or not.  ``parsed`` is
-    false when numpy rejects a cell or parses a different number of rows
-    than the file has lines (a blank line, a quoted newline); the caller
-    then fills the columns from :func:`_csv_rows`.
+    Returns ``(header, columns)``: ``columns`` maps each name of ``keep``
+    to an owned array with one entry per data line, int64 for the names in
+    ``ints`` and float64 otherwise.  The data lines are counted on the raw
+    bytes and the columns allocated; the file is then read
+    :data:`_READ_BLOCK` lines at a time.  Every line's width is checked by
+    its commas, kept columns or not, and then ``np.loadtxt`` parses only the
+    kept columns (``usecols``), to the same doubles as float(); the other
+    cells are never converted.  A bad width names the row, and a cell numpy
+    rejects names its row and column.
     """
-    with open(path, newline="") as fh:
-        try:
-            header = tuple(h.strip() for h in next(csv.reader(fh)))
-        except StopIteration:
-            raise ParseError(f"{path}: row 1: empty file, expected a header") from None
+    with open(path, "rb") as fh:
+        first = fh.readline()
+        if not first:
+            raise ParseError(f"{path}: row 1: empty file, expected a header")
+        if b"\r" in first.rstrip(b"\r\n"):  # the lines are split on LF only
+            raise ParseError(f"{path}: row 1: lines end in a lone carriage return, expected LF or CRLF")
+        header = tuple(h.strip() for h in next(csv.reader([first.decode("latin-1")])))
         if header not in headers:
             raise ParseError(f"{path}: row 1: expected {expected}, got {','.join(header)}")
-        lines = sum(1 for _ in fh)
+        body, lines, last = fh.tell(), 0, b"\n"
+        for chunk in iter(functools.partial(fh.read, 1 << 16), b""):
+            lines, last = lines + chunk.count(b"\n"), chunk[-1:]
+        lines += last != b"\n"  # a last line without its line end
         if not lines:
             raise ParseError(f"{path}: row 2: no data rows after the header")
-        dtype = np.dtype([(name, np.int64 if name in ints else np.float64) for name in header])
-        columns = {name: np.empty(lines, dtype[name]) for name in keep or header}
-        fh.seek(0)
-        next(csv.reader(fh))
-        done = 0
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # numpy warns on blank lines and on empty input
+        keep = keep or header
+        usecols = [header.index(name) for name in keep]
+        dtype = np.dtype([(name, np.int64 if name in ints else np.float64) for name in keep])
+        columns = {name: np.empty(lines, dtype[name]) for name in keep}
+        fh.seek(body)
+        for start in range(0, lines, _READ_BLOCK):
+            block = list(itertools.islice(fh, _READ_BLOCK))
+            commas = list(map(bytes.count, block, itertools.repeat(b",")))
+            if commas.count(len(header) - 1) < len(block):
+                i = next(i for i, c in enumerate(commas) if c != len(header) - 1)
+                found = commas[i] + 1 if block[i].strip(b"\r\n") else 0
+                raise ParseError(f"{path}: row {start + i + 2}: expected {len(header)} columns, "
+                                 f"found {found}")
             try:
-                for start in range(0, lines, _READ_BLOCK):
-                    # a short block means the lines ran out first: every later one is empty
-                    block = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None,
-                                       quotechar='"', ndmin=1,
-                                       max_rows=min(_READ_BLOCK, lines - start))
-                    for name, column in columns.items():
-                        column[start : start + len(block)] = block[name]
-                    done = start + len(block)
-            except (ValueError, OverflowError):
-                pass
-    return header, columns, done == lines
-
-
-def _csv_rows(path: str, width: int) -> tuple:
-    """The data rows as the csv module splits them: ``(count, blocks)``.
-
-    One streaming pass checks that every row is ``width`` cells wide and
-    counts them, before any cell is converted; ``blocks`` then reads the
-    file again and yields ``(start, rows)``, lists of at most
-    :data:`_READ_BLOCK` rows, so working memory is one block at any length.
-    """
-    with open(path, newline="") as fh:
-        count = 0
-        for count, row in enumerate(itertools.islice(csv.reader(fh), 1, None), start=1):
-            if len(row) != width:
-                raise ParseError(f"{path}: row {count + 1}: expected {width} columns, found {len(row)}")
-
-    def blocks():
-        with open(path, newline="") as fh:
-            rows = itertools.islice(csv.reader(fh), 1, None)
-            for start in range(0, count, _READ_BLOCK):
-                yield start, list(itertools.islice(rows, _READ_BLOCK))
-
-    return count, blocks()
+                parsed = np.loadtxt(block, dtype, delimiter=",", comments=None, quotechar='"',
+                                    usecols=usecols, ndmin=1)
+            except ValueError as exc:
+                at = _NUMPY_CELL.search(str(exc))
+                if at is None:
+                    raise ParseError(f"{path}: rows {start + 2}-{start + len(block) + 1}: {exc}") from None
+                i, j = int(at[1]), int(at[2]) - 1
+                kind = "non-integer" if header[j] in ints else "non-numeric"
+                raise ParseError(f"{path}: row {start + i + 2}: {kind} value {_cell(block[i], j)!r} "
+                                 f"in column {header[j]}") from None
+            if len(parsed) < len(block):
+                raise ParseError(f"{path}: rows {start + 2}-{start + len(block) + 1}: "
+                                 "a quoted cell runs over a line end")
+            for name, column in columns.items():
+                column[start : start + len(block)] = parsed[name]
+            del block, parsed  # before the next block is read, so one block is held at a time
+    return header, columns
 
 
 _INT_COLUMNS = ("t", "in_range", "projected")
@@ -453,37 +447,18 @@ def _int_cells(v: np.ndarray) -> np.ndarray:
     return np.array([b"%d" % i for i in v.tolist()], "S20").view(np.uint8).reshape(-1, 20)
 
 
-def read_trajectory(path: str) -> Trajectory:
+def read_trajectory(path: str, keep=None) -> Trajectory:
     """Read back a trajectory CSV written by :func:`write_trajectory`.
 
-    Flags come back as int64 and ``final_lambda`` as ``None``.  Should numpy
-    reject the file, every cell goes through int()/float() instead, which
-    names the offending column or accepts what Python accepts (such as
-    digit-group underscores).
+    Only the columns named in ``keep`` (default: all 16) are parsed; the
+    other fields come back as ``None``, as does ``final_lambda``.  Every
+    row's width is checked all the same.  Flags come back as int64.
     """
-    _, columns, parsed = _read_table(
+    _, columns = _read_table(
         path, f"the trajectory columns {','.join(TRAJECTORY_COLUMNS)}", TRAJECTORY_COLUMNS,
-        ints=_INT_COLUMNS,
+        ints=_INT_COLUMNS, keep=keep,
     )
-    if not parsed:
-        count, blocks = _csv_rows(path, len(TRAJECTORY_COLUMNS))
-        bad = {}  # column index -> the error of its first bad cell
-        for start, rows in blocks:
-            # a column after the first bad one cannot be the one named
-            for j, cells in enumerate(zip(*rows)):
-                if bad and j >= min(bad):
-                    break
-                name = TRAJECTORY_COLUMNS[j]
-                try:
-                    columns[name][start : start + len(cells)] = list(
-                        map(int if name in _INT_COLUMNS else float, cells))
-                except (ValueError, OverflowError) as exc:
-                    bad[j] = f"{path}: column {name}: {exc}"
-        if bad:
-            raise ParseError(bad[min(bad)])
-        if count < len(columns["t"]):  # a quoted line break joined lines into one row
-            columns = {name: column[:count] for name, column in columns.items()}
-    return Trajectory(**{field: columns[name] for field, name in zip(_FIELDS, TRAJECTORY_COLUMNS)})
+    return Trajectory(**{field: columns.get(name) for field, name in zip(_FIELDS, TRAJECTORY_COLUMNS)})
 
 
 def clip_samples(samples: np.ndarray, y_bound: float) -> tuple[np.ndarray, int]:

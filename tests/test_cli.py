@@ -667,6 +667,23 @@ class TestPlotCommand:
         assert capsys.readouterr().err == (
             "error: t.csv: row 3: column bound_norm is inf; plot needs a finite value\n")
 
+    def test_undrawn_columns_are_not_parsed(self, workdir, capsys):
+        """A bad cell in a column plot does not draw stops nothing; one it draws
+        exits 2 naming its row and column, and so does a short row anywhere."""
+        (workdir / "t.csv").write_text(_trajectory_text(rho="x", in_range="yes"))
+        assert run_cli("plot", "--input", "t.csv", "--out", "a.svg") == 0
+        (workdir / "u.csv").write_text(_trajectory_text())
+        assert run_cli("plot", "--input", "u.csv", "--out", "b.svg") == 0
+        assert (workdir / "a.svg").read_bytes() == (workdir / "b.svg").read_bytes()
+        capsys.readouterr()
+        (workdir / "t.csv").write_text(_trajectory_text(norm_regret="7_5e-2"))
+        assert run_cli("plot", "--input", "t.csv", "--out", "a.svg") == 2
+        (workdir / "t.csv").write_text(_trajectory_text(projected="0,9"))
+        assert run_cli("plot", "--input", "t.csv", "--out", "a.svg") == 2
+        assert capsys.readouterr().err == (
+            "error: t.csv: row 4: non-numeric value '7_5e-2' in column norm_regret\n"
+            "error: t.csv: row 4: expected 16 columns, found 17\n")
+
     def test_linear_axis_draws_nonpositive_steps(self, workdir):
         (workdir / "t.csv").write_text(_trajectory_text(t="-3"))
         assert run_cli("plot", "--input", "t.csv") == 0

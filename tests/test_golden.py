@@ -8,8 +8,11 @@ up here.  The lemma-audit hashes were taken from the one-shot search
 (every instance held in Python lists) before it became a blocked search.
 The sequence-source hashes (``--input``, ``--spec`` and ``generate``) were
 taken while every sequence was still built as a list of ``SignalSample``.
-The trajectory-replay and underscore-cell hashes were taken while
-``load_csv`` and ``read_trajectory`` each parsed files with their own code.
+The trajectory-replay and ``u.svg`` hashes were taken while
+``load_csv`` and ``read_trajectory`` each parsed files with their own code;
+``u.svg`` then came from a cell written ``7_5e-2``, which float() read as
+0.75.  The reader now refuses that cell, and the same double written
+``75e-2`` draws the same bytes.
 The ``c1.svg`` and ``c2.svg`` hashes were re-recorded when each polyline
 became its pixel-column envelope; only their two ``points`` lists changed,
 and every kept point is one the full polylines drew.  ``u.svg`` has at most
@@ -33,14 +36,16 @@ SEQ_CSV = "y,yhat1,yhat2\n" + "".join(
     for k in range(60)
 )
 
-# a 40-row trajectory whose row 13 writes its norm_regret cell with a
-# digit-group underscore, which numpy rejects and float() accepts
-PLOT_CSV = ",".join(TRAJECTORY_COLUMNS) + "\n" + "".join(
-    f"{t},0.5,0.5,{-0.5 if t % 2 else 0.5},0.5,0,0.5,0,{t / 4:.17g},1,{t / 5:.17g},"
-    f"{t / 20:.17g},{'7_5e-2' if t == 13 else f'{((t * 7) % 11 - 5) / 40:.17g}'},"
-    f"{152 / t:.17g},1,0\n"
-    for t in range(1, 41)
-)
+
+def _plot_csv(cell: str) -> str:
+    """A 40-row trajectory whose step 13 (file row 14) writes its norm_regret as ``cell``."""
+    return ",".join(TRAJECTORY_COLUMNS) + "\n" + "".join(
+        f"{t},0.5,0.5,{-0.5 if t % 2 else 0.5},0.5,0,0.5,0,{t / 4:.17g},1,{t / 5:.17g},"
+        f"{t / 20:.17g},{cell if t == 13 else f'{((t * 7) % 11 - 5) / 40:.17g}'},"
+        f"{152 / t:.17g},1,0\n"
+        for t in range(1, 41)
+    )
+
 
 # files written into the working directory before the commands run
 FILES = {
@@ -50,7 +55,9 @@ FILES = {
         "file.json": json.dumps({"kind": "custom_file", "path": "seq.csv", "n": 45,
                                  "y_bound": 0.9}),
     },
-    "plot underscore cell": {"u.csv": PLOT_CSV},
+    # 0.75 with a digit-group underscore, which float() takes and numpy refuses
+    "plot underscore cell": {"u.csv": _plot_csv("7_5e-2")},
+    "plot 75e-2 cell": {"u.csv": _plot_csv("75e-2")},
     "run --spec square_wave": {
         "sq.json": json.dumps({"kind": "square_wave", "n": 500, "period": 7,
                                "amplitude": 0.7}),
@@ -148,7 +155,8 @@ GOLDEN = {
             "replay.json": "781cc4291b7a10af45e287959529bf78c090dded42a584fd789a80788c99a3c4",
         },
     ),
-    "plot underscore cell": (
+    "plot underscore cell": ([["plot", "--input", "u.csv", "--out", "u.svg"]], {}),
+    "plot 75e-2 cell": (
         [["plot", "--input", "u.csv", "--out", "u.svg"]],
         {
             "u.svg": "535365647acb21ec9688db1eeef4a607043686888b2dba5436014b653cda54cf",
@@ -162,12 +170,16 @@ GOLDEN = {
     ),
 }
 
-# commands that succeed with a non-zero exit code (witnesses found)
-EXIT_CODES = {"lemma-audit witnesses": 1}
+# commands that exit non-zero: witnesses found (1) or an input refused (2)
+EXIT_CODES = {"lemma-audit witnesses": 1, "plot underscore cell": 2}
+# the standard error of a refused input, which writes no file
+REFUSALS = {
+    "plot underscore cell": "error: u.csv: row 14: non-numeric value '7_5e-2' in column norm_regret\n",
+}
 
 
 @pytest.mark.parametrize("label", sorted(GOLDEN))
-def test_outputs_byte_identical(label, tmp_path, monkeypatch):
+def test_outputs_byte_identical(label, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("CONVEXMIX_TOL", raising=False)
     for name, text in FILES.get(label, {}).items():
@@ -177,6 +189,9 @@ def test_outputs_byte_identical(label, tmp_path, monkeypatch):
         assert cli.main(argv) == EXIT_CODES.get(label, 0), argv
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in hashes}
     assert got == hashes
+    if label in REFUSALS:
+        assert capsys.readouterr().err == REFUSALS[label]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(FILES[label])
 
 
 # the (3, n) column bytes of each synthetic kind, signs of zero included

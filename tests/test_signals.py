@@ -3,6 +3,7 @@
 import csv
 import math
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -171,13 +172,9 @@ class TestGenerateMatchesReference:
         assert got.tobytes() == np.array(_reference_rows(spec), dtype=float).tobytes()
 
 
-@pytest.fixture(params=["numpy", "fallback"])
-def parser(request, monkeypatch):
-    """Each reader once as it runs and once with numpy made to reject every file."""
-    if request.param == "fallback":
-        def reject(*args, **kwargs):
-            raise ValueError("numpy parsing switched off")
-        monkeypatch.setattr(signals.np, "loadtxt", reject)
+@pytest.fixture(params=["numpy"])
+def parser(request):
+    """The table reader's one path, ``np.loadtxt`` on the kept columns."""
     return request.param
 
 
@@ -260,7 +257,7 @@ class TestLoadCsv:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.data())
     def test_drawn_doubles_load_bit_for_bit(self, tmp_path, parser, data):
-        """Finite doubles, written shortest or with 17 digits, load exactly on either path."""
+        """Finite doubles, written shortest or with 17 digits, load exactly."""
         n = data.draw(st.integers(1, 8))
         values = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
                                     min_size=3 * n, max_size=3 * n))
@@ -275,7 +272,7 @@ class TestLoadCsv:
 
 
 class TestLoadCsvRouting:
-    """Files numpy parses and files it rejects load alike; the csv pass names the bad row."""
+    """What the reader accepts, and the row or column it names in what it refuses."""
 
     WANT = np.array([[0.1, 0.2, -0.3], [0.0, -1.0, 1.0]])
 
@@ -290,13 +287,31 @@ class TestLoadCsvRouting:
         text = end.join(["y,yhat1,yhat2", "0.1,0.2,-0.3", "0,-1,1"]) + (end if last else "")
         np.testing.assert_array_equal(self._load(tmp_path, text), self.WANT, strict=True)
 
+    def test_lone_carriage_returns_are_refused(self, tmp_path):
+        with pytest.raises(ParseError, match="row 1: lines end in a lone carriage return"):
+            self._load(tmp_path, "y,yhat1,yhat2\r0.1,0.2,-0.3\r0,-1,1\r")
+        with pytest.raises(ParseError, match="rows 2-3: .*embedded newline"):
+            self._load(tmp_path, "y,yhat1,yhat2\n0.1,0.2,-0.3\n0,-1\r,1\n")
+
+    def test_quoted_line_break_is_refused(self, tmp_path):
+        """numpy joins a quoted line break into one row; the rows that block held are named."""
+        p = tmp_path / "traj.csv"
+        write_trajectory(_tiny_frame(), str(p))
+        lines = p.read_text().splitlines()
+        rows = [line.split(",") for line in lines[1:]]
+        rows[0][5], rows[1][5] = '"0', '0"'  # rho, which load_csv does not keep
+        p.write_text("\n".join(lines[:1] + [",".join(row) for row in rows]) + "\n")
+        with pytest.raises(ParseError, match="rows 2-4: a quoted cell runs over a line end$"):
+            load_csv(str(p), 1.0)
+
     def test_quoted_cell_and_whitespace(self, tmp_path):
         text = 'y,yhat1,yhat2\n"0.1", 0.2 ,\t-0.3\n0,"-1",1 \n'
         np.testing.assert_array_equal(self._load(tmp_path, text), self.WANT, strict=True)
 
-    def test_underscore_cell_goes_through_float(self, tmp_path):
-        got = self._load(tmp_path, "y,yhat1,yhat2\n0.1,0.2,-0.3\n0,-1,1_0e-1\n")
-        np.testing.assert_array_equal(got, self.WANT, strict=True)
+    def test_underscore_cell_is_refused(self, tmp_path):
+        """float() takes digit-group underscores; numpy does not, and the reader follows numpy."""
+        with pytest.raises(ParseError, match="row 3: non-numeric value '1_0e-1' in column yhat2$"):
+            self._load(tmp_path, "y,yhat1,yhat2\n0.1,0.2,-0.3\n0,-1,1_0e-1\n")
 
     def test_blank_line(self, tmp_path):
         with pytest.raises(ParseError, match="row 3: expected 3 columns, found 0"):
@@ -312,7 +327,7 @@ class TestLoadCsvRouting:
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e999"])
     def test_non_finite_numpy_parses(self, tmp_path, cell):
-        with pytest.raises(ParseError, match=f"row 3: non-finite value '{cell}'"):
+        with pytest.raises(ParseError, match=f"row 3: non-finite value '{cell}' in column yhat1$"):
             self._load(tmp_path, f"y,yhat1,yhat2\n0.1,0.2,-0.3\n0,{cell},1\n")
 
     def test_trajectory_with_bad_unpicked_cell(self, tmp_path):
@@ -328,20 +343,26 @@ class TestLoadCsvRouting:
         assert samples.tobytes() == np.stack((frame.y, frame.yhat1, frame.yhat2), axis=1).tobytes()
 
     def test_width_error_before_bad_cell(self, tmp_path):
-        """Every row's width is checked before any cell is converted, as read_trajectory does."""
+        """A block's row widths are checked before any of its cells is converted."""
         with pytest.raises(ParseError, match="row 3: expected 3 columns, found 2"):
             self._load(tmp_path, "y,yhat1,yhat2\n0,zero,0\n0,0\n")
 
     def test_clean_files_skip_the_csv_pass(self, tmp_path, monkeypatch):
-        def refuse(path, width):
-            raise AssertionError("csv pass on a file numpy parses")
-        monkeypatch.setattr(signals, "_csv_rows", refuse)
+        """The csv module splits the header line only; numpy parses every data line."""
+        reader, split = csv.reader, []
+
+        def counted(lines):
+            split.extend(lines)
+            return reader(lines)
+        monkeypatch.setattr(csv, "reader", counted)
         p = tmp_path / "traj.csv"
         write_trajectory(_tiny_frame(), str(p))
         assert len(read_trajectory(str(p))) == 3
         assert load_csv(str(p), 1.0)[0].shape == (3, 3)
         np.testing.assert_array_equal(self._load(tmp_path, "y,yhat1,yhat2\n0.1,0.2,-0.3\n0,-1,1\n"),
                                       self.WANT, strict=True)
+        header = ",".join(TRAJECTORY_COLUMNS) + "\r\n"
+        assert split == [header, header, "y,yhat1,yhat2\n"]
 
 
 class TestCustomFileSequences:
@@ -370,6 +391,26 @@ class TestCustomFileSequences:
         _write_input_csv(p, [(0.1, 0.1, 0.1)] * 3)
         with pytest.raises(ValueError, match="custom_file sequences are read by load_sequence"):
             generate(SequenceSpec("custom_file", path=str(p)))
+
+
+def _hypothesis_frame(data) -> Trajectory:
+    """A trajectory of 1-8 rows of drawn finite doubles, -0.0, subnormals and extremes among them."""
+    n = data.draw(st.integers(1, 8))
+    edges = st.sampled_from([-0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                             -2.225073858507201e-308, 1e308, -1e308,
+                             1.7976931348623157e308, 1 / 3])
+    floats = iter(data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False) | edges,
+                                     min_size=13 * n, max_size=13 * n)))
+    flags = iter(data.draw(st.lists(st.integers(0, 1), min_size=2 * n, max_size=2 * n)))
+    columns = {}
+    for name in TRAJECTORY_COLUMNS:
+        if name == "t":
+            values = range(1, n + 1)
+        else:
+            source = flags if name in ("in_range", "projected") else floats
+            values = [next(source) for _ in range(n)]
+        columns["lam" if name == "lambda" else name] = np.array(values)
+    return Trajectory(**columns)
 
 
 def _column(frame, name):
@@ -413,24 +454,8 @@ class TestTrajectoryRoundTrip:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.data())
     def test_drawn_doubles_roundtrip_bit_for_bit(self, tmp_path, parser, data):
-        """Any finite double survives write then read, -0.0, subnormals and +-1e308 included,
-        whether numpy parses the file or every cell goes through int()/float()."""
-        n = data.draw(st.integers(1, 8))
-        edges = st.sampled_from([-0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
-                                 -2.225073858507201e-308, 1e308, -1e308,
-                                 1.7976931348623157e308, 1 / 3])
-        floats = iter(data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False) | edges,
-                                         min_size=13 * n, max_size=13 * n)))
-        flags = iter(data.draw(st.lists(st.integers(0, 1), min_size=2 * n, max_size=2 * n)))
-        columns = {}
-        for name in TRAJECTORY_COLUMNS:
-            if name == "t":
-                values = range(1, n + 1)
-            else:
-                source = flags if name in ("in_range", "projected") else floats
-                values = [next(source) for _ in range(n)]
-            columns["lam" if name == "lambda" else name] = np.array(values)
-        frame = Trajectory(**columns)
+        """Any finite double survives write then read, -0.0, subnormals and +-1e308 included."""
+        frame = _hypothesis_frame(data)
         p = tmp_path / "drawn.csv"
         write_trajectory(frame, str(p))
         back = read_trajectory(str(p))
@@ -517,7 +542,7 @@ class TestTrajectoryRoundTrip:
         cells = lines[2].split(",")
         cells[0] = "1.5"
         p.write_text("\n".join(lines[:2] + [",".join(cells)] + lines[3:]) + "\n")
-        with pytest.raises(ParseError, match="column t:"):
+        with pytest.raises(ParseError, match="row 3: non-integer value '1.5' in column t$"):
             read_trajectory(str(p))
 
     def test_read_accepts_quoted_numeric_cell(self, tmp_path):
@@ -528,22 +553,46 @@ class TestTrajectoryRoundTrip:
         back = read_trajectory(str(p))
         np.testing.assert_array_equal(back.lam, _tiny_frame().lam)
 
-    def test_read_accepts_what_float_accepts(self, tmp_path):
-        """Whitespace, signs and digit-group underscores parse as int()/float() do."""
+    def test_read_accepts_whitespace_and_signs(self, tmp_path):
+        """Whitespace and signs parse as int()/float() parse them; a digit-group
+        underscore, which float() also takes, is refused, naming its row and column."""
         p, lines = self._written(tmp_path)
         cells = lines[1].split(",")
-        cells[0], cells[1], cells[8] = " +1 ", "7_5e-2", " 0.25\t"
+        cells[0], cells[1], cells[8] = " +1 ", "+7.5e-1", " 0.25\t"
         p.write_text("\n".join(lines[:1] + [",".join(cells)] + lines[2:]) + "\n")
         back = read_trajectory(str(p))
         assert back.t.tolist() == [1, 2, 3]
         assert back.y[0] == 0.75 and back.cum_loss[0] == 0.25
+        cells[1] = "7_5e-2"
+        p.write_text("\n".join(lines[:1] + [",".join(cells)] + lines[2:]) + "\n")
+        with pytest.raises(ParseError, match="row 2: non-numeric value '7_5e-2' in column y$"):
+            read_trajectory(str(p))
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_kept_columns_bit_identical_to_full_read(self, tmp_path, data):
+        """Any set of kept columns, in any order, reads back the bits of a full
+        read; the other fields are None and the length is the row count."""
+        frame = _hypothesis_frame(data)
+        keep = data.draw(st.lists(st.sampled_from(TRAJECTORY_COLUMNS), min_size=1, unique=True))
+        p = tmp_path / "drawn.csv"
+        write_trajectory(frame, str(p))
+        full, kept = read_trajectory(str(p)), read_trajectory(str(p), keep=tuple(keep))
+        assert len(kept) == len(frame)
+        for name in TRAJECTORY_COLUMNS:
+            got, want = _column(kept, name), _column(full, name)
+            if name in keep:
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+            else:
+                assert got is None, name
 
     def test_read_names_first_bad_column(self, tmp_path):
         p, lines = self._written(tmp_path)
         cells = lines[3].split(",")
         cells[5], cells[14] = "x", "1.0"
         p.write_text("\n".join(lines[:3] + [",".join(cells)]) + "\n")
-        with pytest.raises(ParseError, match="column rho: could not convert string to float: 'x'"):
+        with pytest.raises(ParseError, match="row 4: non-numeric value 'x' in column rho$"):
             read_trajectory(str(p))
 
     def test_written_bytes_match_csv_writer(self, tmp_path):
@@ -753,7 +802,7 @@ class TestBlockReader:
             cells = lines[-2].split(",")
             cells[5] = "x"
             lines[-2] = ",".join(cells)
-        with pytest.raises(ParseError, match="column rho: could not convert string to float: 'x'"):
+        with pytest.raises(ParseError, match=f"row {2 * RB + 5}: non-numeric value 'x' in column rho$"):
             read_trajectory(self._last_block_edited(tmp_path, edit))
 
     def test_blank_line_in_last_block(self, tmp_path):
@@ -784,11 +833,11 @@ class TestReaderMemory:
         return p
 
     @staticmethod
-    def _read_traced(p):
+    def _read_traced(p, keep=None):
         """The trajectory read back, and the bytes held at the peak beyond what it retains."""
         tracemalloc.start()
         try:
-            back = read_trajectory(str(p))
+            back = read_trajectory(str(p), keep=keep)
             retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -801,20 +850,73 @@ class TestReaderMemory:
         assert len(back) == n
         assert extra < 2 * 2**20
 
-    def test_csv_fallback_working_memory_is_one_block(self, tmp_path, monkeypatch):
-        """A cell numpy rejects sends the whole file through the csv module,
-        two streaming passes of which hold one block of rows, not the file."""
-        monkeypatch.setattr(signals, "_READ_BLOCK", 512)
-        n = 20_000
-        p = self._written(tmp_path, n, seed=1)
-        lines = p.read_bytes().decode().split("\r\n")
-        cells = lines[n // 2].split(",")
-        cells[12] = "7_5e-2"  # norm_regret of row n // 2, a digit-group underscore
-        lines[n // 2] = ",".join(cells)
-        p.write_bytes("\r\n".join(lines).encode())
-        back, extra = self._read_traced(p)
-        assert back.norm_regret[n // 2 - 1] == 0.75
-        assert len(back) == n and back.t.flags.owndata
-        # the 16 columns are 2.4 MiB; one block of rows is about 1 MiB, and
-        # every row of the file held as csv cells at once would be about 19 MiB
-        assert extra < 3 * 2**20
+    def test_kept_columns_working_memory_is_one_block(self, tmp_path):
+        """Beyond the three columns it returns, reading 3 * _READ_BLOCK rows holds
+        what reading one block's rows holds: one block of lines at a time."""
+        keep = ("t", "norm_regret", "bound_norm")
+        _, one = self._read_traced(self._written(tmp_path, RB, seed=1), keep)
+        back, three = self._read_traced(self._written(tmp_path, 3 * RB, seed=1), keep)
+        assert len(back) == 3 * RB and back.t.flags.owndata and back.y is None
+        # two blocks of lines held at once would read about 1.8 times one,
+        # and the whole file about 3 times
+        assert three < 1.25 * one
+
+
+_MALFORMED_ROWS = 2 * RB + 5
+# the data row edited: the first (file row 2), either side of the first block edge, the last
+_EDITED_ROWS = {"row 2": 0, "block end": RB - 1, "block start": RB, "last block": _MALFORMED_ROWS - 1}
+_YHAT1 = TRAJECTORY_COLUMNS.index("yhat1")
+
+
+def _with_yhat1(cell):
+    return lambda cells: cells[:_YHAT1] + [cell] + cells[_YHAT1 + 1 :]
+
+
+# each malformed line, made from a good line's cells, and what each reader
+# says of it after "row N: ": every column, plot's columns, load_csv's input
+# columns; None where that reader accepts the file
+_MALFORMED = {
+    "blank line": (lambda cells: [], ("expected 16 columns, found 0",) * 3),
+    "short row": (lambda cells: cells[:3], ("expected 16 columns, found 3",) * 3),
+    "extra cell": (lambda cells: cells + ["9"], ("expected 16 columns, found 17",) * 3),
+    "bad cell": (_with_yhat1("x"), ("non-numeric value 'x' in column yhat1", None,
+                                    "non-numeric value 'x' in column yhat1")),
+    "underscore": (_with_yhat1("7_5e-2"), ("non-numeric value '7_5e-2' in column yhat1", None,
+                                           "non-numeric value '7_5e-2' in column yhat1")),
+    "non-finite input cell": (_with_yhat1("inf"), (None, None,
+                                                   "non-finite value 'inf' in column yhat1")),
+}
+
+
+@pytest.fixture(scope="module")
+def run_file_lines(tmp_path_factory):
+    """The lines of a trajectory file of a case1 run over three blocks of rows."""
+    params = MixtureParams(mu=0.08, lambda_plus=0.08, y_bound=0.5)
+    frame, _ = report.summarize(run(params, generate(SequenceSpec("case1", n=_MALFORMED_ROWS))),
+                                bounds.constants_from_mu(0.08, 0.5, 0.08))
+    p = tmp_path_factory.mktemp("run") / "traj.csv"
+    write_trajectory(frame, str(p))
+    return p.read_bytes().decode().split("\r\n")[:-1]
+
+
+@pytest.mark.parametrize("where", _EDITED_ROWS)
+@pytest.mark.parametrize("kind", _MALFORMED)
+def test_malformed_files(tmp_path, run_file_lines, kind, where):
+    """Each refusal names its file row, and a bad cell its column, wherever it lies;
+    a bad cell in a column the reader does not keep stops nothing."""
+    edit, messages = _MALFORMED[kind]
+    i = _EDITED_ROWS[where]
+    lines = list(run_file_lines)
+    lines[i + 1] = ",".join(edit(lines[i + 1].split(",")))
+    p = tmp_path / "bad.csv"
+    p.write_text("\n".join(lines) + "\n")
+    readers = (read_trajectory, lambda path: read_trajectory(path, keep=("t", "norm_regret", "bound_norm")),
+               lambda path: load_csv(path, 1.0)[0])
+    for read, message in zip(readers, messages):
+        if message is None:
+            assert len(read(str(p))) == _MALFORMED_ROWS
+            continue
+        with pytest.raises(ParseError) as refused:
+            read(str(p))
+        assert re.search(r"\brow \d+|\bcolumn \w+", str(refused.value))
+        assert str(refused.value) == f"{p}: row {i + 2}: {message}"
