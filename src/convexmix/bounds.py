@@ -76,14 +76,25 @@ def z_of(lambda_plus: float) -> float:
     return (1.0 - 4.0 * k0) / (1.0 + 4.0 * k0)
 
 
+def _cap_squared(y_bound: float) -> float:
+    """Y^2, refusing a cap outside [1e-150, 1e150].
+
+    The constants divide by Y^2 and by eps/Y^2 and scale them by factors of
+    about 10; within this range none of them leaves the normal floats.
+    """
+    if not (math.isfinite(y_bound) and y_bound > 0.0):
+        raise ValueError(f"magnitude cap must be finite and positive, got {y_bound}")
+    if not 1e-150 <= y_bound <= 1e150:
+        raise ValueError(f"magnitude cap must lie within [1e-150, 1e150], got {y_bound}")
+    return y_bound * y_bound
+
+
 def constants_from_eps(eps: float, y_bound: float, lambda_plus: float) -> TheoremConstants:
     """Derive the whole constant set from the slack parameter."""
     if not (math.isfinite(eps) and eps > 0.0):
         raise ValueError(f"slack parameter must be finite and positive, got {eps}")
-    if not (math.isfinite(y_bound) and y_bound > 0.0):
-        raise ValueError(f"magnitude cap must be finite and positive, got {y_bound}")
+    y2 = _cap_squared(y_bound)
     z = z_of(lambda_plus)
-    y2 = y_bound * y_bound
     b = eps / y2
     a = (1.0 - z * z) * eps / (y2 * (2.0 * eps + 1.0))
     s = y2 / 2.0 + 1.0 / (4.0 * b)
@@ -97,9 +108,8 @@ def constants_from_eps(eps: float, y_bound: float, lambda_plus: float) -> Theore
 
 def mu_supremum(y_bound: float, lambda_plus: float) -> float:
     """Least upper bound of learning rates reachable by some slack eps > 0."""
-    if not (math.isfinite(y_bound) and y_bound > 0.0):
-        raise ValueError(f"magnitude cap must be finite and positive, got {y_bound}")
-    return 2.0 * (2.0 + 2.0 * z_of(lambda_plus)) / (y_bound * y_bound)
+    y2 = _cap_squared(y_bound)
+    return 2.0 * (2.0 + 2.0 * z_of(lambda_plus)) / y2
 
 
 def eps_from_mu(mu: float, y_bound: float, lambda_plus: float) -> float:

@@ -8,9 +8,11 @@ prediction error:
 
     rho' = rho + mu * e * lam * (1-lam) * (yhat1 - yhat2)
 
-An algebraically equivalent multiplicative update on ``lam`` itself is
-provided for cross-checking, as a scalar reference and as an array kernel;
-the forms agree to floating-point noise.
+:func:`run` advances one sequence, or a stack of sequences side by side
+with the same arithmetic, so each sequence's weights are bit-identical
+either way.  An algebraically equivalent multiplicative update on ``lam``
+itself is provided for cross-checking, as a scalar reference and as an
+array kernel; the forms agree to floating-point noise.
 """
 
 from __future__ import annotations
@@ -37,16 +39,27 @@ MODES = ("monitor", "project")
 # steps per block of the combiner loop: the per-step Python floats and
 # lists of one block stay well under 1 MB at any n
 _RUN_BLOCK = 4096
+# a stack narrower than this runs sequence by sequence through the float
+# loop: below about 32 sequences a step of (k,) vectors costs more than k
+# scalar steps
+_STACK_MIN = 32
 
 
 class NumericError(ArithmeticError):
-    """A non-finite value appeared while updating the combiner."""
+    """A non-finite value appeared while updating the combiner.
 
-    def __init__(self, message: str, step: int | None = None):
+    ``step`` counts from 1; ``sequence`` is the index of the failing
+    sequence in a stack passed to :func:`run`, and ``None`` otherwise.
+    """
+
+    def __init__(self, message: str, step: int | None = None, sequence: int | None = None):
         if step is not None:
             message = f"step {step}: {message}"
+        if sequence is not None:
+            message = f"sequence {sequence}, {message}"
         super().__init__(message)
         self.step = step
+        self.sequence = sequence
 
 
 @dataclass(frozen=True)
@@ -182,6 +195,12 @@ class Trajectory:
     ``final_lambda`` is the weight after the last update, so the weight path
     lambda_1, ..., lambda_{n+1} is available in full; a trajectory read back
     from CSV has none, and ``None`` for each column the reader did not keep.
+
+    A run over a stack of k sequences holds ``(k, n)`` columns ``t``, ``y``,
+    ``yhat1``, ``yhat2``, ``lam``, ``in_range`` and ``projected``, one row
+    per sequence, and a ``(k,)`` array ``final_lambda``; ``rho``, ``yhat``,
+    ``e`` and ``cum_loss`` are ``None``.  ``len`` counts steps, k*n for a
+    stack.
     """
 
     t: np.ndarray
@@ -189,10 +208,10 @@ class Trajectory:
     yhat1: np.ndarray
     yhat2: np.ndarray
     lam: np.ndarray
-    rho: np.ndarray
-    yhat: np.ndarray
-    e: np.ndarray
-    cum_loss: np.ndarray
+    rho: np.ndarray | None
+    yhat: np.ndarray | None
+    e: np.ndarray | None
+    cum_loss: np.ndarray | None
     best_beta_prefix: np.ndarray | None = None
     best_loss_prefix: np.ndarray | None = None
     regret: np.ndarray | None = None
@@ -200,17 +219,18 @@ class Trajectory:
     bound_norm: np.ndarray | None = None
     in_range: np.ndarray
     projected: np.ndarray
-    final_lambda: float | None = None
+    final_lambda: float | np.ndarray | None = None
 
     def __len__(self) -> int:
-        return len(next(c for c in vars(self).values() if isinstance(c, np.ndarray)))
+        return next(c for c in vars(self).values() if isinstance(c, np.ndarray)).size
 
     @property
     def lam_after(self) -> np.ndarray:
-        """The weight after each step, lambda_2, ..., lambda_{n+1}."""
+        """The weight after each step, lambda_2, ..., lambda_{n+1}, along the last axis."""
         if self.final_lambda is None:
             raise ValueError("a trajectory read from CSV has no final weight")
-        return np.append(self.lam[1:], self.final_lambda)
+        last = np.asarray(self.final_lambda)[..., None]
+        return np.concatenate((self.lam[..., 1:], last), axis=-1)
 
 
 def sample_columns(samples) -> np.ndarray:
@@ -242,28 +262,13 @@ def _check_samples(columns: np.ndarray, y_bound: float):
     raise ValueError(f"sample {i + 1}: field {name} = {v} exceeds the magnitude cap {y_bound}")
 
 
-def run(params: MixtureParams, samples, lambda_init: float = 0.5) -> Trajectory:
-    """Run the combiner over a whole sequence, from weight ``lambda_init`` at step 1.
+def _float_loop(params: MixtureParams, y, y1, y2, lambda_init: float, sequence=None):
+    """The recurrence over one sequence as a loop over plain floats.
 
-    ``samples`` is an ``(n, 3)`` array (see :func:`sample_columns`).  All
-    sample fields must already lie within ``params.y_bound`` in absolute
-    value; out-of-cap inputs are rejected rather than silently clipped.
-
-    The recurrence runs as a loop over plain floats that repeats the
-    arithmetic of :func:`step` operation for operation, so every column is
-    bit-identical to a loop of :func:`step`.  The loop takes
-    :data:`_RUN_BLOCK` steps at a time and stores each block's weights,
-    auxiliary values and projection flags into preallocated columns, so no
-    per-step Python object outlives its block; predictions, errors, running
-    loss and range flags are then computed over whole columns, in place.
+    Returns the columns ``lam``, ``rho`` and ``projected`` and the final
+    weight.  A :class:`NumericError` names the step and ``sequence``.
     """
-    columns = sample_columns(samples)
-    if not columns.size:
-        raise ValueError("sequence must be non-empty")
-    _check_samples(columns, params.y_bound)
-    y, y1, y2 = columns
     rho, lam = logit(lambda_init), lambda_init
-
     mu = params.mu
     lo = params.lambda_plus
     hi = 1.0 - params.lambda_plus
@@ -283,7 +288,7 @@ def run(params: MixtureParams, samples, lambda_init: float = 0.5) -> Trajectory:
             rhos.append(rho)
             rho = rho + mu * (a - (lam * b + (1.0 - lam) * c)) * lam * (1.0 - lam) * (b - c)
             if not -inf < rho < inf:
-                raise NumericError("auxiliary variable became non-finite", step=i + 1)
+                raise NumericError("auxiliary variable became non-finite", i + 1, sequence)
             if rho >= 0.0:
                 lam = 1.0 / (1.0 + exp(-rho))
             else:
@@ -297,13 +302,147 @@ def run(params: MixtureParams, samples, lambda_init: float = 0.5) -> Trajectory:
                     lam, rho = hi, rho_hi
                     projected_at.append(i)
             elif not 0.0 < lam < 1.0:
-                raise NumericError(f"weight saturated at {lam}", step=i + 1)
+                raise NumericError(f"weight saturated at {lam}", i + 1, sequence)
         lam_col[start:stop] = lams
         rho_col[start:stop] = rhos
         projected[projected_at] = True
+    return lam_col, rho_col, projected, lam
+
+
+def _vector_loop(params: MixtureParams, y, y1, y2, lambda_init: float):
+    """The recurrence over ``(k, n)`` columns, all k weights as one ``(k,)`` vector.
+
+    Each step repeats the operations of :func:`_float_loop` in the same
+    order, elementwise, and takes the logistic's ``exp`` from ``math.exp``
+    (``np.exp`` differs from it in the last ulp on some inputs), so every
+    row is bit-identical to that sequence's own float loop.  Returns
+    ``(lam, projected, final weights)``, or ``None`` if some sequence may
+    have failed: the caller then runs the sequences one by one, which
+    raises the failure in the per-sequence order.
+    """
+    k, n = y.shape
+    mu = params.mu
+    lo = params.lambda_plus
+    hi = 1.0 - params.lambda_plus
+    project = params.mode == "project"
+    rho_lo, rho_hi = logit(lo), logit(hi)
+    exp, inf = math.exp, math.inf
+    rho = np.full(k, logit(lambda_init))
+    lam = np.full(k, lambda_init)
+    lam_col = np.empty((k, n))
+    projected = np.zeros((k, n), dtype=bool)
+    # a failed sequence carries inf or nan, which must not warn
+    with np.errstate(all="ignore"):
+        for i, (a, b, c) in enumerate(zip(y.T, y1.T, y2.T)):
+            lam_col[:, i] = lam
+            q = 1.0 - lam
+            rho += mu * (a - (lam * b + q * c)) * lam * q * (b - c)
+            # the logistic's exp argument, -|rho|, is 0 or below; its sum is
+            # finite unless some rho is not, or the |rho| add up past 1.8e308,
+            # which only costs a rerun sequence by sequence
+            arg = np.copysign(rho, -1.0).tolist()
+            if not -inf < sum(arg):
+                return None
+            ex = np.fromiter(map(exp, arg), float, k)
+            lam = np.where(rho >= 0.0, 1.0, ex)
+            lam /= 1.0 + ex
+            if project:
+                low = lam < lo
+                high = lam > hi
+                out = low | high
+                if out.any():
+                    lam[low], rho[low] = lo, rho_lo
+                    lam[high], rho[high] = hi, rho_hi
+                    projected[:, i] = out
+    # A weight of exactly 0 or 1 stays put: the update multiplies by
+    # lam*(1-lam) = 0, or turns nan and fails the check above.  So a
+    # monitor-mode saturation at any step shows in the final weights.
+    if not project and not ((0.0 < lam) & (lam < 1.0)).all():
+        return None
+    return lam_col, projected, lam
+
+
+def _run_stack(params: MixtureParams, samples: np.ndarray, lambda_init: float) -> Trajectory:
+    if samples.shape[2:] != (3,):
+        raise ValueError(f"sample stack must have shape (k, n, 3), got {samples.shape}")
+    k, n = samples.shape[:2]
+    if not k:
+        raise ValueError("stack must hold at least one sequence")
+    if not n:
+        raise ValueError("sequence must be non-empty")
+    cap = params.y_bound
+    if not (-cap <= samples.min() and samples.max() <= cap):
+        for j, sequence in enumerate(samples):
+            try:
+                _check_samples(sequence.T, cap)
+            except ValueError as exc:
+                raise ValueError(f"sequence {j}, {exc}") from None
+    y, y1, y2 = (samples[..., f] for f in range(3))
+    weights = _vector_loop(params, y, y1, y2, lambda_init) if k >= _STACK_MIN else None
+    if weights is not None:
+        lam_col, projected, final = weights
+    else:
+        lam_col, projected, final = np.empty((k, n)), np.empty((k, n), dtype=bool), np.empty(k)
+        for j in range(k):
+            lam_col[j], _, projected[j], final[j] = _float_loop(
+                params, y[j], y1[j], y2[j], lambda_init, sequence=j)
+    in_range = params.lambda_plus <= lam_col
+    in_range &= lam_col <= 1.0 - params.lambda_plus
+    return Trajectory(
+        t=np.broadcast_to(np.arange(1, n + 1), (k, n)),
+        y=y,
+        yhat1=y1,
+        yhat2=y2,
+        lam=lam_col,
+        rho=None,
+        yhat=None,
+        e=None,
+        cum_loss=None,
+        in_range=in_range,
+        projected=projected,
+        final_lambda=final,
+    )
+
+
+def run(params: MixtureParams, samples, lambda_init: float = 0.5) -> Trajectory:
+    """Run the combiner from weight ``lambda_init`` at step 1, over one sequence or a stack.
+
+    ``samples`` is an ``(n, 3)`` array (see :func:`sample_columns`), or a
+    ``(k, n, 3)`` stack of k sequences of the same length.  All sample
+    fields must already lie within ``params.y_bound`` in absolute value;
+    out-of-cap inputs are rejected rather than silently clipped.
+
+    One sequence runs as a loop over plain floats that repeats the
+    arithmetic of :func:`step` operation for operation, so every column is
+    bit-identical to a loop of :func:`step`.  The loop takes
+    :data:`_RUN_BLOCK` steps at a time and stores each block's weights,
+    auxiliary values and projection flags into preallocated columns, so no
+    per-step Python object outlives its block; predictions, errors, running
+    loss and range flags are then computed over whole columns, in place.
+
+    A stack of at least :data:`_STACK_MIN` sequences advances all k weights
+    in one loop over the steps, on ``(k,)`` vectors with the same
+    arithmetic; a narrower one runs each sequence through the float loop.
+    Either way each sequence's weights are bit-identical to a run over that
+    sequence alone.  The result holds the ``(k, n)`` columns a stack's
+    callers read (see :class:`Trajectory`), with ``y``, ``yhat1`` and
+    ``yhat2`` views of the input.  A :class:`NumericError` names the
+    lowest-index failing sequence and its first failing step.
+    """
+    samples = np.asarray(samples, dtype=float)
+    if samples.ndim == 3:
+        return _run_stack(params, samples, lambda_init)
+    columns = sample_columns(samples)
+    if not columns.size:
+        raise ValueError("sequence must be non-empty")
+    _check_samples(columns, params.y_bound)
+    y, y1, y2 = columns
+    lam_col, rho_col, projected, final = _float_loop(params, y, y1, y2, lambda_init)
 
     # whole-column arithmetic in place: the only arrays allocated are the
     # returned columns, each computed as lam*y1 + (1-lam)*y2 and y - yhat
+    lo = params.lambda_plus
+    hi = 1.0 - params.lambda_plus
     e = np.subtract(1.0, lam_col)
     e *= y2
     yhat = lam_col * y1
@@ -313,6 +452,7 @@ def run(params: MixtureParams, samples, lambda_init: float = 0.5) -> Trajectory:
     np.cumsum(cum_loss, out=cum_loss)
     in_range = lo <= lam_col
     in_range &= lam_col <= hi
+    n = len(y)
     return Trajectory(
         t=np.arange(1, n + 1),
         y=y,
@@ -325,5 +465,5 @@ def run(params: MixtureParams, samples, lambda_init: float = 0.5) -> Trajectory:
         cum_loss=cum_loss,
         in_range=in_range,
         projected=projected,
-        final_lambda=lam,
+        final_lambda=final,
     )

@@ -17,6 +17,63 @@ __all__ = ["run_verification", "IDENTITY_TOL", "EQUIVALENCE_TOL"]
 
 IDENTITY_TOL = 1e-12
 EQUIVALENCE_TOL = 1e-12
+# trial-steps per mixture.run call of the margin and telescoping suites: a
+# block's run holds about 34 bytes per trial-step (columns, weights, flags),
+# its margins 9 (weights and range flags), so 1.7 MB and 0.45 MB
+_BLOCK_CELLS = 50_000
+# the comparator weights every in-range step is checked against, besides
+# 20 random ones per step
+_FIXED_BETAS = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+
+
+def _columns(constants, trial_seed, n):
+    """A trial's generator, and its ``(3, n)`` columns: its first draw."""
+    rng = np.random.default_rng(trial_seed)
+    return rng, rng.uniform(-constants.y_bound, constants.y_bound, (3, n))
+
+
+def _block_weights(params, constants, seeds, n):
+    """``lam``, ``in_range`` and the final weights of some trials, from one run."""
+    stack = np.empty((len(seeds), 3, n))
+    for columns, trial_seed in zip(stack, seeds):
+        columns[:] = _columns(constants, trial_seed, n)[1]
+    traj = mixture.run(params, stack.transpose(0, 2, 1))
+    return traj.lam, traj.in_range, traj.final_lambda.tolist()
+
+
+def _check_block(constants, params, seeds, n, tol, margin_suite, tele_suite):
+    """Add the margins and telescoping sums of some trials to the two suites.
+
+    The trials' weights come from one run.  Their columns are then drawn
+    again, trial by trial, so they never sit in memory beside the margins'
+    temporaries; and the block's arrays are freed when this returns, before
+    the next block's run.
+    """
+    for trial_seed, l0, mask, final in zip(seeds, *_block_weights(params, constants, seeds, n)):
+        rng, (y, y1, y2) = _columns(constants, trial_seed, n)
+        rand_betas = rng.uniform(0.0, 1.0, (20, n))
+        l1 = np.append(l0[1:], final)  # this trial's row of the run's lam_after
+        margin_suite["skipped_out_of_range_steps"] += int(n - mask.sum())
+        if mask.any():
+            m_fixed = bounds.per_step_margins(
+                constants, _FIXED_BETAS, l0[mask], l1[mask], y[mask], y1[mask], y2[mask]
+            )
+            m_rand = bounds.per_step_margins(
+                constants, rand_betas[:, mask], l0[mask], l1[mask], y[mask], y1[mask], y2[mask]
+            )
+            margin_suite["checked"] += m_fixed.size + m_rand.size
+            worst = float(min(m_fixed.min(), m_rand.min()))
+            if worst < -tol:
+                margin_suite["failures"].append({"seed": trial_seed, "worst_margin": worst})
+        log_ratio1 = np.log(l1 / l0)
+        log_ratio0 = np.log((1.0 - l1) / (1.0 - l0))
+        for beta in (0.0, 0.5, 1.0):
+            total = float(beta * log_ratio1.sum() + (1.0 - beta) * log_ratio0.sum())
+            via_kl = bounds.kl(beta, l0[0]) - bounds.kl(beta, final)
+            tele_suite["checked"] += 1
+            err = abs(total - via_kl)
+            if err > tol:
+                tele_suite["failures"].append({"seed": trial_seed, "beta": beta, "error": err})
 
 
 def _margin_and_telescope_suites(constants, trials, n, seed, tol):
@@ -26,48 +83,12 @@ def _margin_and_telescope_suites(constants, trials, n, seed, tol):
         y_bound=constants.y_bound,
         mode="monitor",
     )
-    fixed = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
-    margin_failures = []
-    tele_failures = []
-    checked_margin = 0
-    checked_tele = 0
-    skipped = 0
-    for i in range(trials):
-        trial_seed = seed + i
-        rng = np.random.default_rng(trial_seed)
-        y, y1, y2 = columns = rng.uniform(-constants.y_bound, constants.y_bound, (3, n))
-        rand_betas = rng.uniform(0.0, 1.0, (20, n))
-        traj = mixture.run(params, columns.T)
-        l0 = traj.lam
-        l1 = traj.lam_after
-        mask = traj.in_range
-        skipped += int(n - mask.sum())
-        if mask.any():
-            m_fixed = bounds.per_step_margins(
-                constants, fixed, l0[mask], l1[mask], y[mask], y1[mask], y2[mask]
-            )
-            m_rand = bounds.per_step_margins(
-                constants, rand_betas[:, mask], l0[mask], l1[mask], y[mask], y1[mask], y2[mask]
-            )
-            checked_margin += m_fixed.size + m_rand.size
-            worst = float(min(m_fixed.min(), m_rand.min()))
-            if worst < -tol:
-                margin_failures.append({"seed": trial_seed, "worst_margin": worst})
-        log_ratio1 = np.log(l1 / l0)
-        log_ratio0 = np.log((1.0 - l1) / (1.0 - l0))
-        for beta in (0.0, 0.5, 1.0):
-            total = float(beta * log_ratio1.sum() + (1.0 - beta) * log_ratio0.sum())
-            via_kl = bounds.kl(beta, l0[0]) - bounds.kl(beta, traj.final_lambda)
-            checked_tele += 1
-            err = abs(total - via_kl)
-            if err > tol:
-                tele_failures.append({"seed": trial_seed, "beta": beta, "error": err})
-    margin_suite = {
-        "checked": checked_margin,
-        "skipped_out_of_range_steps": skipped,
-        "failures": margin_failures,
-    }
-    tele_suite = {"checked": checked_tele, "failures": tele_failures}
+    margin_suite = {"checked": 0, "skipped_out_of_range_steps": 0, "failures": []}
+    tele_suite = {"checked": 0, "failures": []}
+    width = max(1, _BLOCK_CELLS // n)
+    for first in range(seed, seed + trials, width):
+        seeds = range(first, min(first + width, seed + trials))
+        _check_block(constants, params, seeds, n, tol, margin_suite, tele_suite)
     return margin_suite, tele_suite
 
 
@@ -75,12 +96,15 @@ def _equivalence_suite(constants, trials, seed):
     failures = []
     checked = 0
     draws = 10
+    # one update moves rho by up to mu*Y^2, so rates are drawn in units of
+    # 1/Y^2: at any cap the updated weight stays inside (0, 1)
+    cap2 = constants.y_bound * constants.y_bound
     for i in range(trials):
         trial_seed = seed + 50_000 + i
         rng = np.random.default_rng(trial_seed)
         for _ in range(draws):
             lam = float(rng.uniform(0.01, 0.99))
-            mu = float(rng.uniform(0.01, 2.0))
+            mu = float(rng.uniform(0.01, 2.0)) / cap2
             y, y1, y2 = rng.uniform(-constants.y_bound, constants.y_bound, 3).tolist()
             params = MixtureParams(
                 mu=mu, lambda_plus=constants.lambda_plus,

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from convexmix import audit, bounds, cli, mixture, oracle, signals
+from convexmix import audit, bounds, cli, mixture, oracle, signals, verify
 from convexmix.mixture import NumericError
 from convexmix.signals import read_trajectory
 
@@ -233,6 +233,7 @@ def _trajectory_text(**row4) -> str:
     return "\n".join(lines) + "\n"
 
 
+CAP_RANGE = "magnitude cap must lie within [1e-150, 1e150]"
 # every usage error: (environment, files written first, command, its exact standard error)
 USAGE_ERRORS = {
     "tol-not-a-number": ({"CONVEXMIX_TOL": "banana"}, {}, "verify --trials 1 --n 5",
@@ -275,6 +276,15 @@ USAGE_ERRORS = {
     "verify-mu-and-eps": ({}, {}, "verify --mu 0.5 --eps 0.1", "choose --mu or --eps, not both"),
     "missing-rate": ({}, {"seq.csv": "y,yhat1,yhat2\n0.1,0.1,0.1\n"}, "run --input seq.csv",
                      "provide --mu or --eps for this sequence source"),
+    # caps whose constants would leave the normal floats (each divided by zero)
+    "run-cap-tiny": ({}, {}, "run --case 1 --n 10 --ybound 1e-300",
+                     f"{CAP_RANGE}, got 1e-300"),
+    "verify-cap-tiny": ({}, {}, "verify --trials 1 --n 5 --ybound 1e-200",
+                        f"{CAP_RANGE}, got 1e-200"),
+    "verify-cap-huge": ({}, {}, "verify --trials 1 --n 5 --ybound 1e160",
+                        f"{CAP_RANGE}, got 1e+160"),
+    "lemma-audit-cap-huge": ({}, {}, "lemma-audit --eps 0.1 --ybound 1e300",
+                             f"{CAP_RANGE}, got 1e+300"),
     "verify-trials-zero": ({}, {}, "verify --trials 0 --n 5", "trials must be at least 1, got 0"),
     "verify-n-zero": ({}, {}, "verify --trials 1 --n 0", "n must be at least 1, got 0"),
     "run-n-zero": ({}, {}, "run --case 1 --n 0", "n must be at least 1, got 0"),
@@ -478,6 +488,24 @@ class TestVerifyCommand:
     def test_degenerate_sizes(self, workdir):
         assert run_cli("verify", "--trials", "1", "--n", "1", "--seed", "0",
                        "--out", "r.json") == 0
+
+    @pytest.mark.parametrize("ybound", ["10", "100"])
+    def test_large_caps_pass(self, workdir, ybound):
+        """The equivalence suite draws its rates in units of 1/Y^2, so no
+        update saturates the weight at a large cap."""
+        assert run_cli("verify", "--ybound", ybound, "--out", "r.json") == 0
+        assert read_json("r.json")["all_pass"] is True
+
+    @pytest.mark.parametrize("cells", [300, 7 * 300, 33 * 300, 10**6])
+    def test_block_width_changes_no_byte(self, workdir, monkeypatch, cells):
+        """Trials advance in blocks of one mixture.run call each; one trial
+        per block, 7 (narrow), 33 (stacked, partial last block) or all 40
+        at once write the same report."""
+        argv = ("verify", "--trials", "40", "--n", "300", "--seed", "5", "--override-a", "0.2")
+        assert run_cli(*argv, "--out", "default.json") == 1
+        monkeypatch.setattr(verify, "_BLOCK_CELLS", cells)
+        assert run_cli(*argv, "--out", "blocked.json") == 1
+        assert (workdir / "blocked.json").read_bytes() == (workdir / "default.json").read_bytes()
 
     def test_tampered_constant_fails(self, workdir, capsys):
         c = bounds.constants_from_eps(0.1, 1.0, 0.08)

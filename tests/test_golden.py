@@ -17,6 +17,8 @@ The ``c1.svg`` and ``c2.svg`` hashes were re-recorded when each polyline
 became its pixel-column envelope; only their two ``points`` lists changed,
 and every kept point is one the full polylines drew.  ``u.svg`` has at most
 four points per pixel column, so its hash did not move.
+The ``verify blocks`` and ``verify override-a`` hashes were taken while
+verify still ran its trials one ``mixture.run`` call each.
 """
 
 import hashlib
@@ -168,10 +170,27 @@ GOLDEN = {
             "verify_report.json": "dc1b77e3e2df814389258c03d445785ec117bebb03b3ab469d9c8141d8936a39",
         },
     ),
+    # 130 trials of 300 steps span several blocks of stacked runs, the last
+    # one partial and narrow enough to run sequence by sequence
+    "verify blocks": (
+        [["verify", "--trials", "130", "--n", "300", "--seed", "2", "--out", "blocks.json"]],
+        {
+            "blocks.json": "8fe74652f72479f3c52859281d651f51a0e85c2e9b1298b6f3f44dd0e37847a0",
+        },
+    ),
+    # the margins fail here, and every reported worst margin prints all of
+    # its digits, so a changed weight bit shows
+    "verify override-a": (
+        [["verify", "--trials", "30", "--n", "200", "--seed", "1", "--override-a", "5",
+          "--out", "override.json"]],
+        {
+            "override.json": "edbb5c87254950e5bf5c06c64d0b1e46e5c8d7a7cf47c0457203e8680da5c772",
+        },
+    ),
 }
 
-# commands that exit non-zero: witnesses found (1) or an input refused (2)
-EXIT_CODES = {"lemma-audit witnesses": 1, "plot underscore cell": 2}
+# commands that exit non-zero: witnesses or failures found (1) or an input refused (2)
+EXIT_CODES = {"lemma-audit witnesses": 1, "verify override-a": 1, "plot underscore cell": 2}
 # the standard error of a refused input, which writes no file
 REFUSALS = {
     "plot underscore cell": "error: u.csv: row 14: non-numeric value '7_5e-2' in column norm_regret\n",

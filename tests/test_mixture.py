@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from convexmix import mixture
+from convexmix.bounds import mu_supremum
 from convexmix.signals import SequenceSpec, generate
 from convexmix.verify import EQUIVALENCE_TOL
 from convexmix.mixture import (
@@ -554,4 +555,126 @@ class TestArrayInput:
     @pytest.mark.parametrize("shape", [(4,), (4, 2), (2, 3, 1)])
     def test_rejects_other_shapes(self, shape):
         with pytest.raises(ValueError, match="shape"):
+            run(_params(), np.zeros(shape))
+
+
+S = mixture._STACK_MIN
+
+
+@st.composite
+def _stacks(draw):
+    """A ``(k, n, 3)`` stack across the narrow-stack width, with parameters
+    whose rate reaches the largest one the guarantee's constants allow."""
+    y_bound = draw(st.sampled_from([0.5, 1.0, 3.0]))
+    lambda_plus = draw(st.floats(0.01, 0.45))
+    mode = draw(st.sampled_from(["monitor", "project"]))
+    mu = draw(st.floats(1e-3, 1.0)) * mu_supremum(y_bound, lambda_plus)
+    lam = draw(st.floats(lambda_plus, 1.0 - lambda_plus))
+    k = draw(st.one_of(st.sampled_from([1, S - 1, S, S + 1, 70]), st.integers(1, 70)))
+    n = draw(st.one_of(st.sampled_from([1, 4097]), st.integers(1, 300)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = rng.uniform(-y_bound, y_bound, (k, n, 3))
+    if draw(st.booleans()):
+        # the cap itself and zeros, where the predictions tie or hit the edge
+        stack = rng.choice([-y_bound, 0.0, y_bound], (k, n, 3))
+    return MixtureParams(mu=mu, lambda_plus=lambda_plus, y_bound=y_bound, mode=mode), stack, lam
+
+
+def _failing_stack(k, n, fail_at, row):
+    """k sequences of quiet rows ((0, 1, 1) leaves the weight alone), with
+    ``row`` at step ``fail_at[j]`` of sequence j."""
+    stack = np.tile([0.0, 1.0, 1.0], (k, n, 1))
+    for j, t in fail_at.items():
+        stack[j, t - 1] = row
+    return stack
+
+
+class TestStack:
+    """A ``(k, n, 3)`` stack runs every sequence bit for bit as it runs alone."""
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_stacks())
+    def test_each_sequence_bit_identical_to_its_own_run(self, case):
+        params, stack, lam = case
+        k, n, _ = stack.shape
+        traj = run(params, stack, lambda_init=lam)
+        assert len(traj) == k * n
+        assert traj.lam.shape == traj.in_range.shape == traj.projected.shape == (k, n)
+        assert traj.rho is traj.yhat is traj.e is traj.cum_loss is None
+        after = traj.lam_after
+        assert after.shape == (k, n)
+        for j in range(k):
+            alone = run(params, stack[j], lambda_init=lam)
+            for name in ("lam", "in_range", "projected", "y", "yhat1", "yhat2"):
+                assert getattr(traj, name)[j].tobytes() == getattr(alone, name).tobytes(), (j, name)
+            assert after[j].tobytes() == alone.lam_after.tobytes(), j
+            assert _bits([traj.final_lambda[j]]) == _bits([alone.final_lambda]), j
+            assert traj.t[j].tolist() == alone.t.tolist()
+
+    def test_projected_steps_are_exercised(self):
+        params = _params(mu=50.0, y_bound=1.0, mode="project")
+        stack = np.random.default_rng(5).uniform(-1, 1, (S + 3, 300, 3))
+        traj = run(params, stack)
+        assert 0 < traj.projected.sum() < len(traj)
+        for j, rows in enumerate(stack):
+            alone = run(params, rows)
+            assert traj.projected[j].tobytes() == alone.projected.tobytes()
+            assert traj.lam[j].tobytes() == alone.lam.tobytes()
+
+    def test_columns_are_views_of_the_input(self):
+        stack = np.random.default_rng(1).uniform(-0.5, 0.5, (3, 4, 3))
+        traj = run(_params(), stack)
+        for f, name in enumerate(("y", "yhat1", "yhat2")):
+            assert np.shares_memory(getattr(traj, name), stack)
+            assert getattr(traj, name).tolist() == stack[..., f].tolist()
+
+    @pytest.mark.parametrize("k", [S - 24, S + 8])
+    @pytest.mark.parametrize("mode", ["monitor", "project"])
+    def test_lowest_failing_sequence_raises_at_its_first_failing_step(self, k, mode):
+        """Sequence 3 fails at step 5 and sequence 7 earlier, at step 2: a
+        trial-by-trial loop meets sequence 3's failure first."""
+        params = _params(mu=1e308, y_bound=10.0, mode=mode)
+        stack = _failing_stack(k, 9, {3: 5, 7: 2}, [10.0, 10.0, -10.0])
+        with pytest.raises(NumericError) as info:
+            run(params, stack)
+        assert (info.value.sequence, info.value.step) == (3, 5)
+        assert str(info.value) == "sequence 3, step 5: auxiliary variable became non-finite"
+        with pytest.raises(NumericError) as alone:
+            run(params, stack[3])
+        assert str(info.value) == f"sequence 3, {alone.value}"
+
+    @pytest.mark.parametrize("k", [S - 24, S + 8])
+    def test_saturation_names_the_sequence_and_step(self, k):
+        # a weight pinned at 1.0 stays there, so the stack loop sees it at the end
+        params = MixtureParams(mu=1e4, lambda_plus=0.08, y_bound=1.0, mode="monitor")
+        stack = _failing_stack(k, 6, {5: 3, 6: 1}, [0.5, 0.5, -0.5])
+        with pytest.raises(NumericError) as info:
+            run(params, stack)
+        assert str(info.value) == "sequence 5, step 3: weight saturated at 1.0"
+
+    def test_finite_weights_beyond_the_sum_check_run_correctly(self):
+        """|rho| = 1e307 in 40 sequences overflows the loop's finiteness sum;
+        the stack then runs sequence by sequence, with the same result."""
+        params = MixtureParams(mu=2e307, lambda_plus=0.08, y_bound=1.0, mode="project")
+        stack = np.tile([1.0, 1.0, -1.0], (S + 8, 3, 1))
+        traj = run(params, stack)
+        alone = run(params, stack[0])
+        assert traj.projected.all() and alone.projected.all()
+        assert (traj.lam == alone.lam).all() and (traj.final_lambda == alone.final_lambda).all()
+
+    def test_out_of_cap_sample_names_the_sequence(self):
+        stack = np.zeros((S + 1, 4, 3))
+        stack[S, 2, 1] = 0.7
+        stack[S - 1, 3, 0] = math.nan
+        with pytest.raises(ValueError) as info:
+            run(_params(), stack)
+        assert str(info.value) == f"sequence {S - 1}, sample 4: field y is not finite (nan)"
+
+    @pytest.mark.parametrize("shape, message", [
+        ((0, 5, 3), "^stack must hold at least one sequence$"),
+        ((2, 0, 3), "^sequence must be non-empty$"),
+        ((2, 5, 2), r"^sample stack must have shape \(k, n, 3\), got \(2, 5, 2\)$"),
+    ])
+    def test_rejects_empty_and_misshapen_stacks(self, shape, message):
+        with pytest.raises(ValueError, match=message):
             run(_params(), np.zeros(shape))
