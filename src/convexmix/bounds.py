@@ -29,6 +29,7 @@ total-loss bound.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -90,15 +91,27 @@ def _cap_squared(y_bound: float) -> float:
 
 
 def constants_from_eps(eps: float, y_bound: float, lambda_plus: float) -> TheoremConstants:
-    """Derive the whole constant set from the slack parameter."""
+    """Derive the whole constant set from the slack parameter.
+
+    Refuses an eps whose b or a leaves the normal floats (s then stays
+    within them), or whose mu rounds up to :func:`mu_supremum`.
+    """
     if not (math.isfinite(eps) and eps > 0.0):
         raise ValueError(f"slack parameter must be finite and positive, got {eps}")
     y2 = _cap_squared(y_bound)
     z = z_of(lambda_plus)
     b = eps / y2
     a = (1.0 - z * z) * eps / (y2 * (2.0 * eps + 1.0))
+    for name, value in (("b", b), ("a", a)):
+        if not sys.float_info.min <= value <= sys.float_info.max:
+            raise ValueError(f"slack parameter {eps!r} gives {name} = {value!r} at magnitude cap "
+                             f"{y_bound!r}, outside the normal floats")
     s = y2 / 2.0 + 1.0 / (4.0 * b)
     mu = (2.0 + 2.0 * z) / s
+    sup = mu_supremum(y_bound, lambda_plus)
+    if not mu < sup:
+        raise ValueError(f"slack parameter {eps!r} rounds the learning rate up to its "
+                         f"supremum {sup!r} for this cap and floor")
     c = TheoremConstants(eps=eps, y_bound=y_bound, lambda_plus=lambda_plus, z=z, a=a, b=b, s=s, mu=mu)
     bad = constant_identity_errors(c)
     if bad:

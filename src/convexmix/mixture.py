@@ -8,11 +8,11 @@ prediction error:
 
     rho' = rho + mu * e * lam * (1-lam) * (yhat1 - yhat2)
 
-:func:`run` advances one sequence, or a stack of sequences side by side
-with the same arithmetic, so each sequence's weights are bit-identical
-either way.  An algebraically equivalent multiplicative update on ``lam``
-itself is provided for cross-checking, as a scalar reference and as an
-array kernel; the forms agree to floating-point noise.
+:func:`run` advances a stack of sequences side by side, one sequence as
+a stack of one, so each sequence's weights are bit-identical whatever
+stack it runs in.  An algebraically equivalent multiplicative update on
+``lam`` itself is provided for cross-checking, as a scalar reference and
+as an array kernel; the forms agree to floating-point noise.
 """
 
 from __future__ import annotations
@@ -196,11 +196,12 @@ class Trajectory:
     lambda_1, ..., lambda_{n+1} is available in full; a trajectory read back
     from CSV has none, and ``None`` for each column the reader did not keep.
 
-    A run over a stack of k sequences holds ``(k, n)`` columns ``t``, ``y``,
-    ``yhat1``, ``yhat2``, ``lam``, ``in_range`` and ``projected``, one row
-    per sequence, and a ``(k,)`` array ``final_lambda``; ``rho``, ``yhat``,
-    ``e`` and ``cum_loss`` are ``None``.  ``len`` counts steps, k*n for a
-    stack.
+    :func:`run` over a stack of k sequences holds ``(k, n)`` columns ``t``,
+    ``y``, ``yhat1``, ``yhat2``, ``lam``, ``in_range`` and ``projected``, one
+    row per sequence, and a ``(k,)`` array ``final_lambda``; ``rho``,
+    ``yhat``, ``e`` and ``cum_loss`` are ``None``.  One sequence runs as a
+    stack of one, and its trajectory is that stack's row with those four
+    filled in.  ``len`` counts steps, k*n for a stack.
     """
 
     t: np.ndarray
@@ -208,10 +209,10 @@ class Trajectory:
     yhat1: np.ndarray
     yhat2: np.ndarray
     lam: np.ndarray
-    rho: np.ndarray | None
-    yhat: np.ndarray | None
-    e: np.ndarray | None
-    cum_loss: np.ndarray | None
+    rho: np.ndarray | None = None
+    yhat: np.ndarray | None = None
+    e: np.ndarray | None = None
+    cum_loss: np.ndarray | None = None
     best_beta_prefix: np.ndarray | None = None
     best_loss_prefix: np.ndarray | None = None
     regret: np.ndarray | None = None
@@ -246,27 +247,31 @@ def sample_columns(samples) -> np.ndarray:
     return np.array(samples.T, order="C")
 
 
-def _check_samples(columns: np.ndarray, y_bound: float):
-    # columns is (3, n) in field order; report the first offending field
-    # in sample-major order.  NaN fails both comparisons, so a clean
-    # sequence passes without a temporary the size of the columns.
+def _check_samples(columns: np.ndarray, y_bound: float, stack: bool):
+    # columns is (3, k, n) in field order; report the first offending field
+    # in sequence-major, then sample-major order, naming the sequence only
+    # for a stack.  NaN fails both comparisons, so clean samples pass
+    # without a temporary the size of the columns.
     if -y_bound <= columns.min() and columns.max() <= y_bound:
         return
     bad = ~np.isfinite(columns) | (np.abs(columns) > y_bound)
-    i = int(np.argmax(bad.any(axis=0)))
-    j = int(np.argmax(bad[:, i]))
-    name = ("y", "yhat1", "yhat2")[j]
-    v = float(columns[j, i])
+    j, i = divmod(int(np.argmax(bad.any(axis=0))), columns.shape[2])
+    f = int(np.argmax(bad[:, j, i]))
+    where = f"sequence {j}, " if stack else ""
+    name = ("y", "yhat1", "yhat2")[f]
+    v = float(columns[f, j, i])
     if not math.isfinite(v):
-        raise ValueError(f"sample {i + 1}: field {name} is not finite ({v})")
-    raise ValueError(f"sample {i + 1}: field {name} = {v} exceeds the magnitude cap {y_bound}")
+        raise ValueError(f"{where}sample {i + 1}: field {name} is not finite ({v})")
+    raise ValueError(f"{where}sample {i + 1}: field {name} = {v} exceeds the magnitude cap {y_bound}")
 
 
-def _float_loop(params: MixtureParams, y, y1, y2, lambda_init: float, sequence=None):
+def _float_loop(params: MixtureParams, y, y1, y2, lambda_init: float, lam_col, rho_col, projected,
+                sequence):
     """The recurrence over one sequence as a loop over plain floats.
 
-    Returns the columns ``lam``, ``rho`` and ``projected`` and the final
-    weight.  A :class:`NumericError` names the step and ``sequence``.
+    Fills the ``(n,)`` rows ``lam_col``, ``rho_col`` and ``projected`` (the
+    last all False on entry) and returns the final weight.  A :class:`NumericError`
+    names the step and ``sequence``.
     """
     rho, lam = logit(lambda_init), lambda_init
     mu = params.mu
@@ -276,9 +281,6 @@ def _float_loop(params: MixtureParams, y, y1, y2, lambda_init: float, sequence=N
     rho_lo, rho_hi = logit(lo), logit(hi)
     exp, inf = math.exp, math.inf
     n = len(y)
-    lam_col = np.empty(n)
-    rho_col = np.empty(n)
-    projected = np.zeros(n, dtype=bool)
     for start in range(0, n, _RUN_BLOCK):
         stop = start + _RUN_BLOCK
         lams, rhos, projected_at = [], [], []
@@ -306,7 +308,7 @@ def _float_loop(params: MixtureParams, y, y1, y2, lambda_init: float, sequence=N
         lam_col[start:stop] = lams
         rho_col[start:stop] = rhos
         projected[projected_at] = True
-    return lam_col, rho_col, projected, lam
+    return lam
 
 
 def _vector_loop(params: MixtureParams, y, y1, y2, lambda_init: float):
@@ -362,48 +364,6 @@ def _vector_loop(params: MixtureParams, y, y1, y2, lambda_init: float):
     return lam_col, projected, lam
 
 
-def _run_stack(params: MixtureParams, samples: np.ndarray, lambda_init: float) -> Trajectory:
-    if samples.shape[2:] != (3,):
-        raise ValueError(f"sample stack must have shape (k, n, 3), got {samples.shape}")
-    k, n = samples.shape[:2]
-    if not k:
-        raise ValueError("stack must hold at least one sequence")
-    if not n:
-        raise ValueError("sequence must be non-empty")
-    cap = params.y_bound
-    if not (-cap <= samples.min() and samples.max() <= cap):
-        for j, sequence in enumerate(samples):
-            try:
-                _check_samples(sequence.T, cap)
-            except ValueError as exc:
-                raise ValueError(f"sequence {j}, {exc}") from None
-    y, y1, y2 = (samples[..., f] for f in range(3))
-    weights = _vector_loop(params, y, y1, y2, lambda_init) if k >= _STACK_MIN else None
-    if weights is not None:
-        lam_col, projected, final = weights
-    else:
-        lam_col, projected, final = np.empty((k, n)), np.empty((k, n), dtype=bool), np.empty(k)
-        for j in range(k):
-            lam_col[j], _, projected[j], final[j] = _float_loop(
-                params, y[j], y1[j], y2[j], lambda_init, sequence=j)
-    in_range = params.lambda_plus <= lam_col
-    in_range &= lam_col <= 1.0 - params.lambda_plus
-    return Trajectory(
-        t=np.broadcast_to(np.arange(1, n + 1), (k, n)),
-        y=y,
-        yhat1=y1,
-        yhat2=y2,
-        lam=lam_col,
-        rho=None,
-        yhat=None,
-        e=None,
-        cum_loss=None,
-        in_range=in_range,
-        projected=projected,
-        final_lambda=final,
-    )
-
-
 def run(params: MixtureParams, samples, lambda_init: float = 0.5) -> Trajectory:
     """Run the combiner from weight ``lambda_init`` at step 1, over one sequence or a stack.
 
@@ -412,37 +372,55 @@ def run(params: MixtureParams, samples, lambda_init: float = 0.5) -> Trajectory:
     fields must already lie within ``params.y_bound`` in absolute value;
     out-of-cap inputs are rejected rather than silently clipped.
 
-    One sequence runs as a loop over plain floats that repeats the
-    arithmetic of :func:`step` operation for operation, so every column is
-    bit-identical to a loop of :func:`step`.  The loop takes
-    :data:`_RUN_BLOCK` steps at a time and stores each block's weights,
-    auxiliary values and projection flags into preallocated columns, so no
-    per-step Python object outlives its block; predictions, errors, running
-    loss and range flags are then computed over whole columns, in place.
+    One sequence runs as a stack of one: the input is viewed as ``(3, k, n)``
+    columns, checked, and given its weights by one dispatch.  From
+    :data:`_STACK_MIN` sequences up, all k weights advance in one loop over
+    the steps on ``(k,)`` vectors; below it, each sequence runs as a loop
+    over plain floats, :data:`_RUN_BLOCK` steps at a time, so no per-step
+    Python object outlives its block.  Both repeat the arithmetic of
+    :func:`step` operation for operation, so every column is bit-identical
+    to a loop of :func:`step` over that sequence alone.  A
+    :class:`NumericError` names the lowest-index failing sequence (of a
+    stack) and its first failing step.
 
-    A stack of at least :data:`_STACK_MIN` sequences advances all k weights
-    in one loop over the steps, on ``(k,)`` vectors with the same
-    arithmetic; a narrower one runs each sequence through the float loop.
-    Either way each sequence's weights are bit-identical to a run over that
-    sequence alone.  The result holds the ``(k, n)`` columns a stack's
-    callers read (see :class:`Trajectory`), with ``y``, ``yhat1`` and
-    ``yhat2`` views of the input.  A :class:`NumericError` names the
-    lowest-index failing sequence and its first failing step.
+    A stack returns its ``(k, n)`` columns (see :class:`Trajectory`), with
+    ``y``, ``yhat1`` and ``yhat2`` views of the input.  A single sequence
+    returns its row of copied columns, with predictions, errors and running
+    loss computed over whole columns, in place.
     """
     samples = np.asarray(samples, dtype=float)
-    if samples.ndim == 3:
-        return _run_stack(params, samples, lambda_init)
-    columns = sample_columns(samples)
-    if not columns.size:
+    stack = samples.ndim == 3
+    if not stack:
+        columns = sample_columns(samples)[:, None]
+    elif samples.shape[2:] != (3,):
+        raise ValueError(f"sample stack must have shape (k, n, 3), got {samples.shape}")
+    elif not len(samples):
+        raise ValueError("stack must hold at least one sequence")
+    else:
+        columns = np.moveaxis(samples, 2, 0)
+    k, n = columns.shape[1:]
+    if not n:
         raise ValueError("sequence must be non-empty")
-    _check_samples(columns, params.y_bound)
+    _check_samples(columns, params.y_bound, stack)
     y, y1, y2 = columns
-    lam_col, rho_col, projected, final = _float_loop(params, y, y1, y2, lambda_init)
+    weights = _vector_loop(params, y, y1, y2, lambda_init) if k >= _STACK_MIN else None
+    if weights is None:
+        # rho is kept for a single sequence only; a stack's rows share this one
+        lam_col, rho_col, projected = np.empty((k, n)), np.empty(n), np.zeros((k, n), dtype=bool)
+        final = [_float_loop(params, y[j], y1[j], y2[j], lambda_init, lam_col[j], rho_col,
+                             projected[j], j if stack else None) for j in range(k)]
+    else:
+        lam_col, projected, final = weights
+    in_range = params.lambda_plus <= lam_col
+    in_range &= lam_col <= 1.0 - params.lambda_plus
+    if stack:
+        return Trajectory(t=np.broadcast_to(np.arange(1, n + 1), (k, n)), y=y, yhat1=y1, yhat2=y2,
+                          lam=lam_col, in_range=in_range, projected=projected,
+                          final_lambda=np.asarray(final, dtype=float))
 
     # whole-column arithmetic in place: the only arrays allocated are the
     # returned columns, each computed as lam*y1 + (1-lam)*y2 and y - yhat
-    lo = params.lambda_plus
-    hi = 1.0 - params.lambda_plus
+    y, y1, y2, lam_col = y[0], y1[0], y2[0], lam_col[0]
     e = np.subtract(1.0, lam_col)
     e *= y2
     yhat = lam_col * y1
@@ -450,20 +428,6 @@ def run(params: MixtureParams, samples, lambda_init: float = 0.5) -> Trajectory:
     np.subtract(y, yhat, out=e)
     cum_loss = e * e
     np.cumsum(cum_loss, out=cum_loss)
-    in_range = lo <= lam_col
-    in_range &= lam_col <= hi
-    n = len(y)
-    return Trajectory(
-        t=np.arange(1, n + 1),
-        y=y,
-        yhat1=y1,
-        yhat2=y2,
-        lam=lam_col,
-        rho=rho_col,
-        yhat=yhat,
-        e=e,
-        cum_loss=cum_loss,
-        in_range=in_range,
-        projected=projected,
-        final_lambda=final,
-    )
+    return Trajectory(t=np.arange(1, n + 1), y=y, yhat1=y1, yhat2=y2, lam=lam_col, rho=rho_col,
+                      yhat=yhat, e=e, cum_loss=cum_loss, in_range=in_range[0],
+                      projected=projected[0], final_lambda=final[0])

@@ -158,7 +158,10 @@ def _identity_suite(constants):
     try:
         eps_back = bounds.eps_from_mu(constants.mu, constants.y_bound, constants.lambda_plus)
         info["eps_roundtrip"] = eps_back
-        if abs(eps_back - constants.eps) > IDENTITY_TOL * max(1.0, abs(constants.eps)):
+        # eps = mu/(4c - 2mu) has condition number 2*eps + 1: a double mu
+        # carries eps only to that multiple of the identities' tolerance
+        scale = (2.0 * constants.eps + 1.0) * max(1.0, abs(constants.eps))
+        if abs(eps_back - constants.eps) > IDENTITY_TOL * scale:
             failures.append(f"eps roundtrip {eps_back!r} != {constants.eps!r}")
     except ValueError as exc:
         failures.append(f"eps roundtrip: {exc}")

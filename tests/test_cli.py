@@ -234,6 +234,8 @@ def _trajectory_text(**row4) -> str:
 
 
 CAP_RANGE = "magnitude cap must lie within [1e-150, 1e150]"
+NOT_NORMAL = "outside the normal floats"
+AT_SUPREMUM = "rounds the learning rate up to its supremum"
 # every usage error: (environment, files written first, command, its exact standard error)
 USAGE_ERRORS = {
     "tol-not-a-number": ({"CONVEXMIX_TOL": "banana"}, {}, "verify --trials 1 --n 5",
@@ -285,6 +287,35 @@ USAGE_ERRORS = {
                         f"{CAP_RANGE}, got 1e+160"),
     "lemma-audit-cap-huge": ({}, {}, "lemma-audit --eps 0.1 --ybound 1e300",
                              f"{CAP_RANGE}, got 1e+300"),
+    # a slack whose b or a is not a normal float, or whose rate rounds up to
+    # the supremum, is refused by name rather than failing an identity later
+    "verify-slack-b-zero": ({}, {}, "verify --trials 1 --n 5 --eps 1e-300 --ybound 1e150",
+                            "slack parameter 1e-300 gives b = 0.0 "
+                            f"at magnitude cap 1e+150, {NOT_NORMAL}"),
+    "run-slack-subnormal": ({}, {}, "run --case 1 --n 10 --eps 1e-320",
+                            "slack parameter 1e-320 gives b = 4e-320 "
+                            f"at magnitude cap 0.5, {NOT_NORMAL}"),
+    "run-mu-subnormal": ({}, {}, "run --case 1 --n 10 --mu 1e-320",
+                         "slack parameter 2.03e-322 gives b = 8.1e-322 "
+                         f"at magnitude cap 0.5, {NOT_NORMAL}"),
+    "verify-slack-subnormal": ({}, {}, "verify --trials 1 --n 5 --eps 1e-320",
+                               "slack parameter 1e-320 gives b = 1e-320 "
+                               f"at magnitude cap 1.0, {NOT_NORMAL}"),
+    "verify-mu-subnormal": ({}, {}, "verify --trials 1 --n 5 --mu 1e-320",
+                            "slack parameter 8.1e-322 gives b = 8.1e-322 "
+                            f"at magnitude cap 1.0, {NOT_NORMAL}"),
+    "lemma-audit-slack-subnormal": ({}, {}, "lemma-audit --eps 1e-320 --budget 10",
+                                    "slack parameter 1e-320 gives b = 1e-320 "
+                                    f"at magnitude cap 1.0, {NOT_NORMAL}"),
+    "run-slack-at-supremum": ({}, {}, "run --case 1 --n 10 --eps 1e16",
+                              f"slack parameter 1e+16 {AT_SUPREMUM} 24.721878862793574 "
+                              "for this cap and floor"),
+    "verify-slack-at-supremum": ({}, {}, "verify --trials 1 --n 5 --eps 1e16",
+                                 f"slack parameter 1e+16 {AT_SUPREMUM} 6.180469715698393 "
+                                 "for this cap and floor"),
+    "lemma-audit-slack-at-supremum": ({}, {}, "lemma-audit --eps 1e16 --budget 10",
+                                      f"slack parameter 1e+16 {AT_SUPREMUM} 6.180469715698393 "
+                                      "for this cap and floor"),
     "verify-trials-zero": ({}, {}, "verify --trials 0 --n 5", "trials must be at least 1, got 0"),
     "verify-n-zero": ({}, {}, "verify --trials 1 --n 0", "n must be at least 1, got 0"),
     "run-n-zero": ({}, {}, "run --case 1 --n 0", "n must be at least 1, got 0"),
@@ -516,6 +547,21 @@ class TestVerifyCommand:
         assert report["all_pass"] is False
         assert report["suites"]["constant_identities"]["failures"]
         assert "FAILURES" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("eps", ["10000", "1e15"])
+    def test_large_slack_roundtrips_at_the_precision_of_mu(self, workdir, eps):
+        """eps = mu/(4c - 2mu) magnifies mu's rounding by 2*eps + 1; the
+        roundtrip allows for that and reports no failure."""
+        assert run_cli("verify", "--trials", "1", "--n", "5", "--eps", eps, "--out", "r.json") == 0
+        assert read_json("r.json")["suites"]["constant_identities"]["failures"] == []
+
+    def test_skewed_inverse_fails_the_roundtrip(self, workdir, monkeypatch):
+        """An eps_from_mu off by 1e-9 relative at eps = 0.1 is still caught."""
+        exact = bounds.eps_from_mu
+        monkeypatch.setattr(bounds, "eps_from_mu", lambda *args: exact(*args) * (1.0 + 1e-9))
+        assert run_cli("verify", "--trials", "1", "--n", "5", "--eps", "0.1", "--out", "r.json") == 1
+        failures = read_json("r.json")["suites"]["constant_identities"]["failures"]
+        assert len(failures) == 1 and failures[0].startswith("eps roundtrip ")
 
     def test_tolerance_env_override(self, workdir, monkeypatch):
         monkeypatch.setenv("CONVEXMIX_TOL", "1e-3")

@@ -564,12 +564,13 @@ S = mixture._STACK_MIN
 @st.composite
 def _stacks(draw):
     """A ``(k, n, 3)`` stack across the narrow-stack width, with parameters
-    whose rate reaches the largest one the guarantee's constants allow."""
+    whose rate reaches the largest one the guarantee's constants allow, and
+    a start anywhere in (0, 1), outside the band included."""
     y_bound = draw(st.sampled_from([0.5, 1.0, 3.0]))
     lambda_plus = draw(st.floats(0.01, 0.45))
     mode = draw(st.sampled_from(["monitor", "project"]))
     mu = draw(st.floats(1e-3, 1.0)) * mu_supremum(y_bound, lambda_plus)
-    lam = draw(st.floats(lambda_plus, 1.0 - lambda_plus))
+    lam = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
     k = draw(st.one_of(st.sampled_from([1, S - 1, S, S + 1, 70]), st.integers(1, 70)))
     n = draw(st.one_of(st.sampled_from([1, 4097]), st.integers(1, 300)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
