@@ -32,10 +32,10 @@ print(f"global best fixed beta {whole.beta:.3f}, loss {whole.loss:.2f}")
 # switch.
 for window in ((1, 1000), (1001, 2000)):
     _, summary = summarize(run(params, samples), constants, window=window)
-    print(f"window {summary.window}: best beta {summary.window_beta:.3f} "
-          f"(loss {summary.window_best_loss:.2f}), "
-          f"windowed regret {summary.window_regret:.2f} "
-          f"<= bound {summary.window_bound_total:.2f}")
+    print(f"window {summary['window']}: best beta {summary['window_beta']:.3f} "
+          f"(loss {summary['window_best_loss']:.2f}), "
+          f"windowed regret {summary['window_regret']:.2f} "
+          f"<= bound {summary['window_bound_total']:.2f}")
 
 # ---------------------------------------------------------------------------
 # Sweeping mu on the same sequence.  Faster rates track the switch better
@@ -48,5 +48,5 @@ for mu in (0.1, 0.3, 0.6, 1.0):
     p = MixtureParams(mu=mu, lambda_plus=0.08, y_bound=1.0, mode="project")
     traj = run(p, samples)
     _, summary = summarize(traj, c)
-    print(f"{mu:6.2f} {summary.l_alg:9.2f} {summary.regret:9.2f} "
-          f"{summary.bound_total:10.2f} {traj.final_lambda:10.4f}")
+    print(f"{mu:6.2f} {summary['l_alg']:9.2f} {summary['regret']:9.2f} "
+          f"{summary['bound_total']:10.2f} {traj.final_lambda:10.4f}")

@@ -138,8 +138,12 @@ def eps_from_mu(mu: float, y_bound: float, lambda_plus: float) -> float:
 
 
 def constants_from_mu(mu: float, y_bound: float, lambda_plus: float) -> TheoremConstants:
-    """Constant set whose learning rate matches ``mu``."""
-    return constants_from_eps(eps_from_mu(mu, y_bound, lambda_plus), y_bound, lambda_plus)
+    """Constant set whose learning rate matches ``mu``; a refusal names ``mu``."""
+    eps = eps_from_mu(mu, y_bound, lambda_plus)
+    try:
+        return constants_from_eps(eps, y_bound, lambda_plus)
+    except ValueError as exc:
+        raise ValueError(f"learning rate {mu!r}: {exc}") from None
 
 
 def kl(beta: float, lam: float) -> float:
@@ -314,7 +318,8 @@ def constant_identity_errors(constants: TheoremConstants, tol: float = 1e-12) ->
 
     def check(name: str, got: float, want: float):
         scale = max(1.0, abs(want))
-        if abs(got - want) > tol * scale:
+        # written so that a NaN on either side fails
+        if not abs(got - want) <= tol * scale:
             errors.append(f"{name}: {got!r} != {want!r}")
 
     check("z", c.z, z_of(c.lambda_plus))

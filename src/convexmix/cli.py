@@ -194,10 +194,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     traj = mixture.run(params, samples, lambda_init=args.lambda_init)
     frame, summary = summarize(traj, constants, clip_count=clipped, window=window)
     signals.write_trajectory(frame, args.out)
-    _write_json(args.summary, summary.to_dict())
+    _write_json(args.summary, summary)
     print(
-        f"n={summary.n} loss={summary.l_alg:.6g} best_beta={summary.beta_o:.6g} "
-        f"regret={summary.regret:.6g} bound={summary.bound_total:.6g} "
+        f"n={summary['n']} loss={summary['l_alg']:.6g} best_beta={summary['beta_o']:.6g} "
+        f"regret={summary['regret']:.6g} bound={summary['bound_total']:.6g} "
         f"-> {args.out}, {args.summary}"
     )
     return 0
@@ -354,13 +354,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     with open(out, "w", newline="") as fh:
         fh.write(",".join(SWEEP_COLUMNS) + "\r\n")
         for mu, eps, s in rows:
-            cells = {"mu": mu, "eps": eps, **s.to_dict()}
+            cells = {"mu": mu, "eps": eps, **s}
             fh.write(",".join("%.17g" % v if isinstance(v, float) else str(int(v))
                               for v in map(cells.get, SWEEP_COLUMNS)) + "\r\n")
     for path, (mu, _, s) in zip(paths, rows):
-        _write_json(path, s.to_dict())
-        print(f"mu={mu:g}: loss={s.l_alg:.6g} regret={s.regret:.6g} "
-              f"bound={s.bound_total:.6g} -> {path}")
+        _write_json(path, s)
+        print(f"mu={mu:g}: loss={s['l_alg']:.6g} regret={s['regret']:.6g} "
+              f"bound={s['bound_total']:.6g} -> {path}")
     print(f"sweep table -> {out}")
     return 0
 

@@ -190,8 +190,10 @@ def multiplicative_lambdas(mu: float, lam, y, yhat1, yhat2) -> np.ndarray:
 class Trajectory:
     """One run, one array per column of :data:`convexmix.signals.TRAJECTORY_COLUMNS`.
 
-    ``lam`` stands for ``lambda``.  :func:`run` fills the combiner columns;
-    :func:`convexmix.report.summarize` fills in the five comparator columns.
+    The field order, ``final_lambda`` left out, is the trajectory file's
+    column order, and ``lam`` is written as ``lambda``.  :func:`run` fills
+    the combiner columns; :func:`convexmix.report.summarize` fills in the
+    five comparator columns.
     ``final_lambda`` is the weight after the last update, so the weight path
     lambda_1, ..., lambda_{n+1} is available in full; a trajectory read back
     from CSV has none, and ``None`` for each column the reader did not keep.

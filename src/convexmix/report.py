@@ -5,7 +5,6 @@ columns it fills in, and the SVG of normalized regret against its guarantee.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,39 +12,7 @@ from . import bounds, oracle
 from .bounds import TheoremConstants
 from .mixture import Trajectory
 
-__all__ = ["RunSummary", "summarize", "render_regret_svg"]
-
-
-@dataclass
-class RunSummary:
-    """End-of-run scalars; serialized as snake_case JSON."""
-
-    n: int
-    final_lambda: float
-    l_alg: float
-    beta_o: float
-    l_best: float
-    regret: float
-    norm_regret: float
-    bound_total: float
-    bound_normalized: float
-    out_of_range_steps: int
-    projected_steps: int
-    clip_count: int
-    theorem_valid: bool
-    window: str | None = None
-    window_regret: float | None = None
-    window_beta: float | None = None
-    window_best_loss: float | None = None
-    window_bound_total: float | None = None
-
-    def to_dict(self) -> dict:
-        data = dataclasses.asdict(self)
-        if self.window is None:
-            for key in ("window", "window_regret", "window_beta",
-                        "window_best_loss", "window_bound_total"):
-                del data[key]
-        return data
+__all__ = ["summarize", "render_regret_svg"]
 
 
 def summarize(
@@ -54,8 +21,11 @@ def summarize(
     *,
     clip_count: int = 0,
     window: tuple[int, int] | None = None,
-) -> tuple[Trajectory, RunSummary]:
+) -> tuple[Trajectory, dict]:
     """Return a copy of ``traj`` with its comparator columns filled in, and the summary.
+
+    The summary is the dict written as ``summary.json``, in its key order; a
+    windowed run adds the five ``window`` keys at its end.
 
     The guarantee column uses the worst case over comparator weights from
     the actual initial weight, which is ln(2)/a when the run starts at 1/2.
@@ -77,21 +47,21 @@ def summarize(
         bound_norm=rb.bound_normalized,
     )
     out_of_range = int(n - traj.in_range.sum())
-    summary = RunSummary(
-        n=n,
-        final_lambda=traj.final_lambda,
-        l_alg=float(cum[-1]),
-        beta_o=float(best_b[-1]),
-        l_best=float(best_l[-1]),
-        regret=float(frame.regret[-1]),
-        norm_regret=float(frame.norm_regret[-1]),
-        bound_total=rb.bound_total,
-        bound_normalized=float(frame.bound_norm[-1]),
-        out_of_range_steps=out_of_range,
-        projected_steps=int(traj.projected.sum()),
-        clip_count=clip_count,
-        theorem_valid=(out_of_range == 0),
-    )
+    summary = {
+        "n": n,
+        "final_lambda": traj.final_lambda,
+        "l_alg": float(cum[-1]),
+        "beta_o": float(best_b[-1]),
+        "l_best": float(best_l[-1]),
+        "regret": float(frame.regret[-1]),
+        "norm_regret": float(frame.norm_regret[-1]),
+        "bound_total": rb.bound_total,
+        "bound_normalized": float(frame.bound_norm[-1]),
+        "out_of_range_steps": out_of_range,
+        "projected_steps": int(traj.projected.sum()),
+        "clip_count": clip_count,
+        "theorem_valid": out_of_range == 0,
+    }
     if window is not None:
         lo, hi = window
         # the window's statistics are differences of the prefix columns
@@ -101,13 +71,9 @@ def summarize(
         wrb = bounds.regret_and_bound(
             w_l_alg, w_best, constants, hi - lo + 1, lambda_init=w_init
         )
-        summary.window = f"{lo}:{hi}"
-        summary.window_regret = wrb.regret
-        summary.window_beta = w_beta
-        summary.window_best_loss = w_best
-        summary.window_bound_total = wrb.bound_total
+        summary.update(window=f"{lo}:{hi}", window_regret=wrb.regret, window_beta=w_beta,
+                       window_best_loss=w_best, window_bound_total=wrb.bound_total)
     return frame, summary
-
 
 
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
@@ -186,6 +152,15 @@ def render_regret_svg(
         pts = " ".join(map("%.2f,%.2f".__mod__, zip(x_px[kept].tolist(), y_px[kept].tolist())))
         return f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
 
+    def line(x1, y1, x2, y2, stroke: str, stroke_width: int) -> str:
+        return (f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
+                f'stroke="{stroke}" stroke-width="{stroke_width}"/>')
+
+    def text(x, y, body: str, anchor: str | None = "middle", size: int = 12) -> str:
+        anchor = f' text-anchor="{anchor}"' if anchor else ""
+        return (f'<text x="{x:.2f}" y="{y:.2f}"{anchor} '
+                f'font-family="sans-serif" font-size="{size}">{body}</text>')
+
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" height="{height:.0f}" '
         f'viewBox="0 0 {width:.0f} {height:.0f}">',
@@ -196,48 +171,19 @@ def render_regret_svg(
     for tick in _ticks(xlo, xhi):
         px = sx(tick)
         label = f"{10 ** tick:.4g}" if logx else f"{tick:.4g}"
-        parts.append(
-            f'<line x1="{px:.2f}" y1="{top:.2f}" x2="{px:.2f}" y2="{bottom:.2f}" '
-            f'stroke="#dddddd" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{px:.2f}" y="{bottom + 20:.2f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12">{label}</text>'
-        )
+        parts += [line(px, top, px, bottom, "#dddddd", 1), text(px, bottom + 20, label)]
     for tick in _ticks(ylo, yhi):
         py = sy(tick)
-        parts.append(
-            f'<line x1="{left:.2f}" y1="{py:.2f}" x2="{right:.2f}" y2="{py:.2f}" '
-            f'stroke="#dddddd" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{left - 8:.2f}" y="{py + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="12">{tick:.4g}</text>'
-        )
-    parts.append(
+        parts += [line(left, py, right, py, "#dddddd", 1), text(left - 8, py + 4, f"{tick:.4g}", "end")]
+    parts += [
         f'<rect x="{left:.2f}" y="{top:.2f}" width="{right - left:.2f}" '
-        f'height="{bottom - top:.2f}" fill="none" stroke="#333333"/>'
-    )
-    parts.append(poly(r, "#1f77b4"))
-    parts.append(poly(g, "#d62728"))
-    legend_y = top + 18
-    for label, color in (
-        ("normalized regret", "#1f77b4"),
-        ("bound: ln(2)/(a n) convention", "#d62728"),
-    ):
-        parts.append(
-            f'<line x1="{right - 270:.2f}" y1="{legend_y:.2f}" x2="{right - 240:.2f}" '
-            f'y2="{legend_y:.2f}" stroke="{color}" stroke-width="2"/>'
-        )
-        parts.append(
-            f'<text x="{right - 232:.2f}" y="{legend_y + 4:.2f}" '
-            f'font-family="sans-serif" font-size="12">{label}</text>'
-        )
-        legend_y += 18
-    xlabel = "t (log scale)" if logx else "t"
-    parts.append(
-        f'<text x="{(left + right) / 2:.2f}" y="{height - 12:.2f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">{xlabel}</text>'
-    )
-    parts.append("</svg>")
+        f'height="{bottom - top:.2f}" fill="none" stroke="#333333"/>',
+        poly(r, "#1f77b4"),
+        poly(g, "#d62728"),
+    ]
+    for legend_y, label, color in ((top + 18, "normalized regret", "#1f77b4"),
+                                   (top + 36, "bound: ln(2)/(a n) convention", "#d62728")):
+        parts += [line(right - 270, legend_y, right - 240, legend_y, color, 2),
+                  text(right - 232, legend_y + 4, label, None)]
+    parts += [text((left + right) / 2, height - 12, "t (log scale)" if logx else "t", size=13), "</svg>"]
     return "\n".join(parts) + "\n"

@@ -3,9 +3,10 @@
 Synthetic sequence kinds cover the two benchmark setups (a clean expert
 paired with an alternating one, with and without a small systematic offset)
 plus simple building blocks, and external sequences load from CSV with
-out-of-cap values clipped and counted.  Trajectory files round-trip through
-a fixed 16-column schema with 17-significant-digit floats, so reloading is
-exact.
+out-of-cap values clipped and counted.  A trajectory file has one column per
+field of :class:`~convexmix.mixture.Trajectory` but ``final_lambda``, in field
+order and with ``lam`` headed ``lambda``; its floats have 17 significant
+digits, so reloading is exact.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import itertools
 import math
 import numbers
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -44,26 +45,9 @@ KINDS = tuple(_KIND_FIELDS)
 
 INPUT_COLUMNS = ("y", "yhat1", "yhat2")
 
-TRAJECTORY_COLUMNS = (
-    "t",
-    "y",
-    "yhat1",
-    "yhat2",
-    "lambda",
-    "rho",
-    "yhat",
-    "e",
-    "cum_loss",
-    "best_beta_prefix",
-    "best_loss_prefix",
-    "regret",
-    "norm_regret",
-    "bound_norm",
-    "in_range",
-    "projected",
-)
-# the Trajectory field of each column
-_FIELDS = tuple("lam" if name == "lambda" else name for name in TRAJECTORY_COLUMNS)
+# the Trajectory field of each trajectory column, in file order: every field but final_lambda
+_FIELDS = tuple(f.name for f in fields(Trajectory) if f.name != "final_lambda")
+TRAJECTORY_COLUMNS = tuple("lambda" if name == "lam" else name for name in _FIELDS)
 
 
 class ParseError(ValueError):

@@ -86,12 +86,12 @@ def test_criterion_03_regret_never_exceeds_bound(benchmark_frames):
     ok = True
     for case in (1, 2):
         frame, summary, constants, elapsed = benchmark_frames[case]
-        bound_total = summary.bound_total
+        bound_total = summary["bound_total"]
         max_regret = float(frame.regret.max())
         ok = ok and max_regret <= bound_total and elapsed < 5.0
         worst.append(f"case{case}: max regret {max_regret:.4f} vs bound "
                      f"{bound_total:.4f} in {elapsed:.2f}s")
-    bound1 = benchmark_frames[1][1].bound_total
+    bound1 = benchmark_frames[1][1]["bound_total"]
     ok = ok and bound1 == pytest.approx(152.37936659592276, rel=1e-9)
     _report(3, ok, "; ".join(worst))
 
@@ -115,9 +115,9 @@ def test_criterion_05_smaller_rate_tightens_normalized_bound(benchmark_frames):
     # The quantity that does tighten with smaller mu is the multiplicative
     # loss factor (2*eps+1)/(1-z^2), covered by the bounds tests.  Kept as
     # stated; expected to fail.
-    low = benchmark_frames[2][1].bound_normalized
+    low = benchmark_frames[2][1]["bound_normalized"]
     _, summary_high, _ = _benchmark_run(2, 0.08)
-    high = summary_high.bound_normalized
+    high = summary_high["bound_normalized"]
     ok = low < high
     _report(5, ok, f"bound_normalized mu=0.04: {low:.6f}, mu=0.08: {high:.6f}")
 

@@ -87,6 +87,12 @@ class TestConstantsFromEps:
         bad = constant_identity_errors(tampered)
         assert any("a" in msg for msg in bad)
 
+    @pytest.mark.parametrize("name", ["eps", "z", "a", "b", "s", "mu", "y_bound"])
+    def test_identity_errors_catch_nan(self, name):
+        """A NaN fails every comparison, so each check must be written to fail on one."""
+        c = dataclasses.replace(constants_from_eps(0.1, 1.0, 0.08), **{name: math.nan})
+        assert constant_identity_errors(c)
+
 
 class TestEpsFromMu:
     def test_first_benchmark(self):

@@ -296,13 +296,16 @@ USAGE_ERRORS = {
                             "slack parameter 1e-320 gives b = 4e-320 "
                             f"at magnitude cap 0.5, {NOT_NORMAL}"),
     "run-mu-subnormal": ({}, {}, "run --case 1 --n 10 --mu 1e-320",
-                         "slack parameter 2.03e-322 gives b = 8.1e-322 "
+                         "learning rate 1e-320: slack parameter 2.03e-322 gives b = 8.1e-322 "
                          f"at magnitude cap 0.5, {NOT_NORMAL}"),
+    "sweep-mu-subnormal": ({}, {}, "sweep --case 1 --n 10 --mu-list 0.05,1e-320",
+                           "learning rate 1e-320: slack parameter 2.03e-322 gives b = 8.1e-322 "
+                           f"at magnitude cap 0.5, {NOT_NORMAL}"),
     "verify-slack-subnormal": ({}, {}, "verify --trials 1 --n 5 --eps 1e-320",
                                "slack parameter 1e-320 gives b = 1e-320 "
                                f"at magnitude cap 1.0, {NOT_NORMAL}"),
     "verify-mu-subnormal": ({}, {}, "verify --trials 1 --n 5 --mu 1e-320",
-                            "slack parameter 8.1e-322 gives b = 8.1e-322 "
+                            "learning rate 1e-320: slack parameter 8.1e-322 gives b = 8.1e-322 "
                             f"at magnitude cap 1.0, {NOT_NORMAL}"),
     "lemma-audit-slack-subnormal": ({}, {}, "lemma-audit --eps 1e-320 --budget 10",
                                     "slack parameter 1e-320 gives b = 1e-320 "
@@ -547,6 +550,14 @@ class TestVerifyCommand:
         assert report["all_pass"] is False
         assert report["suites"]["constant_identities"]["failures"]
         assert "FAILURES" in capsys.readouterr().out
+
+    def test_nan_constant_fails(self, workdir):
+        c = bounds.constants_from_eps(0.1, 1.0, 0.08)
+        code = run_cli("verify", "--trials", "2", "--n", "20", "--override-a", "nan",
+                       "--out", "r.json")
+        assert code == 1
+        failures = read_json("r.json")["suites"]["constant_identities"]["failures"]
+        assert f"a: nan != {c.a!r}" in failures
 
     @pytest.mark.parametrize("eps", ["10000", "1e15"])
     def test_large_slack_roundtrips_at_the_precision_of_mu(self, workdir, eps):

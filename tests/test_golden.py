@@ -157,6 +157,16 @@ GOLDEN = {
             "replay.json": "781cc4291b7a10af45e287959529bf78c090dded42a584fd789a80788c99a3c4",
         },
     ),
+    # one step: circles instead of polylines, and an x range widened by 0.5 each way
+    "plot one step": (
+        [
+            ["run", "--case", "1", "--n", "1", "--out", "one.csv", "--summary", "one.json"],
+            ["plot", "--input", "one.csv", "--out", "one.svg"],
+        ],
+        {
+            "one.svg": "9a852151457b150b93d61864113997a4a71212b43477285fe81445a24b45f4c8",
+        },
+    ),
     "plot underscore cell": ([["plot", "--input", "u.csv", "--out", "u.svg"]], {}),
     "plot 75e-2 cell": (
         [["plot", "--input", "u.csv", "--out", "u.svg"]],
