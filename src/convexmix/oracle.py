@@ -142,7 +142,7 @@ def _beta_grid(resolution: float) -> np.ndarray:
 def grid_best_beta(samples, resolution: float) -> GridBest:
     """Brute-force search over the weight grid {0, resolution, ..., 1}.
 
-    ``samples`` is an ``(n, 3)`` array.  Evaluates the residual sum
+    ``samples`` is an ``(n, 3)`` array.  Sums the residuals ``r - beta*d``
     directly for every grid point; ties go to the smallest weight.
     Independent of :func:`best_beta` by construction.
     """
@@ -153,18 +153,16 @@ def grid_best_beta(samples, resolution: float) -> GridBest:
         raise ValueError(f"resolution must lie in (0, 0.1], got {resolution}")
     grid = _beta_grid(resolution)
     losses = np.empty(len(grid))
-    # residual = y - (beta*y1 + (1-beta)*y2), evaluated in place in two
-    # reused buffers small enough to stay in cache
+    r, d = y - y2, y1 - y2
+    # a chunk of grid points at a time, in place in one reused buffer small
+    # enough to stay in cache
     chunk = max(1, GRID_CHUNK // len(y))
-    residual = np.empty((min(chunk, len(grid)), len(y)))
-    other = np.empty_like(residual)
+    buffer = np.empty((min(chunk, len(grid)), len(y)))
     for start in range(0, len(grid), chunk):
         betas = grid[start : start + chunk, None]
-        r, o = residual[: len(betas)], other[: len(betas)]
-        np.multiply(betas, y1, out=r)
-        np.multiply(1.0 - betas, y2, out=o)
-        r += o
-        np.subtract(y, r, out=r)
-        losses[start : start + len(betas)] = np.einsum("ij,ij->i", r, r)
+        residual = buffer[: len(betas)]
+        np.multiply(betas, d, out=residual)
+        np.subtract(r, residual, out=residual)
+        losses[start : start + len(betas)] = np.einsum("ij,ij->i", residual, residual)
     i = int(np.argmin(losses))
     return GridBest(float(grid[i]), float(losses[i]))

@@ -231,6 +231,21 @@ class TestPerStepMargins:
         want = per_step_margin(c, betas[2, 7], l0[7], l1[7], e, e_b)
         assert got[2, 7] == pytest.approx(want, abs=1e-13)
 
+    @pytest.mark.parametrize("n", [1, 7, 1000])
+    def test_stacked_rows_are_bit_identical(self, n):
+        """One call on shared weights broadcast to rows above per-step rows
+        gives each row the bits of the call on that row's weights alone."""
+        rng = np.random.default_rng(67 + n)
+        c = constants_from_eps(0.1, 1.0, 0.08)
+        l0, l1 = rng.uniform(0.01, 0.99, (2, n))
+        y, y1, y2 = rng.uniform(-1, 1, (3, n))
+        shared = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+        drawn = rng.uniform(0, 1, (20, n))
+        stacked = np.vstack((np.broadcast_to(shared[:, None], (5, n)), drawn))
+        got = per_step_margins(c, stacked, l0, l1, y, y1, y2)
+        assert got[:5].tobytes() == per_step_margins(c, shared, l0, l1, y, y1, y2).tobytes()
+        assert got[5:].tobytes() == per_step_margins(c, drawn, l0, l1, y, y1, y2).tobytes()
+
     def test_rejects_boundary_weights(self):
         c = constants_from_eps(0.1, 1.0, 0.08)
         with pytest.raises(ValueError):

@@ -556,8 +556,10 @@ class TestVerifyCommand:
         code = run_cli("verify", "--trials", "2", "--n", "20", "--override-a", "nan",
                        "--out", "r.json")
         assert code == 1
-        failures = read_json("r.json")["suites"]["constant_identities"]["failures"]
-        assert f"a: nan != {c.a!r}" in failures
+        suites = read_json("r.json")["suites"]
+        assert f"a: nan != {c.a!r}" in suites["constant_identities"]["failures"]
+        # a NaN margin is a failure, not a pass
+        assert suites["per_step_margin"]["failures"]
 
     @pytest.mark.parametrize("eps", ["10000", "1e15"])
     def test_large_slack_roundtrips_at_the_precision_of_mu(self, workdir, eps):

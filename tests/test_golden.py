@@ -18,7 +18,9 @@ became its pixel-column envelope; only their two ``points`` lists changed,
 and every kept point is one the full polylines drew.  ``u.svg`` has at most
 four points per pixel column, so its hash did not move.
 The ``verify blocks`` and ``verify override-a`` hashes were taken while
-verify still ran its trials one ``mixture.run`` call each.
+verify still ran its trials one ``mixture.run`` call each, and the
+``verify skipped steps`` hash while each trial's margins took two
+``per_step_margins`` calls, one on the fixed weights and one on the drawn.
 """
 
 import hashlib
@@ -195,6 +197,15 @@ GOLDEN = {
           "--out", "override.json"]],
         {
             "override.json": "edbb5c87254950e5bf5c06c64d0b1e46e5c8d7a7cf47c0457203e8680da5c772",
+        },
+    ),
+    # a rate far above the theorem's leaves 159 steps out of range, so the
+    # margins are taken on the masked steps only
+    "verify skipped steps": (
+        [["verify", "--trials", "40", "--n", "300", "--seed", "4", "--mu", "5",
+          "--out", "skipped.json"]],
+        {
+            "skipped.json": "da3ab30d320bfdb7f6855fe2c4c8d582116969f3912a321bf8dd53b1e73c2dca",
         },
     ),
 }

@@ -297,9 +297,19 @@ class TestGridChunks:
         rng = np.random.default_rng(n)
         y, y1, y2 = rng.uniform(-1, 1, (3, n))
         grid = oracle._beta_grid(resolution)[:, None]
-        residual = y - (grid * y1 + (1.0 - grid) * y2)
+        residual = (y - y2) - grid * (y1 - y2)
         losses = np.einsum("ij,ij->i", residual, residual)
         i = int(np.argmin(losses))
         monkeypatch.setattr(oracle, "GRID_CHUNK", chunk)
         got = grid_best_beta(np.stack((y, y1, y2), axis=1), resolution)
         assert got == (float(grid[i, 0]), float(losses[i]))
+
+    @pytest.mark.parametrize("n, resolution", [(1, 0.1), (37, 0.03), (1000, 0.01), (500, 1e-3)])
+    def test_loss_matches_the_mixture_residual(self, n, resolution):
+        """The loss of ``r - beta*d`` at the chosen weight is the loss of the
+        mixture's own residual ``y - (beta*y1 + (1-beta)*y2)`` to rounding."""
+        rng = np.random.default_rng(1000 + n)
+        y, y1, y2 = rng.uniform(-1, 1, (3, n))
+        got = grid_best_beta(np.stack((y, y1, y2), axis=1), resolution)
+        residual = y - (got.beta * y1 + (1.0 - got.beta) * y2)
+        assert got.loss == pytest.approx(float(residual @ residual), rel=1e-12)
