@@ -10,7 +10,7 @@ systematic offset, which moves the hindsight optimum strictly inside (0, 1).
 
 from convexmix.bounds import constants_from_mu, regret_and_bound
 from convexmix.mixture import MixtureParams, run
-from convexmix.oracle import best_beta, best_betas, prefix_stats, stats_from
+from convexmix.oracle import best_betas, prefix_stats, stats_from
 from convexmix.signals import SequenceSpec, generate
 
 # ---------------------------------------------------------------------------
@@ -22,12 +22,13 @@ params = MixtureParams(mu=0.08, lambda_plus=0.08, y_bound=0.5, mode="project")
 
 traj = run(params, samples)
 loss = float(traj.cum_loss[-1])
-hindsight = best_beta(stats_from(samples))
-rb = regret_and_bound(loss, hindsight.loss, constants, len(samples))
+# the closed form prices the three sums of the whole sequence
+best, best_loss = map(float, best_betas(*stats_from(samples)[1:]))
+rb = regret_and_bound(loss, best_loss, constants, len(samples))
 
 print("setup 1 (clean expert exact)")
 print(f"  algorithm loss   {loss:.4f}")
-print(f"  best fixed beta  {hindsight.beta:g} with loss {hindsight.loss:g}")
+print(f"  best fixed beta  {best:g} with loss {best_loss:g}")
 print(f"  final weight     {traj.final_lambda:.4f} (drawn toward expert 1)")
 print(f"  regret {rb.regret:.4f} <= bound {rb.bound_total:.4f}")
 
@@ -41,12 +42,12 @@ params2 = MixtureParams(mu=0.04, lambda_plus=0.08, y_bound=0.54, mode="project")
 
 traj2 = run(params2, samples2)
 loss2 = float(traj2.cum_loss[-1])
-hindsight2 = best_beta(stats_from(samples2))
-rb2 = regret_and_bound(loss2, hindsight2.loss, constants2, len(samples2))
+best2, best_loss2 = map(float, best_betas(*stats_from(samples2)[1:]))
+rb2 = regret_and_bound(loss2, best_loss2, constants2, len(samples2))
 
 print("setup 2 (clean expert offset by 0.04)")
 print(f"  algorithm loss   {loss2:.4f}")
-print(f"  best fixed beta  {hindsight2.beta:.6f} with loss {hindsight2.loss:.4f}")
+print(f"  best fixed beta  {best2:.6f} with loss {best_loss2:.4f}")
 print(f"  regret {rb2.regret:.4f} <= bound {rb2.bound_total:.4f}")
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ sweep then shows the guarantee's price for faster adaptation.
 
 from convexmix.bounds import constants_from_mu
 from convexmix.mixture import MixtureParams, run
-from convexmix.oracle import best_beta, stats_from
+from convexmix.oracle import best_betas, stats_from
 from convexmix.report import summarize
 from convexmix.signals import SequenceSpec, generate
 
@@ -24,8 +24,8 @@ constants = constants_from_mu(mu, 1.0, 0.08)
 params = MixtureParams(mu=mu, lambda_plus=0.08, y_bound=1.0, mode="project")
 
 # Global comparison: the best single beta must split the difference.
-whole = best_beta(stats_from(samples))
-print(f"global best fixed beta {whole.beta:.3f}, loss {whole.loss:.2f}")
+beta, loss = map(float, best_betas(*stats_from(samples)[1:]))
+print(f"global best fixed beta {beta:.3f}, loss {loss:.2f}")
 
 # Windowed comparison: within each regime the best mixture is pure, and the
 # combiner's windowed regret stays modest because it re-converges after the

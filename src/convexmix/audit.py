@@ -26,6 +26,7 @@ from .mixture import multiplicative_lambda, multiplicative_lambdas
 
 __all__ = [
     "LemmaBounds",
+    "check_triple",
     "lemma_bounds",
     "construction_instances",
     "evaluate_instance",
@@ -44,6 +45,14 @@ class LemmaBounds(NamedTuple):
     mu_min: float
     b_min_via_mu: float
     b_min_combined: float
+
+
+def check_triple(a: float, b: float, mu: float) -> None:
+    """Refuse a non-positive or infinite a, b or mu: infinities make uncounted NaN margins."""
+    if not (a > 0.0 and b > 0.0 and mu > 0.0):
+        raise ValueError(f"a, b, mu must be positive, got a={a}, b={b}, mu={mu}")
+    if not all(map(math.isfinite, (a, b, mu))):
+        raise ValueError(f"a, b, mu must be finite, got a={a}, b={b}, mu={mu}")
 
 
 def lemma_bounds(a: float, mu: float, lambda_plus: float) -> LemmaBounds:
@@ -168,8 +177,7 @@ def search_violations(
     """
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
-    if not (a > 0.0 and b > 0.0 and mu > 0.0):
-        raise ValueError(f"a, b, mu must be positive, got a={a}, b={b}, mu={mu}")
+    check_triple(a, b, mu)
     if not 0.0 < lambda_plus < 0.5:
         raise ValueError(f"weight floor must lie in (0, 1/2), got {lambda_plus}")
     if not (math.isfinite(y_bound) and y_bound > 0.0):

@@ -99,9 +99,20 @@ def _config_defaults(sub: argparse.ArgumentParser, path: str) -> dict:
     return {key: value for key, value in config.items() if value is not None}
 
 
+def _strict_json(value):
+    """``value`` with each non-finite float as a string: strict JSON has no such number."""
+    if isinstance(value, dict):
+        return {key: _strict_json(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict_json(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return json.dumps(value)  # "NaN", "Infinity" or "-Infinity"
+    return value
+
+
 def _write_json(path: str, data: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(data, fh, indent=2)
+        json.dump(_strict_json(data), fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 
@@ -235,6 +246,7 @@ def cmd_lemma_audit(args: argparse.Namespace) -> int:
         a, b, mu = constants.a, constants.b, constants.mu
     else:
         a, b, mu = triple
+    audit.check_triple(a, b, mu)
     tol = inequality_tolerance()
 
     # everything is checked and computed before the first line is printed

@@ -17,7 +17,6 @@ directly and never touches the closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -26,21 +25,17 @@ from .mixture import sample_columns
 
 __all__ = [
     "OracleStats",
-    "BestBeta",
     "GridBest",
-    "accumulate",
     "stats_from",
     "prefix_stats",
+    "quadratic_loss",
     "best_betas",
-    "loss_at_beta",
-    "best_beta",
     "grid_best_beta",
 ]
 
 
-@dataclass(frozen=True)
-class OracleStats:
-    """Sufficient statistics of the hindsight loss quadratic."""
+class OracleStats(NamedTuple):
+    """Sufficient statistics of the hindsight loss; ``[1:]`` is :func:`best_betas`' input."""
 
     n: int = 0
     s_dd: float = 0.0
@@ -48,24 +43,12 @@ class OracleStats:
     s_rr: float = 0.0
 
 
-def accumulate(stats: OracleStats, y: float, yhat1: float, yhat2: float) -> OracleStats:
-    """Fold one sample into the statistics."""
-    d = yhat1 - yhat2
-    r = y - yhat2
-    return OracleStats(
-        n=stats.n + 1,
-        s_dd=stats.s_dd + d * d,
-        s_rd=stats.s_rd + r * d,
-        s_rr=stats.s_rr + r * r,
-    )
-
-
 def prefix_stats(y: np.ndarray, yhat1: np.ndarray, yhat2: np.ndarray):
     """Statistics of every prefix: arrays ``(s_dd, s_rd, s_rr)`` of length n+1.
 
-    Entry k sums the first k samples in stream order starting from 0.0, as
-    folding :func:`accumulate` does; ``np.cumsum`` adds strictly left to
-    right, so every entry is bit-identical to the fold.
+    Entry k sums the first k samples in stream order starting from 0.0;
+    ``np.cumsum`` adds strictly left to right, so every entry is
+    bit-identical to a left-to-right fold of the samples.
     """
     d = yhat1 - yhat2
     r = y - yhat2
@@ -78,48 +61,25 @@ def stats_from(samples) -> OracleStats:
     return OracleStats(columns.shape[1], *(float(p[-1]) for p in prefix_stats(*columns)))
 
 
-def loss_at_beta(stats: OracleStats, beta: float) -> float:
-    """Total squared loss of the fixed weight ``beta`` on the summarized stream."""
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"weight must lie in [0, 1], got {beta}")
-    value = stats.s_rr - 2.0 * beta * stats.s_rd + beta * beta * stats.s_dd
+def quadratic_loss(s_dd, s_rd, s_rr, beta):
+    """Total squared loss of the fixed weight ``beta``, elementwise over the sums."""
+    loss = s_rr - 2.0 * beta * s_rd + beta * beta * s_dd
     # the quadratic is a sum of squares; clamp float cancellation noise
-    return max(value, 0.0)
+    return np.where(0.0 > loss, 0.0, loss)
 
 
-class BestBeta(NamedTuple):
-    beta: float
-    loss: float
-    degenerate: bool
+def best_betas(s_dd, s_rd, s_rr):
+    """Minimizer of the hindsight loss over [0, 1]: ``(beta, loss)``, from arrays or floats.
 
-
-def best_beta(stats: OracleStats) -> BestBeta:
-    """Minimizer of the hindsight loss over [0, 1].
-
-    When the experts coincide everywhere (s_dd == 0) every weight is
-    optimal; the midpoint is reported with ``degenerate`` set.
-    """
-    if stats.n < 1:
-        raise ValueError("need at least one sample")
-    if stats.s_dd <= 0.0:
-        return BestBeta(0.5, loss_at_beta(stats, 0.5), True)
-    beta = min(max(stats.s_rd / stats.s_dd, 0.0), 1.0)
-    return BestBeta(beta, loss_at_beta(stats, beta), False)
-
-
-def best_betas(s_dd: np.ndarray, s_rd: np.ndarray, s_rr: np.ndarray):
-    """:func:`best_beta` over arrays of statistics: ``(beta, loss)`` arrays.
-
-    The same arithmetic as the scalar form; Python's ``max(v, 0.0)`` and
-    ``min(v, 1.0)`` are spelled out so signed zeros and NaN come out alike.
+    The clamp is Python's ``min(max(ratio, 0.0), 1.0)``, signed zeros and NaN
+    included; where the experts coincide everywhere (``s_dd == 0``) it is 0.5.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = s_rd / s_dd
+        ratio = np.divide(s_rd, s_dd)
     clamped = np.where(0.0 > ratio, 0.0, ratio)
     clamped = np.where(1.0 < clamped, 1.0, clamped)
     beta = np.where(s_dd <= 0.0, 0.5, clamped)
-    loss = s_rr - 2.0 * beta * s_rd + beta * beta * s_dd
-    return beta, np.where(0.0 > loss, 0.0, loss)
+    return beta, quadratic_loss(s_dd, s_rd, s_rr, beta)
 
 
 # grid points times samples evaluated at once by :func:`grid_best_beta`
@@ -144,7 +104,7 @@ def grid_best_beta(samples, resolution: float) -> GridBest:
 
     ``samples`` is an ``(n, 3)`` array.  Sums the residuals ``r - beta*d``
     directly for every grid point; ties go to the smallest weight.
-    Independent of :func:`best_beta` by construction.
+    Independent of :func:`best_betas` by construction.
     """
     y, y1, y2 = sample_columns(samples)
     if not len(y):

@@ -123,25 +123,20 @@ def _equivalence_suite(constants, trials, seed):
 
 def _oracle_suite(constants, trials, n, seed, resolution):
     failures = []
-    checked = 0
     for i in range(trials):
         trial_seed = seed + 100_000 + i
-        rng = np.random.default_rng(trial_seed)
-        samples = rng.uniform(-constants.y_bound, constants.y_bound, (3, n)).T
-        stats = oracle.stats_from(samples)
-        closed = oracle.best_beta(stats)
+        samples = _columns(constants, trial_seed, n)[1].T
+        sums = oracle.stats_from(samples)[1:]
+        beta, loss = map(float, oracle.best_betas(*sums))
         grid = oracle.grid_best_beta(samples, resolution)
-        checked += 1
-        beta_gap = abs(closed.beta - grid.beta)
+        beta_gap = abs(beta - grid.beta)
         # the closed form must also price the grid's winner consistently
-        cross = abs(oracle.loss_at_beta(stats, grid.beta) - grid.loss)
+        cross = abs(float(oracle.quadratic_loss(*sums, grid.beta)) - grid.loss)
         scale = max(1.0, grid.loss)
-        if beta_gap > resolution + 1e-12 or closed.loss > grid.loss + 1e-9 * scale or cross > 1e-9 * scale:
-            failures.append({
-                "seed": trial_seed, "beta_gap": beta_gap,
-                "closed_loss": closed.loss, "grid_loss": grid.loss,
-            })
-    return {"checked": checked, "failures": failures}
+        if beta_gap > resolution + 1e-12 or loss > grid.loss + 1e-9 * scale or cross > 1e-9 * scale:
+            failures.append({"seed": trial_seed, "beta_gap": beta_gap,
+                             "closed_loss": loss, "grid_loss": grid.loss})
+    return {"checked": trials, "failures": failures}
 
 
 def _identity_suite(constants):

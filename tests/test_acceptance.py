@@ -61,24 +61,25 @@ def margin_suites():
 def test_criterion_01_first_benchmark_oracle_exact():
     start = time.perf_counter()
     samples = signals.generate(signals.SequenceSpec(kind="case1", n=10_000))
-    best = oracle.best_beta(oracle.stats_from(samples))
+    stats = oracle.stats_from(samples)
+    beta, loss = map(float, oracle.best_betas(*stats[1:]))
     elapsed = time.perf_counter() - start
-    ok = best.beta == 1.0 and best.loss == 0.0 and not best.degenerate and elapsed < 1.0
-    _report(1, ok, f"beta={best.beta!r} loss={best.loss!r} in {elapsed:.3f}s")
+    ok = beta == 1.0 and loss == 0.0 and stats.s_dd > 0.0 and elapsed < 1.0
+    _report(1, ok, f"beta={beta!r} loss={loss!r} in {elapsed:.3f}s")
 
 
 def test_criterion_02_second_benchmark_oracle_located():
     start = time.perf_counter()
     samples = signals.generate(signals.SequenceSpec(kind="case2", n=10_000))
-    best = oracle.best_beta(oracle.stats_from(samples))
+    beta = float(oracle.best_betas(*oracle.stats_from(samples)[1:])[0])
     grid = oracle.grid_best_beta(samples, 1e-4)
     elapsed = time.perf_counter() - start
     ok = (
-        0.955 <= best.beta <= 0.965
-        and abs(best.beta - grid.beta) <= 1e-4 + 1e-12
+        0.955 <= beta <= 0.965
+        and abs(beta - grid.beta) <= 1e-4 + 1e-12
         and elapsed < 1.0
     )
-    _report(2, ok, f"beta={best.beta:.10f} grid={grid.beta:.10f} in {elapsed:.3f}s")
+    _report(2, ok, f"beta={beta:.10f} grid={grid.beta:.10f} in {elapsed:.3f}s")
 
 
 def test_criterion_03_regret_never_exceeds_bound(benchmark_frames):

@@ -186,6 +186,9 @@ class TestSearchViolations:
             search_violations(REF.a, REF.b, REF.mu, 0.55, 1.0, budget=10, seed=0)
         with pytest.raises(ValueError):
             search_violations(REF.a, REF.b, REF.mu, 0.08, math.inf, budget=10, seed=0)
+        for triple in ((REF.a, math.inf, REF.mu), (math.inf, REF.b, REF.mu), (REF.a, REF.b, math.inf)):
+            with pytest.raises(ValueError, match="must be finite"):
+                search_violations(*triple, 0.08, 1.0, budget=10, seed=0)
 
 
 class TestBlockedSearch:

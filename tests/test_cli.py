@@ -23,6 +23,16 @@ def read_json(path):
         return json.load(fh)
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def read_strict_json(path):
+    """The file parsed as strict JSON, which has no NaN or Infinity token."""
+    with open(path) as fh:
+        return json.load(fh, parse_constant=_refuse_constant)
+
+
 @pytest.fixture()
 def workdir(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -181,17 +191,17 @@ class TestWindow:
         assert s["window"] == f"{lo}:{hi}"
         frame = read_trajectory("trajectory.csv")
         samples = np.stack((frame.y, frame.yhat1, frame.yhat2), axis=1)[lo - 1: hi]
-        best = oracle.best_beta(oracle.stats_from(samples))
+        beta, best_loss = map(float, oracle.best_betas(*oracle.stats_from(samples)[1:]))
         w_loss = float(frame.cum_loss[hi - 1] - frame.cum_loss[lo - 2])
         constants = bounds.constants_from_mu(0.04, 0.54, 0.08)
         rb = bounds.regret_and_bound(
-            w_loss, best.loss, constants, hi - lo + 1,
+            w_loss, best_loss, constants, hi - lo + 1,
             lambda_init=float(frame.lam[lo - 1]),
         )
         # the summary derives slice statistics by subtracting streaming
         # prefixes; cancellation caps agreement with a from-scratch pass
-        assert s["window_beta"] == pytest.approx(best.beta, abs=1e-9)
-        assert s["window_best_loss"] == pytest.approx(best.loss, abs=1e-9)
+        assert s["window_beta"] == pytest.approx(beta, abs=1e-9)
+        assert s["window_best_loss"] == pytest.approx(best_loss, abs=1e-9)
         assert s["window_regret"] == pytest.approx(rb.regret, abs=1e-9)
         assert s["window_bound_total"] == pytest.approx(rb.bound_total, rel=1e-12)
 
@@ -556,10 +566,38 @@ class TestVerifyCommand:
         code = run_cli("verify", "--trials", "2", "--n", "20", "--override-a", "nan",
                        "--out", "r.json")
         assert code == 1
-        suites = read_json("r.json")["suites"]
+        report = read_strict_json("r.json")
+        suites = report["suites"]
         assert f"a: nan != {c.a!r}" in suites["constant_identities"]["failures"]
         # a NaN margin is a failure, not a pass
         assert suites["per_step_margin"]["failures"]
+        assert report["constants"]["a"] == "NaN"
+        assert suites["per_step_margin"]["failures"][0]["worst_margin"] == "NaN"
+
+    def test_infinite_constant_is_written_as_strings(self, workdir):
+        assert run_cli("verify", "--trials", "2", "--n", "20", "--override-a", "inf",
+                       "--out", "r.json") == 1
+        report = read_strict_json("r.json")
+        assert report["constants"]["a"] == "Infinity"
+        assert report["suites"]["per_step_margin"]["failures"][0]["worst_margin"] == "-Infinity"
+
+    @pytest.mark.parametrize("shift_beta, shift_loss", [(0.05, 0.0), (0.0, 0.05)],
+                             ids=["weight", "loss"])
+    def test_oracle_suite_checks_best_betas(self, workdir, monkeypatch, shift_beta, shift_loss):
+        """The oracle suite checks ``best_betas``, the pricer of every run
+        summary: a weight off by more than the grid step, or a loss above
+        the grid's, fails every trial."""
+        exact = oracle.best_betas
+
+        def skewed(s_dd, s_rd, s_rr):
+            beta = exact(s_dd, s_rd, s_rr)[0] + shift_beta
+            return beta, oracle.quadratic_loss(s_dd, s_rd, s_rr, beta + shift_loss)
+
+        monkeypatch.setattr(oracle, "best_betas", skewed)
+        assert run_cli("verify", "--trials", "3", "--n", "50", "--out", "r.json") == 1
+        suites = read_json("r.json")["suites"]
+        assert len(suites["oracle_agreement"]["failures"]) == 3
+        assert all(not s["failures"] for name, s in suites.items() if name != "oracle_agreement")
 
     @pytest.mark.parametrize("eps", ["10000", "1e15"])
     def test_large_slack_roundtrips_at_the_precision_of_mu(self, workdir, eps):
@@ -674,6 +712,13 @@ class TestLemmaAuditCommand:
     @pytest.mark.parametrize("argv, code, message", [
         (("--a", "0.1", "--b", "-1", "--mu", "0.1"), 2,
          "error: a, b, mu must be positive, got a=0.1, b=-1.0, mu=0.1"),
+        # an infinite constant makes NaN margins, which no count would see
+        (("--a", "0.05", "--b", "inf", "--mu", "1", "--budget", "100"), 2,
+         "error: a, b, mu must be finite, got a=0.05, b=inf, mu=1.0"),
+        (("--a", "inf", "--b", "1", "--mu", "1", "--budget", "100"), 2,
+         "error: a, b, mu must be finite, got a=inf, b=1.0, mu=1.0"),
+        (("--a", "0.05", "--b", "1", "--mu", "inf", "--budget", "100"), 2,
+         "error: a, b, mu must be finite, got a=0.05, b=1.0, mu=inf"),
         (("--eps", "0.1", "--budget", "0"), 2, "error: budget must be at least 1, got 0"),
         (("--a", "0.1", "--b", "0.1", "--mu", "0.1", "--ybound", "-1"), 2,
          "error: magnitude cap must be finite and positive, got -1.0"),
@@ -684,7 +729,7 @@ class TestLemmaAuditCommand:
         # both constructions hold at this rate; a grid instance saturates
         (("--a", "0.01", "--b", "1", "--mu", "100"), 3,
          "numeric failure: an updated weight saturated; mu too extreme"),
-    ], ids=["negative-b", "zero-budget", "negative-cap", "negative-seed",
+    ], ids=["negative-b", "infinite-b", "infinite-a", "infinite-mu", "zero-budget", "negative-cap", "negative-seed",
             "construction-saturates", "search-saturates"])
     def test_refusal_prints_nothing(self, workdir, capsys, argv, code, message):
         """Every check and the search run before the first line is printed."""

@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 from convexmix import oracle
 from convexmix.oracle import (
     OracleStats,
-    accumulate,
-    best_beta,
     best_betas,
     grid_best_beta,
-    loss_at_beta,
     prefix_stats,
+    quadratic_loss,
     stats_from,
 )
 from convexmix.signals import SequenceSpec, generate
@@ -27,23 +25,31 @@ def _direct_loss(samples, beta):
     return sum((y - beta * y1 - (1 - beta) * y2) ** 2 for y, y1, y2 in samples.tolist())
 
 
+def _best(samples):
+    """``(beta, loss)`` floats of the whole sequence, as the closed form prices them."""
+    return tuple(map(float, best_betas(*stats_from(samples)[1:])))
+
+
 class TestAccumulate:
+    """``stats_from`` folds each sample into the three sums."""
+
     def test_single_alternating_sample(self):
         """d = 1, r = 1 for (0.5, 0.5, -0.5)."""
-        stats = accumulate(OracleStats(), 0.5, 0.5, -0.5)
+        stats = stats_from([(0.5, 0.5, -0.5)])
         assert stats == OracleStats(n=1, s_dd=1.0, s_rd=1.0, s_rr=1.0)
 
     def test_identical_experts_leave_cross_terms(self):
-        before = OracleStats(n=3, s_dd=2.0, s_rd=1.0, s_rr=4.0)
-        after = accumulate(before, 0.5, 0.2, 0.2)
+        rows = [(0.3, -0.4, 0.9), (-0.7, 0.1, 0.25), (0.5, 0.5, -1.0)]
+        before = stats_from(rows)
+        after = stats_from(rows + [(0.5, 0.2, 0.2)])
         assert after.s_dd == before.s_dd
         assert after.s_rd == before.s_rd
         assert after.s_rr > before.s_rr
 
     def test_two_equal_samples_double(self):
         s = (0.4, -0.3, 0.1)
-        once = accumulate(OracleStats(), *s)
-        twice = accumulate(once, *s)
+        once = stats_from([s])
+        twice = stats_from([s, s])
         assert twice.n == 2
         assert twice.s_dd == 2 * once.s_dd
         assert twice.s_rd == 2 * once.s_rd
@@ -56,107 +62,93 @@ class TestAccumulate:
 
 
 class TestLossAtBeta:
+    """``quadratic_loss`` prices a fixed weight from the three sums."""
+
     def test_alternating_benchmark_perfect_expert(self):
         stats = stats_from(generate(SequenceSpec("case1", n=10_000)))
-        assert loss_at_beta(stats, 1.0) == 0.0
+        assert quadratic_loss(*stats[1:], 1.0) == 0.0
 
     def test_beta_zero_is_second_expert_loss(self):
         rng = np.random.default_rng(2)
         samples = _random_samples(rng, 50)
         stats = stats_from(samples)
-        assert loss_at_beta(stats, 0.0) == stats.s_rr
+        assert quadratic_loss(*stats[1:], 0.0) == stats.s_rr
 
     def test_offset_benchmark_quadratic_value(self):
         """At beta = 0.96 the per-pair loss is 0.0016*0.96^2 + (1 - 1.04*0.96)^2."""
         n = 10_000
         stats = stats_from(generate(SequenceSpec("case2", n=n)))
         want = (n / 2) * (0.0016 * 0.96 ** 2 + (1 - 1.04 * 0.96) ** 2)
-        assert loss_at_beta(stats, 0.96) == pytest.approx(want, rel=1e-9)
+        assert quadratic_loss(*stats[1:], 0.96) == pytest.approx(want, rel=1e-9)
 
     def test_matches_direct_summation(self):
         rng = np.random.default_rng(13)
         for _ in range(20):
             samples = _random_samples(rng, 80)
-            stats = stats_from(samples)
-            for beta in rng.uniform(0, 1, 5):
-                assert loss_at_beta(stats, beta) == pytest.approx(
-                    _direct_loss(samples, beta), rel=1e-9
-                )
+            betas = rng.uniform(0, 1, 5)
+            got = quadratic_loss(*stats_from(samples)[1:], betas)
+            want = [_direct_loss(samples, beta) for beta in betas]
+            assert got == pytest.approx(want, rel=1e-9)
 
     def test_convex_in_beta(self):
         rng = np.random.default_rng(17)
-        stats = stats_from(_random_samples(rng, 100))
+        sums = stats_from(_random_samples(rng, 100))[1:]
         for _ in range(200):
             b0 = rng.uniform(0, 0.8)
             h = rng.uniform(0.01, 0.1)
             second = (
-                loss_at_beta(stats, b0 + 2 * h)
-                - 2 * loss_at_beta(stats, b0 + h)
-                + loss_at_beta(stats, b0)
+                quadratic_loss(*sums, b0 + 2 * h)
+                - 2 * quadratic_loss(*sums, b0 + h)
+                + quadratic_loss(*sums, b0)
             )
             assert second >= -1e-9
 
-    def test_domain(self):
-        stats = OracleStats(n=1, s_dd=1.0, s_rd=0.0, s_rr=1.0)
-        for bad in (-0.1, 1.1):
-            with pytest.raises(ValueError):
-                loss_at_beta(stats, bad)
-
 
 class TestBestBeta:
+    """``best_betas`` on the three sums of a whole sequence."""
+
     def test_alternating_benchmark_exact_optimum(self):
         """Integer-valued sums make the optimum exact in float64."""
-        stats = stats_from(generate(SequenceSpec("case1", n=10_000)))
-        best = best_beta(stats)
-        assert best.beta == 1.0
-        assert best.loss == 0.0
-        assert not best.degenerate
+        samples = generate(SequenceSpec("case1", n=10_000))
+        assert _best(samples) == (1.0, 0.0)
+        assert stats_from(samples).s_dd > 0.0  # not degenerate
 
     def test_offset_benchmark_optimum(self):
-        stats = stats_from(generate(SequenceSpec("case2", n=10_000)))
-        best = best_beta(stats)
-        assert best.beta == pytest.approx(0.9601181683899552, abs=1e-9)
-        assert best.loss == pytest.approx(7.385524372234613, rel=1e-9)
+        beta, loss = _best(generate(SequenceSpec("case2", n=10_000)))
+        assert beta == pytest.approx(0.9601181683899552, abs=1e-9)
+        assert loss == pytest.approx(7.385524372234613, rel=1e-9)
 
     def test_degenerate_when_experts_agree(self):
-        stats = stats_from([(0.5, 0.2, 0.2)] * 4)
-        best = best_beta(stats)
-        assert best.degenerate
-        assert best.beta == 0.5
-        assert best.loss == stats.s_rr
+        samples = [(0.5, 0.2, 0.2)] * 4
+        stats = stats_from(samples)
+        assert stats.s_dd == 0.0
+        assert _best(samples) == (0.5, stats.s_rr)
 
     def test_clamps_exterior_minimizer(self):
         # r and d anti-correlated pushes the raw ratio below 0
         samples = [(0.0, 1.0, -1.0), (0.0, 1.0, -1.0)]
-        best = best_beta(stats_from(samples))
-        assert best.beta == 0.5  # here the minimizer is interior; sanity
+        assert _best(samples)[0] == 0.5  # here the minimizer is interior; sanity
         samples = [(-1.0, 1.0, 0.0)] * 3
-        best = best_beta(stats_from(samples))
-        assert best.beta == 0.0
+        assert _best(samples)[0] == 0.0
 
     def test_optimal_over_random_competitors(self):
         rng = np.random.default_rng(29)
         samples = _random_samples(rng, 60)
         for m in (1, 7, 33, 60):
-            stats = stats_from(samples[:m])
-            best = best_beta(stats)
-            for beta in rng.uniform(0, 1, 100):
-                assert best.loss <= loss_at_beta(stats, beta) + 1e-12
-
-    def test_requires_samples(self):
-        with pytest.raises(ValueError):
-            best_beta(OracleStats())
+            sums = stats_from(samples[:m])[1:]
+            loss = best_betas(*sums)[1]
+            assert np.all(loss <= quadratic_loss(*sums, rng.uniform(0, 1, 100)) + 1e-12)
 
 
 class TestGridBestBeta:
     def test_offset_benchmark_agreement(self):
         samples = generate(SequenceSpec("case2", n=10_000))
         stats = stats_from(samples)
-        closed = best_beta(stats)
+        beta, loss = _best(samples)
         grid = grid_best_beta(samples, 1e-4)
-        assert abs(grid.beta - closed.beta) <= 1e-4
+        assert abs(grid.beta - beta) <= 1e-4
         # curvature bound: quadratic with second derivative 2*s_dd
-        assert grid.loss - closed.loss <= stats.s_dd * 1e-4 ** 2 + 1e-9
+        assert grid.loss - loss <= stats.s_dd * 1e-4 ** 2 + 1e-9
 
     def test_alternating_benchmark_endpoint(self):
         samples = generate(SequenceSpec("case1", n=2_000))
@@ -180,10 +172,10 @@ class TestGridBestBeta:
         rng = np.random.default_rng(37)
         for _ in range(25):
             samples = _random_samples(rng, 40)
-            closed = best_beta(stats_from(samples))
+            beta, loss = _best(samples)
             grid = grid_best_beta(samples, 0.01)
-            assert abs(closed.beta - grid.beta) <= 0.01 + 1e-12
-            assert closed.loss <= grid.loss + 1e-9
+            assert abs(beta - grid.beta) <= 0.01 + 1e-12
+            assert loss <= grid.loss + 1e-9
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -198,7 +190,8 @@ _value = st.floats(-2.0, 2.0, allow_nan=False)
 
 
 class TestPrefixColumns:
-    """Column forms of the oracle equal the scalar fold and closed form bit for bit."""
+    """The prefix columns and their prices equal a left-to-right fold and the
+    scalar clamp bit for bit."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(_value, _value, _value), min_size=1, max_size=30)
@@ -209,13 +202,16 @@ class TestPrefixColumns:
         cols = [np.array(c) for c in zip(*samples)]
         s_dd, s_rd, s_rr = prefix_stats(*cols)
         beta, loss = best_betas(s_dd[1:], s_rd[1:], s_rr[1:])
-        stats = OracleStats()
-        for k, sample in enumerate(samples, start=1):
-            stats = accumulate(stats, *sample)
+        dd = rd = rr = 0.0
+        for k, (y, y1, y2) in enumerate(samples, start=1):
+            d, r = y1 - y2, y - y2
+            dd, rd, rr = dd + d * d, rd + r * d, rr + r * r
+            # the midpoint where the experts coincide, else the clamped ratio
+            b = 0.5 if dd <= 0.0 else min(max(rd / dd, 0.0), 1.0)
+            want = (dd, rd, rr, b, max(rr - 2.0 * b * rd + b * b * dd, 0.0))
             got = (s_dd[k], s_rd[k], s_rr[k], beta[k - 1], loss[k - 1])
-            want = (stats.s_dd, stats.s_rd, stats.s_rr, *best_beta(stats)[:2])
             assert np.array(got).tobytes() == np.array(want).tobytes()
-        assert stats_from(samples) == stats
+        assert stats_from(samples) == (len(samples), dd, rd, rr)
 
     def test_empty_prefix_is_zero(self):
         s_dd, s_rd, s_rr = prefix_stats(*(np.array([0.5]),) * 3)
