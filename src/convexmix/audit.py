@@ -127,9 +127,10 @@ def _instance_blocks(budget: int, seed: int, y_bound: float, lambda_plus: float)
     The rows are (y, yhat1, yhat2, lambda_t, beta): the grid, then the
     draws one ``default_rng(seed)`` makes field after field.  A uniform
     double takes one 64-bit output, so field f starts at output f*draws;
-    each field streams from its own generator advanced there.  A view holds
-    at most :data:`BLOCK` instances and is refilled in place, so callers
-    copy what they keep.
+    each field streams from its own generator advanced there.  The draws
+    land in the buffer and are scaled there, ``lo + (hi - lo)*u`` as
+    ``rng.uniform`` computes it.  A view holds at most :data:`BLOCK`
+    instances and is refilled in place, so callers copy what they keep.
     """
     grid = _grid(y_bound, lambda_plus)[:budget].T
     draws = budget - grid.shape[1]
@@ -147,7 +148,9 @@ def _instance_blocks(budget: int, seed: int, y_bound: float, lambda_plus: float)
         g = fixed.shape[1]
         block[:, :g] = fixed
         for row, rng, (lo, hi) in zip(block, streams, ranges):
-            row[g:] = rng.uniform(lo, hi, block.shape[1] - g)
+            u = rng.random(out=row[g:])
+            u *= hi - lo
+            u += lo
         yield block
 
 

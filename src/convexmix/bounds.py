@@ -201,11 +201,29 @@ def requirement_sides(a, b, beta, lam, lam1, y, y1, y2):
     """The requirement's two sides ``(lhs, progress)`` over broadcast arrays, unchecked.
 
     The margin is progress - lhs; the weights must lie strictly inside (0, 1).
+    The factors without ``beta`` (the two log ratios and a*e*e) come first,
+    at their own shape, so a block of comparator rows takes each log once
+    per step.  The terms with ``beta`` then go into three float64 buffers
+    of the broadcast shape, never into an argument; the two sides are two
+    of them.
     """
-    progress = beta * np.log(lam1 / lam) + (1.0 - beta) * np.log((1.0 - lam1) / (1.0 - lam))
+    log1 = np.log(lam1 / lam)
+    log0 = np.log((1.0 - lam1) / (1.0 - lam))
     e = y - (lam * y1 + (1.0 - lam) * y2)
-    e_beta = y - (beta * y1 + (1.0 - beta) * y2)
-    return a * e * e - b * e_beta * e_beta, progress
+    aee = a * e * e
+    shape = np.broadcast(beta, lam, lam1, y, y1, y2).shape
+    beta_rest = 1.0 - beta
+    progress = np.multiply(beta, log1, out=np.empty(shape))
+    term = np.multiply(beta_rest, log0, out=np.empty(shape))
+    progress += term
+    # e_beta = y - (beta*y1 + (1-beta)*y2) in term, then b*e_beta*e_beta
+    np.multiply(beta, y1, out=term)
+    lhs = np.multiply(beta_rest, y2, out=np.empty(shape))
+    term += lhs
+    np.subtract(y, term, out=term)
+    np.multiply(b, term, out=lhs)
+    lhs *= term
+    return np.subtract(aee, lhs, out=lhs), progress
 
 
 def per_step_margins(
@@ -226,8 +244,10 @@ def per_step_margins(
     if betas.ndim == 1:
         betas = betas[:, None]
     l0, l1 = (np.asarray(v, dtype=float)[None, :] for v in (lambda_t, lambda_t1))
-    if np.any(l0 <= 0.0) or np.any(l0 >= 1.0) or np.any(l1 <= 0.0) or np.any(l1 >= 1.0):
-        raise ValueError("weights must lie strictly inside (0, 1)")
+    for lam in (l0, l1):
+        # written so that a NaN weight fails
+        if not ((0.0 < lam) & (lam < 1.0)).all():
+            raise ValueError("weights must lie strictly inside (0, 1)")
     y, y1, y2 = (np.asarray(v, dtype=float)[None, :] for v in (y, yhat1, yhat2))
     lhs, progress = requirement_sides(constants.a, constants.b, betas, l0, l1, y, y1, y2)
     return progress - lhs

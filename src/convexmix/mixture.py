@@ -169,19 +169,35 @@ def multiplicative_lambdas(mu: float, lam, y, yhat1, yhat2) -> np.ndarray:
 
     ``lam`` must lie in (0, 1); the arguments broadcast together.  The
     operations are those of the scalar reference, in the same order, with
-    the largest exponent subtracted for stability.  ``np.exp`` may differ
-    from ``math.exp`` in the last ulp, so the two agree to rounding, not
-    bit for bit.  Raises :class:`NumericError` if any weight leaves (0, 1).
+    the largest exponent subtracted for stability.  They write into three
+    float64 buffers of the broadcast shape, never into an argument, and
+    the result is one of them.  ``np.exp`` may differ from ``math.exp`` in
+    the last ulp, so the two agree to rounding, not bit for bit.  Raises
+    :class:`NumericError` if any weight leaves (0, 1).
     """
-    e = y - (lam * yhat1 + (1.0 - lam) * yhat2)
-    m = mu * e * lam * (1.0 - lam)
-    g1 = m * yhat1
-    g2 = m * yhat2
+    shape = np.broadcast(lam, y, yhat1, yhat2).shape
+    rest = 1.0 - lam
+    # m = mu*e*lam*(1-lam) with e = y - (lam*yhat1 + (1-lam)*yhat2)
+    m = np.multiply(lam, yhat1, out=np.empty(shape))
+    g1 = np.multiply(rest, yhat2, out=np.empty(shape))
+    m += g1
+    np.subtract(y, m, out=m)
+    m *= mu
+    m *= lam
+    m *= rest
+    np.multiply(m, yhat1, out=g1)
+    g2 = np.multiply(m, yhat2, out=m)
     top = np.maximum(g1, g2)
-    num = lam * np.exp(g1 - top)
-    out = num / (num + (1.0 - lam) * np.exp(g2 - top))
-    # NaN fails both comparisons, so it is caught as well
-    if not ((0.0 < out) & (out < 1.0)).all():
+    g1 -= top
+    g2 -= top
+    num = np.exp(g1, out=g1)
+    num *= lam
+    den = np.exp(g2, out=g2)
+    den *= rest
+    den += num
+    out = np.divide(num, den, out=num)
+    # min and max are NaN if any weight is, so NaN is caught as well
+    if out.size and not (out.min() > 0.0 and out.max() < 1.0):
         raise NumericError("an updated weight saturated; mu too extreme")
     return out
 

@@ -54,7 +54,8 @@ def _check_block(constants, params, seeds, n, tol, margin_suite, tele_suite):
     betas[: len(_FIXED_BETAS)] = _FIXED_BETAS[:, None]
     for trial_seed, l0, mask, final in zip(seeds, *_block_weights(params, constants, seeds, n)):
         rng, (y, y1, y2) = _columns(constants, trial_seed, n)
-        betas[len(_FIXED_BETAS) :] = rng.uniform(0.0, 1.0, (20, n))
+        # the bits of rng.uniform(0.0, 1.0, (20, n)), drawn into the matrix
+        rng.random(out=betas[len(_FIXED_BETAS) :])
         l1 = np.append(l0[1:], final)  # this trial's row of the run's lam_after
         margin_suite["skipped_out_of_range_steps"] += int(n - mask.sum())
         if mask.any():

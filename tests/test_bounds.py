@@ -17,6 +17,7 @@ from convexmix.bounds import (
     per_step_margin,
     per_step_margins,
     regret_and_bound,
+    requirement_sides,
     sufficiency_roots,
     z_of,
 )
@@ -250,6 +251,78 @@ class TestPerStepMargins:
         c = constants_from_eps(0.1, 1.0, 0.08)
         with pytest.raises(ValueError):
             per_step_margins(c, [0.5], [1.0], [0.5], [0.0], [0.1], [0.2])
+
+    @pytest.mark.parametrize("row", [0, 1])
+    def test_rejects_nan_weights(self, row):
+        """A NaN current or updated weight is refused, as the scalar form refuses it."""
+        c = constants_from_eps(0.1, 1.0, 0.08)
+        weights = [[0.5, 0.5], [0.5, 0.5]]
+        weights[row][1] = math.nan
+        with pytest.raises(ValueError, match="strictly inside"):
+            per_step_margins(c, [0.5], *weights, [0.1, 0.1], [0.2, 0.2], [0.3, 0.3])
+        with pytest.raises(ValueError, match="strictly inside"):
+            per_step_margin(c, 0.5, *(w[1] for w in weights), 0.1, 0.1)
+
+
+def _sides_expression(a, b, beta, lam, lam1, y, y1, y2):
+    """``requirement_sides`` with one temporary per operation: the reference
+    its buffered form must equal bit for bit."""
+    progress = beta * np.log(lam1 / lam) + (1.0 - beta) * np.log((1.0 - lam1) / (1.0 - lam))
+    e = y - (lam * y1 + (1.0 - lam) * y2)
+    e_beta = y - (beta * y1 + (1.0 - beta) * y2)
+    return a * e * e - b * e_beta * e_beta, progress
+
+
+def _frozen(values):
+    """``values`` as a read-only float array, so a write into an argument raises."""
+    out = np.array(values, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
+class TestRequirementSidesBits:
+    """The buffered sides and margins against their expression form, bit for
+    bit, on read-only inputs of the shapes their callers use."""
+
+    # (comparator shape, weight and signal shape): equal, as the audit calls
+    # it; verify's (25, n) weights against one row of steps; the vector form
+    # of shared weights; 0-d
+    SHAPES = [((5000,), (5000,)), ((25, 300), (1, 300)), ((40, 1), (1, 300)), ((), ())]
+
+    @staticmethod
+    def _inputs(seed, beta_shape, step_shape):
+        rng = np.random.default_rng(seed)
+        # comparator weights on the fixed levels verify checks, or drawn
+        levels = rng.choice([0.0, 0.25, 0.5, 0.75, 1.0], beta_shape)
+        beta = np.where(rng.random(beta_shape) < 0.5, levels, rng.random(beta_shape))
+        lam, lam1 = rng.uniform(0.01, 0.99, (2, *step_shape))
+        y, y1, y2 = rng.uniform(-1.0, 1.0, (3, *step_shape))
+        return tuple(map(_frozen, (beta, lam, lam1, y, y1, y2)))
+
+    @pytest.mark.parametrize("beta_shape, step_shape", SHAPES)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sides_match_expression_form(self, beta_shape, step_shape, seed):
+        c = constants_from_eps(0.1, 1.0, 0.08)
+        args = (c.a, c.b, *self._inputs(seed, beta_shape, step_shape))
+        for got, want in zip(requirement_sides(*args), _sides_expression(*args)):
+            want = np.asarray(want)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("betas", [(25, 300), (5,)])
+    def test_margins_match_expression_form(self, betas):
+        c = constants_from_eps(0.1, 1.0, 0.08)
+        beta, lam, lam1, y, y1, y2 = self._inputs(4, betas, (300,))
+        got = per_step_margins(c, beta, lam, lam1, y, y1, y2)
+        column = beta if beta.ndim == 2 else beta[:, None]
+        steps = (v[None, :] for v in (lam, lam1, y, y1, y2))
+        lhs, progress = _sides_expression(c.a, c.b, column, *steps)
+        assert got.tobytes() == (progress - lhs).tobytes()
+
+    def test_empty_input_passes(self):
+        c = constants_from_eps(0.1, 1.0, 0.08)
+        lhs, progress = requirement_sides(c.a, c.b, *(_frozen(np.empty(0)),) * 6)
+        assert lhs.shape == progress.shape == (0,)
 
 
 class TestSufficiencyRoots:

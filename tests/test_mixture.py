@@ -233,6 +233,64 @@ class TestMultiplicativeKernel:
                                    np.array([0.0, 1.0]))
 
 
+def _lambdas_expression(mu, lam, y, yhat1, yhat2):
+    """``multiplicative_lambdas`` with one temporary per operation: the
+    reference its buffered form must equal bit for bit."""
+    e = y - (lam * yhat1 + (1.0 - lam) * yhat2)
+    m = mu * e * lam * (1.0 - lam)
+    g1 = m * yhat1
+    g2 = m * yhat2
+    top = np.maximum(g1, g2)
+    num = lam * np.exp(g1 - top)
+    return num / (num + (1.0 - lam) * np.exp(g2 - top))
+
+
+def _frozen(values):
+    """``values`` as a read-only float array, so a write into an argument raises."""
+    out = np.array(values, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
+class TestMultiplicativeKernelBits:
+    """The buffered kernel against its expression form, bit for bit, on
+    read-only inputs of the shapes its callers and the scalar form use."""
+
+    # (weight shape, signal shape): equal, as the audit calls it; a weight
+    # matrix against one row of signals; a column against a row; 0-d
+    @pytest.mark.parametrize("lam_shape, signal_shape",
+                             [((5000,), (5000,)), ((25, 300), (1, 300)), ((40, 1), (300,)),
+                              ((), ())])
+    # signals drawn from [-1, 1], or from the audit grid's five levels (ties,
+    # zeros and identical experts)
+    @pytest.mark.parametrize("levels", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_expression_form(self, lam_shape, signal_shape, levels, seed):
+        rng = np.random.default_rng(seed)
+        lam = _frozen(rng.uniform(0.01, 0.99, lam_shape))
+        if levels:
+            y, y1, y2 = (_frozen(rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], signal_shape))
+                         for _ in range(3))
+        else:
+            y, y1, y2 = (_frozen(rng.uniform(-1.0, 1.0, signal_shape)) for _ in range(3))
+        mu = float(rng.uniform(0.01, 2.0))
+        got = multiplicative_lambdas(mu, lam, y, y1, y2)
+        want = np.asarray(_lambdas_expression(mu, lam, y, y1, y2))
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("field", range(4))
+    def test_nan_input_is_a_numeric_error(self, field):
+        args = [np.full(3, v) for v in (0.5, 0.2, -0.4, 0.9)]
+        args[field][1] = math.nan
+        with pytest.raises(NumericError, match="saturated"):
+            multiplicative_lambdas(1.03, *map(_frozen, args))
+
+    def test_empty_input_passes(self):
+        got = multiplicative_lambdas(1.03, *(_frozen(np.empty(0)),) * 4)
+        assert got.shape == (0,)
+
+
 def _case1(n):
     rows = np.full((n, 3), 0.5)
     rows[::2, 2] = -0.5
