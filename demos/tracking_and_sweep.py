@@ -11,7 +11,7 @@ sweep then shows the guarantee's price for faster adaptation.
 from convexmix.bounds import constants_from_mu
 from convexmix.mixture import MixtureParams, run
 from convexmix.oracle import best_betas, stats_from
-from convexmix.report import summarize
+from convexmix.report import summarize, sweep
 from convexmix.signals import SequenceSpec, generate
 
 # Expert roles swap at t = 1000: first expert 1 is clean, then expert 2.
@@ -42,11 +42,8 @@ for window in ((1, 1000), (1001, 2000)):
 # (lower realized loss here) but carry a larger worst-case guarantee: the
 # bound scales like 1/mu under the fixed-start convention.
 
+table, summaries = sweep(samples, (0.1, 0.3, 0.6, 1.0), 1.0, 0.08, mode="project")
 print(f"{'mu':>6} {'loss':>9} {'regret':>9} {'bound':>10} {'final lam':>10}")
-for mu in (0.1, 0.3, 0.6, 1.0):
-    c = constants_from_mu(mu, 1.0, 0.08)
-    p = MixtureParams(mu=mu, lambda_plus=0.08, y_bound=1.0, mode="project")
-    traj = run(p, samples)
-    _, summary = summarize(traj, c)
+for mu, summary in zip(table["mu"], summaries):
     print(f"{mu:6.2f} {summary['l_alg']:9.2f} {summary['regret']:9.2f} "
-          f"{summary['bound_total']:10.2f} {traj.final_lambda:10.4f}")
+          f"{summary['bound_total']:10.2f} {summary['final_lambda']:10.4f}")

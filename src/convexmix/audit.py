@@ -21,8 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import requirement_sides
-from .mixture import multiplicative_lambda, multiplicative_lambdas
+from .bounds import cap_squared, requirement_sides, z_of
+from .mixture import NumericError, multiplicative_lambda, multiplicative_lambdas
 
 __all__ = [
     "LemmaBounds",
@@ -31,6 +31,7 @@ __all__ = [
     "construction_instances",
     "evaluate_instance",
     "search_violations",
+    "audit_triple",
     "WITNESS_COLUMNS",
 ]
 
@@ -39,6 +40,8 @@ DEFAULT_TOL = 1e-9
 WITNESS_COLUMNS = ("y", "yhat1", "yhat2", "lambda_t", "beta", "lhs", "progress", "margin")
 # rows of instance space evaluated at once by the search
 BLOCK = 1 << 14
+# witnesses listed in the audit's payload, the worst first; its count covers all
+WITNESS_CAP = 1000
 
 
 class LemmaBounds(NamedTuple):
@@ -70,8 +73,7 @@ def lemma_bounds(a: float, mu: float, lambda_plus: float) -> LemmaBounds:
     """
     if not (a > 0.0 and mu > 0.0):
         raise ValueError(f"a and mu must be positive, got a={a}, mu={mu}")
-    if not 0.0 < lambda_plus < 0.5:
-        raise ValueError(f"weight floor must lie in (0, 1/2), got {lambda_plus}")
+    z_of(lambda_plus)  # refuses a floor outside (0, 1/2)
     k0 = lambda_plus * (1.0 - lambda_plus)
     return LemmaBounds(a / k0, 4.0 * a + mu / 4.0, 4.0 * a + a / (4.0 * k0))
 
@@ -84,10 +86,8 @@ def construction_instances(y_bound: float, lambda_plus: float) -> tuple[tuple, t
     silent expert 1 and expert 2 at the cap, weight at the midpoint,
     comparator fully on expert 1.
     """
-    if not (math.isfinite(y_bound) and y_bound > 0.0):
-        raise ValueError(f"magnitude cap must be finite and positive, got {y_bound}")
-    if not 0.0 < lambda_plus < 0.5:
-        raise ValueError(f"weight floor must lie in (0, 1/2), got {lambda_plus}")
+    cap_squared(y_bound)  # refuses a cap outside [1e-150, 1e150]
+    z_of(lambda_plus)  # refuses a floor outside (0, 1/2)
     return (y_bound, y_bound, 0.0, lambda_plus, 1.0), (-y_bound / 2.0, 0.0, y_bound, 0.5, 1.0)
 
 
@@ -181,10 +181,8 @@ def search_violations(
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
     check_triple(a, b, mu)
-    if not 0.0 < lambda_plus < 0.5:
-        raise ValueError(f"weight floor must lie in (0, 1/2), got {lambda_plus}")
-    if not (math.isfinite(y_bound) and y_bound > 0.0):
-        raise ValueError(f"magnitude cap must be finite and positive, got {y_bound}")
+    z_of(lambda_plus)  # refuses a floor outside (0, 1/2)
+    cap_squared(y_bound)  # refuses a cap outside [1e-150, 1e150]
 
     hits = []
     for block in _instance_blocks(budget, seed, y_bound, lambda_plus):
@@ -199,3 +197,52 @@ def search_violations(
     # worst first, ties broken by the instance fields in order (a stable sort)
     found = np.concatenate(hits, axis=1)
     return found.T[np.lexsort(found[[4, 3, 2, 1, 0, 7]])]
+
+
+def audit_triple(a: float, b: float, mu: float, lambda_plus: float, y_bound: float, budget: int,
+                 seed: int, tol: float = DEFAULT_TOL) -> tuple[dict, list[str], bool]:
+    """The audit of (a, b, mu): the JSON ``lemma-audit`` writes, the lines it prints, and a pass.
+
+    The bounds, the two constructions and the search are all evaluated
+    before any line is made.  The payload counts every witness and lists
+    the worst :data:`WITNESS_CAP`; the audit passes when it has no witness
+    and no violated construction.
+    """
+    def witness_dicts(rows):  # each row of WITNESS_COLUMNS, violated where its margin is below -tol
+        return [dict(zip(WITNESS_COLUMNS, row), violated=row[-1] < -tol) for row in rows]
+
+    check_triple(a, b, mu)
+    lb = lemma_bounds(a, mu, lambda_plus)
+    labels, rows = ("floor", "midpoint"), []
+    for label, instance in zip(labels, construction_instances(y_bound, lambda_plus)):
+        try:
+            rows.append(evaluate_instance(a, b, mu, *instance))
+        except NumericError as exc:
+            raise NumericError(f"construction {label}: {exc}") from None
+    constructions = dict(zip(labels, witness_dicts(rows)))
+    witnesses = search_violations(a, b, mu, lambda_plus, y_bound, budget, seed, tol=tol)
+    listed = witness_dicts(witnesses[:WITNESS_CAP].tolist())  # dicts only for the rows written
+
+    lines = [f"closed-form bounds: mu >= {lb.mu_min:.12g} (necessary), "
+             f"b >= {lb.b_min_via_mu:.12g} (via mu, conservative), "
+             f"b >= {lb.b_min_combined:.12g} (combined, conservative)"]
+    lines += [f"construction {label}: lhs={c['lhs']:.12g} progress={c['progress']:.12g} "
+              f"margin={c['margin']:.12g} [{'VIOLATED' if c['violated'] else 'ok'}]"
+              for label, c in constructions.items()]
+    lines.append(f"searched {budget} instances: {len(witnesses)} violations")
+    if listed:
+        w = listed[0]
+        lines.append(f"worst: margin={w['margin']:.12g} at y={w['y']:.6g} yhat1={w['yhat1']:.6g} "
+                     f"yhat2={w['yhat2']:.6g} lambda={w['lambda_t']:.6g} beta={w['beta']:.6g}")
+    payload = {
+        "a": a, "b": b, "mu": mu,
+        "lambda_plus": lambda_plus, "y_bound": y_bound,
+        "tolerance": tol, "budget": budget, "seed": seed,
+        "lemma_bounds": lb._asdict(),
+        "constructions": constructions,
+        "violation_count": len(witnesses),
+        "violations": listed,
+        "violations_truncated": len(witnesses) > WITNESS_CAP,
+    }
+    passed = not len(witnesses) and not any(c["violated"] for c in constructions.values())
+    return payload, lines, passed

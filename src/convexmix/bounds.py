@@ -40,6 +40,7 @@ __all__ = [
     "SufficiencyRoots",
     "RegretBound",
     "z_of",
+    "cap_squared",
     "constants_from_eps",
     "eps_from_mu",
     "mu_supremum",
@@ -77,8 +78,8 @@ def z_of(lambda_plus: float) -> float:
     return (1.0 - 4.0 * k0) / (1.0 + 4.0 * k0)
 
 
-def _cap_squared(y_bound: float) -> float:
-    """Y^2, refusing a cap outside [1e-150, 1e150].
+def cap_squared(y_bound: float) -> float:
+    """Y^2, refusing a cap outside [1e-150, 1e150]; every admissible cap is checked here.
 
     The constants divide by Y^2 and by eps/Y^2 and scale them by factors of
     about 10; within this range none of them leaves the normal floats.
@@ -98,7 +99,7 @@ def constants_from_eps(eps: float, y_bound: float, lambda_plus: float) -> Theore
     """
     if not (math.isfinite(eps) and eps > 0.0):
         raise ValueError(f"slack parameter must be finite and positive, got {eps}")
-    y2 = _cap_squared(y_bound)
+    y2 = cap_squared(y_bound)
     z = z_of(lambda_plus)
     b = eps / y2
     a = (1.0 - z * z) * eps / (y2 * (2.0 * eps + 1.0))
@@ -121,7 +122,7 @@ def constants_from_eps(eps: float, y_bound: float, lambda_plus: float) -> Theore
 
 def mu_supremum(y_bound: float, lambda_plus: float) -> float:
     """Least upper bound of learning rates reachable by some slack eps > 0."""
-    y2 = _cap_squared(y_bound)
+    y2 = cap_squared(y_bound)
     return 2.0 * (2.0 + 2.0 * z_of(lambda_plus)) / y2
 
 

@@ -23,13 +23,9 @@ import math
 import os
 import sys
 
-import numpy as np
-
-from . import audit, bounds, signals
-from . import mixture
+from . import audit, bounds, mixture, signals
 from .mixture import MixtureParams
-from .report import render_regret_svg, summarize
-from .signals import SequenceSpec
+from .report import DRAWN, check_drawable, render_regret_svg, summarize, sweep
 from .verify import run_verification
 
 __all__ = ["main"]
@@ -143,35 +139,21 @@ def _sequence_from_args(args: argparse.Namespace):
     sources = [k for k in ("case", "input", "spec") if getattr(args, k) is not None]
     if len(sources) != 1:
         raise ValueError("choose exactly one of --case, --input, --spec")
-    n, y_bound = args.n, args.ybound
-    if n is not None and n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    if args.n is not None and args.n < 1:
+        raise ValueError(f"n must be at least 1, got {args.n}")
     default_rate = {}
     if sources[0] == "case":
         if args.case not in CASE_MU:
             raise ValueError(f"case must be 1 or 2, got {args.case}")
-        spec = SequenceSpec(kind=f"case{args.case}", n=n or CASE_N, y_bound=y_bound)
+        spec = {"kind": f"case{args.case}", "n": CASE_N}
         default_rate = {"mu": CASE_MU[args.case]}
     elif sources[0] == "input":
-        spec = SequenceSpec("custom_file", n=n or 0, y_bound=y_bound, path=args.input)
+        spec = {"kind": "custom_file", "path": args.input}
     else:
-        data = _read_json(args.spec, "sequence spec")
-        if not isinstance(data, dict) or "kind" not in data:
-            raise ValueError(f"sequence spec {args.spec}: expected an object with a 'kind'")
-        unknown = set(data) - {field.name for field in dataclasses.fields(SequenceSpec)}
-        if unknown:
-            raise ValueError(f"sequence spec has unknown keys: {sorted(unknown)}")
-        spec = SequenceSpec(**data)
-        if y_bound is not None:
-            spec = dataclasses.replace(spec, y_bound=y_bound)
-        if n is not None:
-            spec = dataclasses.replace(spec, n=n)
-    resolved = signals.resolve(spec)
-    if resolved.kind == "custom_file":
-        samples, clipped = signals.load_sequence(resolved)
-    else:
-        samples, clipped = signals.generate(resolved), 0
-    return samples, resolved.y_bound, clipped, default_rate
+        spec = _read_json(args.spec, "sequence spec")
+    samples, y_bound, clipped = signals.sequence_from(
+        spec, n=args.n, y_bound=args.ybound, origin=f"sequence spec {args.spec}")
+    return samples, y_bound, clipped, default_rate
 
 
 def _constants_from_args(args: argparse.Namespace, y_bound: float, default_rate: dict):
@@ -233,84 +215,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_lemma_audit(args: argparse.Namespace) -> int:
     _check_outputs(args.out)
-    y_bound, lambda_plus, budget, seed = args.ybound, args.lambda_plus, args.budget, args.seed
     triple = (args.a, args.b, args.mu)
     if args.eps is not None and any(v is not None for v in triple):
         raise ValueError("choose --eps or an explicit --a/--b/--mu triple, not both")
     if args.eps is None and None in triple:
         raise ValueError("provide --eps or the full --a/--b/--mu triple")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
+    if args.seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {args.seed}")
     if args.eps is not None:
-        constants = bounds.constants_from_eps(args.eps, y_bound, lambda_plus)
-        a, b, mu = constants.a, constants.b, constants.mu
-    else:
-        a, b, mu = triple
-    audit.check_triple(a, b, mu)
-    tol = inequality_tolerance()
-
-    # everything is checked and computed before the first line is printed
-    lb = audit.lemma_bounds(a, mu, lambda_plus)
-    constructions = {}
-    for label, instance in zip(("floor", "midpoint"), audit.construction_instances(y_bound, lambda_plus)):
-        try:
-            row = audit.evaluate_instance(a, b, mu, *instance)
-        except mixture.NumericError as exc:
-            raise mixture.NumericError(f"construction {label}: {exc}") from None
-        constructions[label] = dict(zip(audit.WITNESS_COLUMNS, row), violated=row[-1] < -tol)
-    witnesses = audit.search_violations(a, b, mu, lambda_plus, y_bound, budget, seed, tol=tol)
-
-    print(f"closed-form bounds: mu >= {lb.mu_min:.12g} (necessary), "
-          f"b >= {lb.b_min_via_mu:.12g} (via mu, conservative), "
-          f"b >= {lb.b_min_combined:.12g} (combined, conservative)")
-    for label, c in constructions.items():
-        flag = "VIOLATED" if c["violated"] else "ok"
-        print(f"construction {label}: lhs={c['lhs']:.12g} progress={c['progress']:.12g} "
-              f"margin={c['margin']:.12g} [{flag}]")
-    print(f"searched {budget} instances: {len(witnesses)} violations")
-    if len(witnesses):
-        y, y1, y2, lam, beta, _, _, margin = witnesses[0].tolist()
-        print(f"worst: margin={margin:.12g} at y={y:.6g} yhat1={y1:.6g} "
-              f"yhat2={y2:.6g} lambda={lam:.6g} beta={beta:.6g}")
-
-    cap = 1000
-    payload = {
-        "a": a, "b": b, "mu": mu,
-        "lambda_plus": lambda_plus, "y_bound": y_bound,
-        "tolerance": tol, "budget": budget, "seed": seed,
-        "lemma_bounds": lb._asdict(),
-        "constructions": constructions,
-        "violation_count": len(witnesses),
-        # dicts only for the rows written
-        "violations": [dict(zip(audit.WITNESS_COLUMNS, row), violated=True)
-                       for row in witnesses[:cap].tolist()],
-        "violations_truncated": len(witnesses) > cap,
-    }
+        constants = bounds.constants_from_eps(args.eps, args.ybound, args.lambda_plus)
+        triple = (constants.a, constants.b, constants.mu)
+    payload, lines, passed = audit.audit_triple(*triple, args.lambda_plus, args.ybound, args.budget,
+                                                args.seed, tol=inequality_tolerance())
+    print("\n".join(lines))
     _write_json(args.out, payload)
     print(f"witness file -> {args.out}")
-    construction_hit = any(c["violated"] for c in constructions.values())
-    return 1 if (len(witnesses) or construction_hit) else 0
-
-
-# the trajectory columns plot reads; it parses no other
-_DRAWN = ("t", "norm_regret", "bound_norm")
-
-
-def _check_drawable(path: str, frame, logx: bool) -> None:
-    """Refuse a non-finite drawn value, or a step t <= 0 on a log axis, naming its row."""
-    bad = []
-    for name in _DRAWN:
-        column = getattr(frame, name)
-        wrong = ~np.isfinite(column)
-        if logx and name == "t":
-            wrong |= column <= 0
-        if wrong.any():
-            i = int(np.argmax(wrong))
-            bad.append((i, name, column[i]))
-    if bad:
-        i, name, value = min(bad, key=lambda b: b[0])
-        need = "a positive step for --logx" if name == "t" else "a finite value"
-        raise ValueError(f"{path}: row {i + 2}: column {name} is {value}; plot needs {need}")
+    return 0 if passed else 1
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
@@ -321,19 +241,13 @@ def cmd_plot(args: argparse.Namespace) -> int:
     if os.path.realpath(out) == os.path.realpath(args.input):
         raise ValueError(f"plot output {out} is the input file")
     _check_outputs(out)
-    frame = signals.read_trajectory(args.input, keep=_DRAWN)
-    _check_drawable(args.input, frame, bool(args.logx))
+    frame = signals.read_trajectory(args.input, keep=DRAWN)
+    check_drawable(args.input, frame, bool(args.logx))
     svg = render_regret_svg(frame.t, frame.norm_regret, frame.bound_norm, logx=bool(args.logx))
     with open(out, "w") as fh:
         fh.write(svg)
     print(f"plot -> {out}")
     return 0
-
-
-# the columns of the sweep table, one row per rate
-SWEEP_COLUMNS = ("mu", "eps", "n", "l_alg", "beta_o", "l_best", "regret", "norm_regret",
-                 "bound_total", "bound_normalized", "out_of_range_steps", "projected_steps",
-                 "theorem_valid")
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -352,24 +266,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     paths = [f"{stem}_mu{mu:g}.json" for mu in mus]
     _check_outputs(out, *paths)
     samples, y_bound, clipped, _ = _sequence_from_args(args)
-
-    # every rate is validated before anything runs or is written
-    configs = [
-        (mu, bounds.constants_from_mu(mu, y_bound, args.lambda_plus),
-         MixtureParams(mu=mu, lambda_plus=args.lambda_plus, y_bound=y_bound, mode=args.mode))
-        for mu in mus
-    ]
-    # every summary is computed, and the table written, before any per-rate file
-    rows = [(mu, constants.eps, summarize(mixture.run(params, samples, lambda_init=args.lambda_init),
-                                          constants, clip_count=clipped)[1])
-            for mu, constants, params in configs]
-    with open(out, "w", newline="") as fh:
-        fh.write(",".join(SWEEP_COLUMNS) + "\r\n")
-        for mu, eps, s in rows:
-            cells = {"mu": mu, "eps": eps, **s}
-            fh.write(",".join("%.17g" % v if isinstance(v, float) else str(int(v))
-                              for v in map(cells.get, SWEEP_COLUMNS)) + "\r\n")
-    for path, (mu, _, s) in zip(paths, rows):
+    table, summaries = sweep(samples, mus, y_bound, args.lambda_plus, mode=args.mode,
+                             lambda_init=args.lambda_init, clip_count=clipped)
+    # the table is written before any per-rate file
+    signals.write_table(out, table)
+    for path, mu, s in zip(paths, mus, summaries):
         _write_json(path, s)
         print(f"mu={mu:g}: loss={s['l_alg']:.6g} regret={s['regret']:.6g} "
               f"bound={s['bound_total']:.6g} -> {path}")

@@ -1,5 +1,6 @@
 """The report of one run: the summary written as JSON, with the comparator
-columns it fills in, and the SVG of normalized regret against its guarantee.
+columns it fills in, and the SVG of normalized regret against its guarantee;
+and the table of one sequence's summaries over several learning rates.
 """
 
 from __future__ import annotations
@@ -8,11 +9,11 @@ import dataclasses
 
 import numpy as np
 
-from . import bounds, oracle
+from . import bounds, mixture, oracle
 from .bounds import TheoremConstants
-from .mixture import Trajectory
+from .mixture import MixtureParams, Trajectory
 
-__all__ = ["summarize", "render_regret_svg"]
+__all__ = ["summarize", "sweep", "DRAWN", "check_drawable", "render_regret_svg"]
 
 
 def summarize(
@@ -76,6 +77,25 @@ def summarize(
     return frame, summary
 
 
+def sweep(samples: np.ndarray, mus, y_bound: float, lambda_plus: float, *, mode: str,
+          lambda_init: float = 0.5, clip_count: int = 0) -> tuple[dict, list[dict]]:
+    """Run one sequence at each learning rate of ``mus``; returns the table and the summaries.
+
+    Every rate is validated before any runs.  The table maps each column to
+    one entry per rate: ``mu``, ``eps``, then the summary's keys but
+    ``final_lambda`` and ``clip_count``, in the summary's order.
+    """
+    configs = [(bounds.constants_from_mu(mu, y_bound, lambda_plus),
+                MixtureParams(mu=mu, lambda_plus=lambda_plus, y_bound=y_bound, mode=mode))
+               for mu in mus]
+    summaries = [summarize(mixture.run(params, samples, lambda_init=lambda_init), constants,
+                           clip_count=clip_count)[1] for constants, params in configs]
+    table = {"mu": list(mus), "eps": [constants.eps for constants, _ in configs],
+             **{key: [s[key] for s in summaries] for key in summaries[0]
+                if key not in ("final_lambda", "clip_count")}}
+    return table, summaries
+
+
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
 
@@ -100,6 +120,22 @@ def _pixel_envelope(x_px: np.ndarray, y_px: np.ndarray) -> np.ndarray:
     return np.flatnonzero(keep)
 
 
+# the trajectory columns the SVG draws; plot reads no other
+DRAWN = ("t", "norm_regret", "bound_norm")
+
+
+def check_drawable(path: str, frame: Trajectory, logx: bool) -> None:
+    """Refuse a non-finite drawn value, or a step t <= 0 on a log axis, naming its first row."""
+    columns = [getattr(frame, name) for name in DRAWN]
+    wrong = ~np.isfinite(np.stack(columns, axis=1))
+    if logx:
+        wrong[:, DRAWN.index("t")] |= frame.t <= 0
+    if wrong.any():
+        i, j = divmod(int(np.argmax(wrong)), len(DRAWN))
+        need = "a positive step for --logx" if DRAWN[j] == "t" else "a finite value"
+        raise ValueError(f"{path}: row {i + 2}: column {DRAWN[j]} is {columns[j][i]}; plot needs {need}")
+
+
 def render_regret_svg(
     t,
     norm_regret,
@@ -112,12 +148,13 @@ def render_regret_svg(
 
     Pure function of its inputs: rendering the same trajectory twice yields
     byte-identical output.  The inputs must be finite (and ``t`` positive
-    under ``logx``).  The axes span the full series; each polyline keeps,
-    per run of consecutive points in one integer pixel column, the first,
-    last, lowest and highest point (M4 aggregation, Jugel et al., VLDB
-    2014), so the drawn envelope is that of every point and the SVG's size
-    is bounded by the plot's width, not by ``len(t)``.  A run of at most
-    four points is kept whole.
+    under ``logx``): :func:`check_drawable` refuses a file that breaks this.
+    The axes span the full series; each polyline keeps, per run of
+    consecutive points in one integer pixel column, the first, last, lowest
+    and highest point (M4 aggregation, Jugel et al., VLDB 2014), so the
+    drawn envelope is that of every point and the SVG's size is bounded by
+    the plot's width, not by ``len(t)``.  A run of at most four points is
+    kept whole.
     """
     t = np.asarray(t, dtype=float)
     r = np.asarray(norm_regret, dtype=float)

@@ -30,9 +30,10 @@ __all__ = [
     "ParseError",
     "resolve",
     "generate",
-    "load_sequence",
+    "sequence_from",
     "load_csv",
     "write_trajectory",
+    "write_table",
     "read_trajectory",
     "clip_samples",
 ]
@@ -129,11 +130,11 @@ def generate(spec: SequenceSpec) -> np.ndarray:
 
     Returns an ``(n, 3)`` float64 array whose row ``t - 1`` holds step t's
     ``y``, ``yhat1``, ``yhat2``.  A ``custom_file`` spec is refused: it is
-    read by :func:`load_sequence`, which also returns the clip count.
+    read by :func:`sequence_from`, which also returns the clip count.
     """
     spec = resolve(spec)
     if spec.kind == "custom_file":
-        raise ValueError("custom_file sequences are read by load_sequence, not generated")
+        raise ValueError("custom_file sequences are read by sequence_from, not generated")
     n, a = spec.n, spec.amplitude
     t = np.arange(1, n + 1)
     # alternation starts negative: -1 at t = 1, +1 at t = 2, ...
@@ -159,21 +160,28 @@ def generate(spec: SequenceSpec) -> np.ndarray:
     return np.stack(cols, axis=1, dtype=float)
 
 
-def load_sequence(spec: SequenceSpec) -> tuple[np.ndarray, int]:
-    """Load a ``custom_file`` sequence, truncated to its first ``n`` rows if n >= 1.
+def sequence_from(spec: dict, *, n: int | None = None, y_bound: float | None = None,
+                  origin: str = "sequence spec") -> tuple[np.ndarray, float, int]:
+    """The samples, magnitude cap and clip count of the sequence a JSON object describes.
 
-    Returns the ``(n, 3)`` array and the number of fields clipped in the
-    whole file.  An ``n`` beyond the file's data rows is refused.
+    ``spec`` holds :class:`SequenceSpec` fields, ``kind`` among them, and
+    ``origin`` names it in errors; ``n`` and ``y_bound``, where given,
+    replace its own.  A ``custom_file`` is read by :func:`load_csv`, cut to
+    its first ``n`` rows if n >= 1; the clips of the whole file are counted.
     """
-    spec = resolve(spec)
+    if not isinstance(spec, dict) or "kind" not in spec:
+        raise ValueError(f"{origin}: expected an object with a 'kind'")
+    unknown = set(spec) - {field.name for field in fields(SequenceSpec)}
+    if unknown:
+        raise ValueError(f"sequence spec has unknown keys: {sorted(unknown)}")
+    given = {"n": n, "y_bound": y_bound}
+    spec = resolve(SequenceSpec(**{**spec, **{key: v for key, v in given.items() if v is not None}}))
     if spec.kind != "custom_file":
-        raise ValueError(f"only custom_file sequences are loaded, got {spec.kind!r}")
+        return generate(spec), spec.y_bound, 0
     samples, clipped = load_csv(spec.path, spec.y_bound)
     if spec.n > len(samples):
         raise ValueError(f"{spec.path}: n = {spec.n} exceeds the file's {len(samples)} data rows")
-    if spec.n >= 1:
-        samples = samples[: spec.n]
-    return samples, clipped
+    return samples[: spec.n or None], spec.y_bound, clipped
 
 
 def load_csv(path: str, y_bound: float) -> tuple[np.ndarray, int]:
@@ -281,24 +289,29 @@ _COMMA, _CRLF = (np.frombuffer(sep, np.uint8)[None] for sep in (b",", b"\r\n"))
 
 
 def write_trajectory(frame: Trajectory, path: str) -> None:
-    """Write every column as CSV, floats as ``'%.17g' % x`` and steps and flags as ``'%d' % x``.
-
-    The bytes are those csv.writer wrote, CRLF line ends included.  Per block
-    of rows, each column's distinct values are formatted once into NUL-padded
-    cells; the cells are joined with commas and line ends, and the NULs dropped.
-    """
+    """Write every column of a summarized run with :func:`write_table`."""
     if len(frame) == 0:
         raise ValueError("refusing to write an empty trajectory")
     for field, name in zip(_FIELDS, TRAJECTORY_COLUMNS):
         if getattr(frame, field) is None:
             raise ValueError(f"refusing to write a trajectory whose column {name} is unfilled; "
                              "summarize the run first")
-    cols = [(np.asarray(getattr(frame, field)),
-             *((np.int64, _int_cells) if name in _INT_COLUMNS else (np.float64, _float_cells)))
-            for field, name in zip(_FIELDS, TRAJECTORY_COLUMNS)]
+    write_table(path, {name: getattr(frame, field) for field, name in zip(_FIELDS, TRAJECTORY_COLUMNS)})
+
+
+def write_table(path: str, columns: dict) -> None:
+    """Write equal-length columns as CSV under a header of their names, in order.
+
+    Floating columns are written as ``'%.17g' % x``, integer and boolean ones
+    as ``'%d' % x``, with CRLF line ends: the bytes csv.writer wrote.  Per
+    block of rows, each column's distinct values are formatted once into
+    NUL-padded cells, joined with commas and line ends; the NULs are dropped.
+    """
+    cols = [(col, *((np.float64, _float_cells) if col.dtype.kind == "f" else (np.int64, _int_cells)))
+            for col in map(np.asarray, columns.values())]
     with open(path, "wb") as fh:
-        fh.write((",".join(TRAJECTORY_COLUMNS) + "\r\n").encode())
-        for start in range(0, len(frame), _WRITE_BLOCK):
+        fh.write((",".join(columns) + "\r\n").encode())
+        for start in range(0, len(cols[0][0]), _WRITE_BLOCK):
             pieces = []
             for col, dtype, cells in cols:
                 # converted per block (flags may be bool); distinct bit

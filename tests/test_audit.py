@@ -1,6 +1,7 @@
 """Tests for the worst-case constructions and the counterexample search."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -189,6 +190,16 @@ class TestSearchViolations:
         for triple in ((REF.a, math.inf, REF.mu), (math.inf, REF.b, REF.mu), (REF.a, REF.b, math.inf)):
             with pytest.raises(ValueError, match="must be finite"):
                 search_violations(*triple, 0.08, 1.0, budget=10, seed=0)
+
+    @pytest.mark.parametrize("y_bound", [1e308, 1e-200])
+    def test_cap_outside_the_constants_range_is_refused(self, y_bound):
+        """A finite cap beyond [1e-150, 1e150] is refused by name: at 1e308 the draw range
+        2*Y overflows, and every drawn instance would be inf or NaN."""
+        cap_range = re.escape("magnitude cap must lie within [1e-150, 1e150]")
+        with pytest.raises(ValueError, match=cap_range):
+            search_violations(0.05, 0.1, 1e-320, 0.08, y_bound, 3000, 0)
+        with pytest.raises(ValueError, match=cap_range):
+            construction_instances(y_bound, 0.08)
 
 
 class TestBlockedSearch:

@@ -297,6 +297,8 @@ USAGE_ERRORS = {
                         f"{CAP_RANGE}, got 1e+160"),
     "lemma-audit-cap-huge": ({}, {}, "lemma-audit --eps 0.1 --ybound 1e300",
                              f"{CAP_RANGE}, got 1e+300"),
+    "lemma-audit-triple-cap-huge": ({}, {}, "lemma-audit --a 0.05 --b 0.1 --mu 1 --ybound 1e200 "
+                                            "--budget 100", f"{CAP_RANGE}, got 1e+200"),
     # a slack whose b or a is not a normal float, or whose rate rounds up to
     # the supremum, is refused by name rather than failing an identity later
     "verify-slack-b-zero": ({}, {}, "verify --trials 1 --n 5 --eps 1e-300 --ybound 1e150",
@@ -837,7 +839,10 @@ class TestSweepCommand:
         for r in rows:
             # every cell of the row equals the JSON file named for its rate
             per_mu = read_json(f"sweep_mu{float(r['mu']):g}.json")
-            for key in cli.SWEEP_COLUMNS[2:]:
+            # the columns after mu and eps are the summary's keys, in order
+            columns = [key for key in per_mu if key not in ("final_lambda", "clip_count")]
+            assert list(r)[2:] == columns
+            for key in columns:
                 assert float(r[key]) == per_mu[key], (r["mu"], key)
             assert int(r["n"]) == 300
         # smaller rate -> larger guarantee under the fixed-start convention

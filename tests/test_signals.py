@@ -20,9 +20,9 @@ from convexmix.signals import (
     clip_samples,
     generate,
     load_csv,
-    load_sequence,
     read_trajectory,
     resolve,
+    sequence_from,
     write_trajectory,
 )
 
@@ -369,7 +369,7 @@ class TestCustomFileSequences:
     def test_truncates_and_counts_clips(self, tmp_path):
         p = tmp_path / "seq.csv"
         _write_input_csv(p, [(0.1, 0.2, 0.3), (2.0, 0.0, 0.0), (0.4, 0.4, 0.4)])
-        got, clipped = load_sequence(SequenceSpec("custom_file", n=2, path=str(p)))
+        got, _, clipped = sequence_from({"kind": "custom_file", "n": 2, "path": str(p)})
         np.testing.assert_array_equal(got, np.array([[0.1, 0.2, 0.3], [1.0, 0.0, 0.0]]),
                                       strict=True)
         assert clipped == 1
@@ -377,19 +377,19 @@ class TestCustomFileSequences:
     def test_zero_horizon_takes_all_rows(self, tmp_path):
         p = tmp_path / "seq.csv"
         _write_input_csv(p, [(0.1, 0.1, 0.1)] * 5)
-        assert len(load_sequence(SequenceSpec("custom_file", path=str(p)))[0]) == 5
+        assert len(sequence_from({"kind": "custom_file", "path": str(p)})[0]) == 5
 
     def test_horizon_beyond_the_rows_is_refused(self, tmp_path):
         p = tmp_path / "seq.csv"
         _write_input_csv(p, [(0.1, 0.1, 0.1)] * 3)
-        assert len(load_sequence(SequenceSpec("custom_file", n=3, path=str(p)))[0]) == 3
+        assert len(sequence_from({"kind": "custom_file", "n": 3, "path": str(p)})[0]) == 3
         with pytest.raises(ValueError, match="n = 4 exceeds the file's 3 data rows"):
-            load_sequence(SequenceSpec("custom_file", n=4, path=str(p)))
+            sequence_from({"kind": "custom_file", "n": 4, "path": str(p)})
 
     def test_generate_refuses_a_file(self, tmp_path):
         p = tmp_path / "seq.csv"
         _write_input_csv(p, [(0.1, 0.1, 0.1)] * 3)
-        with pytest.raises(ValueError, match="custom_file sequences are read by load_sequence"):
+        with pytest.raises(ValueError, match="custom_file sequences are read by sequence_from"):
             generate(SequenceSpec("custom_file", path=str(p)))
 
 
