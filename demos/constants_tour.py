@@ -42,7 +42,8 @@ print(f"roots of H   : k1 = {roots.k1!r} (= 1/4), k2 = {roots.k2!r} "
 # Between the roots H is negative, which is what makes every admissible
 # weight product k = lam*(1-lam) safe.
 mid = 0.5 * (roots.k1 + roots.k2)
-print(f"H(midpoint)  = {roots.H(mid):.6f} < 0")
+h_mid = mid * mid * c.mu * c.mu * c.s - c.mu * mid + c.a
+print(f"H(midpoint)  = {h_mid:.6f} < 0")
 
 # ---------------------------------------------------------------------------
 # The map eps -> mu inverts cleanly as long as mu stays under its supremum

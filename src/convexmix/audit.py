@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import cap_squared, requirement_sides, z_of
+from .bounds import cap_squared, per_step_margin, requirement_sides, z_of
 from .mixture import NumericError, multiplicative_lambda, multiplicative_lambdas
 
 __all__ = [
@@ -97,19 +97,15 @@ def evaluate_instance(
     """The row of :data:`WITNESS_COLUMNS` at one instance; the search's scalar reference.
 
     The updated weight comes from the true multiplicative update, not from
-    any bound on it, so a negative margin is a genuine counterexample.
+    any bound on it, so a negative margin is a genuine counterexample; the
+    two sides are those of :func:`bounds.per_step_margin`.
     """
     if not 0.0 < lambda_t < 1.0:
         raise ValueError(f"current weight must lie strictly inside (0, 1), got {lambda_t}")
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"comparator weight must lie in [0, 1], got {beta}")
     lam1 = multiplicative_lambda(mu, lambda_t, y, yhat1, yhat2)
-    e = y - (lambda_t * yhat1 + (1.0 - lambda_t) * yhat2)
-    e_beta = y - (beta * yhat1 + (1.0 - beta) * yhat2)
-    progress = beta * math.log(lam1 / lambda_t) + (1.0 - beta) * math.log(
-        (1.0 - lam1) / (1.0 - lambda_t)
-    )
-    lhs = a * e * e - b * e_beta * e_beta
+    lhs, progress = per_step_margin(a, b, beta, lambda_t, lam1, y, yhat1, yhat2)
     return y, yhat1, yhat2, lambda_t, beta, lhs, progress, progress - lhs
 
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -169,33 +169,16 @@ def loss_factor(constants: TheoremConstants) -> float:
     return (2.0 * constants.eps + 1.0) / (1.0 - constants.z * constants.z)
 
 
-def per_step_margin(
-    constants: TheoremConstants,
-    beta: float,
-    lambda_t: float,
-    lambda_t1: float,
-    e_t: float,
-    e_beta_t: float,
-) -> float:
-    """Slack of the per-step requirement; nonnegative means it held.
+def per_step_margin(a, b, beta, lam, lam1, y, y1, y2):
+    """The requirement's two sides ``(lhs, progress)`` at one instance, as floats, unchecked.
 
-    margin = progress - (a*e_t^2 - b*e_beta^2) where progress is the log
-    improvement of the weight pair toward (beta, 1-beta).
+    The scalar twin of :func:`requirement_sides`, with the same arguments
+    and the same operation order; the weights must lie strictly inside (0, 1).
     """
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"comparator weight must lie in [0, 1], got {beta}")
-    for name, lam in (("current", lambda_t), ("updated", lambda_t1)):
-        if not 0.0 < lam < 1.0:
-            raise ValueError(f"{name} weight must lie strictly inside (0, 1), got {lam}")
-    progress = beta * math.log(lambda_t1 / lambda_t) + (1.0 - beta) * math.log(
-        (1.0 - lambda_t1) / (1.0 - lambda_t)
-    )
-    via_kl = kl(beta, lambda_t) - kl(beta, lambda_t1)
-    if abs(progress - via_kl) > 1e-12:
-        raise ArithmeticError(
-            f"log progress {progress} and divergence difference {via_kl} disagree"
-        )
-    return progress - (constants.a * e_t * e_t - constants.b * e_beta_t * e_beta_t)
+    e = y - (lam * y1 + (1.0 - lam) * y2)
+    e_beta = y - (beta * y1 + (1.0 - beta) * y2)
+    progress = beta * math.log(lam1 / lam) + (1.0 - beta) * math.log((1.0 - lam1) / (1.0 - lam))
+    return a * e * e - b * e_beta * e_beta, progress
 
 
 def requirement_sides(a, b, beta, lam, lam1, y, y1, y2):
@@ -257,7 +240,6 @@ def per_step_margins(
 class SufficiencyRoots(NamedTuple):
     k1: float
     k2: float
-    H: Callable[[float], float]
     k1_at_least_quarter: bool
     k2_within_floor: bool
 
@@ -278,12 +260,8 @@ def sufficiency_roots(constants: TheoremConstants, tol: float = 1e-12) -> Suffic
     root = math.sqrt(disc)
     k1 = (1.0 + root) / (2.0 * mu * s)
     k2 = (1.0 - root) / (2.0 * mu * s)
-
-    def H(k: float) -> float:
-        return k * k * mu * mu * s - mu * k + a
-
     k0 = constants.lambda_plus * (1.0 - constants.lambda_plus)
-    return SufficiencyRoots(k1, k2, H, k1 >= 0.25 - tol, k2 <= k0 + tol)
+    return SufficiencyRoots(k1, k2, k1 >= 0.25 - tol, k2 <= k0 + tol)
 
 
 class RegretBound(NamedTuple):
@@ -298,14 +276,13 @@ def regret_and_bound(
     constants: TheoremConstants,
     n,
     lambda_init: float = 0.5,
-    beta: float | None = None,
 ) -> RegretBound:
     """Regret against the inflated hindsight loss and its guarantee.
 
     The guarantee is (1/a) times the divergence from the comparator pair
-    to the initial weight pair.  Without a comparator weight the worst
-    case over beta in [0, 1] is used, which is attained at an endpoint;
-    at lambda_init = 1/2 it equals ln(2)/a.
+    (beta, 1-beta) to the initial weight pair, at its worst case over beta
+    in [0, 1], which is attained at an endpoint; at lambda_init = 1/2 it
+    equals ln(2)/a.
 
     ``l_alg``, ``l_best`` and ``n`` are floats and an int, or arrays that
     broadcast together, such as every prefix of a run; ``regret`` and
@@ -319,10 +296,7 @@ def regret_and_bound(
     if not 0.0 < lambda_init < 1.0:
         raise ValueError(f"initial weight must lie strictly inside (0, 1), got {lambda_init}")
     regret = l_alg - loss_factor(constants) * l_best
-    if beta is None:
-        div = max(-math.log(lambda_init), -math.log(1.0 - lambda_init))
-    else:
-        div = kl(beta, lambda_init)
+    div = max(-math.log(lambda_init), -math.log(1.0 - lambda_init))
     bound_total = div / constants.a
     return RegretBound(regret, bound_total, bound_total / n)
 

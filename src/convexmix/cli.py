@@ -123,6 +123,14 @@ def _check_outputs(*paths: str) -> None:
             raise ValueError(f"cannot write {path}: it is a directory or its directory is missing")
 
 
+def _check_not_read(command: str, outputs, reads) -> None:
+    """Refuse an output path that resolves to one of the files the command reads."""
+    read = {os.path.realpath(p) for p in reads if isinstance(p, str)}
+    for path in outputs:
+        if os.path.realpath(path) in read:
+            raise ValueError(f"{command} output {path} is the input file")
+
+
 def _parse_window(text: str, n: int) -> tuple[int, int]:
     try:
         lo_s, hi_s = text.split(":")
@@ -134,8 +142,11 @@ def _parse_window(text: str, n: int) -> tuple[int, int]:
     return lo, hi
 
 
-def _sequence_from_args(args: argparse.Namespace):
-    """Resolve the sequence source; returns (samples, y_bound, clip_count, default_rate)."""
+def _sequence_from_args(args: argparse.Namespace, outputs):
+    """Resolve the sequence source; returns (samples, y_bound, clip_count, default_rate).
+
+    Refuses an output that is --input, --spec, --config or a spec's path before reading.
+    """
     sources = [k for k in ("case", "input", "spec") if getattr(args, k) is not None]
     if len(sources) != 1:
         raise ValueError("choose exactly one of --case, --input, --spec")
@@ -151,6 +162,10 @@ def _sequence_from_args(args: argparse.Namespace):
         spec = {"kind": "custom_file", "path": args.input}
     else:
         spec = _read_json(args.spec, "sequence spec")
+    reads = [args.input, args.spec, args.config]
+    if isinstance(spec, dict) and spec.get("kind") == "custom_file":
+        reads.append(spec.get("path"))
+    _check_not_read(args.command, outputs, reads)
     samples, y_bound, clipped = signals.sequence_from(
         spec, n=args.n, y_bound=args.ybound, origin=f"sequence spec {args.spec}")
     return samples, y_bound, clipped, default_rate
@@ -177,7 +192,7 @@ def _constants_from_args(args: argparse.Namespace, y_bound: float, default_rate:
 
 def cmd_run(args: argparse.Namespace) -> int:
     _check_outputs(args.out, args.summary)
-    samples, y_bound, clipped, default_rate = _sequence_from_args(args)
+    samples, y_bound, clipped, default_rate = _sequence_from_args(args, (args.out, args.summary))
     constants, mu = _constants_from_args(args, y_bound, default_rate)
     params = MixtureParams(mu=mu, lambda_plus=constants.lambda_plus, y_bound=y_bound,
                            mode=args.mode)
@@ -198,6 +213,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     _check_outputs(args.out)
+    _check_not_read("verify", (args.out,), (args.config,))
     constants, _ = _constants_from_args(args, args.ybound, {"eps": VERIFY_EPS})
     if args.override_a is not None:
         constants = dataclasses.replace(constants, a=args.override_a)
@@ -238,8 +254,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
     if out is None:
         stem, _ = os.path.splitext(args.input)
         out = stem + ".svg"
-    if os.path.realpath(out) == os.path.realpath(args.input):
-        raise ValueError(f"plot output {out} is the input file")
+    _check_not_read("plot", (out,), (args.input,))
     _check_outputs(out)
     frame = signals.read_trajectory(args.input, keep=DRAWN)
     check_drawable(args.input, frame, bool(args.logx))
@@ -265,7 +280,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # two rates that print alike would write one file
     paths = [f"{stem}_mu{mu:g}.json" for mu in mus]
     _check_outputs(out, *paths)
-    samples, y_bound, clipped, _ = _sequence_from_args(args)
+    samples, y_bound, clipped, _ = _sequence_from_args(args, (out, *paths))
     table, summaries = sweep(samples, mus, y_bound, args.lambda_plus, mode=args.mode,
                              lambda_init=args.lambda_init, clip_count=clipped)
     # the table is written before any per-rate file

@@ -31,6 +31,9 @@ def summarize(
     The guarantee column uses the worst case over comparator weights from
     the actual initial weight, which is ln(2)/a when the run starts at 1/2.
     Windowed figures restart the comparison at the window's opening weight.
+    ``theorem_valid`` says every step stayed in range, the theorem's
+    hypothesis; ``bound_holds`` says the regret stayed at or below
+    ``bound_total`` at every prefix, its conclusion.
     """
     n = len(traj)
     lambda_init = float(traj.lam[0])
@@ -62,6 +65,7 @@ def summarize(
         "projected_steps": int(traj.projected.sum()),
         "clip_count": clip_count,
         "theorem_valid": out_of_range == 0,
+        "bound_holds": bool((frame.regret <= rb.bound_total).all()),
     }
     if window is not None:
         lo, hi = window

@@ -85,6 +85,17 @@ class TestRunCommand:
         frame = read_trajectory("trajectory.csv")
         assert np.all(frame.bound_norm >= frame.norm_regret)
 
+    @pytest.mark.parametrize("n, holds", [(2000, True), (100_000, False)])
+    def test_bound_holds_reads_every_prefix(self, workdir, n, holds):
+        """The first benchmark's regret passes its guarantee between n = 2000
+        and 1e5 (353.56 against 152.38 at the end) with every step in range."""
+        assert run_cli("run", "--case", "1", "--n", str(n)) == 0
+        s = read_json("summary.json")
+        frame = read_trajectory("trajectory.csv")
+        assert s["theorem_valid"] is True
+        assert s["bound_holds"] is holds
+        assert s["bound_holds"] == bool(np.all(frame.regret <= s["bound_total"]))
+
     def test_eps_flag_derives_rate(self, workdir):
         assert run_cli("run", "--case", "1", "--n", "50", "--eps", "0.0016232528462103366") == 0
         s = read_json("summary.json")
@@ -228,6 +239,8 @@ class TestWindow:
 
 
 BAD_JSON = "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
+# a three-row input sequence
+SEQ_TEXT = "y,yhat1,yhat2\n0.1,0.2,-0.3\n0.5,0,0\n0.3,-0.2,0.1\n"
 
 
 def _trajectory_text(**row4) -> str:
@@ -406,6 +419,28 @@ USAGE_ERRORS = {
                                   "config key mu_list must be a string, got 0.1"),
     "plot-onto-input": ({}, {"t.csv": "x"}, "plot --input t.csv --out t.csv",
                         "plot output t.csv is the input file"),
+    # an output never replaces a file the command reads
+    "run-onto-input": ({}, {"in.csv": SEQ_TEXT}, "run --input in.csv --mu 0.1 --out in.csv",
+                       "run output in.csv is the input file"),
+    "run-summary-onto-spec": ({}, {"s.json": '{"kind": "constant", "n": 5}'},
+                              "run --spec s.json --mu 0.1 --summary s.json",
+                              "run output s.json is the input file"),
+    "run-onto-spec-file": ({}, {"in.csv": SEQ_TEXT,
+                                "s.json": '{"kind": "custom_file", "path": "./in.csv"}'},
+                           "run --spec s.json --mu 0.1 --out in.csv",
+                           "run output in.csv is the input file"),
+    "run-onto-config": ({}, {"cfg.json": '{"case": 1, "n": 5}'},
+                        "run --config cfg.json --summary cfg.json",
+                        "run output cfg.json is the input file"),
+    "sweep-onto-input": ({}, {"in.csv": SEQ_TEXT},
+                         "sweep --input in.csv --mu-list 0.1 --out in.csv",
+                         "sweep output in.csv is the input file"),
+    "sweep-rate-file-onto-spec": ({}, {"sweep_mu0.1.json": '{"kind": "constant", "n": 5}'},
+                                  "sweep --spec sweep_mu0.1.json --mu-list 0.1",
+                                  "sweep output sweep_mu0.1.json is the input file"),
+    "verify-onto-config": ({}, {"cfg.json": '{"trials": 1, "n": 5}'},
+                           "verify --config cfg.json --out cfg.json",
+                           "verify output cfg.json is the input file"),
     "verify-bad-resolution": ({}, {}, "verify --trials 1 --n 5 --resolution 0.5",
                               "resolution must lie in (0, 0.1], got 0.5"),
     "plot-nan-regret": ({}, {"t.csv": _trajectory_text(norm_regret="nan")},
@@ -427,7 +462,8 @@ class TestUsageErrors:
     @pytest.mark.parametrize("env, files, command, message", USAGE_ERRORS.values(),
                              ids=USAGE_ERRORS)
     def test_exact_message(self, workdir, monkeypatch, capsys, env, files, command, message):
-        """Each usage error prints its one line, exits 2 and writes nothing."""
+        """Each usage error prints its one line, exits 2, writes nothing and
+        leaves the files it was given as they were."""
         for key, value in env.items():
             monkeypatch.setenv(key, value)
         for name, text in files.items():
@@ -435,6 +471,7 @@ class TestUsageErrors:
         assert run_cli(*command.split()) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert sorted(p.name for p in workdir.iterdir()) == sorted(files)
+        assert {name: (workdir / name).read_text() for name in files} == files
 
     def test_no_source(self, workdir):
         assert run_cli("run", "--mu", "0.1") == 2

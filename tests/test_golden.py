@@ -21,6 +21,9 @@ The ``verify blocks`` and ``verify override-a`` hashes were taken while
 verify still ran its trials one ``mixture.run`` call each, and the
 ``verify skipped steps`` hash while each trial's margins took two
 ``per_step_margins`` calls, one on the fixed weights and one on the drawn.
+Every summary and sweep-table hash was re-recorded when the summary gained
+its last key, ``bound_holds``; parsed, each file keeps every earlier key
+and value, in order.
 """
 
 import hashlib
@@ -80,7 +83,7 @@ GOLDEN = {
         ],
         {
             "c1.csv": "793b0b39fc6e3a272766326f3926ded669319bcdca18af2fb6ab6402d0a3b377",
-            "c1.json": "0907ea318d3d2675fd21517ec77e82c4b909e7c96930ead33c66e931ffbdd00a",
+            "c1.json": "54e53918a623b6098c70680f93c0c89d6a90ef074654a7d889af27ccab95a95a",
             "c1.svg": "aa9d0860501f918a71d9aa616a7aae0008350c59e57908a6c83b63e08a486a1c",
         },
     ),
@@ -92,16 +95,16 @@ GOLDEN = {
         ],
         {
             "c2.csv": "09f1138825438452943b02baac088778cf7bbca9e1a440a476a0d1de846a28d0",
-            "c2.json": "a4a314011f9c176162927014f7eef3eea499b002030e8a576f1d7a18f1837f32",
+            "c2.json": "b59ecfaebfc36be69a6534b443a05abd87e1476403413ce4faa9d2033c018b24",
             "c2.svg": "3459d0dda9f312a9128ba09cc72cbf2ea81a16415179f88f218be7262fc71d19",
         },
     ),
     "sweep": (
         [["sweep", "--case", "1", "--n", "2000", "--mu-list", "0.04,0.08", "--out", "sweep.csv"]],
         {
-            "sweep.csv": "b8c4f0be82cd7a5729ba4e35ce0818ab32136de0301628423e2de4fa0ac0446f",
-            "sweep_mu0.04.json": "f87560431628fe69888e6e439224f4f8f335960c1ca0db66813e8be5c012e16a",
-            "sweep_mu0.08.json": "2de276c19eaed3f3f7d1d4f505c80aae5f58b9f3a0c0c549a7200c6691db25f4",
+            "sweep.csv": "77c1363a12a35c9ad0901b89ca0304467ce616683584b8478535176903e4759d",
+            "sweep_mu0.04.json": "39a931cd43a7bdfd2a9d5e11b338020439fc170be2b9225822613b50eeb3044b",
+            "sweep_mu0.08.json": "64bdb83c9b6b30e3469d490fb2ed42ff2c32f382ae35ce2d9d422ec6b922b145",
         },
     ),
     "lemma-audit clean": (
@@ -121,7 +124,7 @@ GOLDEN = {
         [["run", "--input", "seq.csv", "--mu", "0.1", "--out", "in.csv", "--summary", "in.json"]],
         {
             "in.csv": "3d3b0dfa74f2b5f89b8a537fe98393da6d016a2b0039d23a783ee1fd649bcb4d",
-            "in.json": "3b3d6ebb958b11b437090153fa75701430db6551f51c9d388ccb1a01d5e9b612",
+            "in.json": "5597b64bdd6fa238472aa67fac36f2c6fad377b2fcf047b20a19979274409193",
         },
     ),
     "run --spec custom_file truncated": (
@@ -129,7 +132,7 @@ GOLDEN = {
           "--summary", "file.summary.json"]],
         {
             "file.csv": "b16ecbf3a84fddd6d4228efbda4e95d7e6ac9cb002b5d28ee806e778146e346c",
-            "file.summary.json": "42aa3e1fbec6ead2612add1bf65f2218a33e294a79c4b130faf379b3019205ce",
+            "file.summary.json": "1c2d13e6ff263344698d08b1cb8a20d2be84152a82c3b394e15496c90f6d2bc9",
         },
     ),
     "run --spec square_wave": (
@@ -137,7 +140,7 @@ GOLDEN = {
           "--summary", "sq.summary.json"]],
         {
             "sq.csv": "f972dcc622e91b50c5eb55e6ca4edb3763d8b4ca9c84100f08b873fefecfaa48",
-            "sq.summary.json": "217385ea38daa8360e1d56f619ef83339830263176412f3097176c93e7004363",
+            "sq.summary.json": "a3136a38e059344f2818a2ae7dc782887bf6f4f5c0db76e8918acd6a0c96a09e",
         },
     ),
     "run --spec piecewise_switch": (
@@ -145,7 +148,7 @@ GOLDEN = {
           "--summary", "sw.summary.json"]],
         {
             "sw.csv": "e2e82671f458a5fd3c1912dde924980a540bfcc8fdb409e4e5cd07ef0fbaebd3",
-            "sw.summary.json": "3ab59cb2b01ecc34c3539bc6973730ac20b6ff37c59aa7e7612177ee6a85b680",
+            "sw.summary.json": "dbebc74ed2520b82ab1df64defa0cb16bcbcf0e83c4d6c43b69916bcd144f18d",
         },
     ),
     "run --input trajectory replay": (
@@ -156,7 +159,7 @@ GOLDEN = {
         ],
         {
             "replay.csv": "7a4457ec3b490650a44112b7b7c9898af99da6858936c0e861390808f5147806",
-            "replay.json": "781cc4291b7a10af45e287959529bf78c090dded42a584fd789a80788c99a3c4",
+            "replay.json": "3194fedf650ea811b249732056927bc3ccd68221e08bad25d6c21d8895f7170c",
         },
     ),
     # one step: circles instead of polylines, and an x range widened by 0.5 each way

@@ -1,7 +1,8 @@
 """Every module-level import in the package is used in its module, every
 exported name is used somewhere in the package, and the package root binds
 nothing but its version, so each name has one import path.  A format or row
-layout the package writes is spelled out in one module.
+layout the package writes, and the per-step requirement's arithmetic, is
+spelled out in one module.
 
 No linter is part of the toolchain, so these are the checks that catch an
 import left behind when code moves from one module to another, and an
@@ -15,8 +16,6 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "convexmix"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-# the scalar reference kept only so the margin kernel can be tested against it
-UNUSED_EXPORTS = {("bounds", "per_step_margin")}
 
 
 def _exports(tree: ast.Module) -> list[str]:
@@ -114,13 +113,14 @@ def test_the_check_sees_an_unused_export():
 
 def test_every_export_is_used():
     sources = {p.stem: p.read_text() for p in MODULES}
-    assert _unused_exports(sources) == UNUSED_EXPORTS
+    assert _unused_exports(sources) == set()
 
 
 @pytest.mark.parametrize("token, owner", [
     ("%.17g", "signals.py"),  # the CSV number format
     ("WITNESS_COLUMNS", "audit.py"),  # an evaluated instance as a witness row
+    ("b * e_beta", "bounds.py"),  # the per-step requirement's comparator term
 ])
 def test_each_decision_is_written_in_one_module(token, owner):
-    """A format or a row layout that two modules spell out has to change in both."""
+    """A format, a row layout or a formula that two modules spell out has to change in both."""
     assert [p.name for p in MODULES if token in p.read_text()] == [owner]
