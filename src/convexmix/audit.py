@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bounds import cap_squared, per_step_margin, requirement_sides, z_of
-from .mixture import NumericError, multiplicative_lambda, multiplicative_lambdas
+from .mixture import NumericError, logistic_lambdas
 
 __all__ = [
     "LemmaBounds",
@@ -96,15 +96,15 @@ def evaluate_instance(
 ) -> tuple:
     """The row of :data:`WITNESS_COLUMNS` at one instance; the search's scalar reference.
 
-    The updated weight comes from the true multiplicative update, not from
-    any bound on it, so a negative margin is a genuine counterexample; the
-    two sides are those of :func:`bounds.per_step_margin`.
+    The updated weight is :func:`mixture.logistic_lambdas` at this one
+    instance, the combiner's update, so a negative margin is a genuine
+    counterexample; the two sides are those of :func:`bounds.per_step_margin`.
     """
     if not 0.0 < lambda_t < 1.0:
         raise ValueError(f"current weight must lie strictly inside (0, 1), got {lambda_t}")
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"comparator weight must lie in [0, 1], got {beta}")
-    lam1 = multiplicative_lambda(mu, lambda_t, y, yhat1, yhat2)
+    lam1 = float(logistic_lambdas(mu, lambda_t, y, yhat1, yhat2))
     lhs, progress = per_step_margin(a, b, beta, lambda_t, lam1, y, yhat1, yhat2)
     return y, yhat1, yhat2, lambda_t, beta, lhs, progress, progress - lhs
 
@@ -170,7 +170,7 @@ def search_violations(
 
     The instances are generated and evaluated :data:`BLOCK` at a time
     (see :func:`_instance_blocks`) through the array kernels
-    ``multiplicative_lambdas`` and ``bounds.requirement_sides``, so memory is one
+    ``mixture.logistic_lambdas`` and ``bounds.requirement_sides``, so memory is one
     block of five float64 columns and its temporaries whatever the budget;
     only the witnesses grow with it.
     """
@@ -183,7 +183,7 @@ def search_violations(
     hits = []
     for block in _instance_blocks(budget, seed, y_bound, lambda_plus):
         y, y1, y2, lam, beta = block
-        lam1 = multiplicative_lambdas(mu, lam, y, y1, y2)
+        lam1 = logistic_lambdas(mu, lam, y, y1, y2)
         lhs, progress = requirement_sides(a, b, beta, lam, lam1, y, y1, y2)
         margin = progress - lhs
         at = np.flatnonzero(margin < -tol)

@@ -10,9 +10,9 @@ prediction error:
 
 :func:`run` advances a stack of sequences side by side, one sequence as
 a stack of one, so each sequence's weights are bit-identical whatever
-stack it runs in.  An algebraically equivalent multiplicative update on
-``lam`` itself is provided for cross-checking, as a scalar reference and
-as an array kernel; the forms agree to floating-point noise.
+stack it runs in.  :func:`logistic_lambdas` is the same update over arrays;
+the multiplicative form on ``lam`` itself, :func:`multiplicative_lambda`,
+is kept as a scalar cross-check and agrees to floating-point noise.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ __all__ = [
     "logit",
     "step",
     "multiplicative_lambda",
-    "multiplicative_lambdas",
+    "logistic_lambdas",
     "sample_columns",
     "run",
 ]
@@ -164,38 +164,34 @@ def multiplicative_lambda(mu: float, lam: float, y: float, yhat1: float, yhat2: 
     return out
 
 
-def multiplicative_lambdas(mu: float, lam, y, yhat1, yhat2) -> np.ndarray:
-    """:func:`multiplicative_lambda` over arrays: the next weight of every row.
+def logistic_lambdas(mu: float, lam, y, yhat1, yhat2) -> np.ndarray:
+    """:func:`step`'s next weight from ``rho = logit(lam)``, over arrays that broadcast together.
 
-    ``lam`` must lie in (0, 1); the arguments broadcast together.  The
-    operations are those of the scalar reference, in the same order, with
-    the largest exponent subtracted for stability.  They write into three
-    float64 buffers of the broadcast shape, never into an argument, and
-    the result is one of them.  ``np.exp`` may differ from ``math.exp`` in
-    the last ulp, so the two agree to rounding, not bit for bit.  Raises
-    :class:`NumericError` if any weight leaves (0, 1).
+    ``lam`` must lie in (0, 1).  The operations are :func:`step`'s, in its
+    order, written into two float64 buffers of the broadcast shape, never
+    into an argument.  ``np.log`` and ``np.exp`` may differ from ``math``'s
+    in the last ulp, so a row can differ from :func:`step` by an ulp or two.  Raises
+    :class:`NumericError` if any weight leaves (0, 1) or is NaN.
     """
     shape = np.broadcast(lam, y, yhat1, yhat2).shape
     rest = 1.0 - lam
-    # m = mu*e*lam*(1-lam) with e = y - (lam*yhat1 + (1-lam)*yhat2)
-    m = np.multiply(lam, yhat1, out=np.empty(shape))
-    g1 = np.multiply(rest, yhat2, out=np.empty(shape))
-    m += g1
-    np.subtract(y, m, out=m)
-    m *= mu
-    m *= lam
-    m *= rest
-    np.multiply(m, yhat1, out=g1)
-    g2 = np.multiply(m, yhat2, out=m)
-    top = np.maximum(g1, g2)
-    g1 -= top
-    g2 -= top
-    num = np.exp(g1, out=g1)
-    num *= lam
-    den = np.exp(g2, out=g2)
-    den *= rest
-    den += num
-    out = np.divide(num, den, out=num)
+    # rho = ln(lam/(1-lam)) + mu*e*lam*(1-lam)*(yhat1-yhat2), e the prediction error
+    e = np.multiply(lam, yhat1, out=np.empty(shape))
+    rho = np.multiply(rest, yhat2, out=np.empty(shape))
+    e += rho
+    np.subtract(y, e, out=e)
+    e *= mu
+    e *= lam
+    e *= rest
+    e *= np.subtract(yhat1, yhat2, out=rho)
+    np.log(np.divide(lam, rest, out=rho), out=rho)
+    rho += e
+    # the logistic with ex = exp(-|rho|): 1/(1+ex) where rho >= 0, ex/(1+ex)
+    # elsewhere; ex <= 1, so the numerator is the larger of ex and rho >= 0
+    ex = np.exp(np.copysign(rho, -1.0, out=e), out=e)
+    out = np.maximum(ex, rho >= 0.0, out=rho)
+    ex += 1.0
+    out /= ex
     # min and max are NaN if any weight is, so NaN is caught as well
     if out.size and not (out.min() > 0.0 and out.max() < 1.0):
         raise NumericError("an updated weight saturated; mu too extreme")

@@ -33,7 +33,8 @@ def summarize(
     Windowed figures restart the comparison at the window's opening weight.
     ``theorem_valid`` says every step stayed in range, the theorem's
     hypothesis; ``bound_holds`` says the regret stayed at or below
-    ``bound_total`` at every prefix, its conclusion.
+    ``bound_total`` at every prefix, its conclusion, and
+    ``first_bound_cross_t`` is the first step where it did not (0 if none).
     """
     n = len(traj)
     lambda_init = float(traj.lam[0])
@@ -51,6 +52,8 @@ def summarize(
         bound_norm=rb.bound_normalized,
     )
     out_of_range = int(n - traj.in_range.sum())
+    crossed = ~(frame.regret <= rb.bound_total)  # a NaN regret crosses too
+    first_cross = int(np.argmax(crossed)) + 1 if crossed.any() else 0
     summary = {
         "n": n,
         "final_lambda": traj.final_lambda,
@@ -65,7 +68,8 @@ def summarize(
         "projected_steps": int(traj.projected.sum()),
         "clip_count": clip_count,
         "theorem_valid": out_of_range == 0,
-        "bound_holds": bool((frame.regret <= rb.bound_total).all()),
+        "bound_holds": not first_cross,
+        "first_bound_cross_t": first_cross,
     }
     if window is not None:
         lo, hi = window

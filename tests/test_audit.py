@@ -118,7 +118,7 @@ class TestEvaluateInstance:
 
     def test_saturation_raises(self):
         first, _ = construction_instances(1.0, 0.08)
-        with pytest.raises(ArithmeticError, match="degenerated"):
+        with pytest.raises(ArithmeticError, match="saturated"):
             evaluate_instance(0.1, 0.1, 1e6, *first)
 
     def test_domain(self):
@@ -151,6 +151,12 @@ class TestSearchViolations:
             assert want[:5] == tuple(row[:5])
             assert want[-1] < -audit.DEFAULT_TOL
             assert list(want[5:]) == pytest.approx(row[5:], rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("budget, count", [(20_000, 14_814), (70_001, 52_360)])
+    def test_witness_counts_at_golden_budgets(self, budget, count):
+        """The counts the CLI smoke run and the witness-file golden see."""
+        found = search_violations(0.0586, 0.005, 1.03, 0.08, 1.0, budget=budget, seed=0)
+        assert len(found) == count
 
     def test_random_fill_extends_search(self):
         a_grid = search_violations(0.0586, 0.005, 1.03, 0.08, 1.0, budget=1875, seed=0)

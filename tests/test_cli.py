@@ -88,13 +88,17 @@ class TestRunCommand:
     @pytest.mark.parametrize("n, holds", [(2000, True), (100_000, False)])
     def test_bound_holds_reads_every_prefix(self, workdir, n, holds):
         """The first benchmark's regret passes its guarantee between n = 2000
-        and 1e5 (353.56 against 152.38 at the end) with every step in range."""
+        and 1e5 (353.56 against 152.38 at the end, first at step 37,131) with
+        every step in range."""
         assert run_cli("run", "--case", "1", "--n", str(n)) == 0
         s = read_json("summary.json")
         frame = read_trajectory("trajectory.csv")
         assert s["theorem_valid"] is True
         assert s["bound_holds"] is holds
         assert s["bound_holds"] == bool(np.all(frame.regret <= s["bound_total"]))
+        crossed = np.flatnonzero(frame.regret > s["bound_total"])
+        assert s["first_bound_cross_t"] == (0 if holds else 37_131)
+        assert s["first_bound_cross_t"] == (int(frame.t[crossed[0]]) if len(crossed) else 0)
 
     def test_eps_flag_derives_rate(self, workdir):
         assert run_cli("run", "--case", "1", "--n", "50", "--eps", "0.0016232528462103366") == 0
@@ -745,7 +749,7 @@ class TestLemmaAuditCommand:
     def test_numeric_failure_names_the_construction(self, workdir, capsys, argv, label):
         assert run_cli("lemma-audit", *argv, "--out", "w.json") == 3
         assert capsys.readouterr().err == (
-            f"numeric failure: construction {label}: multiplicative update degenerated to 1.0\n")
+            f"numeric failure: construction {label}: an updated weight saturated; mu too extreme\n")
         assert not (workdir / "w.json").exists()
 
     @pytest.mark.parametrize("argv, code, message", [
@@ -764,7 +768,7 @@ class TestLemmaAuditCommand:
         (("--eps", "0.1", "--seed", "-1", "--budget", "5000"), 2,
          "error: seed must be nonnegative, got -1"),
         (("--a", "0.01", "--b", "1", "--mu", "1e6"), 3,
-         "numeric failure: construction floor: multiplicative update degenerated to 1.0"),
+         "numeric failure: construction floor: an updated weight saturated; mu too extreme"),
         # both constructions hold at this rate; a grid instance saturates
         (("--a", "0.01", "--b", "1", "--mu", "100"), 3,
          "numeric failure: an updated weight saturated; mu too extreme"),

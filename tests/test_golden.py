@@ -22,8 +22,13 @@ verify still ran its trials one ``mixture.run`` call each, and the
 ``verify skipped steps`` hash while each trial's margins took two
 ``per_step_margins`` calls, one on the fixed weights and one on the drawn.
 Every summary and sweep-table hash was re-recorded when the summary gained
-its last key, ``bound_holds``; parsed, each file keeps every earlier key
-and value, in order.
+``bound_holds``, and again when it gained its last key,
+``first_bound_cross_t``; parsed, each file keeps every earlier key and
+value, in order.  The witness-file hash of ``lemma-audit witnesses`` was
+re-recorded when the search took its weights from the logistic update
+instead of the multiplicative one: the count and the listed instances are
+the same, the margins move by about 1e-15 at most, and rows whose margins are
+that close can trade places.
 """
 
 import hashlib
@@ -83,7 +88,7 @@ GOLDEN = {
         ],
         {
             "c1.csv": "793b0b39fc6e3a272766326f3926ded669319bcdca18af2fb6ab6402d0a3b377",
-            "c1.json": "54e53918a623b6098c70680f93c0c89d6a90ef074654a7d889af27ccab95a95a",
+            "c1.json": "635cc4d469209338df0a25bf148809989ca350baded3562af7a8178820be92f0",
             "c1.svg": "aa9d0860501f918a71d9aa616a7aae0008350c59e57908a6c83b63e08a486a1c",
         },
     ),
@@ -95,16 +100,16 @@ GOLDEN = {
         ],
         {
             "c2.csv": "09f1138825438452943b02baac088778cf7bbca9e1a440a476a0d1de846a28d0",
-            "c2.json": "b59ecfaebfc36be69a6534b443a05abd87e1476403413ce4faa9d2033c018b24",
+            "c2.json": "b24613e27a3aa04dbf5ead1bc1834c856001409e92593099e72333491b61f0ae",
             "c2.svg": "3459d0dda9f312a9128ba09cc72cbf2ea81a16415179f88f218be7262fc71d19",
         },
     ),
     "sweep": (
         [["sweep", "--case", "1", "--n", "2000", "--mu-list", "0.04,0.08", "--out", "sweep.csv"]],
         {
-            "sweep.csv": "77c1363a12a35c9ad0901b89ca0304467ce616683584b8478535176903e4759d",
-            "sweep_mu0.04.json": "39a931cd43a7bdfd2a9d5e11b338020439fc170be2b9225822613b50eeb3044b",
-            "sweep_mu0.08.json": "64bdb83c9b6b30e3469d490fb2ed42ff2c32f382ae35ce2d9d422ec6b922b145",
+            "sweep.csv": "4c88c61b83a2ff8c8684461fbf03331f8a745d8606024b9e93453dd725298c7a",
+            "sweep_mu0.04.json": "6058dd5a3039e88c375750278e579b6a46de1ca35390f291ff4a667c844c9903",
+            "sweep_mu0.08.json": "bf38fd234a20faa33f3eb3248817ff99ff73843bc3de91ea1c929711b73ab9c4",
         },
     ),
     "lemma-audit clean": (
@@ -117,14 +122,14 @@ GOLDEN = {
         [["lemma-audit", "--a", "0.0586", "--b", "0.005", "--mu", "1.03", "--budget", "70001",
           "--seed", "0", "--out", "w.json"]],
         {
-            "w.json": "44bbe2cc032bf1e9543f1244f2fa642aebf07fafc74903774a42cbfcd3d00721",
+            "w.json": "6cf2d6292ea4a3b438b3fff45c0d9f65477a86539b09b8d5f41c240456d4a630",
         },
     ),
     "run --input clipped": (
         [["run", "--input", "seq.csv", "--mu", "0.1", "--out", "in.csv", "--summary", "in.json"]],
         {
             "in.csv": "3d3b0dfa74f2b5f89b8a537fe98393da6d016a2b0039d23a783ee1fd649bcb4d",
-            "in.json": "5597b64bdd6fa238472aa67fac36f2c6fad377b2fcf047b20a19979274409193",
+            "in.json": "a9fce90b1ce614b46c8415828b12412841fa8ecba0a27c8e4fca5a4bc2501e98",
         },
     ),
     "run --spec custom_file truncated": (
@@ -132,7 +137,7 @@ GOLDEN = {
           "--summary", "file.summary.json"]],
         {
             "file.csv": "b16ecbf3a84fddd6d4228efbda4e95d7e6ac9cb002b5d28ee806e778146e346c",
-            "file.summary.json": "1c2d13e6ff263344698d08b1cb8a20d2be84152a82c3b394e15496c90f6d2bc9",
+            "file.summary.json": "6276979c4adf7f0363101d4369dce48eddf71e74d7e313c651075a2529d354c9",
         },
     ),
     "run --spec square_wave": (
@@ -140,7 +145,7 @@ GOLDEN = {
           "--summary", "sq.summary.json"]],
         {
             "sq.csv": "f972dcc622e91b50c5eb55e6ca4edb3763d8b4ca9c84100f08b873fefecfaa48",
-            "sq.summary.json": "a3136a38e059344f2818a2ae7dc782887bf6f4f5c0db76e8918acd6a0c96a09e",
+            "sq.summary.json": "84b4137880b546ede82b465f28e03410aac84ac4dd1a6034363b14e7daa39927",
         },
     ),
     "run --spec piecewise_switch": (
@@ -148,7 +153,7 @@ GOLDEN = {
           "--summary", "sw.summary.json"]],
         {
             "sw.csv": "e2e82671f458a5fd3c1912dde924980a540bfcc8fdb409e4e5cd07ef0fbaebd3",
-            "sw.summary.json": "dbebc74ed2520b82ab1df64defa0cb16bcbcf0e83c4d6c43b69916bcd144f18d",
+            "sw.summary.json": "8a5d414b8d6249e9185588727ba2c2076a18b2b0430327355f5be861ff045a88",
         },
     ),
     "run --input trajectory replay": (
@@ -159,7 +164,7 @@ GOLDEN = {
         ],
         {
             "replay.csv": "7a4457ec3b490650a44112b7b7c9898af99da6858936c0e861390808f5147806",
-            "replay.json": "3194fedf650ea811b249732056927bc3ccd68221e08bad25d6c21d8895f7170c",
+            "replay.json": "22ef40193173b4e5ca557ae670a40f756cc9f8de9908ad830c3f7368fea516f7",
         },
     ),
     # one step: circles instead of polylines, and an x range widened by 0.5 each way

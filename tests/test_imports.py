@@ -1,8 +1,8 @@
 """Every module-level import in the package is used in its module, every
 exported name is used somewhere in the package, and the package root binds
 nothing but its version, so each name has one import path.  A format or row
-layout the package writes, and the per-step requirement's arithmetic, is
-spelled out in one module.
+layout the package writes, the per-step requirement's arithmetic, and the
+weight update's logistic, is spelled out in one module.
 
 No linter is part of the toolchain, so these are the checks that catch an
 import left behind when code moves from one module to another, and an
@@ -120,6 +120,8 @@ def test_every_export_is_used():
     ("%.17g", "signals.py"),  # the CSV number format
     ("WITNESS_COLUMNS", "audit.py"),  # an evaluated instance as a witness row
     ("b * e_beta", "bounds.py"),  # the per-step requirement's comparator term
+    ("log((1.0 - ", "bounds.py"),  # the progress's log ratio on the second expert
+    ("copysign(rho", "mixture.py"),  # the logistic's exp argument, -|rho|
 ])
 def test_each_decision_is_written_in_one_module(token, owner):
     """A format, a row layout or a formula that two modules spell out has to change in both."""
