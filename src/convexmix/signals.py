@@ -285,7 +285,7 @@ def _read_table(path: str, expected: str, *headers: tuple, ints=(), keep=None) -
 _INT_COLUMNS = ("t", "in_range", "projected")
 # rows formatted per write: a block's buffers stay near 2 MB at any n
 _WRITE_BLOCK = 4096
-_COMMA, _CRLF = (np.frombuffer(sep, np.uint8)[None] for sep in (b",", b"\r\n"))
+_CRLF = np.frombuffer(b"\r\n", np.uint8)
 
 
 def write_trajectory(frame: Trajectory, path: str) -> None:
@@ -303,26 +303,50 @@ def write_table(path: str, columns: dict) -> None:
     """Write equal-length columns as CSV under a header of their names, in order.
 
     Floating columns are written as ``'%.17g' % x``, integer and boolean ones
-    as ``'%d' % x``, with CRLF line ends: the bytes csv.writer wrote.  Per
-    block of rows, each column's distinct values are formatted once into
-    NUL-padded cells, joined with commas and line ends; the NULs are dropped.
+    as ``'%d' % x``, with CRLF line ends: the bytes csv.writer wrote.  The
+    columns are checked to be 1-D and of one length before the file is
+    opened.  Per block of rows, each column is reduced to its distinct bit
+    patterns; those of all float columns are formatted by one call into
+    NUL-padded cells, and those of all the others by a second.  Each
+    column's cells are then taken row by row into one byte buffer between
+    commas and line ends, and the NULs are dropped.
     """
-    cols = [(col, *((np.float64, _float_cells) if col.dtype.kind == "f" else (np.int64, _int_cells)))
-            for col in map(np.asarray, columns.values())]
+    cols = list(map(np.asarray, columns.values()))
+    if not cols:
+        raise ValueError("no columns to write")
+    for name, col in zip(columns, cols):
+        if col.ndim != 1 or col.shape != cols[0].shape:
+            raise ValueError(f"column {name} has shape {col.shape}; the columns must be 1-D "
+                             f"and as long as the first, {next(iter(columns))}")
+    floats = [col.dtype.kind == "f" for col in cols]
+    # each formatter and the columns it formats, all of them in one call per block
+    kinds = [(dtype, cells, at) for dtype, cells, at in
+             ((np.float64, _float_cells, [j for j, f in enumerate(floats) if f]),
+              (np.int64, _int_cells, [j for j, f in enumerate(floats) if not f])) if at]
     with open(path, "wb") as fh:
         fh.write((",".join(columns) + "\r\n").encode())
-        for start in range(0, len(cols[0][0]), _WRITE_BLOCK):
-            pieces = []
-            for col, dtype, cells in cols:
-                # converted per block (flags may be bool); distinct bit
-                # patterns, so that -0.0 stays apart from 0.0
-                values = np.asarray(col[start : start + _WRITE_BLOCK], dtype=dtype)
-                bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-                text = cells(bits.view(dtype))
-                # columns that are NUL in every cell are dropped before the gather
-                pieces += [text[:, text.any(axis=0)][inverse], _COMMA]
-            pieces[-1] = _CRLF
-            block = np.hstack([np.broadcast_to(p, (len(values), p.shape[1])) for p in pieces])
+        for start in range(0, len(cols[0]), _WRITE_BLOCK):
+            inverses, texts = [None] * len(cols), [None] * len(cols)
+            for dtype, cells, at in kinds:
+                bits = []
+                for j in at:
+                    # converted per block (flags may be bool); distinct bit
+                    # patterns, so that -0.0 stays apart from 0.0
+                    values = np.asarray(cols[j][start : start + _WRITE_BLOCK], dtype)
+                    distinct, inverses[j] = np.unique(values.view(np.int64), return_inverse=True)
+                    bits.append(distinct)
+                text = cells(np.concatenate(bits).view(dtype))
+                for j, part in zip(at, np.split(text, np.cumsum(list(map(len, bits)))[:-1])):
+                    # byte columns that are NUL in every cell are dropped before the take
+                    texts[j] = part[:, part.any(axis=0)]
+            block = np.empty((len(inverses[0]), sum(t.shape[1] + 1 for t in texts) + 1), np.uint8)
+            left = 0
+            for text, inverse in zip(texts, inverses):
+                right = left + text.shape[1]
+                block[:, left:right] = np.take(text, inverse, axis=0)
+                block[:, right] = 44  # the comma, or the CR of the line end
+                left = right + 1
+            block[:, -2:] = _CRLF
             fh.write(block[block != 0])
 
 
@@ -354,7 +378,8 @@ def _powers_of_ten() -> tuple:
 @functools.cache
 def _four_digits() -> np.ndarray:
     """The four ASCII digits of each of 0..9999, one uint32 per number."""
-    return np.array([b"%04d" % i for i in range(10_000)]).view(np.uint32)
+    digits = np.arange(10_000)[:, None] // [1000, 100, 10, 1] % 10 + 48
+    return digits.astype(np.uint8).view(np.uint32).ravel()
 
 
 def _digits17(d: np.ndarray) -> np.ndarray:

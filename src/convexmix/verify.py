@@ -70,7 +70,7 @@ def _check_block(constants, params, seeds, n, tol, margin_suite, tele_suite):
             # written so that a NaN margin fails
             if not worst >= -tol:
                 margin_suite["failures"].append({"seed": trial_seed, "worst_margin": worst})
-        progress = bounds.requirement_sides(0.0, 0.0, _TELESCOPE_BETAS, l0, l1, y, y1, y2)[1]
+        progress = bounds.requirement_progress(_TELESCOPE_BETAS, l0, l1)
         for beta, total in zip(_TELESCOPE_BETAS[:, 0].tolist(), progress.sum(axis=1).tolist()):
             via_kl = bounds.kl(beta, l0[0]) - bounds.kl(beta, final)
             tele_suite["checked"] += 1

@@ -17,6 +17,7 @@ from convexmix.bounds import (
     per_step_margin,
     per_step_margins,
     regret_and_bound,
+    requirement_progress,
     requirement_sides,
     sufficiency_roots,
     z_of,
@@ -296,6 +297,15 @@ class TestRequirementSidesBits:
             want = np.asarray(want)
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+
+    # verify's telescoping rows: (3, 1) weights against one trial's steps
+    @pytest.mark.parametrize("beta_shape, step_shape", [*SHAPES, ((3, 1), (300,))])
+    def test_progress_alone_is_the_sides_progress(self, beta_shape, step_shape):
+        c = constants_from_eps(0.1, 1.0, 0.08)
+        beta, lam, lam1, y, y1, y2 = self._inputs(5, beta_shape, step_shape)
+        want = requirement_sides(c.a, c.b, beta, lam, lam1, y, y1, y2)[1]
+        got = requirement_progress(beta, lam, lam1)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("betas", [(25, 300), (5,)])
     def test_margins_match_expression_form(self, betas):

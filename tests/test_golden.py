@@ -92,6 +92,14 @@ GOLDEN = {
             "c1.svg": "aa9d0860501f918a71d9aa616a7aae0008350c59e57908a6c83b63e08a486a1c",
         },
     ),
+    # the defaults: n = 10,000 rows, three writer blocks of 4,096, 4,096 and 1,808
+    "run --case 1 defaults": (
+        [["run", "--case", "1"]],
+        {
+            "trajectory.csv": "5560a0e40e88522cf55d38b95566fb1bb94795188a921c9d6a0572b9c13f1d48",
+            "summary.json": "c098ffa27b366f7c3064b3ebaf769919c3514dee6cc310501198d724171cb447",
+        },
+    ),
     "run --case 2 monitor window": (
         [
             ["run", "--case", "2", "--n", "3000", "--mode", "monitor", "--window", "100:900",

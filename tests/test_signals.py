@@ -684,6 +684,12 @@ class TestCellFormatter:
     def test_drawn_floats(self, values):
         self._check(values)
 
+    def test_four_digit_table_is_the_percent_table(self):
+        want = np.array([b"%04d" % i for i in range(10_000)]).view(np.uint32)
+        got = signals._four_digits()
+        assert got.dtype == want.dtype and got.shape == want.shape == (10_000,)
+        assert got.tobytes() == want.tobytes()
+
     def test_integers(self):
         info = np.iinfo(np.int64)
         rng = np.random.default_rng(3)
@@ -731,6 +737,80 @@ class TestBlockWriter:
         assert back.in_range.dtype == np.int64
         write_trajectory(back, str(second))
         assert first.read_bytes() == second.read_bytes() == _reference_bytes(frame)
+
+
+def _table_reference(columns: dict) -> bytes:
+    """The CSV bytes of a table, row by row with ``%``: ``'%.17g'`` for floats, ``'%d'`` else."""
+    fmts = ["%.17g" if np.asarray(col).dtype.kind == "f" else "%d" for col in columns.values()]
+    rows = zip(*(np.asarray(col).tolist() for col in columns.values()))
+    lines = [",".join(columns)] + [",".join(f % v for f, v in zip(fmts, row)) for row in rows]
+    return ("\r\n".join(lines) + "\r\n").encode()
+
+
+class TestTableWriter:
+    """``write_table`` formats all float columns of a block in one call and all others in a second."""
+
+    def _check(self, tmp_path, columns):
+        p = tmp_path / "table.csv"
+        signals.write_table(str(p), columns)
+        assert p.read_bytes() == _table_reference(columns)
+
+    def test_int_columns_only(self, tmp_path):
+        rng = np.random.default_rng(1)
+        self._check(tmp_path, {"t": np.arange(1, 5001), "flag": rng.random(5000) < 0.5,
+                               "big": rng.integers(-(2**63), 2**63 - 1, 5000, endpoint=True)})
+
+    def test_float_columns_only(self, tmp_path):
+        rng = np.random.default_rng(2)
+        self._check(tmp_path, {"a": rng.standard_normal(5000), "b": rng.integers(-3, 3, 5000) / 4.0,
+                               "c": 10.0 ** rng.integers(-300, 300, 5000)})
+
+    def test_one_bit_pattern_in_two_columns(self, tmp_path):
+        """The concatenated distinct values of one formatter call hold the pattern twice."""
+        x = np.array([0.1, 0.5, 0.1, 1 / 3] * 300)
+        self._check(tmp_path, {"x": x, "y": x[::-1].copy(), "i": np.tile([1, 0, 1], 400),
+                               "j": np.tile([0, 1, 1], 400)})
+
+    def test_zeros_and_nans_of_both_signs_in_one_block(self, tmp_path):
+        special = np.concatenate([[0.0, -0.0], _bits(0x7FF8000000000000, 0xFFF8000000000000)])
+        rng = np.random.default_rng(3)
+        a = rng.choice(special, 3000)
+        b = np.where(rng.random(3000) < 0.5, rng.choice(special, 3000), rng.standard_normal(3000))
+        assert np.signbit(a).any() and not np.signbit(a).all()
+        self._check(tmp_path, {"a": a, "b": b, "t": np.arange(3000)})
+
+    def test_every_column_one_value_per_block(self, tmp_path):
+        n = 2 * signals._WRITE_BLOCK
+        half = np.arange(n) // signals._WRITE_BLOCK  # 0 in the first block, 1 in the second
+        self._check(tmp_path, {"x": np.where(half, -2.5, 0.08), "y": np.full(n, 1e300),
+                               "k": half + 7, "f": half == 0})
+
+    def test_one_row_past_a_block(self, tmp_path):
+        n = signals._WRITE_BLOCK + 1
+        rng = np.random.default_rng(4)
+        self._check(tmp_path, {"t": np.arange(1, n + 1), "x": rng.standard_normal(n),
+                               "bits": rng.integers(-(2**63), 2**63, n, dtype=np.int64).view(np.float64),
+                               "flag": rng.random(n) < 0.1})
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_unequal_columns_refused_before_the_file_is_touched(self, tmp_path, existing):
+        p = tmp_path / "table.csv"
+        if existing:
+            p.write_bytes(b"kept\r\n")
+        with pytest.raises(ValueError, match="^column b has shape \\(4100,\\); "):
+            signals.write_table(str(p), {"a": np.arange(5000), "b": np.arange(4100) * 0.5,
+                                         "c": np.arange(3)})
+        assert p.read_bytes() == b"kept\r\n" if existing else not p.exists()
+
+    def test_a_column_not_1d_is_refused(self, tmp_path):
+        p = tmp_path / "table.csv"
+        with pytest.raises(ValueError, match="^column a has shape \\(2, 5\\); "):
+            signals.write_table(str(p), {"a": np.zeros((2, 5)), "b": np.zeros(2)})
+        with pytest.raises(ValueError, match="^column b has shape \\(\\); "):
+            signals.write_table(str(p), {"a": np.zeros(1), "b": np.float64(0.5)})
+        with pytest.raises(ValueError, match="^no columns to write$"):
+            signals.write_table(str(p), {})
+        assert not p.exists()
 
 
 class TestWriterMemory:
