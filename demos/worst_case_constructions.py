@@ -15,7 +15,6 @@ from convexmix.audit import (
     WITNESS_COLUMNS,
     construction_instances,
     evaluate_instance,
-    lemma_bounds,
     search_violations,
 )
 from convexmix.bounds import constants_from_eps
@@ -32,15 +31,13 @@ def show(label, row):
 
 
 # ---------------------------------------------------------------------------
-# Closed-form bounds.  The floor construction (weight at lambda_plus, the
-# accurate expert at the cap) genuinely forces mu >= a/k0.  A linearized
-# reading of the midpoint construction suggests b >= 4a + mu/4, but that
-# figure is conservative: the exact evaluation below clears the instance
-# with a much smaller b.
+# The closed-form bound.  The floor construction (weight at lambda_plus, the
+# accurate expert at the cap) forces mu >= a/k0 with k0 = lambda_plus*(1 -
+# lambda_plus); no closed form is claimed for b, whose sufficiency the exact
+# evaluation and the search below check.
 
-lb = lemma_bounds(c.a, c.mu, 0.08)
-print(f"mu >= {lb.mu_min:.6f} required (have {c.mu:.6f}); "
-      f"conservative b reference {lb.b_min_combined:.6f} (actual b {c.b:.6f})")
+k0 = c.lambda_plus * (1.0 - c.lambda_plus)
+print(f"mu_min = a/k0 = {c.a / k0:.6f} (mu {c.mu:.6f}, b {c.b:.6f})")
 
 # ---------------------------------------------------------------------------
 # Exact evaluation of both constructions under the derived triple.  Neither

@@ -7,17 +7,14 @@ inequality
 
 survives the worst admissible instance (y, yhat1, yhat2, lam, beta).  This
 module evaluates two closed-form worst-case candidates exactly, reports the
-classical lower bounds associated with them, and searches a structured grid
-plus random draws for counterexamples to arbitrary triples.  Exact
-evaluation is authoritative; the closed-form b bounds are conservative (see
-:func:`lemma_bounds`).
+necessary rate bound the first of them forces, and searches a structured grid
+plus random draws for counterexamples to arbitrary triples.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -25,9 +22,7 @@ from .bounds import cap_squared, per_step_margin, requirement_sides, z_of
 from .mixture import NumericError, logistic_lambdas
 
 __all__ = [
-    "LemmaBounds",
     "check_triple",
-    "lemma_bounds",
     "construction_instances",
     "evaluate_instance",
     "search_violations",
@@ -44,38 +39,12 @@ BLOCK = 1 << 14
 WITNESS_CAP = 1000
 
 
-class LemmaBounds(NamedTuple):
-    mu_min: float
-    b_min_via_mu: float
-    b_min_combined: float
-
-
 def check_triple(a: float, b: float, mu: float) -> None:
     """Refuse a non-positive or infinite a, b or mu: infinities make uncounted NaN margins."""
     if not (a > 0.0 and b > 0.0 and mu > 0.0):
         raise ValueError(f"a, b, mu must be positive, got a={a}, b={b}, mu={mu}")
     if not all(map(math.isfinite, (a, b, mu))):
         raise ValueError(f"a, b, mu must be finite, got a={a}, b={b}, mu={mu}")
-
-
-def lemma_bounds(a: float, mu: float, lambda_plus: float) -> LemmaBounds:
-    """Closed-form lower bounds associated with the two constructions.
-
-    The floor-weight construction genuinely forces mu >= a / k0 with
-    k0 = lambda_plus*(1-lambda_plus): its progress is capped by
-    mu*k0*(1-lambda_plus)^2*Y^2 while the loss side charges
-    a*(1-lambda_plus)^2*Y^2.  The b figures — 4*a + mu/4 from a linearized
-    reading of the midpoint construction, and 4*a + a/(4*k0) after
-    substituting the mu bound — are conservative: exact evaluation of that
-    instance (its progress is positive, not negative) admits smaller b, and
-    the search confirms triples below these figures can still hold
-    everywhere.  They are reported for reference, not enforced.
-    """
-    if not (a > 0.0 and mu > 0.0):
-        raise ValueError(f"a and mu must be positive, got a={a}, mu={mu}")
-    z_of(lambda_plus)  # refuses a floor outside (0, 1/2)
-    k0 = lambda_plus * (1.0 - lambda_plus)
-    return LemmaBounds(a / k0, 4.0 * a + mu / 4.0, 4.0 * a + a / (4.0 * k0))
 
 
 def construction_instances(y_bound: float, lambda_plus: float) -> tuple[tuple, tuple]:
@@ -86,8 +55,8 @@ def construction_instances(y_bound: float, lambda_plus: float) -> tuple[tuple, t
     silent expert 1 and expert 2 at the cap, weight at the midpoint,
     comparator fully on expert 1.
     """
-    cap_squared(y_bound)  # refuses a cap outside [1e-150, 1e150]
     z_of(lambda_plus)  # refuses a floor outside (0, 1/2)
+    cap_squared(y_bound)  # refuses a cap outside [1e-150, 1e150]
     return (y_bound, y_bound, 0.0, lambda_plus, 1.0), (-y_bound / 2.0, 0.0, y_bound, 0.5, 1.0)
 
 
@@ -199,18 +168,23 @@ def audit_triple(a: float, b: float, mu: float, lambda_plus: float, y_bound: flo
                  seed: int, tol: float = DEFAULT_TOL) -> tuple[dict, list[str], bool]:
     """The audit of (a, b, mu): the JSON ``lemma-audit`` writes, the lines it prints, and a pass.
 
-    The bounds, the two constructions and the search are all evaluated
+    The rate bound, the two constructions and the search are all evaluated
     before any line is made.  The payload counts every witness and lists
     the worst :data:`WITNESS_CAP`; the audit passes when it has no witness
     and no violated construction.
+
+    The bound is the one the floor construction forces: with
+    k0 = lambda_plus*(1-lambda_plus) its progress is at most mu*k0*e^2
+    against a loss side of a*e^2, so mu >= a/k0 is necessary.
     """
     def witness_dicts(rows):  # each row of WITNESS_COLUMNS, violated where its margin is below -tol
         return [dict(zip(WITNESS_COLUMNS, row), violated=row[-1] < -tol) for row in rows]
 
     check_triple(a, b, mu)
-    lb = lemma_bounds(a, mu, lambda_plus)
+    instances = construction_instances(y_bound, lambda_plus)
+    mu_min = a / (lambda_plus * (1.0 - lambda_plus))  # k0 > 0: the floor was refused outside (0, 1/2)
     labels, rows = ("floor", "midpoint"), []
-    for label, instance in zip(labels, construction_instances(y_bound, lambda_plus)):
+    for label, instance in zip(labels, instances):
         try:
             rows.append(evaluate_instance(a, b, mu, *instance))
         except NumericError as exc:
@@ -219,9 +193,7 @@ def audit_triple(a: float, b: float, mu: float, lambda_plus: float, y_bound: flo
     witnesses = search_violations(a, b, mu, lambda_plus, y_bound, budget, seed, tol=tol)
     listed = witness_dicts(witnesses[:WITNESS_CAP].tolist())  # dicts only for the rows written
 
-    lines = [f"closed-form bounds: mu >= {lb.mu_min:.12g} (necessary), "
-             f"b >= {lb.b_min_via_mu:.12g} (via mu, conservative), "
-             f"b >= {lb.b_min_combined:.12g} (combined, conservative)"]
+    lines = [f"closed-form bounds: mu >= {mu_min:.12g} (necessary)"]
     lines += [f"construction {label}: lhs={c['lhs']:.12g} progress={c['progress']:.12g} "
               f"margin={c['margin']:.12g} [{'VIOLATED' if c['violated'] else 'ok'}]"
               for label, c in constructions.items()]
@@ -234,7 +206,7 @@ def audit_triple(a: float, b: float, mu: float, lambda_plus: float, y_bound: flo
         "a": a, "b": b, "mu": mu,
         "lambda_plus": lambda_plus, "y_bound": y_bound,
         "tolerance": tol, "budget": budget, "seed": seed,
-        "lemma_bounds": lb._asdict(),
+        "lemma_bounds": {"mu_min": mu_min},
         "constructions": constructions,
         "violation_count": len(witnesses),
         "violations": listed,

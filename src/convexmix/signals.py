@@ -420,6 +420,8 @@ def _decimal17(a: np.ndarray) -> tuple:
 
 # ``%g`` layouts: fixed notation for decimal exponents in [-4, 17), else exponential
 _EXPONENTIAL, _SLOW = 17, 99
+# the positions of the 17 significant digits
+_J17 = np.arange(17)
 
 
 def _float_cells(x: np.ndarray) -> np.ndarray:
@@ -435,7 +437,8 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     fast &= exact
     digits = _digits17(d)
     # shown[:, j]: a nonzero digit lies at j or after it; trailing zeros become NUL
-    shown = np.logical_or.accumulate(digits[:, ::-1] != 48, axis=1)[:, ::-1]
+    # (the first digit is never zero, so every row has a last nonzero digit)
+    shown = _J17 <= (16 - np.argmax(digits[:, ::-1] != 48, axis=1))[:, None]
     tail = digits * shown
     out[:, 0] = 45 * np.signbit(x)
     layout = np.where(fast, np.where((exp10 >= -4) & (exp10 < 17), exp10, _EXPONENTIAL), _SLOW)

@@ -10,9 +10,9 @@ import pytest
 from convexmix import audit
 from convexmix.audit import (
     WITNESS_COLUMNS,
+    audit_triple,
     construction_instances,
     evaluate_instance,
-    lemma_bounds,
     search_violations,
 )
 from convexmix.bounds import constants_from_eps
@@ -25,40 +25,39 @@ def _evaluated(a, b, mu, instance):
     return dict(zip(WITNESS_COLUMNS, evaluate_instance(a, b, mu, *instance)))
 
 
-class TestLemmaBounds:
+def _payload_bounds(a, mu, lambda_plus, b=1.0):
+    """The ``lemma_bounds`` object of the payload :func:`audit_triple` writes, at a budget of 1."""
+    payload, _, _ = audit_triple(a, b, mu, lambda_plus, 1.0, 1, 0)
+    return payload["lemma_bounds"]
+
+
+class TestAuditRateBound:
     def test_reference_triple(self):
-        lb = lemma_bounds(REF.a, REF.mu, 0.08)
-        assert lb.mu_min == pytest.approx(0.7957959563888537, rel=1e-12)
-        assert lb.b_min_via_mu == pytest.approx(0.4918019010483116, rel=1e-12)
-        assert lb.b_min_combined == pytest.approx(0.4332313186580919, rel=1e-12)
+        lb = _payload_bounds(REF.a, REF.mu, 0.08, REF.b)
+        assert list(lb) == ["mu_min"]
+        assert lb["mu_min"] == pytest.approx(0.7957959563888537, rel=1e-12)
 
     def test_reference_constants_clear_their_own_bounds(self):
-        """The derived (a, b, mu) triple satisfies the necessary conditions
-        the constructions impose on it."""
-        lb = lemma_bounds(REF.a, REF.mu, 0.08)
-        assert REF.mu >= lb.mu_min
-        # b alone need not dominate b_min; the slack lives in the full
-        # inequality, which the construction tests below certify.
+        """The derived (a, b, mu) triple satisfies the necessary condition
+        the floor construction imposes on it."""
+        assert REF.mu >= _payload_bounds(REF.a, REF.mu, 0.08, REF.b)["mu_min"]
 
     def test_linear_in_a(self):
-        lb1 = lemma_bounds(0.01, 1.0, 0.1)
-        lb2 = lemma_bounds(0.02, 1.0, 0.1)
-        assert lb2.mu_min == pytest.approx(2 * lb1.mu_min, rel=1e-15)
-        assert lb2.b_min_combined == pytest.approx(2 * lb1.b_min_combined, rel=1e-15)
+        lb1 = _payload_bounds(0.01, 1.0, 0.1)
+        lb2 = _payload_bounds(0.02, 1.0, 0.1)
+        assert lb2["mu_min"] == pytest.approx(2 * lb1["mu_min"], rel=1e-15)
 
     def test_midpoint_floor_limit(self):
-        """As the floor approaches 1/2, k0 -> 1/4 and the combined bound
-        tends to 4a + a = 5a."""
-        lb = lemma_bounds(0.01, 1.0, 0.499999)
-        assert lb.b_min_combined == pytest.approx(0.05, rel=1e-4)
+        """As the floor approaches 1/2, k0 -> 1/4 and the bound tends to 4a."""
+        assert _payload_bounds(0.01, 1.0, 0.499999)["mu_min"] == pytest.approx(0.04, rel=1e-4)
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            lemma_bounds(0.0, 1.0, 0.1)
-        with pytest.raises(ValueError):
-            lemma_bounds(0.01, -1.0, 0.1)
-        with pytest.raises(ValueError):
-            lemma_bounds(0.01, 1.0, 0.5)
+        with pytest.raises(ValueError, match="must be positive"):
+            _payload_bounds(0.0, 1.0, 0.1)
+        with pytest.raises(ValueError, match="must be positive"):
+            _payload_bounds(0.01, -1.0, 0.1)
+        with pytest.raises(ValueError, match="weight floor"):
+            _payload_bounds(0.01, 1.0, 0.5)
 
 
 class TestConstructionInstances:

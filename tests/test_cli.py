@@ -714,6 +714,14 @@ class TestLemmaAuditCommand:
         out = capsys.readouterr().out
         assert "0 violations" in out
 
+    def test_prints_only_the_necessary_bound(self, workdir, capsys):
+        """The one closed-form bound printed is the rate bound the floor construction forces."""
+        assert run_cli("lemma-audit", "--eps", "0.1", "--budget", "500", "--out", "w.json") == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[0] == "closed-form bounds: mu >= 0.795795956389 (necessary)"
+        assert "b >=" not in out
+        assert list(read_json("w.json")["lemma_bounds"]) == ["mu_min"]
+
     def test_bad_triple_reports_witnesses(self, workdir, capsys):
         code = run_cli("lemma-audit", "--a", "0.0586", "--b", "0.005", "--mu", "1.03",
                        "--budget", "2000", "--seed", "0", "--out", "w.json")

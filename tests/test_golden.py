@@ -28,7 +28,9 @@ value, in order.  The witness-file hash of ``lemma-audit witnesses`` was
 re-recorded when the search took its weights from the logistic update
 instead of the multiplicative one: the count and the listed instances are
 the same, the margins move by about 1e-15 at most, and rows whose margins are
-that close can trade places.
+that close can trade places.  Both lemma-audit hashes were re-recorded when
+the payload's ``lemma_bounds`` object dropped its two b figures, which no
+check enforced, and kept ``mu_min`` alone; every other key and value is the same.
 """
 
 import hashlib
@@ -123,14 +125,14 @@ GOLDEN = {
     "lemma-audit clean": (
         [["lemma-audit", "--eps", "0.1", "--budget", "200000", "--seed", "3", "--out", "w.json"]],
         {
-            "w.json": "34b370943c6076ae7fc0a02e7211ab43776c9f75a540dd0e15aea48c620b7567",
+            "w.json": "ad9dd8207d5ac7cf7789900c7812e5cc8fb78ed3ece75b6e0ac70489878db85e",
         },
     ),
     "lemma-audit witnesses": (
         [["lemma-audit", "--a", "0.0586", "--b", "0.005", "--mu", "1.03", "--budget", "70001",
           "--seed", "0", "--out", "w.json"]],
         {
-            "w.json": "6cf2d6292ea4a3b438b3fff45c0d9f65477a86539b09b8d5f41c240456d4a630",
+            "w.json": "13217172f663da5501f4fdc337a60c0f53e8ac8aea804c747aab80316a4d61b3",
         },
     ),
     "run --input clipped": (
