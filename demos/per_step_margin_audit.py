@@ -14,7 +14,7 @@ look for a negative one.
 
 import numpy as np
 
-from convexmix.bounds import constants_from_eps, kl, per_step_margins
+from convexmix.bounds import constants_from_eps, kl, log_ratios, per_step_margins
 from convexmix.mixture import MixtureParams, run
 
 constants = constants_from_eps(0.1, 1.0, 0.08)
@@ -46,11 +46,10 @@ print(f"tightest comparator: beta = {worst_beta:.2f}")
 # The progress side telescopes: summed over all steps it equals the drop in
 # divergence between the start and the final weight, for any fixed beta.
 
-l0, l1 = traj.lam, traj.lam_after
+l0 = traj.lam
+log1, log0 = log_ratios(l0, traj.lam_after)
 for beta in (0.0, 0.5, 1.0):
-    total = float(
-        beta * np.log(l1 / l0).sum() + (1 - beta) * np.log((1 - l1) / (1 - l0)).sum()
-    )
+    total = float(beta * log1.sum() + (1 - beta) * log0.sum())
     drop = kl(beta, l0[0]) - kl(beta, traj.final_lambda)
     print(f"beta={beta}: summed progress {total:+.6f}, divergence drop {drop:+.6f}, "
           f"difference {abs(total - drop):.2e}")

@@ -48,7 +48,7 @@ __all__ = [
     "kl",
     "loss_factor",
     "per_step_margin",
-    "requirement_progress",
+    "log_ratios",
     "requirement_sides",
     "per_step_margins",
     "sufficiency_roots",
@@ -182,27 +182,9 @@ def per_step_margin(a, b, beta, lam, lam1, y, y1, y2):
     return a * e * e - b * e_beta * e_beta, progress
 
 
-def _log_ratios(lam, lam1):
+def log_ratios(lam, lam1):
     """The progress's factors without ``beta``: ln(lam1/lam) and ln((1-lam1)/(1-lam))."""
     return np.log(lam1 / lam), np.log((1.0 - lam1) / (1.0 - lam))
-
-
-def _progress(shape, beta, beta_rest, log1, log0):
-    """beta*log1 + (1-beta)*log0 in a new buffer of ``shape``, and the scratch buffer it used."""
-    progress = np.multiply(beta, log1, out=np.empty(shape))
-    term = np.multiply(beta_rest, log0, out=np.empty(shape))
-    progress += term
-    return progress, term
-
-
-def requirement_progress(beta, lam, lam1):
-    """The requirement's progress side alone over broadcast arrays, unchecked.
-
-    Bit for bit the ``progress`` of :func:`requirement_sides` at the same
-    arguments, without the loss side's arithmetic.
-    """
-    log1, log0 = _log_ratios(lam, lam1)
-    return _progress(np.broadcast(beta, lam, lam1).shape, beta, 1.0 - beta, log1, log0)[0]
 
 
 def requirement_sides(a, b, beta, lam, lam1, y, y1, y2):
@@ -215,12 +197,14 @@ def requirement_sides(a, b, beta, lam, lam1, y, y1, y2):
     of the broadcast shape, never into an argument; the two sides are two
     of them.
     """
-    log1, log0 = _log_ratios(lam, lam1)
+    log1, log0 = log_ratios(lam, lam1)
     e = y - (lam * y1 + (1.0 - lam) * y2)
     aee = a * e * e
     shape = np.broadcast(beta, lam, lam1, y, y1, y2).shape
     beta_rest = 1.0 - beta
-    progress, term = _progress(shape, beta, beta_rest, log1, log0)
+    progress = np.multiply(beta, log1, out=np.empty(shape))
+    term = np.multiply(beta_rest, log0, out=np.empty(shape))
+    progress += term
     # e_beta = y - (beta*y1 + (1-beta)*y2) in term, then b*e_beta*e_beta
     np.multiply(beta, y1, out=term)
     lhs = np.multiply(beta_rest, y2, out=np.empty(shape))

@@ -12,12 +12,12 @@ from convexmix.bounds import (
     constants_from_mu,
     eps_from_mu,
     kl,
+    log_ratios,
     loss_factor,
     mu_supremum,
     per_step_margin,
     per_step_margins,
     regret_and_bound,
-    requirement_progress,
     requirement_sides,
     sufficiency_roots,
     z_of,
@@ -298,14 +298,16 @@ class TestRequirementSidesBits:
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
-    # verify's telescoping rows: (3, 1) weights against one trial's steps
-    @pytest.mark.parametrize("beta_shape, step_shape", [*SHAPES, ((3, 1), (300,))])
-    def test_progress_alone_is_the_sides_progress(self, beta_shape, step_shape):
+    # verify sums the two log ratios of one trial's (300,) steps; at the
+    # weights 1 and 0 the sides' progress is each ratio alone, bit for bit
+    @pytest.mark.parametrize("beta_shape, step_shape", [*SHAPES, ((), (300,))])
+    @pytest.mark.parametrize("beta, ratio", [(1.0, 0), (0.0, 1)])
+    def test_progress_at_an_end_weight_is_one_log_ratio(self, beta_shape, step_shape, beta, ratio):
         c = constants_from_eps(0.1, 1.0, 0.08)
-        beta, lam, lam1, y, y1, y2 = self._inputs(5, beta_shape, step_shape)
-        want = requirement_sides(c.a, c.b, beta, lam, lam1, y, y1, y2)[1]
-        got = requirement_progress(beta, lam, lam1)
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        _, lam, lam1, y, y1, y2 = self._inputs(5, beta_shape, step_shape)
+        got = requirement_sides(c.a, c.b, np.full(beta_shape, beta), lam, lam1, y, y1, y2)[1]
+        want = np.broadcast_to(log_ratios(lam, lam1)[ratio], got.shape)
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("betas", [(25, 300), (5,)])
     def test_margins_match_expression_form(self, betas):
