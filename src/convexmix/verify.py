@@ -141,9 +141,11 @@ def _oracle_suite(constants, trials, n, seed, resolution):
 
 def _identity_suite(constants):
     failures = list(bounds.constant_identity_errors(constants, tol=IDENTITY_TOL))
+    checked = 8  # constant_identity_errors' comparisons; a refused root pair counts once
     info = {}
     try:
         roots = bounds.sufficiency_roots(constants)
+        checked += 2
         info["k1"] = roots.k1
         info["k2"] = roots.k2
         if not roots.k1_at_least_quarter:
@@ -151,7 +153,9 @@ def _identity_suite(constants):
         if not roots.k2_within_floor:
             failures.append(f"k2 = {roots.k2!r} exceeds the floor product")
     except ValueError as exc:
+        checked += 1
         failures.append(str(exc))
+    checked += 1  # the eps roundtrip
     try:
         eps_back = bounds.eps_from_mu(constants.mu, constants.y_bound, constants.lambda_plus)
         info["eps_roundtrip"] = eps_back
@@ -162,7 +166,7 @@ def _identity_suite(constants):
             failures.append(f"eps roundtrip {eps_back!r} != {constants.eps!r}")
     except ValueError as exc:
         failures.append(f"eps roundtrip: {exc}")
-    return {"checked": 10, "tolerance": IDENTITY_TOL, "failures": failures, **info}
+    return {"checked": checked, "tolerance": IDENTITY_TOL, "failures": failures, **info}
 
 
 def run_verification(

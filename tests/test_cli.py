@@ -572,6 +572,29 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert out.count(": ") >= 5 and "FAILURES" not in out
 
+    @pytest.mark.parametrize("flags, checked", [((), 11), (("--override-a", "5"), 10)])
+    def test_identity_count_is_the_checks_run(self, workdir, flags, checked):
+        """Eight identity comparisons, the two root checks and the eps
+        roundtrip; a = 5 makes 1 - 4*a*s negative, and the refused roots
+        count as one failed check."""
+        run_cli("verify", "--trials", "1", "--n", "5", *flags, "--out", "r.json")
+        assert read_json("r.json")["suites"]["constant_identities"]["checked"] == checked
+
+    def test_telescoping_suite_can_fail(self, workdir, monkeypatch):
+        """A divergence from the start weight, 1/2, off by 1e-6 fails all
+        three weights of every trial, each failure naming its seed and
+        weight; the margins do not use it.  (A shift of every divergence
+        would cancel in the drop.)"""
+        c = bounds.constants_from_eps(0.1, 1.0, 0.08)
+        args = (c, 4, 50, 3, 1e-9)
+        margins = verify._margin_and_telescope_suites(*args)[0]
+        exact = bounds.kl
+        monkeypatch.setattr(bounds, "kl", lambda beta, lam: exact(beta, lam) + 1e-6 * (lam == 0.5))
+        got_margins, tele = verify._margin_and_telescope_suites(*args)
+        assert got_margins == margins and tele["checked"] == 12
+        assert [(f["seed"], f["beta"]) for f in tele["failures"]] == [
+            (seed, beta) for seed in range(3, 7) for beta in (0.0, 0.5, 1.0)]
+
     def test_degenerate_sizes(self, workdir):
         assert run_cli("verify", "--trials", "1", "--n", "1", "--seed", "0",
                        "--out", "r.json") == 0

@@ -31,6 +31,10 @@ the same, the margins move by about 1e-15 at most, and rows whose margins are
 that close can trade places.  Both lemma-audit hashes were re-recorded when
 the payload's ``lemma_bounds`` object dropped its two b figures, which no
 check enforced, and kept ``mu_min`` alone; every other key and value is the same.
+The ``verify``, ``verify blocks`` and ``verify skipped steps`` hashes were
+re-recorded when the identity suite's ``checked`` became the count of the 11
+checks it runs instead of a literal 10; no other key or value moved, and
+under ``--override-a 5`` the refused roots count once, so 10 stays.
 """
 
 import hashlib
@@ -197,7 +201,7 @@ GOLDEN = {
     "verify": (
         [["verify", "--trials", "5", "--n", "200", "--seed", "3", "--out", "verify_report.json"]],
         {
-            "verify_report.json": "dc1b77e3e2df814389258c03d445785ec117bebb03b3ab469d9c8141d8936a39",
+            "verify_report.json": "06a963c3a0fd2878eae037fadc25bc4a755403291a1fdefa137dcca808541d73",
         },
     ),
     # 130 trials of 300 steps span several blocks of stacked runs, the last
@@ -205,7 +209,7 @@ GOLDEN = {
     "verify blocks": (
         [["verify", "--trials", "130", "--n", "300", "--seed", "2", "--out", "blocks.json"]],
         {
-            "blocks.json": "8fe74652f72479f3c52859281d651f51a0e85c2e9b1298b6f3f44dd0e37847a0",
+            "blocks.json": "b6d3e835877e296e969948b5ef5fe6cadac7db3871b98b3b53b0a1f2269c6b29",
         },
     ),
     # the margins fail here, and every reported worst margin prints all of
@@ -223,7 +227,7 @@ GOLDEN = {
         [["verify", "--trials", "40", "--n", "300", "--seed", "4", "--mu", "5",
           "--out", "skipped.json"]],
         {
-            "skipped.json": "da3ab30d320bfdb7f6855fe2c4c8d582116969f3912a321bf8dd53b1e73c2dca",
+            "skipped.json": "8cb09cbb9f5fbf65170c7595553a96c79c5ac7410229586912d5f685b8c0fb69",
         },
     ),
 }
