@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .bounds import cap_squared, per_step_margin, requirement_sides, z_of
+from .bounds import DEFAULT_TOL, cap_squared, per_step_margin, requirement_sides, z_of
 from .mixture import NumericError, logistic_lambdas
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "WITNESS_COLUMNS",
 ]
 
-DEFAULT_TOL = 1e-9
 # the columns of a witness row returned by search_violations
 WITNESS_COLUMNS = ("y", "yhat1", "yhat2", "lambda_t", "beta", "lhs", "progress", "margin")
 # rows of instance space evaluated at once by the search

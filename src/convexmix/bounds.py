@@ -47,6 +47,7 @@ __all__ = [
     "constants_from_mu",
     "kl",
     "loss_factor",
+    "DEFAULT_TOL",
     "per_step_margin",
     "log_ratios",
     "requirement_sides",
@@ -168,6 +169,10 @@ def kl(beta: float, lam: float) -> float:
 def loss_factor(constants: TheoremConstants) -> float:
     """Multiplier applied to the hindsight loss in the regret definition."""
     return (2.0 * constants.eps + 1.0) / (1.0 - constants.z * constants.z)
+
+
+# how far below zero a per-step margin may fall and still meet the requirement
+DEFAULT_TOL = 1e-9
 
 
 def per_step_margin(a, b, beta, lam, lam1, y, y1, y2):

@@ -23,7 +23,10 @@ import math
 import os
 import sys
 
-from . import audit, bounds, mixture, signals
+# the commands that call ``signals`` or ``audit`` import it, so --help and verify
+# start without them; the benchmark's tracer wraps ``cli.summarize``,
+# ``cli.render_regret_svg`` and ``cli.run_verification``, so those stay here
+from . import bounds, mixture
 from .mixture import MixtureParams
 from .report import DRAWN, check_drawable, render_regret_svg, summarize, sweep
 from .verify import run_verification
@@ -35,7 +38,7 @@ def inequality_tolerance() -> float:
     """Default 1e-9, overridable through CONVEXMIX_TOL."""
     raw = os.environ.get("CONVEXMIX_TOL")
     if raw is None:
-        return audit.DEFAULT_TOL
+        return bounds.DEFAULT_TOL
     try:
         value = float(raw)
     except ValueError:
@@ -147,6 +150,7 @@ def _sequence_from_args(args: argparse.Namespace, outputs):
 
     Refuses an output that is --input, --spec, --config or a spec's path before reading.
     """
+    from . import signals
     sources = [k for k in ("case", "input", "spec") if getattr(args, k) is not None]
     if len(sources) != 1:
         raise ValueError("choose exactly one of --case, --input, --spec")
@@ -191,6 +195,7 @@ def _constants_from_args(args: argparse.Namespace, y_bound: float, default_rate:
 # subcommands
 
 def cmd_run(args: argparse.Namespace) -> int:
+    from . import signals
     _check_outputs(args.out, args.summary)
     samples, y_bound, clipped, default_rate = _sequence_from_args(args, (args.out, args.summary))
     constants, mu = _constants_from_args(args, y_bound, default_rate)
@@ -230,6 +235,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_lemma_audit(args: argparse.Namespace) -> int:
+    from . import audit
     _check_outputs(args.out)
     triple = (args.a, args.b, args.mu)
     if args.eps is not None and any(v is not None for v in triple):
@@ -250,6 +256,7 @@ def cmd_lemma_audit(args: argparse.Namespace) -> int:
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
+    from . import signals
     out = args.out
     if out is None:
         stem, _ = os.path.splitext(args.input)
@@ -266,6 +273,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from . import signals
     if not args.mu_list:
         raise ValueError("provide --mu-list with comma-separated learning rates")
     try:

@@ -102,13 +102,15 @@ def _equivalence_suite(constants, trials, seed):
     # one update moves rho by up to mu*Y^2, so rates are drawn in units of
     # 1/Y^2: at any cap the updated weight stays inside (0, 1)
     cap2 = constants.y_bound * constants.y_bound
+    # a trial's draws of (lam, mu, y, yhat1, yhat2) come from one call, each
+    # field scaled as ``lo + (hi - lo)*u``, the doubles ``rng.uniform`` gives
+    lo = np.array([0.01, 0.01] + [-constants.y_bound] * 3)
+    span = np.array([0.99, 2.0] + [constants.y_bound] * 3) - lo
     for i in range(trials):
         trial_seed = seed + 50_000 + i
-        rng = np.random.default_rng(trial_seed)
-        for _ in range(draws):
-            lam = float(rng.uniform(0.01, 0.99))
-            mu = float(rng.uniform(0.01, 2.0)) / cap2
-            y, y1, y2 = rng.uniform(-constants.y_bound, constants.y_bound, 3).tolist()
+        u = np.random.default_rng(trial_seed).random((draws, 5))
+        for lam, mu, y, y1, y2 in (lo + span * u).tolist():
+            mu = mu / cap2
             params = MixtureParams(
                 mu=mu, lambda_plus=constants.lambda_plus,
                 y_bound=constants.y_bound, mode="monitor",

@@ -188,7 +188,7 @@ def test_criterion_10_search_finds_no_counterexample():
 def test_criterion_11_midpoint_construction_is_positive():
     _, second = audit.construction_instances(1.0, 0.08)
     *_, progress, margin = audit.evaluate_instance(REF.a, REF.b, REF.mu, *second)
-    violated = margin < -audit.DEFAULT_TOL
+    violated = margin < -bounds.DEFAULT_TOL
     ok = (
         progress == pytest.approx(0.1204930492688809, abs=1e-9)
         and progress > 0.0

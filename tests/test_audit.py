@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from convexmix import audit
+from convexmix import audit, bounds
 from convexmix.audit import (
     WITNESS_COLUMNS,
     audit_triple,
@@ -88,7 +88,7 @@ class TestEvaluateInstance:
         assert rep["lhs"] == pytest.approx(0.04957414093512029, abs=1e-9)
         assert rep["progress"] == pytest.approx(0.06398620364160835, abs=1e-9)
         assert rep["margin"] == pytest.approx(0.014412062706488063, abs=1e-9)
-        assert rep["margin"] >= -audit.DEFAULT_TOL
+        assert rep["margin"] >= -bounds.DEFAULT_TOL
 
     def test_midpoint_construction_margin(self):
         """Both experts miss; the exact progress is positive (~0.1205), so
@@ -99,7 +99,7 @@ class TestEvaluateInstance:
         assert rep["progress"] == pytest.approx(0.1204930492688809, abs=1e-9)
         assert rep["progress"] > 0.0
         assert rep["margin"] == pytest.approx(0.08692246687866127, abs=1e-9)
-        assert rep["margin"] >= -audit.DEFAULT_TOL
+        assert rep["margin"] >= -bounds.DEFAULT_TOL
 
     def test_agreeing_experts_inert(self):
         row = evaluate_instance(REF.a, REF.b, REF.mu, 0.3, 0.3, 0.3, 0.4, 0.7)
@@ -113,7 +113,7 @@ class TestEvaluateInstance:
         first, _ = construction_instances(1.0, 0.08)
         k0 = 0.08 * 0.92
         margin = evaluate_instance(1.5 * k0, 1e-6, 1.0, *first)[-1]
-        assert margin < -audit.DEFAULT_TOL
+        assert margin < -bounds.DEFAULT_TOL
 
     def test_saturation_raises(self):
         first, _ = construction_instances(1.0, 0.08)
@@ -148,7 +148,7 @@ class TestSearchViolations:
         for row in found.tolist():
             want = evaluate_instance(0.0586, 0.005, 1.03, *row[:5])
             assert want[:5] == tuple(row[:5])
-            assert want[-1] < -audit.DEFAULT_TOL
+            assert want[-1] < -bounds.DEFAULT_TOL
             assert list(want[5:]) == pytest.approx(row[5:], rel=1e-9, abs=1e-12)
 
     @pytest.mark.parametrize("budget, count", [(20_000, 14_814), (70_001, 52_360)])

@@ -4,11 +4,15 @@ import csv
 import importlib.util
 import inspect
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import convexmix
 from convexmix import audit, bounds, cli, mixture, oracle, signals, verify
 from convexmix.mixture import NumericError
 from convexmix.signals import read_trajectory
@@ -510,7 +514,7 @@ class TestUsageErrors:
         assert code == 3
 
     @pytest.mark.parametrize("target, argv", [
-        ((cli.audit, "search_violations"),
+        ((audit, "search_violations"),
          ("lemma-audit", "--eps", "0.1", "--budget", "10000000000000", "--out", "w.json")),
         ((cli, "run_verification"),
          ("verify", "--trials", "1", "--n", "100000000000", "--out", "v.json")),
@@ -594,6 +598,34 @@ class TestVerifyCommand:
         assert got_margins == margins and tele["checked"] == 12
         assert [(f["seed"], f["beta"]) for f in tele["failures"]] == [
             (seed, beta) for seed in range(3, 7) for beta in (0.0, 0.5, 1.0)]
+
+    def test_equivalence_draws_are_the_scalar_stream(self, monkeypatch):
+        """The suite draws a trial's ten (lam, mu, y, yhat1, yhat2) in one
+        generator call; they are the values of three ``rng.uniform`` calls
+        per draw, bit for bit.  A second form that disagrees everywhere
+        fails every draw, each failure naming its seed, lam and mu."""
+        c = bounds.constants_from_eps(0.1, 0.7, 0.08)
+        cap2 = c.y_bound * c.y_bound
+        seen = []
+
+        def disagree(mu, lam, y, y1, y2):
+            seen.append((mu, lam, y, y1, y2))
+            return -1.0
+
+        monkeypatch.setattr(mixture, "multiplicative_lambda", disagree)
+        suite = verify._equivalence_suite(c, 2, 3)
+        want_failures, want_args = [], []
+        for trial_seed in (50_003, 50_004):
+            rng = np.random.default_rng(trial_seed)
+            for _ in range(10):
+                lam = float(rng.uniform(0.01, 0.99))
+                mu = float(rng.uniform(0.01, 2.0)) / cap2
+                ys = rng.uniform(-c.y_bound, c.y_bound, 3).tolist()
+                want_failures.append((trial_seed, lam, mu))
+                want_args.append((mu, lam, *ys))
+        assert suite["checked"] == 20
+        assert [(f["seed"], f["lam"], f["mu"]) for f in suite["failures"]] == want_failures
+        assert seen == want_args
 
     def test_degenerate_sizes(self, workdir):
         assert run_cli("verify", "--trials", "1", "--n", "1", "--seed", "0",
@@ -995,24 +1027,23 @@ class TestOutputsCheckedFirst:
         assert not any((workdir / "d").iterdir())
 
 
+def _child_env():
+    """The environment of a child interpreter that imports this process's package.
+
+    The child runs in workdir, where a relative PYTHONPATH inherited from
+    the caller (such as PYTHONPATH=src) no longer resolves; it is pointed
+    at the directory holding the package this process imported.
+    """
+    package_root = str(Path(convexmix.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m(self, workdir):
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        import convexmix
-
-        # The child runs in workdir, where a relative PYTHONPATH inherited
-        # from the caller (such as PYTHONPATH=src) no longer resolves; point
-        # it at the directory holding the package this process imported.
-        package_root = str(Path(convexmix.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [package_root, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
             [sys.executable, "-m", "convexmix", "run", "--case", "1", "--n", "5"],
-            cwd=workdir, capture_output=True, text=True, env=env,
+            cwd=workdir, capture_output=True, text=True, env=_child_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert (workdir / "summary.json").exists()
@@ -1077,3 +1108,44 @@ class TestTracedLayers:
         assert run_cli(*argv) == 0
         assert counts
         assert all(isinstance(v, int) for c in counts for v in c.values())
+
+
+# the modules cli imports on demand, and which of them each command loads
+SWEEP = ("sweep", "--case", "1", "--n", "50", "--mu-list", "0.05,0.1")
+LOADED = [
+    (("--help",), set()),
+    (VERIFY, set()),
+    (LEMMA, {"audit"}),
+    (RUN, {"signals"}),
+    (PLOT, {"signals"}),
+    (SWEEP, {"signals"}),
+]
+# runs cli.main on its arguments in a fresh interpreter, then prints the
+# package's loaded modules as its last line
+_LIST_MODULES = (
+    "import sys\n"
+    "from convexmix import cli\n"
+    "code = cli.main(sys.argv[1:])\n"
+    "print(' '.join(m for m in sorted(sys.modules) if m.startswith('convexmix.')))\n"
+    "sys.exit(code)\n"
+)
+
+
+@pytest.mark.parametrize("argv, loaded", LOADED, ids=[a[0] for a, _ in LOADED])
+def test_each_command_loads_only_the_modules_it_runs(workdir, argv, loaded):
+    """``--help`` and ``verify`` start without ``signals`` and ``audit``,
+    ``lemma-audit`` without ``signals``, and the sequence commands without
+    ``audit``."""
+    if argv is PLOT:
+        assert run_cli(*RUN) == 0
+    proc = subprocess.run([sys.executable, "-c", _LIST_MODULES, *argv], cwd=workdir,
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    modules = set(proc.stdout.splitlines()[-1].split())
+    assert {"convexmix.cli", "convexmix.report", "convexmix.verify"} <= modules
+    assert {m for m in ("signals", "audit") if f"convexmix.{m}" in modules} == loaded
+
+
+def test_cli_binds_the_traced_functions_and_no_lazy_module():
+    assert not {"signals", "audit"} & set(vars(cli))
+    assert {"summarize", "render_regret_svg", "run_verification"} <= set(vars(cli))
