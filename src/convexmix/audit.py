@@ -32,8 +32,9 @@ __all__ = [
 
 # the columns of a witness row returned by search_violations
 WITNESS_COLUMNS = ("y", "yhat1", "yhat2", "lambda_t", "beta", "lhs", "progress", "margin")
-# rows of instance space evaluated at once by the search
-BLOCK = 1 << 14
+# rows of instance space evaluated at once by the search; a block's float64
+# temporary, 128,000 bytes, stays below glibc's 128 KiB mmap threshold
+BLOCK = 16_000
 # witnesses listed in the audit's payload, the worst first; its count covers all
 WITNESS_CAP = 1000
 
@@ -126,7 +127,6 @@ def search_violations(
     y_bound: float,
     budget: int,
     seed: int,
-    tol: float = DEFAULT_TOL,
 ) -> np.ndarray:
     """Look for counterexamples to the requirement under (a, b, mu).
 
@@ -154,7 +154,7 @@ def search_violations(
         lam1 = logistic_lambdas(mu, lam, y, y1, y2)
         lhs, progress = requirement_sides(a, b, beta, lam, lam1, y, y1, y2)
         margin = progress - lhs
-        at = np.flatnonzero(margin < -tol)
+        at = np.flatnonzero(margin < -DEFAULT_TOL)
         # the fancy index copies the rows before the buffer is refilled
         hits.append(np.vstack((block[:, at], lhs[at], progress[at], margin[at])))
 
@@ -164,7 +164,7 @@ def search_violations(
 
 
 def audit_triple(a: float, b: float, mu: float, lambda_plus: float, y_bound: float, budget: int,
-                 seed: int, tol: float = DEFAULT_TOL) -> tuple[dict, list[str], bool]:
+                 seed: int) -> tuple[dict, list[str], bool]:
     """The audit of (a, b, mu): the JSON ``lemma-audit`` writes, the lines it prints, and a pass.
 
     The rate bound, the two constructions and the search are all evaluated
@@ -176,8 +176,8 @@ def audit_triple(a: float, b: float, mu: float, lambda_plus: float, y_bound: flo
     k0 = lambda_plus*(1-lambda_plus) its progress is at most mu*k0*e^2
     against a loss side of a*e^2, so mu >= a/k0 is necessary.
     """
-    def witness_dicts(rows):  # each row of WITNESS_COLUMNS, violated where its margin is below -tol
-        return [dict(zip(WITNESS_COLUMNS, row), violated=row[-1] < -tol) for row in rows]
+    def witness_dicts(rows):  # WITNESS_COLUMNS rows; violated: margin below -DEFAULT_TOL
+        return [dict(zip(WITNESS_COLUMNS, row), violated=row[-1] < -DEFAULT_TOL) for row in rows]
 
     check_triple(a, b, mu)
     instances = construction_instances(y_bound, lambda_plus)
@@ -189,7 +189,7 @@ def audit_triple(a: float, b: float, mu: float, lambda_plus: float, y_bound: flo
         except NumericError as exc:
             raise NumericError(f"construction {label}: {exc}") from None
     constructions = dict(zip(labels, witness_dicts(rows)))
-    witnesses = search_violations(a, b, mu, lambda_plus, y_bound, budget, seed, tol=tol)
+    witnesses = search_violations(a, b, mu, lambda_plus, y_bound, budget, seed)
     listed = witness_dicts(witnesses[:WITNESS_CAP].tolist())  # dicts only for the rows written
 
     lines = [f"closed-form bounds: mu >= {mu_min:.12g} (necessary)"]
@@ -204,7 +204,7 @@ def audit_triple(a: float, b: float, mu: float, lambda_plus: float, y_bound: flo
     payload = {
         "a": a, "b": b, "mu": mu,
         "lambda_plus": lambda_plus, "y_bound": y_bound,
-        "tolerance": tol, "budget": budget, "seed": seed,
+        "tolerance": DEFAULT_TOL, "budget": budget, "seed": seed,
         "lemma_bounds": {"mu_min": mu_min},
         "constructions": constructions,
         "violation_count": len(witnesses),

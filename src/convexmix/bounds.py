@@ -48,6 +48,7 @@ __all__ = [
     "kl",
     "loss_factor",
     "DEFAULT_TOL",
+    "IDENTITY_TOL",
     "per_step_margin",
     "log_ratios",
     "requirement_sides",
@@ -173,6 +174,8 @@ def loss_factor(constants: TheoremConstants) -> float:
 
 # how far below zero a per-step margin may fall and still meet the requirement
 DEFAULT_TOL = 1e-9
+# how far a constant identity, or a sufficiency root's bracket check, may miss at unit scale
+IDENTITY_TOL = 1e-12
 
 
 def per_step_margin(a, b, beta, lam, lam1, y, y1, y2):
@@ -254,7 +257,7 @@ class SufficiencyRoots(NamedTuple):
     k2_within_floor: bool
 
 
-def sufficiency_roots(constants: TheoremConstants, tol: float = 1e-12) -> SufficiencyRoots:
+def sufficiency_roots(constants: TheoremConstants) -> SufficiencyRoots:
     """Roots of H(k) = k^2*mu^2*s - mu*k + a and the bracket checks.
 
     The per-step requirement holds whenever lam*(1-lam) lies between the
@@ -271,7 +274,7 @@ def sufficiency_roots(constants: TheoremConstants, tol: float = 1e-12) -> Suffic
     k1 = (1.0 + root) / (2.0 * mu * s)
     k2 = (1.0 - root) / (2.0 * mu * s)
     k0 = constants.lambda_plus * (1.0 - constants.lambda_plus)
-    return SufficiencyRoots(k1, k2, k1 >= 0.25 - tol, k2 <= k0 + tol)
+    return SufficiencyRoots(k1, k2, k1 >= 0.25 - IDENTITY_TOL, k2 <= k0 + IDENTITY_TOL)
 
 
 class RegretBound(NamedTuple):
@@ -311,7 +314,7 @@ def regret_and_bound(
     return RegretBound(regret, bound_total, bound_total / n)
 
 
-def constant_identity_errors(constants: TheoremConstants, tol: float = 1e-12) -> list[str]:
+def constant_identity_errors(constants: TheoremConstants) -> list[str]:
     """Check every internal identity of a constant set; empty list means clean.
 
     Used defensively at construction time and by the verification CLI,
@@ -324,7 +327,7 @@ def constant_identity_errors(constants: TheoremConstants, tol: float = 1e-12) ->
     def check(name: str, got: float, want: float):
         scale = max(1.0, abs(want))
         # written so that a NaN on either side fails
-        if not abs(got - want) <= tol * scale:
+        if not abs(got - want) <= IDENTITY_TOL * scale:
             errors.append(f"{name}: {got!r} != {want!r}")
 
     check("z", c.z, z_of(c.lambda_plus))

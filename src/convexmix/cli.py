@@ -10,8 +10,7 @@ Subcommands:
 
 Exit codes: 0 on success (``verify`` and ``lemma-audit`` reserve it for a clean
 pass), 1 for found failures or witnesses, 2 for usage or input errors, 3 for
-numeric failures inside a run.  The environment variable ``CONVEXMIX_TOL``
-overrides the default inequality tolerance of 1e-9.
+numeric failures inside a run.
 """
 
 from __future__ import annotations
@@ -32,20 +31,6 @@ from .report import DRAWN, check_drawable, render_regret_svg, summarize, sweep
 from .verify import run_verification
 
 __all__ = ["main"]
-
-
-def inequality_tolerance() -> float:
-    """Default 1e-9, overridable through CONVEXMIX_TOL."""
-    raw = os.environ.get("CONVEXMIX_TOL")
-    if raw is None:
-        return bounds.DEFAULT_TOL
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ValueError(f"CONVEXMIX_TOL must be a number, got {raw!r}") from None
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"CONVEXMIX_TOL must be finite and positive, got {value}")
-    return value
 
 
 # fallbacks that are not argparse defaults, because --mu and --eps exclude
@@ -222,10 +207,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     constants, _ = _constants_from_args(args, args.ybound, {"eps": VERIFY_EPS})
     if args.override_a is not None:
         constants = dataclasses.replace(constants, a=args.override_a)
-    report = run_verification(
-        constants, trials=args.trials, n=args.n, seed=args.seed,
-        resolution=args.resolution, tol=inequality_tolerance(),
-    )
+    report = run_verification(constants, trials=args.trials, n=args.n, seed=args.seed)
     for name, suite in report["suites"].items():
         status = "ok" if not suite["failures"] else f"{len(suite['failures'])} FAILURES"
         print(f"suite {name}: {suite['checked']} checks, {status}")
@@ -248,7 +230,7 @@ def cmd_lemma_audit(args: argparse.Namespace) -> int:
         constants = bounds.constants_from_eps(args.eps, args.ybound, args.lambda_plus)
         triple = (constants.a, constants.b, constants.mu)
     payload, lines, passed = audit.audit_triple(*triple, args.lambda_plus, args.ybound, args.budget,
-                                                args.seed, tol=inequality_tolerance())
+                                                args.seed)
     print("\n".join(lines))
     _write_json(args.out, payload)
     print(f"witness file -> {args.out}")
@@ -351,8 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="random sequences per suite (default %(default)s)")
     p_ver.add_argument("--n", type=int, default=500, help="steps per sequence (default %(default)s)")
     p_ver.add_argument("--seed", type=int, default=7, help="base seed (default %(default)s)")
-    p_ver.add_argument("--resolution", type=float, default=0.01,
-                       help="grid step for the oracle suite (default %(default)s)")
     p_ver.add_argument("--override-a", dest="override_a", type=float,
                        help="replace the progress coefficient, for sanity checks")
     p_ver.add_argument("--out", default="verify_report.json",

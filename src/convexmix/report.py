@@ -41,14 +41,13 @@ def summarize(
     prefix = oracle.prefix_stats(traj.y, traj.yhat1, traj.yhat2)
     best_b, best_l = oracle.best_betas(*(s[1:] for s in prefix))
     cum = traj.cum_loss
-    steps = np.arange(1, n + 1)
-    rb = bounds.regret_and_bound(cum, best_l, constants, steps, lambda_init=lambda_init)
+    rb = bounds.regret_and_bound(cum, best_l, constants, traj.t, lambda_init=lambda_init)
     frame = dataclasses.replace(
         traj,
         best_beta_prefix=best_b,
         best_loss_prefix=best_l,
         regret=rb.regret,
-        norm_regret=rb.regret / steps,
+        norm_regret=rb.regret / traj.t,
         bound_norm=rb.bound_normalized,
     )
     out_of_range = int(n - traj.in_range.sum())
@@ -104,8 +103,8 @@ def sweep(samples: np.ndarray, mus, y_bound: float, lambda_plus: float, *, mode:
     return table, summaries
 
 
-def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
-    return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
+def _ticks(lo: float, hi: float) -> list[float]:
+    return [lo + (hi - lo) * i / 4 for i in range(5)]
 
 
 def _pixel_envelope(x_px: np.ndarray, y_px: np.ndarray) -> np.ndarray:
@@ -144,14 +143,7 @@ def check_drawable(path: str, frame: Trajectory, logx: bool) -> None:
         raise ValueError(f"{path}: row {i + 2}: column {DRAWN[j]} is {columns[j][i]}; plot needs {need}")
 
 
-def render_regret_svg(
-    t,
-    norm_regret,
-    bound_norm,
-    *,
-    logx: bool = False,
-    title: str = "normalized regret vs guarantee",
-) -> str:
+def render_regret_svg(t, norm_regret, bound_norm, *, logx: bool = False) -> str:
     """Render two series over t as a standalone SVG string.
 
     Pure function of its inputs: rendering the same trajectory twice yields
@@ -211,7 +203,7 @@ def render_regret_svg(
         f'viewBox="0 0 {width:.0f} {height:.0f}">',
         f'<rect width="{width:.0f}" height="{height:.0f}" fill="white"/>',
         f'<text x="{(left + right) / 2:.2f}" y="28" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="16">{title}</text>',
+        'font-family="sans-serif" font-size="16">normalized regret vs guarantee</text>',
     ]
     for tick in _ticks(xlo, xhi):
         px = sx(tick)

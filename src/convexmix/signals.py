@@ -427,6 +427,10 @@ _J17 = np.arange(17)
 def _float_cells(x: np.ndarray) -> np.ndarray:
     """``'%.17g' % v`` for each float64 ``v`` of ``x``, as rows of ASCII padded with NULs anywhere.
 
+    ``x`` arrives as each column's distinct values sorted by bit pattern, as
+    ``np.unique`` returns them, so the values of one layout form a few runs
+    of rows.  Each run costs a Python iteration: 50,000 unsorted values of
+    mixed exponents take about 18 times as long as after ``np.unique``.
     Zeros, subnormals, non-finite values and the rare values
     :func:`_decimal17` is not certain of are formatted by Python.
     """
@@ -442,7 +446,6 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     tail = digits * shown
     out[:, 0] = 45 * np.signbit(x)
     layout = np.where(fast, np.where((exp10 >= -4) & (exp10 < 17), exp10, _EXPONENTIAL), _SLOW)
-    # np.unique sorts by bits, so each layout is a few runs of rows
     edges = [0, *(np.flatnonzero(np.diff(layout)) + 1), len(x)]
     for i, j in zip(edges[:-1], edges[1:]):
         kind, o = layout[i], out[i:j]

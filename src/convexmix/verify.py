@@ -13,10 +13,11 @@ from . import bounds, mixture, oracle
 from .bounds import TheoremConstants
 from .mixture import MixtureParams
 
-__all__ = ["run_verification", "IDENTITY_TOL", "EQUIVALENCE_TOL"]
+__all__ = ["run_verification", "EQUIVALENCE_TOL"]
 
-IDENTITY_TOL = 1e-12
 EQUIVALENCE_TOL = 1e-12
+# the oracle suite's grid of comparator weights: {0, 0.01, ..., 1}
+_GRID_STEP = 0.01
 # trial-steps per mixture.run call of the margin and telescoping suites: a
 # block's run holds about 34 bytes per trial-step (columns, weights, flags),
 # its margins 9 (weights and range flags), so 3.4 MB and 0.9 MB
@@ -43,7 +44,7 @@ def _block_weights(params, constants, seeds, n):
     return traj.lam, traj.in_range, traj.final_lambda.tolist()
 
 
-def _check_block(constants, params, seeds, n, tol, margin_suite, tele_suite):
+def _check_block(constants, params, seeds, n, margin_suite, tele_suite):
     """Add the margins and telescoping sums of some trials to the two suites.
 
     The trials' weights come from one run.  Their columns are then drawn
@@ -68,7 +69,7 @@ def _check_block(constants, params, seeds, n, tol, margin_suite, tele_suite):
             margin_suite["checked"] += margins.size
             worst = float(margins.min())
             # written so that a NaN margin fails
-            if not worst >= -tol:
+            if not worst >= -bounds.DEFAULT_TOL:
                 margin_suite["failures"].append({"seed": trial_seed, "worst_margin": worst})
         # the progress is linear in the two log ratios, so its sum is theirs
         s1, s0 = (float(v.sum()) for v in bounds.log_ratios(l0, l1))
@@ -76,11 +77,11 @@ def _check_block(constants, params, seeds, n, tol, margin_suite, tele_suite):
             via_kl = bounds.kl(beta, l0[0]) - bounds.kl(beta, final)
             tele_suite["checked"] += 1
             err = abs(beta * s1 + (1.0 - beta) * s0 - via_kl)
-            if not err <= tol:
+            if not err <= bounds.DEFAULT_TOL:
                 tele_suite["failures"].append({"seed": trial_seed, "beta": beta, "error": err})
 
 
-def _margin_and_telescope_suites(constants, trials, n, seed, tol):
+def _margin_and_telescope_suites(constants, trials, n, seed):
     params = MixtureParams(
         mu=constants.mu,
         lambda_plus=constants.lambda_plus,
@@ -92,7 +93,7 @@ def _margin_and_telescope_suites(constants, trials, n, seed, tol):
     width = max(1, _BLOCK_CELLS // n)
     for first in range(seed, seed + trials, width):
         seeds = range(first, min(first + width, seed + trials))
-        _check_block(constants, params, seeds, n, tol, margin_suite, tele_suite)
+        _check_block(constants, params, seeds, n, margin_suite, tele_suite)
     return margin_suite, tele_suite
 
 
@@ -123,26 +124,26 @@ def _equivalence_suite(constants, trials, seed):
     return {"checked": trials * draws, "tolerance": EQUIVALENCE_TOL, "failures": failures}
 
 
-def _oracle_suite(constants, trials, n, seed, resolution):
+def _oracle_suite(constants, trials, n, seed):
     failures = []
     for i in range(trials):
         trial_seed = seed + 100_000 + i
         samples = _columns(constants, trial_seed, n)[1].T
         sums = oracle.stats_from(samples)[1:]
         beta, loss = map(float, oracle.best_betas(*sums))
-        grid = oracle.grid_best_beta(samples, resolution)
+        grid = oracle.grid_best_beta(samples, _GRID_STEP)
         beta_gap = abs(beta - grid.beta)
         # the closed form must also price the grid's winner consistently
         cross = abs(float(oracle.quadratic_loss(*sums, grid.beta)) - grid.loss)
         scale = max(1.0, grid.loss)
-        if beta_gap > resolution + 1e-12 or loss > grid.loss + 1e-9 * scale or cross > 1e-9 * scale:
+        if beta_gap > _GRID_STEP + 1e-12 or loss > grid.loss + 1e-9 * scale or cross > 1e-9 * scale:
             failures.append({"seed": trial_seed, "beta_gap": beta_gap,
                              "closed_loss": loss, "grid_loss": grid.loss})
     return {"checked": trials, "failures": failures}
 
 
 def _identity_suite(constants):
-    failures = list(bounds.constant_identity_errors(constants, tol=IDENTITY_TOL))
+    failures = bounds.constant_identity_errors(constants)
     checked = 8  # constant_identity_errors' comparisons; a refused root pair counts once
     info = {}
     try:
@@ -164,34 +165,24 @@ def _identity_suite(constants):
         # eps = mu/(4c - 2mu) has condition number 2*eps + 1: a double mu
         # carries eps only to that multiple of the identities' tolerance
         scale = (2.0 * constants.eps + 1.0) * max(1.0, abs(constants.eps))
-        if abs(eps_back - constants.eps) > IDENTITY_TOL * scale:
+        if abs(eps_back - constants.eps) > bounds.IDENTITY_TOL * scale:
             failures.append(f"eps roundtrip {eps_back!r} != {constants.eps!r}")
     except ValueError as exc:
         failures.append(f"eps roundtrip: {exc}")
-    return {"checked": checked, "tolerance": IDENTITY_TOL, "failures": failures, **info}
+    return {"checked": checked, "tolerance": bounds.IDENTITY_TOL, "failures": failures, **info}
 
 
-def run_verification(
-    constants: TheoremConstants,
-    *,
-    trials: int,
-    n: int,
-    seed: int,
-    resolution: float,
-    tol: float,
-) -> dict:
+def run_verification(constants: TheoremConstants, *, trials: int, n: int, seed: int) -> dict:
     """Run every verification suite; the report lists failures with seeds."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    if not 0.0 < resolution <= 0.1:
-        raise ValueError(f"resolution must lie in (0, 0.1], got {resolution}")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
-    margin_suite, tele_suite = _margin_and_telescope_suites(constants, trials, n, seed, tol)
+    margin_suite, tele_suite = _margin_and_telescope_suites(constants, trials, n, seed)
     report = {
-        "tolerance": tol,
+        "tolerance": bounds.DEFAULT_TOL,
         "trials": trials,
         "n": n,
         "seed": seed,
@@ -201,7 +192,7 @@ def run_verification(
             "per_step_margin": margin_suite,
             "telescoping": tele_suite,
             "form_equivalence": _equivalence_suite(constants, trials, seed),
-            "oracle_agreement": _oracle_suite(constants, trials, n, seed, resolution),
+            "oracle_agreement": _oracle_suite(constants, trials, n, seed),
         },
     }
     report["all_pass"] = all(not s["failures"] for s in report["suites"].values())

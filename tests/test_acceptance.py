@@ -17,7 +17,6 @@ from convexmix.mixture import MixtureParams
 MARGIN_TRIALS = 100
 MARGIN_N = 500
 MARGIN_SEED = 7
-MARGIN_TOL = 1e-9
 
 REF = bounds.constants_from_eps(0.1, 1.0, 0.08)
 
@@ -52,9 +51,7 @@ def benchmark_frames():
 @pytest.fixture(scope="module")
 def margin_suites():
     start = time.perf_counter()
-    margin, tele = verify._margin_and_telescope_suites(
-        REF, MARGIN_TRIALS, MARGIN_N, MARGIN_SEED, MARGIN_TOL
-    )
+    margin, tele = verify._margin_and_telescope_suites(REF, MARGIN_TRIALS, MARGIN_N, MARGIN_SEED)
     return margin, tele, time.perf_counter() - start
 
 

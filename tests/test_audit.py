@@ -245,7 +245,9 @@ class TestInstanceBlocks:
 
     B = audit.BLOCK
 
-    @pytest.mark.parametrize("budget", [1, 1875, 1876, B - 1, B, B + 1875, 3 * B + 5])
+    # budgets at the edges of the block and at those of 2^14, a power of two
+    @pytest.mark.parametrize("budget", [1, 1875, 1876, B - 1, B, B + 1875, 3 * B + 5,
+                                        2**14 - 1, 2**14, 2**14 + 1875, 3 * 2**14 + 5])
     @pytest.mark.parametrize("block", [None, 7, 1875])
     @pytest.mark.parametrize("seed", [5, 2**32 + 17])
     def test_blocks_concatenate_to_one_shot_layout(self, budget, block, seed, monkeypatch):

@@ -31,7 +31,6 @@ REFERENCE = json.loads((PERFBENCH / "reference.json").read_text())
 @pytest.mark.parametrize("name", workloads.NAMES)
 def test_tiny_workload_matches_reference(name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("CONVEXMIX_TOL", raising=False)
     work = str(tmp_path)
     for argv in workloads.argvs(name, "tiny", 0, work):
         assert cli.main(argv) == 0, argv

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
@@ -361,6 +362,35 @@ class TestSufficiencyRoots:
         bad = dataclasses.replace(c, a=10.0 * c.a)
         with pytest.raises(ValueError, match="discriminant"):
             sufficiency_roots(bad)
+
+
+def _exact_constants(eps, y, lp):
+    """k0, z, a, b, s and mu from the ``bounds`` docstring's formulas, in exact arithmetic."""
+    k0 = lp * (1 - lp)
+    z = (1 - 4 * k0) / (1 + 4 * k0)
+    b = eps / (y * y)
+    a = (1 - z * z) * eps / (y * y * (2 * eps + 1))
+    s = y * y / 2 + 1 / (4 * b)
+    return k0, z, a, b, s, (2 + 2 * z) / s
+
+
+@pytest.mark.parametrize("eps, y, lp", [
+    (F(1, 10), F(1), F(2, 25)),
+    (F(1), F(1, 2), F(1, 5)),
+    (F(3), F(7, 3), F(1, 10)),
+    (F(1, 100), F(2), F(3, 8)),
+])
+def test_tight_constants_satisfy_their_identities_exactly(eps, y, lp):
+    """4as = 1 - z^2; H(k) = k^2*mu^2*s - mu*k + a has the roots k0 and 1/4,
+    so the root test holds with no slack; and at the midpoint, with e -> 0
+    and d = 2Y, G0(c) = mu*c - a - mu^2*c^2/(4b) - 2*mu^2*c^3*Y^2 is 0, so b
+    is the least comparator coefficient the requirement allows."""
+    k0, z, a, b, s, mu = _exact_constants(eps, y, lp)
+    assert 4 * a * s == 1 - z * z
+    for k in (k0, F(1, 4)):
+        assert k * k * mu * mu * s - mu * k + a == 0
+    c = F(1, 4)
+    assert mu * c - a - mu * mu * c * c / (4 * b) - 2 * mu * mu * c ** 3 * y * y == 0
 
 
 class TestRegretAndBound:

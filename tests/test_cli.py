@@ -267,213 +267,198 @@ def _trajectory_text(**row4) -> str:
 CAP_RANGE = "magnitude cap must lie within [1e-150, 1e150]"
 NOT_NORMAL = "outside the normal floats"
 AT_SUPREMUM = "rounds the learning rate up to its supremum"
-# every usage error: (environment, files written first, command, its exact standard error)
+# every usage error: (files written first, command, its exact standard error)
 USAGE_ERRORS = {
-    "tol-not-a-number": ({"CONVEXMIX_TOL": "banana"}, {}, "verify --trials 1 --n 5",
-                         "CONVEXMIX_TOL must be a number, got 'banana'"),
-    "tol-negative": ({"CONVEXMIX_TOL": "-1"}, {}, "verify --trials 1 --n 5",
-                     "CONVEXMIX_TOL must be finite and positive, got -1.0"),
-    "tol-zero": ({"CONVEXMIX_TOL": "0"}, {}, "lemma-audit --eps 0.1 --budget 10",
-                 "CONVEXMIX_TOL must be finite and positive, got 0.0"),
-    "tol-nan": ({"CONVEXMIX_TOL": "nan"}, {}, "verify --trials 1 --n 5",
-                "CONVEXMIX_TOL must be finite and positive, got nan"),
-    "tol-inf": ({"CONVEXMIX_TOL": "inf"}, {}, "verify --trials 1 --n 5",
-                "CONVEXMIX_TOL must be finite and positive, got inf"),
-    "config-invalid-json": ({}, {"cfg.json": "{not json"}, "run --config cfg.json",
+    "config-invalid-json": ({"cfg.json": "{not json"}, "run --config cfg.json",
                             f"config cfg.json: invalid JSON ({BAD_JSON})"),
-    "config-not-an-object": ({}, {"cfg.json": "[1, 2]"}, "run --config cfg.json",
+    "config-not-an-object": ({"cfg.json": "[1, 2]"}, "run --config cfg.json",
                              "config cfg.json: expected a JSON object"),
-    "config-unknown-key": ({}, {"cfg.json": '{"case": 1, "horizon": 50}'}, "run --config cfg.json",
+    "config-unknown-key": ({"cfg.json": '{"case": 1, "horizon": 50}'}, "run --config cfg.json",
                            "config has unknown keys: ['horizon']"),
-    "config-unknown-keys": ({}, {"cfg.json": '{"case": 1, "zeta": 1, "alpha": 2}'},
+    "config-unknown-keys": ({"cfg.json": '{"case": 1, "zeta": 1, "alpha": 2}'},
                             "verify --config cfg.json",
                             "config has unknown keys: ['alpha', 'case', 'zeta']"),
-    "config-bad-case": ({}, {"cfg.json": '{"case": 3}'}, "run --config cfg.json",
+    "config-bad-case": ({"cfg.json": '{"case": 3}'}, "run --config cfg.json",
                         "case must be 1 or 2, got 3"),
-    "window-no-colon": ({}, {}, "run --case 1 --n 10 --window 5",
+    "window-no-colon": ({}, "run --case 1 --n 10 --window 5",
                         "window must look like A:B with integers, got '5'"),
-    "window-not-integers": ({}, {}, "run --case 1 --n 10 --window a:b",
+    "window-not-integers": ({}, "run --case 1 --n 10 --window a:b",
                             "window must look like A:B with integers, got 'a:b'"),
-    "window-reversed": ({}, {}, "run --case 1 --n 10 --window 9:5",
+    "window-reversed": ({}, "run --case 1 --n 10 --window 9:5",
                         "window 9:5 is out of range for a length-10 sequence"),
-    "window-zero": ({}, {}, "run --case 1 --n 10 --window 0:4",
+    "window-zero": ({}, "run --case 1 --n 10 --window 0:4",
                     "window 0:4 is out of range for a length-10 sequence"),
-    "window-past-end": ({}, {}, "run --case 1 --n 10 --window 3:99",
+    "window-past-end": ({}, "run --case 1 --n 10 --window 3:99",
                         "window 3:99 is out of range for a length-10 sequence"),
-    "no-source": ({}, {}, "run --mu 0.1", "choose exactly one of --case, --input, --spec"),
-    "two-sources": ({}, {}, "run --case 1 --input x.csv --mu 0.1",
+    "no-source": ({}, "run --mu 0.1", "choose exactly one of --case, --input, --spec"),
+    "two-sources": ({}, "run --case 1 --input x.csv --mu 0.1",
                     "choose exactly one of --case, --input, --spec"),
-    "sweep-no-source": ({}, {}, "sweep --mu-list 0.1",
+    "sweep-no-source": ({}, "sweep --mu-list 0.1",
                         "choose exactly one of --case, --input, --spec"),
-    "mu-and-eps": ({}, {}, "run --case 1 --mu 0.1 --eps 0.1", "choose --mu or --eps, not both"),
-    "verify-mu-and-eps": ({}, {}, "verify --mu 0.5 --eps 0.1", "choose --mu or --eps, not both"),
-    "missing-rate": ({}, {"seq.csv": "y,yhat1,yhat2\n0.1,0.1,0.1\n"}, "run --input seq.csv",
+    "mu-and-eps": ({}, "run --case 1 --mu 0.1 --eps 0.1", "choose --mu or --eps, not both"),
+    "verify-mu-and-eps": ({}, "verify --mu 0.5 --eps 0.1", "choose --mu or --eps, not both"),
+    "missing-rate": ({"seq.csv": "y,yhat1,yhat2\n0.1,0.1,0.1\n"}, "run --input seq.csv",
                      "provide --mu or --eps for this sequence source"),
     # caps whose constants would leave the normal floats (each divided by zero)
-    "run-cap-tiny": ({}, {}, "run --case 1 --n 10 --ybound 1e-300",
+    "run-cap-tiny": ({}, "run --case 1 --n 10 --ybound 1e-300",
                      f"{CAP_RANGE}, got 1e-300"),
-    "verify-cap-tiny": ({}, {}, "verify --trials 1 --n 5 --ybound 1e-200",
+    "verify-cap-tiny": ({}, "verify --trials 1 --n 5 --ybound 1e-200",
                         f"{CAP_RANGE}, got 1e-200"),
-    "verify-cap-huge": ({}, {}, "verify --trials 1 --n 5 --ybound 1e160",
+    "verify-cap-huge": ({}, "verify --trials 1 --n 5 --ybound 1e160",
                         f"{CAP_RANGE}, got 1e+160"),
-    "lemma-audit-cap-huge": ({}, {}, "lemma-audit --eps 0.1 --ybound 1e300",
+    "lemma-audit-cap-huge": ({}, "lemma-audit --eps 0.1 --ybound 1e300",
                              f"{CAP_RANGE}, got 1e+300"),
-    "lemma-audit-triple-cap-huge": ({}, {}, "lemma-audit --a 0.05 --b 0.1 --mu 1 --ybound 1e200 "
-                                            "--budget 100", f"{CAP_RANGE}, got 1e+200"),
+    "lemma-audit-triple-cap-huge": ({}, "lemma-audit --a 0.05 --b 0.1 --mu 1 --ybound 1e200 "
+                                        "--budget 100", f"{CAP_RANGE}, got 1e+200"),
     # a slack whose b or a is not a normal float, or whose rate rounds up to
     # the supremum, is refused by name rather than failing an identity later
-    "verify-slack-b-zero": ({}, {}, "verify --trials 1 --n 5 --eps 1e-300 --ybound 1e150",
+    "verify-slack-b-zero": ({}, "verify --trials 1 --n 5 --eps 1e-300 --ybound 1e150",
                             "slack parameter 1e-300 gives b = 0.0 "
                             f"at magnitude cap 1e+150, {NOT_NORMAL}"),
-    "run-slack-subnormal": ({}, {}, "run --case 1 --n 10 --eps 1e-320",
+    "run-slack-subnormal": ({}, "run --case 1 --n 10 --eps 1e-320",
                             "slack parameter 1e-320 gives b = 4e-320 "
                             f"at magnitude cap 0.5, {NOT_NORMAL}"),
-    "run-mu-subnormal": ({}, {}, "run --case 1 --n 10 --mu 1e-320",
+    "run-mu-subnormal": ({}, "run --case 1 --n 10 --mu 1e-320",
                          "learning rate 1e-320: slack parameter 2.03e-322 gives b = 8.1e-322 "
                          f"at magnitude cap 0.5, {NOT_NORMAL}"),
-    "sweep-mu-subnormal": ({}, {}, "sweep --case 1 --n 10 --mu-list 0.05,1e-320",
+    "sweep-mu-subnormal": ({}, "sweep --case 1 --n 10 --mu-list 0.05,1e-320",
                            "learning rate 1e-320: slack parameter 2.03e-322 gives b = 8.1e-322 "
                            f"at magnitude cap 0.5, {NOT_NORMAL}"),
-    "verify-slack-subnormal": ({}, {}, "verify --trials 1 --n 5 --eps 1e-320",
+    "verify-slack-subnormal": ({}, "verify --trials 1 --n 5 --eps 1e-320",
                                "slack parameter 1e-320 gives b = 1e-320 "
                                f"at magnitude cap 1.0, {NOT_NORMAL}"),
-    "verify-mu-subnormal": ({}, {}, "verify --trials 1 --n 5 --mu 1e-320",
+    "verify-mu-subnormal": ({}, "verify --trials 1 --n 5 --mu 1e-320",
                             "learning rate 1e-320: slack parameter 8.1e-322 gives b = 8.1e-322 "
                             f"at magnitude cap 1.0, {NOT_NORMAL}"),
-    "lemma-audit-slack-subnormal": ({}, {}, "lemma-audit --eps 1e-320 --budget 10",
+    "lemma-audit-slack-subnormal": ({}, "lemma-audit --eps 1e-320 --budget 10",
                                     "slack parameter 1e-320 gives b = 1e-320 "
                                     f"at magnitude cap 1.0, {NOT_NORMAL}"),
-    "run-slack-at-supremum": ({}, {}, "run --case 1 --n 10 --eps 1e16",
+    "run-slack-at-supremum": ({}, "run --case 1 --n 10 --eps 1e16",
                               f"slack parameter 1e+16 {AT_SUPREMUM} 24.721878862793574 "
                               "for this cap and floor"),
-    "verify-slack-at-supremum": ({}, {}, "verify --trials 1 --n 5 --eps 1e16",
+    "verify-slack-at-supremum": ({}, "verify --trials 1 --n 5 --eps 1e16",
                                  f"slack parameter 1e+16 {AT_SUPREMUM} 6.180469715698393 "
                                  "for this cap and floor"),
-    "lemma-audit-slack-at-supremum": ({}, {}, "lemma-audit --eps 1e16 --budget 10",
+    "lemma-audit-slack-at-supremum": ({}, "lemma-audit --eps 1e16 --budget 10",
                                       f"slack parameter 1e+16 {AT_SUPREMUM} 6.180469715698393 "
                                       "for this cap and floor"),
-    "verify-trials-zero": ({}, {}, "verify --trials 0 --n 5", "trials must be at least 1, got 0"),
-    "verify-n-zero": ({}, {}, "verify --trials 1 --n 0", "n must be at least 1, got 0"),
-    "run-n-zero": ({}, {}, "run --case 1 --n 0", "n must be at least 1, got 0"),
-    "run-n-negative": ({}, {}, "run --case 1 --n -3", "n must be at least 1, got -3"),
-    "spec-invalid-json": ({}, {"sp.json": "{bad"}, "run --spec sp.json --mu 0.1",
+    "verify-trials-zero": ({}, "verify --trials 0 --n 5", "trials must be at least 1, got 0"),
+    "verify-n-zero": ({}, "verify --trials 1 --n 0", "n must be at least 1, got 0"),
+    "run-n-zero": ({}, "run --case 1 --n 0", "n must be at least 1, got 0"),
+    "run-n-negative": ({}, "run --case 1 --n -3", "n must be at least 1, got -3"),
+    "spec-invalid-json": ({"sp.json": "{bad"}, "run --spec sp.json --mu 0.1",
                           f"sequence spec sp.json: invalid JSON ({BAD_JSON})"),
-    "spec-not-an-object": ({}, {"sp.json": "[1]"}, "run --spec sp.json --mu 0.1",
+    "spec-not-an-object": ({"sp.json": "[1]"}, "run --spec sp.json --mu 0.1",
                            "sequence spec sp.json: expected an object with a 'kind'"),
-    "spec-unknown-key": ({}, {"sp.json": '{"kind": "constant", "nn": 3}'},
+    "spec-unknown-key": ({"sp.json": '{"kind": "constant", "nn": 3}'},
                          "run --spec sp.json --mu 0.1", "sequence spec has unknown keys: ['nn']"),
     # a spec field the kind never reads is refused, not ignored; the first is named
-    "spec-unread-fields": ({}, {"sp.json": '{"kind": "case1", "n": 50, "amplitude": 0.3, '
-                                           '"period": 7, "path": "nope.csv"}'},
+    "spec-unread-fields": ({"sp.json": '{"kind": "case1", "n": 50, "amplitude": 0.3, '
+                                       '"period": 7, "path": "nope.csv"}'},
                            "run --spec sp.json", "sequence field amplitude is not read by kind case1"),
-    "spec-period-on-constant": ({}, {"sp.json": '{"kind": "constant", "n": 5, "period": 7}'},
+    "spec-period-on-constant": ({"sp.json": '{"kind": "constant", "n": 5, "period": 7}'},
                                 "run --spec sp.json --mu 0.1",
                                 "sequence field period is not read by kind constant"),
-    "spec-switch-on-square-wave": ({}, {"sp.json": '{"kind": "square_wave", "n": 5, "switch_at": 2}'},
+    "spec-switch-on-square-wave": ({"sp.json": '{"kind": "square_wave", "n": 5, "switch_at": 2}'},
                                    "run --spec sp.json --mu 0.1",
                                    "sequence field switch_at is not read by kind square_wave"),
-    "spec-path-on-alternating": ({}, {"sp.json": '{"kind": "alternating", "n": 5, "path": "x.csv"}'},
+    "spec-path-on-alternating": ({"sp.json": '{"kind": "alternating", "n": 5, "path": "x.csv"}'},
                                  "run --spec sp.json --mu 0.1",
                                  "sequence field path is not read by kind alternating"),
-    "spec-amplitude-on-file": ({}, {"seq.csv": "y,yhat1,yhat2\n0.1,0.1,0.1\n",
-                                    "sp.json": '{"kind": "custom_file", "path": "seq.csv", '
-                                               '"amplitude": 0.5}'},
+    "spec-amplitude-on-file": ({"seq.csv": "y,yhat1,yhat2\n0.1,0.1,0.1\n",
+                                "sp.json": '{"kind": "custom_file", "path": "seq.csv", '
+                                           '"amplitude": 0.5}'},
                                "run --spec sp.json --mu 0.1",
                                "sequence field amplitude is not read by kind custom_file"),
-    "input-n-beyond-rows": ({}, {"in.csv": "y,yhat1,yhat2\n0.1,0.1,0.1\n0,0,0\n0.2,0.2,0.2\n"},
+    "input-n-beyond-rows": ({"in.csv": "y,yhat1,yhat2\n0.1,0.1,0.1\n0,0,0\n0.2,0.2,0.2\n"},
                             "run --input in.csv --n 1000 --mu 0.1",
                             "in.csv: n = 1000 exceeds the file's 3 data rows"),
-    "audit-eps-and-triple": ({}, {}, "lemma-audit --eps 0.1 --a 1",
+    "audit-eps-and-triple": ({}, "lemma-audit --eps 0.1 --a 1",
                              "choose --eps or an explicit --a/--b/--mu triple, not both"),
-    "audit-partial-triple": ({}, {}, "lemma-audit --a 1",
+    "audit-partial-triple": ({}, "lemma-audit --a 1",
                              "provide --eps or the full --a/--b/--mu triple"),
     # numpy's own refusal of a negative seed names no flag
-    "audit-seed-negative": ({}, {}, "lemma-audit --eps 0.1 --seed -1 --budget 5000",
+    "audit-seed-negative": ({}, "lemma-audit --eps 0.1 --seed -1 --budget 5000",
                             "seed must be nonnegative, got -1"),
-    "verify-seed-negative": ({}, {}, "verify --seed -1", "seed must be nonnegative, got -1"),
-    "sweep-no-mu-list": ({}, {}, "sweep --case 1 --n 10",
+    "verify-seed-negative": ({}, "verify --seed -1", "seed must be nonnegative, got -1"),
+    "sweep-no-mu-list": ({}, "sweep --case 1 --n 10",
                          "provide --mu-list with comma-separated learning rates"),
-    "sweep-bad-mu-list": ({}, {}, "sweep --case 1 --n 10 --mu-list 0.1,zap",
+    "sweep-bad-mu-list": ({}, "sweep --case 1 --n 10 --mu-list 0.1,zap",
                           "--mu-list must be comma-separated numbers, got '0.1,zap'"),
-    "sweep-empty-mu-list": ({}, {}, "sweep --case 1 --n 10 --mu-list ,", "--mu-list is empty"),
-    "outputs-collide": ({}, {}, "run --case 1 --n 10 --out same.csv --summary same.csv",
+    "sweep-empty-mu-list": ({}, "sweep --case 1 --n 10 --mu-list ,", "--mu-list is empty"),
+    "outputs-collide": ({}, "run --case 1 --n 10 --out same.csv --summary same.csv",
                         "output paths must differ, got same.csv, same.csv"),
-    "output-dir-missing": ({}, {}, "run --case 1 --n 10 --out nodir/x.csv",
+    "output-dir-missing": ({}, "run --case 1 --n 10 --out nodir/x.csv",
                            "cannot write nodir/x.csv: it is a directory or its directory is missing"),
-    "output-not-a-string": ({}, {"cfg.json": '{"out": 5}'}, "run --case 1 --n 10 --config cfg.json",
+    "output-not-a-string": ({"cfg.json": '{"out": 5}'}, "run --case 1 --n 10 --config cfg.json",
                             "output paths must be strings, got 5, 'summary.json'"),
     # a config value must have its flag's type: a number is not truncated, a
     # boolean is not a number, and a path given as a number is no file descriptor
-    "config-int-fraction": ({}, {"cfg.json": '{"case": 1, "n": 10.7}'}, "run --config cfg.json",
+    "config-int-fraction": ({"cfg.json": '{"case": 1, "n": 10.7}'}, "run --config cfg.json",
                             "config key n must be an integer, got 10.7"),
-    "config-int-boolean": ({}, {"cfg.json": '{"case": 1, "n": true}'}, "run --config cfg.json",
+    "config-int-boolean": ({"cfg.json": '{"case": 1, "n": true}'}, "run --config cfg.json",
                            "config key n must be an integer, got true"),
-    "config-verify-seed-fraction": ({}, {"cfg.json": '{"seed": 7.9}'},
+    "config-verify-seed-fraction": ({"cfg.json": '{"seed": 7.9}'},
                                     "verify --trials 1 --n 5 --config cfg.json",
                                     "config key seed must be an integer, got 7.9"),
-    "config-verify-trials-boolean": ({}, {"cfg.json": '{"trials": true}'},
+    "config-verify-trials-boolean": ({"cfg.json": '{"trials": true}'},
                                      "verify --n 5 --config cfg.json",
                                      "config key trials must be an integer, got true"),
-    "config-float-string": ({}, {"cfg.json": '{"mu": "0.1"}'},
+    "config-float-string": ({"cfg.json": '{"mu": "0.1"}'},
                             "run --case 1 --n 10 --config cfg.json",
                             'config key mu must be a number, got "0.1"'),
-    "config-float-boolean": ({}, {"cfg.json": '{"lambda_plus": false}'},
+    "config-float-boolean": ({"cfg.json": '{"lambda_plus": false}'},
                              "sweep --case 1 --n 10 --mu-list 0.1 --config cfg.json",
                              "config key lambda_plus must be a number, got false"),
-    "config-spec-number": ({}, {"cfg.json": '{"spec": 0}'}, "run --mu 0.1 --config cfg.json",
+    "config-spec-number": ({"cfg.json": '{"spec": 0}'}, "run --mu 0.1 --config cfg.json",
                            "config key spec must be a string, got 0"),
-    "config-sweep-rates-number": ({}, {"cfg.json": '{"mu_list": 0.1}'},
+    "config-sweep-rates-number": ({"cfg.json": '{"mu_list": 0.1}'},
                                   "sweep --case 1 --n 10 --config cfg.json",
                                   "config key mu_list must be a string, got 0.1"),
-    "plot-onto-input": ({}, {"t.csv": "x"}, "plot --input t.csv --out t.csv",
+    "plot-onto-input": ({"t.csv": "x"}, "plot --input t.csv --out t.csv",
                         "plot output t.csv is the input file"),
     # an output never replaces a file the command reads
-    "run-onto-input": ({}, {"in.csv": SEQ_TEXT}, "run --input in.csv --mu 0.1 --out in.csv",
+    "run-onto-input": ({"in.csv": SEQ_TEXT}, "run --input in.csv --mu 0.1 --out in.csv",
                        "run output in.csv is the input file"),
-    "run-summary-onto-spec": ({}, {"s.json": '{"kind": "constant", "n": 5}'},
+    "run-summary-onto-spec": ({"s.json": '{"kind": "constant", "n": 5}'},
                               "run --spec s.json --mu 0.1 --summary s.json",
                               "run output s.json is the input file"),
-    "run-onto-spec-file": ({}, {"in.csv": SEQ_TEXT,
-                                "s.json": '{"kind": "custom_file", "path": "./in.csv"}'},
+    "run-onto-spec-file": ({"in.csv": SEQ_TEXT,
+                            "s.json": '{"kind": "custom_file", "path": "./in.csv"}'},
                            "run --spec s.json --mu 0.1 --out in.csv",
                            "run output in.csv is the input file"),
-    "run-onto-config": ({}, {"cfg.json": '{"case": 1, "n": 5}'},
+    "run-onto-config": ({"cfg.json": '{"case": 1, "n": 5}'},
                         "run --config cfg.json --summary cfg.json",
                         "run output cfg.json is the input file"),
-    "sweep-onto-input": ({}, {"in.csv": SEQ_TEXT},
+    "sweep-onto-input": ({"in.csv": SEQ_TEXT},
                          "sweep --input in.csv --mu-list 0.1 --out in.csv",
                          "sweep output in.csv is the input file"),
-    "sweep-rate-file-onto-spec": ({}, {"sweep_mu0.1.json": '{"kind": "constant", "n": 5}'},
+    "sweep-rate-file-onto-spec": ({"sweep_mu0.1.json": '{"kind": "constant", "n": 5}'},
                                   "sweep --spec sweep_mu0.1.json --mu-list 0.1",
                                   "sweep output sweep_mu0.1.json is the input file"),
-    "verify-onto-config": ({}, {"cfg.json": '{"trials": 1, "n": 5}'},
+    "verify-onto-config": ({"cfg.json": '{"trials": 1, "n": 5}'},
                            "verify --config cfg.json --out cfg.json",
                            "verify output cfg.json is the input file"),
-    "verify-bad-resolution": ({}, {}, "verify --trials 1 --n 5 --resolution 0.5",
-                              "resolution must lie in (0, 0.1], got 0.5"),
-    "plot-nan-regret": ({}, {"t.csv": _trajectory_text(norm_regret="nan")},
+    "plot-nan-regret": ({"t.csv": _trajectory_text(norm_regret="nan")},
                         "plot --input t.csv --out p.svg",
                         "t.csv: row 4: column norm_regret is nan; plot needs a finite value"),
-    "plot-inf-bound": ({}, {"t.csv": _trajectory_text(bound_norm="-inf")},
+    "plot-inf-bound": ({"t.csv": _trajectory_text(bound_norm="-inf")},
                        "plot --input t.csv --logx --out p.svg",
                        "t.csv: row 4: column bound_norm is -inf; plot needs a finite value"),
-    "plot-logx-zero-step": ({}, {"t.csv": _trajectory_text(t="0", norm_regret="inf")},
+    "plot-logx-zero-step": ({"t.csv": _trajectory_text(t="0", norm_regret="inf")},
                             "plot --input t.csv --logx --out p.svg",
                             "t.csv: row 4: column t is 0; plot needs a positive step for --logx"),
-    "plot-logx-negative-step": ({}, {"t.csv": _trajectory_text(t="-3")},
+    "plot-logx-negative-step": ({"t.csv": _trajectory_text(t="-3")},
                                 "plot --input t.csv --logx --out p.svg",
                                 "t.csv: row 4: column t is -3; plot needs a positive step for --logx"),
 }
 
 
 class TestUsageErrors:
-    @pytest.mark.parametrize("env, files, command, message", USAGE_ERRORS.values(),
-                             ids=USAGE_ERRORS)
-    def test_exact_message(self, workdir, monkeypatch, capsys, env, files, command, message):
+    @pytest.mark.parametrize("files, command, message", USAGE_ERRORS.values(), ids=USAGE_ERRORS)
+    def test_exact_message(self, workdir, capsys, files, command, message):
         """Each usage error prints its one line, exits 2, writes nothing and
         leaves the files it was given as they were."""
-        for key, value in env.items():
-            monkeypatch.setenv(key, value)
         for name, text in files.items():
             (workdir / name).write_text(text)
         assert run_cli(*command.split()) == 2
@@ -590,7 +575,7 @@ class TestVerifyCommand:
         weight; the margins do not use it.  (A shift of every divergence
         would cancel in the drop.)"""
         c = bounds.constants_from_eps(0.1, 1.0, 0.08)
-        args = (c, 4, 50, 3, 1e-9)
+        args = (c, 4, 50, 3)
         margins = verify._margin_and_telescope_suites(*args)[0]
         exact = bounds.kl
         monkeypatch.setattr(bounds, "kl", lambda beta, lam: exact(beta, lam) + 1e-6 * (lam == 0.5))
@@ -712,16 +697,6 @@ class TestVerifyCommand:
         failures = read_json("r.json")["suites"]["constant_identities"]["failures"]
         assert len(failures) == 1 and failures[0].startswith("eps roundtrip ")
 
-    def test_tolerance_env_override(self, workdir, monkeypatch):
-        monkeypatch.setenv("CONVEXMIX_TOL", "1e-3")
-        assert run_cli("verify", "--trials", "1", "--n", "20", "--seed", "0",
-                       "--out", "r.json") == 0
-        assert read_json("r.json")["tolerance"] == 1e-3
-
-    def test_bad_tolerance_env(self, workdir, monkeypatch):
-        monkeypatch.setenv("CONVEXMIX_TOL", "banana")
-        assert run_cli("verify", "--trials", "1", "--n", "20", "--seed", "0") == 2
-
     def test_mu_flag(self, workdir):
         assert run_cli("verify", "--mu", "0.5", "--trials", "1", "--n", "30",
                        "--seed", "1", "--out", "r.json") == 0
@@ -734,22 +709,18 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("flags", [
         ("--trials", "0", "--n", "5"),
         ("--trials", "1", "--n", "0"),
-        ("--trials", "1", "--n", "5", "--resolution", "0"),
     ])
     def test_zero_is_not_the_default(self, workdir, flags):
         assert run_cli("verify", *flags, "--out", "r.json") == 2
         assert not (workdir / "r.json").exists()
 
-    @pytest.mark.parametrize("resolution", ["0.5", "-0.01", "nan"])
-    def test_bad_resolution_fails_before_any_suite(self, workdir, monkeypatch, capsys, resolution):
-        def no_run(*args, **kwargs):
-            raise AssertionError("a suite ran before the resolution was checked")
-
-        monkeypatch.setattr(cli.mixture, "run", no_run)
-        assert run_cli("verify", "--trials", "200", "--n", "1000", "--resolution", resolution,
-                       "--out", "r.json") == 2
-        assert capsys.readouterr().err == f"error: resolution must lie in (0, 0.1], got {float(resolution)}\n"
-        assert not any(workdir.iterdir())
+    def test_tolerance_is_not_read_from_the_environment(self, workdir, monkeypatch):
+        """The margin tolerance is a constant: ``CONVEXMIX_TOL`` in the
+        environment moves neither verify's report nor lemma-audit's payload."""
+        monkeypatch.setenv("CONVEXMIX_TOL", "1e-3")
+        assert run_cli("verify", "--trials", "1", "--n", "20", "--out", "r.json") == 0
+        assert run_cli("lemma-audit", "--eps", "0.1", "--budget", "10", "--out", "w.json") == 0
+        assert read_json("r.json")["tolerance"] == read_json("w.json")["tolerance"] == 1e-9
 
 
 class TestLemmaAuditCommand:

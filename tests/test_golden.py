@@ -243,7 +243,6 @@ REFUSALS = {
 @pytest.mark.parametrize("label", sorted(GOLDEN))
 def test_outputs_byte_identical(label, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("CONVEXMIX_TOL", raising=False)
     for name, text in FILES.get(label, {}).items():
         (tmp_path / name).write_text(text)
     commands, hashes = GOLDEN[label]

@@ -1,12 +1,13 @@
 """Every module-level import in the package is used in its module, every
-exported name is used somewhere in the package, and the package root binds
-nothing but its version, so each name has one import path.  A format or row
-layout the package writes, the per-step requirement's arithmetic, and the
-weight update's logistic, is spelled out in one module.
+exported name is used somewhere in the package, every parameter default is
+overridden by some call in the package, and the package root binds nothing
+but its version, so each name has one import path.  A format or row layout
+the package writes, the per-step requirement's arithmetic, and the weight
+update's logistic, is spelled out in one module.
 
 No linter is part of the toolchain, so these are the checks that catch an
-import left behind when code moves from one module to another, and an
-export whose last caller went away.
+import left behind when code moves from one module to another, an export
+whose last caller went away, and a setting no caller sets.
 """
 
 import ast
@@ -68,6 +69,51 @@ def _unused_exports(sources: dict[str, str]) -> set[tuple[str, str]]:
     }
 
 
+def _defs(node: ast.AST, prefix: str = ""):
+    """``(qualified name, def, whether it is a method)`` for every def under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + child.name, child, isinstance(node, ast.ClassDef)
+        named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        yield from _defs(child, f"{prefix}{child.name}." if named else prefix)
+
+
+def _unpassed_defaults(sources) -> set[str]:
+    """``def.parameter`` for each parameter with a default that no call passes.
+
+    A call ``f(...)`` or ``x.f(...)`` is matched to every def named ``f``,
+    and a call of a class to its ``__init__``; a method's positions start
+    after ``self``.  A parameter is passed by keyword or by position, and a
+    ``*`` or ``**`` splat passes all of them.
+    """
+    trees = [ast.parse(source) for source in sources]
+    defs = [entry for tree in trees for entry in _defs(tree)]
+    callees = {}  # called name -> [(qualified name, def, positions skipped)]
+    for qualname, node, method in defs:
+        name = qualname.split(".")[-2] if node.name == "__init__" else node.name
+        callees.setdefault(name, []).append((qualname, node, int(method)))
+    passed = set()
+    for call in (node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Call)):
+        name = getattr(call.func, "id", getattr(call.func, "attr", None))
+        splat = (any(isinstance(arg, ast.Starred) for arg in call.args)
+                 or any(kw.arg is None for kw in call.keywords))
+        for qualname, node, skip in callees.get(name, ()):
+            params = node.args.posonlyargs + node.args.args
+            if splat:
+                params += node.args.kwonlyargs
+            else:
+                params = params[skip : skip + len(call.args)]
+            passed |= {(qualname, p.arg) for p in params} | {(qualname, kw.arg) for kw in call.keywords}
+    defaulted = set()
+    for qualname, node, _ in defs:
+        args = node.args
+        positional = args.posonlyargs + args.args
+        defaulted |= {(qualname, p.arg) for p in positional[len(positional) - len(args.defaults):]}
+        defaulted |= {(qualname, p.arg) for p, d in zip(args.kwonlyargs, args.kw_defaults)
+                      if d is not None}
+    return {f"{qualname}.{param}" for qualname, param in defaulted - passed}
+
+
 def _bound_names(source: str) -> set[str]:
     """Every name a module binds: imports, assignments, functions and classes."""
     names = set()
@@ -114,6 +160,26 @@ def test_the_check_sees_an_unused_export():
 def test_every_export_is_used():
     sources = {p.stem: p.read_text() for p in MODULES}
     assert _unused_exports(sources) == set()
+
+
+def test_the_check_sees_an_unpassed_default():
+    source = (
+        "def f(a, b=1, *, c=2, d=3):\n    pass\n"
+        "def g(x=0):\n    def h(y=1):\n        pass\n    return h\n"
+        "def k(z=0):\n    pass\n"
+        "class C:\n    def __init__(self, p=1, q=2):\n        pass\n"
+        "    def m(self, r=1, s=2):\n        pass\n"
+        "f(0, 5, c=1)\ng(*[])\nk(**{})\nC(7).m(1)\n"
+    )
+    assert _unpassed_defaults([source]) == {"f.d", "g.h.y", "C.__init__.q", "C.m.s"}
+
+
+def test_every_defaulted_parameter_is_passed():
+    """A default that no caller overrides is a constant written as a
+    parameter.  The one exception is ``cli.main``'s ``argv``: the console
+    script and ``python -m convexmix`` call it bare."""
+    sources = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
+    assert _unpassed_defaults(sources) - {"main.argv"} == set()
 
 
 @pytest.mark.parametrize("token, owner", [
