@@ -104,6 +104,8 @@ def _check_outputs(*paths: str) -> None:
     """Refuse, before any is opened, output paths that cannot all be written."""
     if not all(isinstance(p, str) for p in paths):
         raise ValueError(f"output paths must be strings, got {', '.join(map(repr, paths))}")
+    if "" in paths:
+        raise ValueError(f"output paths must not be empty, got {', '.join(map(repr, paths))}")
     if len({os.path.realpath(p) for p in paths}) < len(paths):
         raise ValueError(f"output paths must differ, got {', '.join(paths)}")
     for path in paths:

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import csv
+import gc
 import importlib.util
 import inspect
 import json
@@ -968,6 +969,16 @@ class TestSweepCommand:
 class TestOutputsCheckedFirst:
     """An output that cannot be written exits 2 before any work, and nothing is written."""
 
+    @pytest.fixture()
+    def no_work(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the outputs were checked")
+
+        for module, name in ((signals, "generate"), (signals, "read_trajectory"),
+                             (mixture, "run"), (audit, "search_violations"),
+                             (cli, "run_verification")):
+            monkeypatch.setattr(module, name, no_work)
+
     @pytest.mark.parametrize("config, command, message", [
         ({"out": 1}, "verify --trials 2 --n 10", "output paths must be strings, got 1"),
         ({"out": 5}, "sweep --case 1 --n 10 --mu-list 0.1", "output paths must be strings, got 5"),
@@ -979,14 +990,7 @@ class TestOutputsCheckedFirst:
          "cannot write nodir/t.svg: it is a directory or its directory is missing"),
     ], ids=["verify-config-out", "sweep-config-out", "verify-directory", "lemma-audit-no-dir",
             "plot-no-dir"])
-    def test_refused_before_work(self, workdir, monkeypatch, capsys, config, command, message):
-        def no_work(*args, **kwargs):
-            raise AssertionError("work started before the outputs were checked")
-
-        for module, name in ((signals, "generate"), (signals, "read_trajectory"),
-                             (mixture, "run"), (audit, "search_violations"),
-                             (cli, "run_verification")):
-            monkeypatch.setattr(module, name, no_work)
+    def test_refused_before_work(self, workdir, no_work, capsys, config, command, message):
         (workdir / "d").mkdir()
         argv = command.split()
         if config is not None:
@@ -996,6 +1000,26 @@ class TestOutputsCheckedFirst:
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert sorted(p.name for p in workdir.iterdir()) == ["c.json"] * (config is not None) + ["d"]
         assert not any((workdir / "d").iterdir())
+
+    @pytest.mark.parametrize("argv, paths", [
+        (("run", "--case", "1", "--n", "50", "--out", ""), "'', 'summary.json'"),
+        (("run", "--case", "1", "--n", "50", "--out", "t.csv", "--summary", ""), "'t.csv', ''"),
+        (("plot", "--input", "t.csv", "--out", ""), "''"),
+        (("verify", "--trials", "2", "--n", "10", "--out", ""), "''"),
+        (("lemma-audit", "--eps", "0.1", "--budget", "100", "--out", ""), "''"),
+        (("sweep", "--case", "1", "--n", "50", "--mu-list", "0.1", "--out", ""), "''"),
+    ], ids=["run-out", "run-summary", "plot", "verify", "lemma-audit", "sweep"])
+    def test_empty_path_refused_before_work(self, workdir, no_work, capsys, argv, paths):
+        """An empty path names no file; refused with the others, it leaves nothing written."""
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr() == ("", f"error: output paths must not be empty, got {paths}\n")
+        assert not any(workdir.iterdir())
+
+
+RUN = ("run", "--case", "1", "--n", "50")
+PLOT = ("plot", "--input", "trajectory.csv")
+VERIFY = ("verify", "--trials", "1", "--n", "20", "--seed", "0", "--out", "r.json")
+LEMMA = ("lemma-audit", "--eps", "0.1", "--budget", "100", "--out", "w.json")
 
 
 def _child_env():
@@ -1010,6 +1034,18 @@ def _child_env():
         filter(None, [package_root, os.environ.get("PYTHONPATH")])))
 
 
+# runs the package as ``python -m convexmix`` does, with its arguments, and
+# prints as its last line the freeze count before the run, then whether
+# objects are frozen and the collector enabled at interpreter exit
+_ENTRY_GC = (
+    "import atexit, gc, runpy, sys\n"
+    "before = gc.get_freeze_count()\n"
+    "atexit.register(lambda: print(before, gc.get_freeze_count() > 0, gc.isenabled()))\n"
+    "sys.argv[0] = 'convexmix'\n"
+    "runpy.run_module('convexmix', run_name='__main__')\n"
+)
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m(self, workdir):
         proc = subprocess.run(
@@ -1018,6 +1054,28 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert (workdir / "summary.json").exists()
+
+    def test_process_entry_freezes_the_import_heap(self, workdir):
+        """``python -m convexmix`` runs ``__main__.entry``, which freezes the
+        heap its imports left; the collector stays on, and at exit the frozen
+        objects are still frozen."""
+        proc = subprocess.run([sys.executable, "-c", _ENTRY_GC, "--help"], cwd=workdir,
+                              capture_output=True, text=True, env=_child_env())
+        assert proc.returncode == 0, proc.stderr
+        before, frozen, enabled = proc.stdout.splitlines()[-1].split()
+        assert (before, frozen, enabled) == ("0", "True", "True")
+
+    @pytest.mark.parametrize("argv", [RUN, VERIFY], ids=["run", "verify"])
+    def test_in_process_main_leaves_the_collector_alone(self, workdir, argv):
+        state = gc.get_freeze_count(), gc.isenabled()
+        assert run_cli(*argv) == 0
+        assert (gc.get_freeze_count(), gc.isenabled()) == state
+
+    def test_console_script_runs_the_entry(self):
+        """Both process entries take one path; read as text, since tomllib is 3.11+."""
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        scripts = text.split("[project.scripts]\n", 1)[1].split("\n\n", 1)[0]
+        assert scripts.splitlines() == ['convexmix = "convexmix.__main__:entry"']
 
 
 def _tracer_counters():
@@ -1028,10 +1086,6 @@ def _tracer_counters():
     return module.COUNTERS
 
 
-RUN = ("run", "--case", "1", "--n", "50")
-PLOT = ("plot", "--input", "trajectory.csv")
-VERIFY = ("verify", "--trials", "1", "--n", "20", "--seed", "0", "--out", "r.json")
-LEMMA = ("lemma-audit", "--eps", "0.1", "--budget", "100", "--out", "w.json")
 # each function the benchmark tracer wraps, and a command that reaches it
 TRACED = [
     (signals, "generate", RUN),

@@ -176,8 +176,8 @@ def test_the_check_sees_an_unpassed_default():
 
 def test_every_defaulted_parameter_is_passed():
     """A default that no caller overrides is a constant written as a
-    parameter.  The one exception is ``cli.main``'s ``argv``: the console
-    script and ``python -m convexmix`` call it bare."""
+    parameter.  The one exception is ``cli.main``'s ``argv``: ``__main__.entry``,
+    the process entry, calls it bare."""
     sources = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
     assert _unpassed_defaults(sources) - {"main.argv"} == set()
 
