@@ -52,37 +52,6 @@ def _read_json(path: str, what: str):
             raise ValueError(f"{what} {path}: invalid JSON ({exc})") from None
 
 
-# the JSON values a config key may hold, by its flag's argparse type
-_CONFIG_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
-                 None: ((str,), "a string")}
-
-
-def _config_defaults(sub: argparse.ArgumentParser, path: str) -> dict:
-    """The --config file at ``path`` as defaults for the subcommand parser ``sub``.
-
-    Each key is the destination of one of ``sub``'s flags and has that
-    flag's type: a JSON integer, a number (made a float) or a string, never
-    a boolean; null leaves the key at its default.  Output paths are left
-    to :func:`_check_outputs`, which names them all.
-    """
-    config = _read_json(path, "config")
-    if not isinstance(config, dict):
-        raise ValueError(f"config {path}: expected a JSON object")
-    types = {action.dest: action.type for action in sub._actions
-             if action.dest not in ("help", "config")}
-    unknown = set(config) - set(types)
-    if unknown:
-        raise ValueError(f"config has unknown keys: {sorted(unknown)}")
-    for key, value in config.items():
-        if value is None or key in ("out", "summary"):
-            continue
-        kinds, what = _CONFIG_TYPES[types[key]]
-        if isinstance(value, bool) or not isinstance(value, kinds):
-            raise ValueError(f"config key {key} must be {what}, got {json.dumps(value)}")
-        config[key] = types[key](value) if types[key] else value
-    return {key: value for key, value in config.items() if value is not None}
-
-
 def _strict_json(value):
     """``value`` with each non-finite float as a string: strict JSON has no such number."""
     if isinstance(value, dict):
@@ -102,8 +71,6 @@ def _write_json(path: str, data: dict) -> None:
 
 def _check_outputs(*paths: str) -> None:
     """Refuse, before any is opened, output paths that cannot all be written."""
-    if not all(isinstance(p, str) for p in paths):
-        raise ValueError(f"output paths must be strings, got {', '.join(map(repr, paths))}")
     if "" in paths:
         raise ValueError(f"output paths must not be empty, got {', '.join(map(repr, paths))}")
     if len({os.path.realpath(p) for p in paths}) < len(paths):
@@ -135,7 +102,7 @@ def _parse_window(text: str, n: int) -> tuple[int, int]:
 def _sequence_from_args(args: argparse.Namespace, outputs):
     """Resolve the sequence source; returns (samples, y_bound, clip_count, default_rate).
 
-    Refuses an output that is --input, --spec, --config or a spec's path before reading.
+    Refuses an output that is --input, --spec or a spec's path before reading.
     """
     from . import signals
     sources = [k for k in ("case", "input", "spec") if getattr(args, k) is not None]
@@ -145,15 +112,13 @@ def _sequence_from_args(args: argparse.Namespace, outputs):
         raise ValueError(f"n must be at least 1, got {args.n}")
     default_rate = {}
     if sources[0] == "case":
-        if args.case not in CASE_MU:
-            raise ValueError(f"case must be 1 or 2, got {args.case}")
         spec = {"kind": f"case{args.case}", "n": CASE_N}
         default_rate = {"mu": CASE_MU[args.case]}
     elif sources[0] == "input":
         spec = {"kind": "custom_file", "path": args.input}
     else:
         spec = _read_json(args.spec, "sequence spec")
-    reads = [args.input, args.spec, args.config]
+    reads = [args.input, args.spec]
     if isinstance(spec, dict) and spec.get("kind") == "custom_file":
         reads.append(spec.get("path"))
     _check_not_read(args.command, outputs, reads)
@@ -205,7 +170,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     _check_outputs(args.out)
-    _check_not_read("verify", (args.out,), (args.config,))
     constants, _ = _constants_from_args(args, args.ybound, {"eps": VERIFY_EPS})
     if args.override_a is not None:
         constants = dataclasses.replace(constants, a=args.override_a)
@@ -267,7 +231,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not mus:
         raise ValueError("--mu-list is empty")
     out = args.out
-    _check_outputs(out)  # a string, so its stem can name the per-rate files
+    # alone first, so an empty or unwritable table path is named by itself
+    _check_outputs(out)
     stem, _ = os.path.splitext(out)
     # two rates that print alike would write one file
     paths = [f"{stem}_mu{mu:g}.json" for mu in mus]
@@ -302,7 +267,6 @@ def _add_sequence_flags(p: argparse.ArgumentParser):
     p.add_argument("--ybound", type=float, help="magnitude cap")
     p.add_argument("--mode", choices=mixture.MODES, default="project",
                    help="range handling (default %(default)s)")
-    p.add_argument("--config", help="JSON config file; flags override its keys")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -339,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="replace the progress coefficient, for sanity checks")
     p_ver.add_argument("--out", default="verify_report.json",
                        help="report JSON path (default %(default)s)")
-    p_ver.add_argument("--config", help="JSON config file; flags override its keys")
     p_ver.set_defaults(func=cmd_verify)
 
     p_lem = sub.add_parser("lemma-audit", help="stress the per-step requirement")
@@ -385,12 +348,6 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
-        if getattr(args, "config", None):
-            # the file's values become the subcommand's defaults, so parsed
-            # again, a flag wins wherever it appears
-            sub = parser._subparsers._group_actions[0].choices[args.command]
-            sub.set_defaults(**_config_defaults(sub, args.config))
-            args = parser.parse_args(argv)
         return args.func(args)
     except ArithmeticError as exc:
         # covers NumericError from the combiner and saturation in the audit

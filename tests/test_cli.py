@@ -44,6 +44,18 @@ def workdir(tmp_path, monkeypatch):
     return tmp_path
 
 
+@pytest.fixture()
+def no_work(monkeypatch):
+    """Every layer call that starts a command's work fails the test."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the command line was checked")
+
+    for module, name in ((signals, "generate"), (signals, "read_trajectory"),
+                         (mixture, "run"), (audit, "search_violations"),
+                         (cli, "run_verification")):
+        monkeypatch.setattr(module, name, no_work)
+
+
 class TestRunCommand:
     def test_first_benchmark(self, workdir):
         code = run_cli("run", "--case", "1", "--n", "200")
@@ -195,12 +207,6 @@ class TestRunOutputs:
         assert list((workdir / "outdir").iterdir()) == []
         assert capsys.readouterr().err.startswith("error: ")
 
-    def test_non_string_path_from_config_is_a_usage_error(self, workdir, capsys):
-        (workdir / "c.json").write_text('{"out": 5}')
-        assert run_cli("run", "--case", "1", "--n", "10", "--config", "c.json") == 2
-        assert capsys.readouterr().err == "error: output paths must be strings, got 5, 'summary.json'\n"
-        assert sorted(p.name for p in workdir.iterdir()) == ["c.json"]
-
 
 class TestWindow:
     def test_window_matches_slice_recomputation(self, workdir):
@@ -270,17 +276,6 @@ NOT_NORMAL = "outside the normal floats"
 AT_SUPREMUM = "rounds the learning rate up to its supremum"
 # every usage error: (files written first, command, its exact standard error)
 USAGE_ERRORS = {
-    "config-invalid-json": ({"cfg.json": "{not json"}, "run --config cfg.json",
-                            f"config cfg.json: invalid JSON ({BAD_JSON})"),
-    "config-not-an-object": ({"cfg.json": "[1, 2]"}, "run --config cfg.json",
-                             "config cfg.json: expected a JSON object"),
-    "config-unknown-key": ({"cfg.json": '{"case": 1, "horizon": 50}'}, "run --config cfg.json",
-                           "config has unknown keys: ['horizon']"),
-    "config-unknown-keys": ({"cfg.json": '{"case": 1, "zeta": 1, "alpha": 2}'},
-                            "verify --config cfg.json",
-                            "config has unknown keys: ['alpha', 'case', 'zeta']"),
-    "config-bad-case": ({"cfg.json": '{"case": 3}'}, "run --config cfg.json",
-                        "case must be 1 or 2, got 3"),
     "window-no-colon": ({}, "run --case 1 --n 10 --window 5",
                         "window must look like A:B with integers, got '5'"),
     "window-not-integers": ({}, "run --case 1 --n 10 --window a:b",
@@ -391,31 +386,6 @@ USAGE_ERRORS = {
                         "output paths must differ, got same.csv, same.csv"),
     "output-dir-missing": ({}, "run --case 1 --n 10 --out nodir/x.csv",
                            "cannot write nodir/x.csv: it is a directory or its directory is missing"),
-    "output-not-a-string": ({"cfg.json": '{"out": 5}'}, "run --case 1 --n 10 --config cfg.json",
-                            "output paths must be strings, got 5, 'summary.json'"),
-    # a config value must have its flag's type: a number is not truncated, a
-    # boolean is not a number, and a path given as a number is no file descriptor
-    "config-int-fraction": ({"cfg.json": '{"case": 1, "n": 10.7}'}, "run --config cfg.json",
-                            "config key n must be an integer, got 10.7"),
-    "config-int-boolean": ({"cfg.json": '{"case": 1, "n": true}'}, "run --config cfg.json",
-                           "config key n must be an integer, got true"),
-    "config-verify-seed-fraction": ({"cfg.json": '{"seed": 7.9}'},
-                                    "verify --trials 1 --n 5 --config cfg.json",
-                                    "config key seed must be an integer, got 7.9"),
-    "config-verify-trials-boolean": ({"cfg.json": '{"trials": true}'},
-                                     "verify --n 5 --config cfg.json",
-                                     "config key trials must be an integer, got true"),
-    "config-float-string": ({"cfg.json": '{"mu": "0.1"}'},
-                            "run --case 1 --n 10 --config cfg.json",
-                            'config key mu must be a number, got "0.1"'),
-    "config-float-boolean": ({"cfg.json": '{"lambda_plus": false}'},
-                             "sweep --case 1 --n 10 --mu-list 0.1 --config cfg.json",
-                             "config key lambda_plus must be a number, got false"),
-    "config-spec-number": ({"cfg.json": '{"spec": 0}'}, "run --mu 0.1 --config cfg.json",
-                           "config key spec must be a string, got 0"),
-    "config-sweep-rates-number": ({"cfg.json": '{"mu_list": 0.1}'},
-                                  "sweep --case 1 --n 10 --config cfg.json",
-                                  "config key mu_list must be a string, got 0.1"),
     "plot-onto-input": ({"t.csv": "x"}, "plot --input t.csv --out t.csv",
                         "plot output t.csv is the input file"),
     # an output never replaces a file the command reads
@@ -428,18 +398,12 @@ USAGE_ERRORS = {
                             "s.json": '{"kind": "custom_file", "path": "./in.csv"}'},
                            "run --spec s.json --mu 0.1 --out in.csv",
                            "run output in.csv is the input file"),
-    "run-onto-config": ({"cfg.json": '{"case": 1, "n": 5}'},
-                        "run --config cfg.json --summary cfg.json",
-                        "run output cfg.json is the input file"),
     "sweep-onto-input": ({"in.csv": SEQ_TEXT},
                          "sweep --input in.csv --mu-list 0.1 --out in.csv",
                          "sweep output in.csv is the input file"),
     "sweep-rate-file-onto-spec": ({"sweep_mu0.1.json": '{"kind": "constant", "n": 5}'},
                                   "sweep --spec sweep_mu0.1.json --mu-list 0.1",
                                   "sweep output sweep_mu0.1.json is the input file"),
-    "verify-onto-config": ({"cfg.json": '{"trials": 1, "n": 5}'},
-                           "verify --config cfg.json --out cfg.json",
-                           "verify output cfg.json is the input file"),
     "plot-nan-regret": ({"t.csv": _trajectory_text(norm_regret="nan")},
                         "plot --input t.csv --out p.svg",
                         "t.csv: row 4: column norm_regret is nan; plot needs a finite value"),
@@ -491,6 +455,27 @@ class TestUsageErrors:
     def test_unknown_flag(self, workdir):
         assert run_cli("run", "--case", "1", "--frobnicate") == 2
 
+    def test_case_outside_its_choices(self, workdir, no_work, capsys):
+        """argparse's ``choices`` is the one check of --case."""
+        assert run_cli("run", "--case", "3") == 2
+        assert "argument --case: invalid choice: 3" in capsys.readouterr().err
+        assert not any(workdir.iterdir())
+
+    @pytest.mark.parametrize("config, command", [
+        ({"case": 1, "n": 10}, "run"),
+        ({"case": 1, "n": 10}, "sweep --mu-list 0.1"),
+        ({"trials": 1, "n": 5}, "verify"),
+    ], ids=["run", "sweep", "verify"])
+    def test_config_flag_is_refused(self, workdir, no_work, capsys, config, command):
+        """Every setting is its own flag: a config file is an unknown argument, refused
+        by argparse before any work, even when it holds only valid settings."""
+        (workdir / "c.json").write_text(json.dumps(config))
+        assert run_cli(*command.split(), "--config", "c.json") == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith("unrecognized arguments: --config c.json\n")
+        assert sorted(p.name for p in workdir.iterdir()) == ["c.json"]
+
     def test_numeric_failure_exit_code(self, workdir, monkeypatch):
         def boom(*args, **kwargs):
             raise NumericError("step 3: synthetic blowup")
@@ -515,36 +500,6 @@ class TestUsageErrors:
         assert run_cli(*argv) == 2
         assert capsys.readouterr().err == "error: Unable to allocate 373. TiB for an array\n"
         assert not any(workdir.iterdir())
-
-
-class TestConfigFile:
-    def test_flags_override_config(self, workdir):
-        cfg = workdir / "cfg.json"
-        cfg.write_text(json.dumps({"case": 1, "n": 50}))
-        assert run_cli("run", "--config", str(cfg), "--n", "80") == 0
-        assert read_json("summary.json")["n"] == 80
-
-    def test_flag_before_config_wins(self, workdir):
-        cfg = workdir / "cfg.json"
-        cfg.write_text(json.dumps({"case": 1, "n": 50}))
-        assert run_cli("run", "--n", "80", "--config", str(cfg)) == 0
-        assert read_json("summary.json")["n"] == 80
-
-    def test_config_supplies_missing_flags(self, workdir):
-        cfg = workdir / "cfg.json"
-        cfg.write_text(json.dumps({"case": 2, "n": 30, "mode": "monitor"}))
-        assert run_cli("run", "--config", str(cfg)) == 0
-        assert read_json("summary.json")["n"] == 30
-
-    def test_unknown_config_key(self, workdir):
-        cfg = workdir / "cfg.json"
-        cfg.write_text(json.dumps({"case": 1, "horizon": 50}))
-        assert run_cli("run", "--config", str(cfg)) == 2
-
-    def test_invalid_json(self, workdir):
-        cfg = workdir / "cfg.json"
-        cfg.write_text("{not json")
-        assert run_cli("run", "--config", str(cfg)) == 2
 
 
 class TestVerifyCommand:
@@ -969,36 +924,18 @@ class TestSweepCommand:
 class TestOutputsCheckedFirst:
     """An output that cannot be written exits 2 before any work, and nothing is written."""
 
-    @pytest.fixture()
-    def no_work(self, monkeypatch):
-        def no_work(*args, **kwargs):
-            raise AssertionError("work started before the outputs were checked")
-
-        for module, name in ((signals, "generate"), (signals, "read_trajectory"),
-                             (mixture, "run"), (audit, "search_violations"),
-                             (cli, "run_verification")):
-            monkeypatch.setattr(module, name, no_work)
-
-    @pytest.mark.parametrize("config, command, message", [
-        ({"out": 1}, "verify --trials 2 --n 10", "output paths must be strings, got 1"),
-        ({"out": 5}, "sweep --case 1 --n 10 --mu-list 0.1", "output paths must be strings, got 5"),
-        (None, "verify --out d",
-         "cannot write d: it is a directory or its directory is missing"),
-        (None, "lemma-audit --eps 0.1 --budget 2000000 --out nodir/w.json",
+    @pytest.mark.parametrize("command, message", [
+        ("verify --out d", "cannot write d: it is a directory or its directory is missing"),
+        ("lemma-audit --eps 0.1 --budget 2000000 --out nodir/w.json",
          "cannot write nodir/w.json: it is a directory or its directory is missing"),
-        (None, "plot --input t.csv --out nodir/t.svg",
+        ("plot --input t.csv --out nodir/t.svg",
          "cannot write nodir/t.svg: it is a directory or its directory is missing"),
-    ], ids=["verify-config-out", "sweep-config-out", "verify-directory", "lemma-audit-no-dir",
-            "plot-no-dir"])
-    def test_refused_before_work(self, workdir, no_work, capsys, config, command, message):
+    ], ids=["verify-directory", "lemma-audit-no-dir", "plot-no-dir"])
+    def test_refused_before_work(self, workdir, no_work, capsys, command, message):
         (workdir / "d").mkdir()
-        argv = command.split()
-        if config is not None:
-            (workdir / "c.json").write_text(json.dumps(config))
-            argv += ["--config", "c.json"]
-        assert run_cli(*argv) == 2
+        assert run_cli(*command.split()) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
-        assert sorted(p.name for p in workdir.iterdir()) == ["c.json"] * (config is not None) + ["d"]
+        assert sorted(p.name for p in workdir.iterdir()) == ["d"]
         assert not any((workdir / "d").iterdir())
 
     @pytest.mark.parametrize("argv, paths", [

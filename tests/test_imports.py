@@ -1,13 +1,15 @@
 """Every module-level import in the package is used in its module, every
 exported name is used somewhere in the package, every parameter default is
-overridden by some call in the package, and the package root binds nothing
-but its version, so each name has one import path.  A format or row layout
+overridden by some call in the package, the package root binds nothing
+but its version (so each name has one import path), and no attribute read
+in the package is another object's private one.  A format or row layout
 the package writes, the per-step requirement's arithmetic, and the weight
 update's logistic, is spelled out in one module.
 
 No linter is part of the toolchain, so these are the checks that catch an
 import left behind when code moves from one module to another, an export
-whose last caller went away, and a setting no caller sets.
+whose last caller went away, a setting no caller sets, and a dependency's
+undocumented internal read by name.
 """
 
 import ast
@@ -180,6 +182,35 @@ def test_every_defaulted_parameter_is_passed():
     the process entry, calls it bare."""
     sources = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
     assert _unpassed_defaults(sources) - {"main.argv"} == set()
+
+
+def _private_attributes(source: str) -> set[str]:
+    """Each attribute name read in ``source`` that starts with ``_``, dunders apart.
+
+    Such a name is another object's internal: argparse's ``_subparsers``, a
+    module's ``_helper``.  A module calls its own helpers by bare name.
+    """
+    return {
+        node.attr
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+        and not (node.attr.startswith("__") and node.attr.endswith("__"))
+    }
+
+
+def test_the_check_sees_a_private_attribute():
+    source = ("import argparse\np = argparse.ArgumentParser()\n"
+              "sub = p._subparsers._group_actions[0]\nx = p.__class__.__name__\n"
+              "_helper(p.prog)\nsub._actions.append(p._defaults)\n")
+    assert _private_attributes(source) == {"_subparsers", "_group_actions", "_actions",
+                                           "_defaults"}
+
+
+def test_no_private_attribute_is_read():
+    """The package reads only what its dependencies and its own modules make
+    public, so no undocumented internal can change under it."""
+    found = {p.name: _private_attributes(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name: attrs for name, attrs in found.items() if attrs} == {}
 
 
 @pytest.mark.parametrize("token, owner", [
