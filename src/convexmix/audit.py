@@ -79,9 +79,10 @@ def evaluate_instance(
 
 
 def _grid(y_bound: float, lambda_plus: float) -> np.ndarray:
-    # (1875, 5) rows of (y, yhat1, yhat2, lambda_t, beta)
+    # rows of (y, yhat1, yhat2, lambda_t, beta); only weights in the band the requirement covers
     levels = (-y_bound, -y_bound / 2.0, 0.0, y_bound / 2.0, y_bound)
-    lams = (lambda_plus, 0.25, 0.5, 0.75, 1.0 - lambda_plus)
+    lams = [w for w in (lambda_plus, 0.25, 0.5, 0.75, 1.0 - lambda_plus)
+            if lambda_plus <= w <= 1.0 - lambda_plus]
     betas = (0.0, 0.5, 1.0)
     return np.array(list(itertools.product(levels, levels, levels, lams, betas)), dtype=float)
 

@@ -116,11 +116,7 @@ def constants_from_eps(eps: float, y_bound: float, lambda_plus: float) -> Theore
     if not mu < sup:
         raise ValueError(f"slack parameter {eps!r} rounds the learning rate up to its "
                          f"supremum {sup!r} for this cap and floor")
-    c = TheoremConstants(eps=eps, y_bound=y_bound, lambda_plus=lambda_plus, z=z, a=a, b=b, s=s, mu=mu)
-    bad = constant_identity_errors(c)
-    if bad:
-        raise ArithmeticError(f"derived constants violate their identities: {bad}")
-    return c
+    return TheoremConstants(eps, y_bound, lambda_plus, z, a, b, s, mu)
 
 
 def mu_supremum(y_bound: float, lambda_plus: float) -> float:
@@ -261,8 +257,9 @@ def sufficiency_roots(constants: TheoremConstants) -> SufficiencyRoots:
     """Roots of H(k) = k^2*mu^2*s - mu*k + a and the bracket checks.
 
     The per-step requirement holds whenever lam*(1-lam) lies between the
-    roots, so the checks are k1 >= 1/4 (covers the midpoint) and
-    k2 <= lambda_plus*(1-lambda_plus) (covers the floor).
+    roots, so the checks are k1 >= 1/4 (covers the midpoint) and k2 <= k0 =
+    lambda_plus*(1-lambda_plus) (covers the floor), each made as H <= 0 there:
+    the roots take a square root of 1 - 4*a*s = z^2, which scales rounding by 1/(2z).
     """
     a, mu, s = constants.a, constants.mu, constants.s
     disc = 1.0 - 4.0 * a * s
@@ -274,7 +271,9 @@ def sufficiency_roots(constants: TheoremConstants) -> SufficiencyRoots:
     k1 = (1.0 + root) / (2.0 * mu * s)
     k2 = (1.0 - root) / (2.0 * mu * s)
     k0 = constants.lambda_plus * (1.0 - constants.lambda_plus)
-    return SufficiencyRoots(k1, k2, k1 >= 0.25 - IDENTITY_TOL, k2 <= k0 + IDENTITY_TOL)
+    # H at unit scale, at 1/4 and at k0; written so that a NaN constant fails
+    h = [(k * k * mu * mu * s - mu * k + a) / max(1.0, mu * k) for k in (0.25, k0)]
+    return SufficiencyRoots(k1, k2, h[0] <= IDENTITY_TOL, h[1] <= IDENTITY_TOL)
 
 
 class RegretBound(NamedTuple):
@@ -317,8 +316,8 @@ def regret_and_bound(
 def constant_identity_errors(constants: TheoremConstants) -> list[str]:
     """Check every internal identity of a constant set; empty list means clean.
 
-    Used defensively at construction time and by the verification CLI,
-    where a deliberately perturbed constant must be caught.
+    Its one caller is ``verify``'s identity suite, where a deliberately
+    perturbed constant must be caught.
     """
     c = constants
     y2 = c.y_bound * c.y_bound
@@ -341,5 +340,6 @@ def constant_identity_errors(constants: TheoremConstants) -> list[str]:
     if disc < 0.0:
         errors.append(f"discriminant: 1 - 4*a*s = {disc!r} is negative")
     else:
-        check("sqrt(1-4as)", math.sqrt(disc), c.z)
+        # z^2, not sqrt(disc) against z: the root would multiply the rounding by 1/(2z)
+        check("1-4as", disc, c.z * c.z)
     return errors

@@ -105,16 +105,13 @@ def _sequence_from_args(args: argparse.Namespace, outputs):
     Refuses an output that is --input, --spec or a spec's path before reading.
     """
     from . import signals
-    sources = [k for k in ("case", "input", "spec") if getattr(args, k) is not None]
-    if len(sources) != 1:
-        raise ValueError("choose exactly one of --case, --input, --spec")
     if args.n is not None and args.n < 1:
         raise ValueError(f"n must be at least 1, got {args.n}")
     default_rate = {}
-    if sources[0] == "case":
+    if args.case is not None:
         spec = {"kind": f"case{args.case}", "n": CASE_N}
         default_rate = {"mu": CASE_MU[args.case]}
-    elif sources[0] == "input":
+    elif args.input is not None:
         spec = {"kind": "custom_file", "path": args.input}
     else:
         spec = _read_json(args.spec, "sequence spec")
@@ -130,12 +127,9 @@ def _sequence_from_args(args: argparse.Namespace, outputs):
 def _constants_from_args(args: argparse.Namespace, y_bound: float, default_rate: dict):
     """Constants from --mu or --eps, else from ``default_rate`` ({"mu": x}, {"eps": x} or {})."""
     rate = {key: getattr(args, key) for key in ("mu", "eps") if getattr(args, key) is not None}
-    if len(rate) == 2:
-        raise ValueError("choose --mu or --eps, not both")
+    rate = rate or default_rate
     if not rate:
-        if not default_rate:
-            raise ValueError("provide --mu or --eps for this sequence source")
-        rate = default_rate
+        raise ValueError("provide --mu or --eps for this sequence source")
     if "eps" in rate:
         constants = bounds.constants_from_eps(rate["eps"], y_bound, args.lambda_plus)
         return constants, constants.mu
@@ -222,8 +216,6 @@ def cmd_plot(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     from . import signals
-    if not args.mu_list:
-        raise ValueError("provide --mu-list with comma-separated learning rates")
     try:
         mus = sorted(float(tok) for tok in args.mu_list.split(",") if tok.strip())
     except ValueError:
@@ -259,11 +251,14 @@ def _add_floor_flag(p: argparse.ArgumentParser):
 
 
 def _add_sequence_flags(p: argparse.ArgumentParser):
-    p.add_argument("--case", type=int, choices=(1, 2), help="built-in benchmark sequence")
-    p.add_argument("--input", help="CSV file with columns y,yhat1,yhat2")
-    p.add_argument("--spec", help="JSON sequence spec file")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--case", type=int, choices=(1, 2), help="built-in benchmark sequence")
+    source.add_argument("--input", help="CSV file with columns y,yhat1,yhat2")
+    source.add_argument("--spec", help="JSON sequence spec file")
     p.add_argument("--n", type=int, help=f"horizon (default {CASE_N} for --case)")
     _add_floor_flag(p)
+    p.add_argument("--lambda-init", dest="lambda_init", type=float, default=0.5,
+                   help="initial weight (default %(default)s)")
     p.add_argument("--ybound", type=float, help="magnitude cap")
     p.add_argument("--mode", choices=mixture.MODES, default="project",
                    help="range handling (default %(default)s)")
@@ -274,15 +269,14 @@ def build_parser() -> argparse.ArgumentParser:
         prog="convexmix",
         description="online convex mixture of two experts, with guarantee verification",
     )
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="simulate one sequence")
     _add_sequence_flags(p_run)
-    p_run.add_argument("--mu", type=float, help=f"learning rate (default {CASE_MU[1]} for --case 1, "
-                                                f"{CASE_MU[2]} for --case 2)")
-    p_run.add_argument("--eps", type=float, help="slack parameter (alternative to --mu)")
-    p_run.add_argument("--lambda-init", dest="lambda_init", type=float, default=0.5,
-                       help="initial weight (default %(default)s)")
+    rate = p_run.add_mutually_exclusive_group()
+    rate.add_argument("--mu", type=float, help=f"learning rate (default {CASE_MU[1]} for --case 1, "
+                                               f"{CASE_MU[2]} for --case 2)")
+    rate.add_argument("--eps", type=float, help="slack parameter (alternative to --mu)")
     p_run.add_argument("--window", help="A:B inclusive 1-based step window for local regret")
     p_run.add_argument("--out", default="trajectory.csv",
                        help="trajectory CSV path (default %(default)s)")
@@ -291,8 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=cmd_run)
 
     p_ver = sub.add_parser("verify", help="check the guarantee machinery")
-    p_ver.add_argument("--eps", type=float, help=f"slack parameter (default {VERIFY_EPS})")
-    p_ver.add_argument("--mu", type=float, help="learning rate (alternative to --eps)")
+    rate = p_ver.add_mutually_exclusive_group()
+    rate.add_argument("--mu", type=float, help="learning rate (alternative to --eps)")
+    rate.add_argument("--eps", type=float, help=f"slack parameter (default {VERIFY_EPS})")
     _add_floor_flag(p_ver)
     p_ver.add_argument("--ybound", type=float, default=1.0, help="magnitude cap (default %(default)s)")
     p_ver.add_argument("--trials", type=int, default=100,
@@ -328,10 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="run several learning rates")
     _add_sequence_flags(p_sweep)
-    p_sweep.add_argument("--mu-list", dest="mu_list",
+    p_sweep.add_argument("--mu-list", dest="mu_list", required=True,
                          help="comma-separated learning rates")
-    p_sweep.add_argument("--lambda-init", dest="lambda_init", type=float, default=0.5,
-                         help="initial weight (default %(default)s)")
     p_sweep.add_argument("--out", default="sweep.csv",
                          help="combined table CSV path (default %(default)s)")
     p_sweep.set_defaults(func=cmd_sweep)
@@ -344,9 +337,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    if getattr(args, "command", None) is None:
-        parser.print_usage(sys.stderr)
-        return 2
     try:
         return args.func(args)
     except ArithmeticError as exc:

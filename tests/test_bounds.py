@@ -357,6 +357,15 @@ class TestSufficiencyRoots:
         roots = sufficiency_roots(c)
         assert _h(c, (roots.k1 + roots.k2) / 2.0) < 0.0
 
+    @pytest.mark.parametrize("lp", [0.495, 0.498, 0.49999])
+    def test_checks_near_one_half(self, lp):
+        """Near a floor of 1/2 z is tiny: the identities and both bracket checks hold
+        without a square root of z^2, and a rate 1% high still fails a bracket."""
+        c = constants_from_eps(0.1, 1.0, lp)
+        assert not constant_identity_errors(c)
+        assert sufficiency_roots(c)[2:] == (True, True)
+        assert sufficiency_roots(dataclasses.replace(c, mu=1.01 * c.mu))[2:] != (True, True)
+
     def test_complex_roots_rejected(self):
         c = constants_from_eps(0.1, 1.0, 0.08)
         bad = dataclasses.replace(c, a=10.0 * c.a)

@@ -286,13 +286,6 @@ USAGE_ERRORS = {
                     "window 0:4 is out of range for a length-10 sequence"),
     "window-past-end": ({}, "run --case 1 --n 10 --window 3:99",
                         "window 3:99 is out of range for a length-10 sequence"),
-    "no-source": ({}, "run --mu 0.1", "choose exactly one of --case, --input, --spec"),
-    "two-sources": ({}, "run --case 1 --input x.csv --mu 0.1",
-                    "choose exactly one of --case, --input, --spec"),
-    "sweep-no-source": ({}, "sweep --mu-list 0.1",
-                        "choose exactly one of --case, --input, --spec"),
-    "mu-and-eps": ({}, "run --case 1 --mu 0.1 --eps 0.1", "choose --mu or --eps, not both"),
-    "verify-mu-and-eps": ({}, "verify --mu 0.5 --eps 0.1", "choose --mu or --eps, not both"),
     "missing-rate": ({"seq.csv": "y,yhat1,yhat2\n0.1,0.1,0.1\n"}, "run --input seq.csv",
                      "provide --mu or --eps for this sequence source"),
     # caps whose constants would leave the normal floats (each divided by zero)
@@ -377,8 +370,6 @@ USAGE_ERRORS = {
     "audit-seed-negative": ({}, "lemma-audit --eps 0.1 --seed -1 --budget 5000",
                             "seed must be nonnegative, got -1"),
     "verify-seed-negative": ({}, "verify --seed -1", "seed must be nonnegative, got -1"),
-    "sweep-no-mu-list": ({}, "sweep --case 1 --n 10",
-                         "provide --mu-list with comma-separated learning rates"),
     "sweep-bad-mu-list": ({}, "sweep --case 1 --n 10 --mu-list 0.1,zap",
                           "--mu-list must be comma-separated numbers, got '0.1,zap'"),
     "sweep-empty-mu-list": ({}, "sweep --case 1 --n 10 --mu-list ,", "--mu-list is empty"),
@@ -419,6 +410,18 @@ USAGE_ERRORS = {
 }
 
 
+# how flags combine, which argparse alone checks: (command, the end of its message)
+ARGPARSE_REFUSALS = {
+    "no-source": ("run --mu 0.1", "one of the arguments --case --input --spec is required"),
+    "two-sources": ("run --case 1 --input x.csv --mu 0.1",
+                    "argument --input: not allowed with argument --case"),
+    "sweep-no-source": ("sweep --mu-list 0.1", "one of the arguments --case --input --spec is required"),
+    "mu-and-eps": ("run --case 1 --mu 0.1 --eps 0.1", "argument --eps: not allowed with argument --mu"),
+    "verify-mu-and-eps": ("verify --mu 0.5 --eps 0.1", "argument --eps: not allowed with argument --mu"),
+    "sweep-no-mu-list": ("sweep --case 1 --n 10", "the following arguments are required: --mu-list"),
+}
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize("files, command, message", USAGE_ERRORS.values(), ids=USAGE_ERRORS)
     def test_exact_message(self, workdir, capsys, files, command, message):
@@ -430,6 +433,26 @@ class TestUsageErrors:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert sorted(p.name for p in workdir.iterdir()) == sorted(files)
         assert {name: (workdir / name).read_text() for name in files} == files
+
+    @pytest.mark.parametrize("command, message", ARGPARSE_REFUSALS.values(), ids=ARGPARSE_REFUSALS)
+    def test_argparse_refusal(self, workdir, no_work, capsys, command, message):
+        """argparse refuses the combination before any work: exit 2, nothing written,
+        its message on the last line of standard error (the usage above wraps by COLUMNS)."""
+        assert run_cli(*command.split()) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1].endswith(f": error: {message}")
+        assert not any(workdir.iterdir())
+
+    @pytest.mark.parametrize("command, groups", [
+        ("run", ["(--case {1,2} | --input INPUT | --spec SPEC)", "[--mu MU | --eps EPS]"]),
+        ("verify", ["[--mu MU | --eps EPS]"]),
+    ], ids=["run", "verify"])
+    def test_help_shows_flag_groups(self, capsys, command, groups):
+        """The usage line states which flags exclude each other and which one is required."""
+        assert run_cli(command, "--help") == 0
+        usage = " ".join(capsys.readouterr().out.split())
+        assert all(group in usage for group in groups), usage
 
     def test_no_source(self, workdir):
         assert run_cli("run", "--mu", "0.1") == 2
@@ -462,8 +485,8 @@ class TestUsageErrors:
         assert not any(workdir.iterdir())
 
     @pytest.mark.parametrize("config, command", [
-        ({"case": 1, "n": 10}, "run"),
-        ({"case": 1, "n": 10}, "sweep --mu-list 0.1"),
+        ({"case": 1, "n": 10}, "run --case 1"),
+        ({"case": 1, "n": 10}, "sweep --case 1 --mu-list 0.1"),
         ({"trials": 1, "n": 5}, "verify"),
     ], ids=["run", "sweep", "verify"])
     def test_config_flag_is_refused(self, workdir, no_work, capsys, config, command):
@@ -775,6 +798,19 @@ class TestLemmaAuditCommand:
                        "--out", "w.json") == 0
         assert read_json("w.json")["budget"] == 1
 
+    @pytest.mark.parametrize("floor", [0.3, 0.49])
+    def test_search_stays_in_the_band(self, workdir, floor):
+        """Above a floor of 1/4 the grid's weights 0.25 and 0.75 leave [floor, 1 - floor],
+        where the requirement is claimed: derived constants show no witness, and a
+        violated triple's listed witnesses all lie inside the band."""
+        band = ("--lambda-plus", str(floor), "--budget", "20000")
+        assert run_cli("lemma-audit", "--eps", "0.1", *band, "--out", "clean.json") == 0
+        assert read_json("clean.json")["violation_count"] == 0
+        assert run_cli("lemma-audit", "--a", "0.0586", "--b", "0.005", "--mu", "1.03", *band,
+                       "--out", "wit.json") == 1
+        listed = read_json("wit.json")["violations"]
+        assert listed and all(floor <= w["lambda_t"] <= 1.0 - floor for w in listed)
+
 
 class TestPlotCommand:
     def test_renders_two_series(self, workdir):
@@ -951,6 +987,23 @@ class TestOutputsCheckedFirst:
         assert run_cli(*argv) == 2
         assert capsys.readouterr() == ("", f"error: output paths must not be empty, got {paths}\n")
         assert not any(workdir.iterdir())
+
+
+# every command that derives constants, at a small size
+DERIVING = {
+    "run": "run --case 1 --n 100",
+    "verify": "verify --trials 2 --n 20",
+    "lemma-audit": "lemma-audit --eps 0.1",
+    "sweep": "sweep --case 2 --n 100 --mu-list 0.02,0.04",
+}
+
+
+@pytest.mark.parametrize("floor", ["0.495", "0.498", "0.49999"])
+@pytest.mark.parametrize("command", DERIVING.values(), ids=DERIVING)
+def test_floor_near_one_half_is_valid(workdir, command, floor):
+    """Every floor in (0, 1/2) is valid.  Near 1/2, z ~ 2*(1/2 - floor)^2 is tiny, and no
+    identity or root check may compare through sqrt(z^2), which scales rounding by 1/(2z)."""
+    assert run_cli(*command.split(), "--lambda-plus", floor) == 0
 
 
 RUN = ("run", "--case", "1", "--n", "50")
